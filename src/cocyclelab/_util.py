@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,13 +24,14 @@ def set_max_workers(n: int) -> None:
     _max_workers = max(1, int(n))
 
 
-def get_max_workers() -> int:
-    return _max_workers
-
-
 def map_chunked(fn, arr: np.ndarray, workers: int | None = None) -> list:
-    """Apply fn to row-chunks of arr, in order, optionally on a thread pool."""
+    """Apply fn to row-chunks of arr, in order, optionally on a thread pool.
+
+    The worker count is capped at the number of cores: more threads than
+    cores cannot run at once, and each one costs an OS thread.
+    """
     w = _max_workers if workers is None else max(1, int(workers))
+    w = min(w, os.cpu_count() or 1)
     n = arr.shape[0]
     if w <= 1 or n < 2 * w:
         return [fn(arr)]
@@ -39,15 +41,13 @@ def map_chunked(fn, arr: np.ndarray, workers: int | None = None) -> list:
         return list(pool.map(fn, chunks))
 
 
-def op_norm_2x2(mats: np.ndarray) -> np.ndarray:
-    """Operator 2-norm (largest singular value) of stacked 2x2 complex matrices.
+def op_norm_2x2(a, b, c, d) -> np.ndarray:
+    """Operator 2-norm (largest singular value) of the 2x2 complex matrices
+    [[a, b], [c, d]], given entrywise as four equal-shape arrays.
 
     Closed form from the Frobenius norm and |det|:
     sigma_max^2 = (f + sqrt(f^2 - 4|det|^2)) / 2 with f = ||M||_F^2.
     """
-    m = np.asarray(mats)
-    a, b = m[..., 0, 0], m[..., 0, 1]
-    c, d = m[..., 1, 0], m[..., 1, 1]
     f = (a.real**2 + a.imag**2 + b.real**2 + b.imag**2
          + c.real**2 + c.imag**2 + d.real**2 + d.imag**2)
     det = a * d - b * c

@@ -56,6 +56,10 @@ class APReport:
         }
 
 
+def _norms(mats: np.ndarray) -> np.ndarray:
+    return op_norm_2x2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
+
+
 def _chain_terms(matrices) -> tuple:
     mats = np.asarray(matrices, dtype=complex)
     if mats.ndim != 3 or mats.shape[1:] != (2, 2):
@@ -68,15 +72,15 @@ def _chain_terms(matrices) -> tuple:
     if bad.any():
         j = int(np.argmax(bad))
         raise NotUnimodular(f"matrix {j} has det {det[j]}, not 1 within {DET_TOL}")
-    v = np.log(op_norm_2x2(mats))
-    w = np.log(op_norm_2x2(mats[1:] @ mats[:-1]))
+    v = np.log(_norms(mats))
+    w = np.log(_norms(mats[1:] @ mats[:-1]))
     # Running product with per-step renormalization; SL(2) norms are >= 1 so
     # the accumulated factors cannot underflow.
     U = np.eye(2, dtype=complex)
     logs = np.empty(n)
     for j in range(n):
         U = mats[j] @ U
-        s = float(op_norm_2x2(U[None])[0])
+        s = float(_norms(U[None])[0])
         logs[j] = math.log(s)
         U = U / s
     return n, v, w, logs

@@ -9,7 +9,8 @@ subcommand. Outputs land in --out as <experiment>.json (always) plus
 <experiment>.csv for tabular results and <experiment>.svg when "plot: true"
 and a CSV exists. Every output embeds the sha256 of the config file and the
 library version; identical config + seed yields identical bytes regardless
-of --threads.
+of --threads. --threads N splits each node batch of the orbit-product kernel
+into N chunks run on a thread pool, with N capped at the core count.
 
 Exit codes: 0 success, 2 config or schema problem, 3 numerical failure (a
 machine-readable record goes to stderr and to <out>/error.json).

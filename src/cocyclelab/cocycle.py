@@ -30,6 +30,15 @@ def _frac(x: np.ndarray) -> np.ndarray:
     return x - np.floor(x)
 
 
+def _tables(d: int, coeffs: dict, shape: tuple):
+    """Sorted index table ks (n, d) and coefficient table cs (n,) + shape.
+    Built once per object, as the kernel evaluates A at every step."""
+    keys = sorted(coeffs)
+    ks = np.array(keys, dtype=np.int64).reshape(-1, d)
+    cs = np.array([coeffs[k] for k in keys], dtype=complex).reshape((-1,) + shape)
+    return ks, cs
+
+
 # ---------------------------------------------------------------------------
 # Scalar trigonometric polynomials
 # ---------------------------------------------------------------------------
@@ -48,6 +57,7 @@ class TrigPoly:
             if c != 0:
                 clean[kt] = c
         self.coeffs = clean
+        self._ks, self._cs = _tables(self.d, clean, ())
 
     @classmethod
     def constant(cls, d: int, value: complex) -> "TrigPoly":
@@ -83,17 +93,9 @@ class TrigPoly:
                 return False
         return True
 
-    def _tables(self):
-        ks = np.array(sorted(self.coeffs), dtype=np.int64).reshape(-1, self.d)
-        cs = np.array([self.coeffs[tuple(k)] for k in ks], dtype=complex)
-        return ks, cs
-
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if not self.coeffs:
-            return np.zeros(X.shape[0], dtype=complex)
-        ks, cs = self._tables()
-        return np.exp(TWO_PI_I * (X @ ks.T)) @ cs
+        return np.exp(TWO_PI_I * (X @ self._ks.T)) @ self._cs
 
     def eval(self, x) -> complex:
         return complex(self.eval_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
@@ -168,6 +170,7 @@ class TrigPolyMatrix:
             if np.any(arr != 0):
                 clean[kt] = arr
         self.coeffs = clean
+        self._ks, self._cs = _tables(self.d, clean, (2, 2))
 
     @classmethod
     def constant(cls, d: int, matrix, rho: float = 0.5) -> "TrigPolyMatrix":
@@ -193,18 +196,10 @@ class TrigPolyMatrix:
     def entry(self, i: int, j: int) -> TrigPoly:
         return TrigPoly(self.d, {k: m[i, j] for k, m in self.coeffs.items()})
 
-    def _tables(self):
-        ks = np.array(sorted(self.coeffs), dtype=np.int64).reshape(-1, self.d)
-        cs = np.array([self.coeffs[tuple(k)] for k in ks], dtype=complex)
-        return ks, cs
-
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if not self.coeffs:
-            return np.zeros((X.shape[0], 2, 2), dtype=complex)
-        ks, cs = self._tables()
-        phases = np.exp(TWO_PI_I * (X @ ks.T))
-        return np.einsum("mn,nij->mij", phases, cs)
+        phases = np.exp(TWO_PI_I * (X @ self._ks.T))
+        return np.einsum("mn,nij->mij", phases, self._cs)
 
     def eval(self, x) -> np.ndarray:
         """A(x) for a real point x of T^d."""
@@ -220,11 +215,8 @@ class TrigPolyMatrix:
             raise ValueError(f"point has dimension {z.shape[0]}, expected {self.d}")
         if np.max(np.abs(z.imag)) > self.rho + 1e-12:
             raise OutsideStrip(f"|Im z| = {np.max(np.abs(z.imag))} exceeds rho = {self.rho}")
-        ks, cs = self._tables() if self.coeffs else (None, None)
-        if ks is None:
-            return np.zeros((2, 2), dtype=complex)
-        phases = np.exp(TWO_PI_I * (ks @ z))
-        return np.einsum("n,nij->ij", phases, cs)
+        phases = np.exp(TWO_PI_I * (self._ks @ z))
+        return np.einsum("n,nij->ij", phases, self._cs)
 
     def __matmul__(self, other: "TrigPolyMatrix") -> "TrigPolyMatrix":
         out: dict = {}
@@ -286,21 +278,15 @@ def strip_norm(A: TrigPolyMatrix, B: TrigPolyMatrix, rho: float,
                         indexing="ij")
     X = np.stack(grids, axis=-1).reshape(-1, d)
     best = 0.0
-    samples = 0
     ims = [np.zeros(d)]
     for signs in np.ndindex(*(2,) * d):
         ims.append(rho * (2.0 * np.array(signs) - 1.0))
-    ks, cs = (D._tables() if D.coeffs else (None, None))
     for im in ims:
-        if ks is None:
-            samples += X.shape[0]
-            continue
         Z = X + 1j * im
-        phases = np.exp(TWO_PI_I * (Z @ ks.T))
-        vals = np.einsum("mn,nij->mij", phases, cs)
+        phases = np.exp(TWO_PI_I * (Z @ D._ks.T))
+        vals = np.einsum("mn,nij->mij", phases, D._cs)
         best = max(best, float(np.max(np.abs(vals))))
-        samples += X.shape[0]
-    return StripNormResult(value=best, samples=samples)
+    return StripNormResult(value=best, samples=len(ims) * X.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -431,26 +417,56 @@ class LogNormResult:
     partial_logs: Optional[list] = None
 
 
-def _iterate_chunk(A, omega_vec: np.ndarray, N: int, X: np.ndarray):
+def _left_multiply(mats: np.ndarray, U: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out <- mats @ U, for an (m, 2, 2) stack mats and U, out of shape (2, 2, m).
+
+    A function of its own so that mats and its transposed copy are freed
+    before the next step evaluates A: at 65536 nodes each is 4 MiB.
+    """
+    M = np.ascontiguousarray(mats.transpose(1, 2, 0))
+    # Row i of the product is M_i0 * (row 0 of U) + M_i1 * (row 1 of U).
+    np.multiply(M[:, 0, None], U[0], out=out)
+    out += M[:, 1, None] * U[1]
+    return out
+
+
+def _iterate_chunk(A, omega_vec: np.ndarray, N: int, X: np.ndarray,
+                   step_logs: Optional[list] = None):
+    """The orbit-product kernel: (avg, steps) for a batch of m starting points.
+
+    The running products live in one (2, 2, m) array, entry-major with the
+    nodes contiguous, so a step is a few elementwise operations on length-m
+    arrays. steps[i] is the number of steps node i completed before its
+    product underflowed (N if it never did); from then on the node carries
+    the identity and adds 0 to its log sum. If step_logs is a list, each
+    step's log factors are appended to it.
+    """
     m = X.shape[0]
-    U = np.broadcast_to(np.eye(2, dtype=complex), (m, 2, 2)).copy()
-    alive = np.ones(m, dtype=bool)
+    U = np.zeros((2, 2, m), dtype=complex)
+    U[0, 0] = U[1, 1] = 1.0
+    V = np.empty_like(U)
+    steps = np.full(m, N)
+    alive = None  # None while every node is alive, so no masking is needed
     acc = PairwiseSum()
     pts = X.copy()
     for j in range(N):
-        mats = A.eval_many(pts)
-        U = mats @ U
-        s = op_norm_2x2(U)
+        U, V = _left_multiply(A.eval_many(pts), U, V), U
+        s = op_norm_2x2(U[0, 0], U[0, 1], U[1, 0], U[1, 1])
         ok = np.isfinite(s) & (s > UNDERFLOW_FLOOR)
-        alive &= ok
-        safe = np.where(alive, s, 1.0)
-        U = np.where(alive[:, None, None], U / safe[:, None, None],
-                     np.broadcast_to(np.eye(2, dtype=complex), (m, 2, 2)))
-        logs = np.where(alive, np.log(safe), 0.0)
+        if alive is not None or not ok.all():
+            alive = ok if alive is None else alive & ok
+            steps[~alive & (steps == N)] = j
+            s = np.where(alive, s, 1.0)
+            U[:, :, ~alive] = np.eye(2)[:, :, None]
+        # U / s would promote s to complex, and numpy's complex division with
+        # a zero imaginary part multiplies by 1/s: same bits, lower cost.
+        U *= 1.0 / s
+        logs = np.log(s)
         acc.add(logs)
+        if step_logs is not None:
+            step_logs.append(logs)
         pts = _frac(pts + omega_vec)
-    total = acc.total()
-    return total / N, ~alive
+    return acc.total() / N, steps
 
 
 def iterate_log_norm_many(C: Cocycle, N: int, X: np.ndarray):
@@ -471,7 +487,7 @@ def iterate_log_norm_many(C: Cocycle, N: int, X: np.ndarray):
     w = C.omega.as_array()
     parts = map_chunked(lambda chunk: _iterate_chunk(C.A, w, N, chunk), X)
     avg = np.concatenate([p[0] for p in parts])
-    under = np.concatenate([p[1] for p in parts])
+    under = np.concatenate([p[1] for p in parts]) < N
     return avg, under
 
 
@@ -479,34 +495,18 @@ def iterate_log_norm(C: Cocycle, N: int, x, collect_partial: bool = False) -> Lo
     """(1/N) ln ||A_N(x, omega)|| with per-step renormalization.
 
     Underflow (zero or sub-1e-300 intermediate product) is reported via the
-    flag, not raised; the average is -inf in that case.
+    flag, not raised; the average is -inf in that case. collect_partial
+    returns the log factors of the steps completed before any underflow.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    if not collect_partial:
-        avg, under = iterate_log_norm_many(C, N, x)
-        if under[0]:
-            return LogNormResult(log_norm_avg=-math.inf, underflowed=True)
-        return LogNormResult(log_norm_avg=float(avg[0]), underflowed=False)
-    w = C.omega.as_array()
-    pts = x.copy()
-    U = np.eye(2, dtype=complex)
-    logs: list = []
-    for j in range(N):
-        U = C.A.eval_many(pts)[0] @ U
-        s = float(op_norm_2x2(U[None])[0])
-        if not math.isfinite(s) or s <= UNDERFLOW_FLOOR:
-            return LogNormResult(log_norm_avg=-math.inf, underflowed=True,
-                                 partial_logs=logs)
-        U = U / s
-        logs.append(math.log(s))
-        pts = _frac(pts + w)
-    acc = PairwiseSum()
-    for v in logs:
-        acc.add(np.array(v))
-    return LogNormResult(log_norm_avg=float(acc.total()) / N, underflowed=False,
-                         partial_logs=logs)
+    step_logs = [] if collect_partial else None
+    avg, steps = _iterate_chunk(C.A, C.omega.as_array(), N, x, step_logs)
+    under = bool(steps[0] < N)
+    partial = None if step_logs is None else [float(v[0]) for v in step_logs[:steps[0]]]
+    return LogNormResult(log_norm_avg=-math.inf if under else float(avg[0]),
+                         underflowed=under, partial_logs=partial)
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,13 @@ Step flags are keyed by opaque condition identifiers (strings of the form
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ._util import get_max_workers, pairwise_total, to_json_text
+from ._util import pairwise_total, to_json_text
 from .cocycle import Cocycle, ComposedMatrix, iterate_log_norm_many
 from .deviation import _integer_grid
 from .errors import (AllSamplesSingular, GateFailed, InconsistentDelta,
@@ -408,17 +407,7 @@ def ladder_verify(C: Cocycle, ladder: ScaleLadder,
     if len(ladder.scales) < 2:
         raise ValueError("ladder has a single scale; nothing to verify")
     fn = L_N_renormalized if renormalized else L_prime_N
-
-    def one(n: int) -> float:
-        return fn(C, int(n), quad).value
-
-    w = get_max_workers()
-    if w > 1 and len(ladder.scales) > 1:
-        with ThreadPoolExecutor(max_workers=min(w, len(ladder.scales))) as pool:
-            vals = list(pool.map(one, ladder.scales))
-    else:
-        vals = [one(n) for n in ladder.scales]
-    estimates = {int(n): v for n, v in zip(ladder.scales, vals)}
+    estimates = {int(n): fn(C, int(n), quad).value for n in ladder.scales}
 
     budgets, base_budget = _pair_budgets(ladder, C_prime)
     pairs: List[Tuple[int, int, float, float]] = []

@@ -1,0 +1,254 @@
+"""The orbit-product kernel against the matmul loop it replaced.
+
+The reference below is the earlier kernel, kept verbatim apart from names:
+it carries the running products as an (m, 2, 2) stack and multiplies it with
+`mats @ U`. For Schrodinger-form and diagonal cocycles the kernel must agree
+with it bit for bit. For general complex entries the stacked matmul goes
+through BLAS, whose fused multiply-adds elementwise numpy cannot reproduce,
+so those cocycles agree to a relative 1e-12 instead.
+"""
+import math
+import os
+
+import numpy as np
+import pytest
+
+from cocyclelab import _util
+from cocyclelab._util import UNDERFLOW_FLOOR, PairwiseSum, map_chunked, set_max_workers
+from cocyclelab.cocycle import (
+    Cocycle,
+    DiscontinuityExample,
+    TrigPoly,
+    TrigPolyMatrix,
+    amo,
+    iterate_log_norm,
+    iterate_log_norm_many,
+    jacobi,
+    jacobi_periodic,
+    renormalize,
+    schrodinger,
+)
+from cocyclelab.torus import Frequency
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+SILVER = math.sqrt(2.0) - 1.0
+
+
+def _frac(x):
+    return x - np.floor(x)
+
+
+def ref_op_norm(mats):
+    m = np.asarray(mats)
+    a, b = m[..., 0, 0], m[..., 0, 1]
+    c, d = m[..., 1, 0], m[..., 1, 1]
+    f = (a.real**2 + a.imag**2 + b.real**2 + b.imag**2
+         + c.real**2 + c.imag**2 + d.real**2 + d.imag**2)
+    det = a * d - b * c
+    det2 = det.real**2 + det.imag**2
+    disc = np.maximum(f * f - 4.0 * det2, 0.0)
+    return np.sqrt(0.5 * (f + np.sqrt(disc)))
+
+
+def ref_iterate(A, omega_vec, N, X):
+    """(avg, underflowed) by the (m, 2, 2) matmul loop."""
+    m = X.shape[0]
+    U = np.broadcast_to(np.eye(2, dtype=complex), (m, 2, 2)).copy()
+    alive = np.ones(m, dtype=bool)
+    acc = PairwiseSum()
+    pts = X.copy()
+    for _ in range(N):
+        mats = A.eval_many(pts)
+        U = mats @ U
+        s = ref_op_norm(U)
+        ok = np.isfinite(s) & (s > UNDERFLOW_FLOOR)
+        alive &= ok
+        safe = np.where(alive, s, 1.0)
+        U = np.where(alive[:, None, None], U / safe[:, None, None],
+                     np.broadcast_to(np.eye(2, dtype=complex), (m, 2, 2)))
+        acc.add(np.where(alive, np.log(safe), 0.0))
+        pts = _frac(pts + omega_vec)
+    return acc.total() / N, ~alive
+
+
+def ref_partial_logs(A, omega_vec, N, x):
+    """Per-step log factors of one orbit by the scalar loop; stops at underflow."""
+    pts = np.asarray(x, dtype=float).reshape(1, -1)
+    U = np.eye(2, dtype=complex)
+    logs = []
+    for _ in range(N):
+        U = A.eval_many(pts)[0] @ U
+        s = float(ref_op_norm(U[None])[0])
+        if not math.isfinite(s) or s <= UNDERFLOW_FLOOR:
+            return logs, True
+        U = U / s
+        logs.append(math.log(s))
+        pts = _frac(pts + omega_vec)
+    return logs, False
+
+
+@pytest.fixture
+def workers(request, monkeypatch):
+    """Run with the given worker count, uncapped by this host's core count."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    set_max_workers(request.param)
+    yield request.param
+    set_max_workers(1)
+
+
+def _v2():
+    return TrigPoly.cosine((1, 0), 2.0) + TrigPoly.cosine((0, 1), 1.0)
+
+
+def _jacobi_parts():
+    v = TrigPoly.cosine((1,), 4.0)
+    a = TrigPoly(1, {(0,): 1.0, (1,): 0.25 + 0.1j, (-1,): 0.25})
+    return v, a
+
+
+G1 = Frequency((GOLDEN,))
+G2 = Frequency((GOLDEN, SILVER))
+
+BITWISE = {
+    "amo": lambda: Cocycle(amo(3.0, 0.3), G1),
+    "schrodinger-2d": lambda: Cocycle(schrodinger(_v2(), 0.2, d=2), G2),
+    "schrodinger-2d-renorm": lambda: Cocycle(renormalize(schrodinger(_v2(), 0.2, d=2)), G2),
+    "discontinuity": lambda: Cocycle(DiscontinuityExample((1,)), G1),
+    "discontinuity-omega0": lambda: Cocycle(DiscontinuityExample((1,)), Frequency((0.0,))),
+}
+
+CLOSE = {
+    "jacobi": lambda: Cocycle(jacobi(*_jacobi_parts(), 0.3, G1), G1),
+    "jacobi-renorm": lambda: Cocycle(renormalize(jacobi(*_jacobi_parts(), 0.3, G1)), G1),
+    "jacobi-periodic": lambda: Cocycle(
+        jacobi_periodic(*_jacobi_parts(), [0.0, 1.0, -0.5], 0.3, G1), G1),
+}
+
+
+def _nodes(d, m=97):
+    return np.random.default_rng(11).random((m, d))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+@pytest.mark.parametrize("name", sorted(BITWISE))
+def test_kernel_matches_matmul_loop_bitwise(name, workers):
+    C = BITWISE[name]()
+    X = _nodes(C.d)
+    want, want_under = ref_iterate(C.A, C.omega.as_array(), 64, X)
+    got, under = iterate_log_norm_many(C, 64, X)
+    assert np.array_equal(under, want_under)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+@pytest.mark.parametrize("name", sorted(CLOSE))
+def test_kernel_matches_matmul_loop_closely(name, workers):
+    C = CLOSE[name]()
+    X = _nodes(C.d)
+    want, want_under = ref_iterate(C.A, C.omega.as_array(), 64, X)
+    got, under = iterate_log_norm_many(C, 64, X)
+    assert np.array_equal(under, want_under)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+# det A(x) = a(x) = cos(2 pi x) + 0.3, so renormalize(A, floor) kills the
+# nodes whose orbit meets |a| < floor.
+def _excising(omega, floor=0.5):
+    a = TrigPoly.cosine((1,), 1.0) + TrigPoly.constant(1, 0.3)
+    e11 = TrigPoly.constant(1, 0.4) - TrigPoly.cosine((1,), 3.0)
+    A = TrigPolyMatrix.from_entries(e11, TrigPoly.constant(1, -1.0), a,
+                                    TrigPoly(1, {}), rho=0.5)
+    return Cocycle(renormalize(A, floor=floor), omega)
+
+
+def _det_abs(x):
+    return np.abs(np.cos(2 * math.pi * x) + 0.3)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+def test_excision_flags_exact_at_chunk_boundaries(workers):
+    # omega = 0: a node dies at its first step exactly when |det| < floor.
+    # The blocks dead|live|dead|live of sizes 20, 10, 10, 20 put a chunk
+    # boundary between dead and live nodes at 2 workers (index 30) and at
+    # 3 workers (indices 20 and 40).
+    dead = np.linspace(0.24, 0.38, 30)
+    live = np.linspace(0.00, 0.12, 30)
+    X = np.concatenate([dead[:20], live[:10], dead[20:], live[10:]]).reshape(-1, 1)
+    want = _det_abs(X[:, 0]) < 0.5
+    assert np.array_equal(want, np.repeat([True, False, True, False], [20, 10, 10, 20]))
+    C = _excising(Frequency((0.0,)))
+    avg, under = iterate_log_norm_many(C, 16, X)
+    assert np.array_equal(under, want)
+    alone, alone_under = iterate_log_norm_many(C, 16, X[~want])
+    assert not alone_under.any()
+    assert np.array_equal(avg[~want], alone)
+
+
+@pytest.mark.parametrize("workers", [1, 2], indirect=True)
+def test_excision_midway_keeps_healthy_nodes_bitwise(workers):
+    # An irrational shift makes nodes die at different steps, so the masked
+    # path runs for many steps while the healthy nodes keep iterating.
+    C = _excising(G1, floor=0.05)
+    X = np.linspace(0.0, 1.0, 64, endpoint=False).reshape(-1, 1)
+    want_avg, want_under = ref_iterate(C.A, C.omega.as_array(), 40, X)
+    assert want_under.any() and not want_under.all()
+    avg, under = iterate_log_norm_many(C, 40, X)
+    assert np.array_equal(under, want_under)
+    keep = ~under
+    np.testing.assert_allclose(avg[keep], want_avg[keep], rtol=1e-12, atol=0.0)
+    alone, alone_under = iterate_log_norm_many(C, 40, X[keep])
+    assert not alone_under.any()
+    assert np.array_equal(avg[keep], alone)
+
+
+# Starting points whose orbit survives 40 steps (None) or underflows at the
+# given step, so the partial logs are the whole orbit, empty, or cut short.
+@pytest.mark.parametrize("x, dies_at", [(0.15, None), (0.3, 0), (0.4, 28)])
+def test_collect_partial_matches_scalar_loop(x, dies_at):
+    C = _excising(G1, floor=0.05)
+    want_logs, want_under = ref_partial_logs(C.A, C.omega.as_array(), 40, (x,))
+    assert want_under == (dies_at is not None)
+    assert len(want_logs) == (40 if dies_at is None else dies_at)
+    r = iterate_log_norm(C, 40, (x,), collect_partial=True)
+    assert r.underflowed == want_under
+    assert r.partial_logs == pytest.approx(want_logs, rel=1e-12, abs=1e-14)
+    if want_under:
+        assert r.log_norm_avg == -math.inf
+    else:
+        assert r.log_norm_avg == iterate_log_norm(C, 40, (x,)).log_norm_avg
+
+
+class _RecordingExecutor:
+    """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
+
+    seen = []
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        return [fn(c) for c in chunks]
+
+
+@pytest.mark.parametrize("via_setting", [False, True])
+def test_map_chunked_caps_workers_at_core_count(monkeypatch, via_setting):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(_util, "ThreadPoolExecutor", _RecordingExecutor)
+    _RecordingExecutor.seen = []
+    arr = np.arange(65536.0).reshape(-1, 1)
+    try:
+        if via_setting:
+            set_max_workers(30000)
+            parts = map_chunked(lambda c: c.sum(), arr)
+        else:
+            parts = map_chunked(lambda c: c.sum(), arr, workers=30000)
+    finally:
+        set_max_workers(1)
+    assert _RecordingExecutor.seen == [4]
+    assert len(parts) == 4 and sum(parts) == arr.sum()
