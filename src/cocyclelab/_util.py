@@ -143,12 +143,25 @@ def halton(n: int, d: int) -> np.ndarray:
 
 
 def fmt17(x: float) -> str:
-    """Format a float with 17 significant digits (enough to round-trip)."""
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
+    """Format a float with 17 significant digits (enough to round-trip);
+    infinities and NaN come out as inf, -inf and nan."""
     return format(float(x), ".17g")
+
+
+_INT_TYPES = (int, np.integer)
+
+
+def csv_text(header, rows) -> str:
+    """CSV text: the header line, then one line per row, newline-terminated.
+
+    Integer cells (int, np.integer) are written as integers and every other
+    cell through fmt17. rows may be a generator, so a large table is never
+    held as per-column lists.
+    """
+    lines = [",".join(header)]
+    lines.extend(",".join([str(int(v)) if isinstance(v, _INT_TYPES)
+                           else fmt17(v) for v in row]) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _json_fragments(obj, out: list) -> None:

@@ -18,12 +18,12 @@ parameters and the ensemble runner estimates empirical ceilings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ._util import fmt17, op_norm_2x2, pairwise_total, to_json_text
+from ._util import csv_text, det_2x2, op_norm_2x2, pairwise_total
 from .cocycle import Cocycle, iterate_log_norm, iterate_log_norm_many
 from .errors import ChainTooShort, NotDivisible, NotUnimodular
 
@@ -67,7 +67,7 @@ def _chain_terms(matrices) -> tuple:
     n = mats.shape[0]
     if n < 3:
         raise ChainTooShort(f"need n >= 3 matrices, got {n}")
-    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+    det = det_2x2(mats)
     bad = np.abs(det - 1.0) > DET_TOL
     if bad.any():
         j = int(np.argmax(bad))
@@ -277,12 +277,6 @@ def ap_ensemble(chains: int, seed: int = 0, mu: float = 1e3,
 
 
 def ensemble_to_csv(reports: Sequence[APReport]) -> str:
-    lines = ["n,mu,max_gap,residual,bound"]
-    for r in reports:
-        lines.append(",".join([str(r.n), fmt17(r.mu), fmt17(r.max_gap),
-                               fmt17(r.residual), fmt17(r.bound)]))
-    return "\n".join(lines) + "\n"
-
-
-def ap_report_to_json(report) -> str:
-    return to_json_text(report.to_json_dict())
+    return csv_text(("n", "mu", "max_gap", "residual", "bound"),
+                    ((r.n, r.mu, r.max_gap, r.residual, r.bound)
+                     for r in reports))

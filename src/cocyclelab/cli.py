@@ -5,15 +5,24 @@ Usage:
                             [--threads N] [--seed S]
 
 The config is a single YAML document; its "experiment" key must match the
-subcommand. Outputs land in --out as <experiment>.json (always) plus
-<experiment>.csv for tabular results and <experiment>.svg when "plot: true"
-and a CSV exists. Every output embeds the sha256 of the config file and the
-library version; identical config + seed yields identical bytes regardless
-of --threads. --threads N splits each node batch of the orbit-product kernel
-into N chunks run on a thread pool, with N capped at the core count.
+subcommand. load_config validates it against SCHEMA and PARAM_SCHEMAS; build
+turns its frequency, cocycle and quadrature blocks into library objects (an
+Inputs record); the experiment's handler calls the library and returns a JSON
+payload and an optional CSV body, which run writes to --out as
+<experiment>.json (always), <experiment>.csv for tabular results, and
+<experiment>.svg when "plot: true" and a CSV exists. Every CSV goes through
+_util.csv_text: integer cells as integers, every other cell via fmt17. Every
+output embeds the sha256 of the config file and the library version;
+identical config + seed yields identical bytes regardless of --threads.
+--threads N splits each node batch of the orbit-product kernel into N chunks
+run on a thread pool, with N capped at the core count.
 
-Exit codes: 0 success, 2 config or schema problem, 3 numerical failure (a
-machine-readable record goes to stderr and to <out>/error.json).
+Exit codes: 0 success; 2 a ConfigError from loading, building (say a cocycle
+whose dimension differs from the frequency's) or a handler (say a missing
+block); 3 a CocycleLabError, ValueError, ArithmeticError or KeyError raised
+while the library runs, which includes the config mistakes only the library
+checks (a grid size M that is not a power of two, a non-square B). Both write
+a JSON record to stderr; exit 3 also writes it to <out>/error.json.
 """
 
 import argparse
@@ -21,6 +30,7 @@ import hashlib
 import math
 import os
 import sys
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import jsonschema
@@ -28,7 +38,7 @@ import yaml
 
 from . import __version__
 from ._svg import plot_csv_text
-from ._util import fmt17, set_max_workers, to_json_text
+from ._util import csv_text, set_max_workers, to_json_text
 from .avalanche import ap_ensemble, ensemble_to_csv
 from .cocycle import (
     Cocycle,
@@ -75,7 +85,7 @@ EXPERIMENTS = (
 
 
 class ConfigError(Exception):
-    """The config failed to load or validate; maps to exit code 2."""
+    """The config failed to load, validate or build; maps to exit code 2."""
 
     def __init__(self, message: str, digest: Optional[str] = None):
         super().__init__(message)
@@ -404,8 +414,8 @@ def build_trigpoly(spec, d: int) -> TrigPoly:
     raise ValueError(f"unrecognized trig polynomial spec: {spec!r}")
 
 
-def build_cocycle(cfg: dict, omega: Frequency) -> Cocycle:
-    spec = cfg["cocycle"]
+def build_cocycle(spec: dict, omega: Frequency) -> Cocycle:
+    """Interpret a cocycle block over the frequency omega."""
     kind = spec["kind"]
     d = omega.d
     rho = float(spec.get("rho", 0.5))
@@ -436,24 +446,33 @@ def build_cocycle(cfg: dict, omega: Frequency) -> Cocycle:
     return Cocycle(A, omega)
 
 
-def build_quadrature(cfg: dict, seed: int) -> Optional[QuadratureSpec]:
-    q = cfg.get("quadrature")
-    if q is None:
-        return None
-    kwargs = {"kind": q.get("kind", "uniform-grid"), "seed": seed}
-    if "points_per_dim" in q:
-        kwargs["points_per_dim"] = q["points_per_dim"]
-    if "total_points" in q:
-        kwargs["total_points"] = q["total_points"]
-    if "clip_floor" in q:
-        kwargs["clip_floor"] = q["clip_floor"]
-    return QuadratureSpec(**kwargs)
-
-
 def _frequency(vals) -> Optional[Frequency]:
-    if vals is None:
-        return None
-    return Frequency(tuple(float(v) for v in vals))
+    return None if vals is None else Frequency(tuple(float(v) for v in vals))
+
+
+@dataclass(frozen=True)
+class Inputs:
+    """Library objects built from a config; None where a block is absent."""
+
+    p: dict
+    seed: int
+    omega: Optional[Frequency]
+    C: Optional[Cocycle]
+    quad: Optional[QuadratureSpec]
+
+
+def build(cfg: dict, seed: int) -> Inputs:
+    """Build stage: a block that cannot be constructed is a ConfigError."""
+    try:
+        omega = _frequency(cfg.get("frequency"))
+        C = (build_cocycle(cfg["cocycle"], omega)
+             if "cocycle" in cfg and omega is not None else None)
+        q = cfg.get("quadrature")
+        quad = None if q is None else QuadratureSpec(
+            **{"kind": "uniform-grid", **q}, seed=seed)
+    except (ValueError, OverflowError) as e:
+        raise ConfigError(str(e)) from e
+    return Inputs(cfg.get("params", {}), seed, omega, C, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -465,36 +484,30 @@ def _le_rows(table) -> List[dict]:
              "stderr": r.stderr} for r in table]
 
 
-def _run_le(cfg, seed):
-    omega = _frequency(cfg["frequency"])
-    C = build_cocycle(cfg, omega)
-    quad = build_quadrature(cfg, seed)
-    p = cfg.get("params", {})
-    fn = L_N_renormalized if p.get("renormalized", False) else L_prime_N
-    table = [fn(C, int(N), quad) for N in p["N_list"]]
-    payload = {"renormalized": bool(p.get("renormalized", False)),
-               "rows": _le_rows(table)}
+def _fractions_csv(estimates) -> str:
+    return csv_text(("threshold", "measured_fraction"),
+                    ((e.threshold, e.measured_fraction) for e in estimates))
+
+
+def _run_le(inp: Inputs):
+    renormalized = bool(inp.p.get("renormalized", False))
+    fn = L_N_renormalized if renormalized else L_prime_N
+    table = [fn(inp.C, int(N), inp.quad) for N in inp.p["N_list"]]
+    payload = {"renormalized": renormalized, "rows": _le_rows(table)}
     return payload, le_table_to_csv(table)
 
 
-def _run_le_limit(cfg, seed):
-    omega = _frequency(cfg["frequency"])
-    C = build_cocycle(cfg, omega)
-    quad = build_quadrature(cfg, seed)
-    res = le_extrapolate(C, cfg["params"]["schedule"], quad)
+def _run_le_limit(inp: Inputs):
+    res = le_extrapolate(inp.C, inp.p["schedule"], inp.quad)
     payload = {"limit": res.limit, "increments": list(res.increments),
                "rows": _le_rows(res.table)}
     return payload, le_table_to_csv(res.table)
 
 
-def _run_continuity(cfg, seed):
-    omega = _frequency(cfg["frequency"])
-    C = build_cocycle(cfg, omega)
-    quad = build_quadrature(cfg, seed)
-    p = cfg["params"]
-    A = C.A
+def _run_continuity(inp: Inputs):
+    p, A = inp.p, inp.C.A
     if not isinstance(A, TrigPolyMatrix):
-        raise ValueError("continuity needs a trig-polynomial cocycle")
+        raise ConfigError("continuity needs a trig-polynomial cocycle")
     i, j = p.get("entry", [0, 0])
     k = tuple(p.get("k", [0] * A.d))
     entries = [A.entry(0, 0), A.entry(0, 1), A.entry(1, 0), A.entry(1, 1)]
@@ -503,137 +516,108 @@ def _run_continuity(cfg, seed):
         bumped = list(entries)
         bumped[2 * i + j] = bumped[2 * i + j] + TrigPoly(A.d, {k: float(amp)})
         perturbed.append(TrigPolyMatrix.from_entries(*bumped, rho=A.rho))
-    table = finite_scale_modulus(C, int(p["N"]), perturbed, quad)
-    lines = ["delta,diff,envelope"]
-    env = {(r.delta): r.diff for r in table.envelope}
-    for r in sorted(table.rows, key=lambda r: r.delta):
-        lines.append(",".join([fmt17(r.delta), fmt17(r.diff),
-                               fmt17(env[r.delta])]))
-    payload = {
-        "N": table.N,
-        "entry": [i, j], "k": list(k),
-        "rows": [{"delta": r.delta, "diff": r.diff} for r in table.rows],
-        "envelope": [{"delta": r.delta, "diff": r.diff}
-                     for r in table.envelope],
-    }
-    return payload, "\n".join(lines) + "\n"
+    table = finite_scale_modulus(inp.C, int(p["N"]), perturbed, inp.quad)
+    env = {r.delta: r.diff for r in table.envelope}
+    rows = ((r.delta, r.diff, env[r.delta])
+            for r in sorted(table.rows, key=lambda r: r.delta))
+    payload = {"N": table.N, "entry": [i, j], "k": list(k),
+               "rows": [{"delta": r.delta, "diff": r.diff} for r in table.rows],
+               "envelope": [{"delta": r.delta, "diff": r.diff}
+                            for r in table.envelope]}
+    return payload, csv_text(("delta", "diff", "envelope"), rows)
 
 
-def _run_ap(cfg, seed):
-    p = cfg["params"]
-    res = ap_ensemble(chains=int(p["chains"]), seed=seed,
-                      mu=float(p.get("mu", 1e3)),
-                      n_max=int(p.get("n_max", 100)),
-                      variant=bool(p.get("variant", False)))
+def _run_ap(inp: Inputs):
+    p = inp.p
     payload = {"chains": int(p["chains"]), "mu": float(p.get("mu", 1e3)),
                "n_max": int(p.get("n_max", 100)),
-               "variant": bool(p.get("variant", False)),
-               "worst_ratio": res.worst_ratio,
-               "all_within": res.all_within}
+               "variant": bool(p.get("variant", False))}
+    res = ap_ensemble(seed=inp.seed, **payload)
+    payload.update(worst_ratio=res.worst_ratio, all_within=res.all_within)
     return payload, ensemble_to_csv(res.reports)
 
 
-def _run_ldt(cfg, seed):
-    omega = _frequency(cfg["frequency"])
-    C = build_cocycle(cfg, omega)
-    p = cfg["params"]
-    prof = profile(C, int(p["N"]), int(p["M"]),
+def _run_ldt(inp: Inputs):
+    p = inp.p
+    prof = profile(inp.C, int(p["N"]), int(p["M"]),
                    renormalize_first=bool(p.get("renormalize_first", True)))
     ests = [ldt_empirical(prof, float(k)) for k in p["kappas"]]
-    lines = ["threshold,measured_fraction"]
-    for e in ests:
-        lines.append(",".join([fmt17(e.threshold),
-                               fmt17(e.measured_fraction)]))
     payload = {"N": int(p["N"]), "M": int(p["M"]), "mean": prof.mean,
                "excised_mass": prof.excised_mass,
                "estimates": [e.to_json_dict() for e in ests]}
-    return payload, "\n".join(lines) + "\n"
+    return payload, _fractions_csv(ests)
 
 
-def _run_cdt(cfg, seed):
-    omega = _frequency(cfg["frequency"])
-    C = build_cocycle(cfg, omega)
-    p = cfg["params"]
-    ests = [cdt_empirical(C, int(p["N"]), [float(v) for v in a],
+def _run_cdt(inp: Inputs):
+    p = inp.p
+    ests = [cdt_empirical(inp.C, int(p["N"]), [float(v) for v in a],
                           float(p["kappa"]), int(p["M"]),
                           C_const=float(p.get("C", 1.0)),
                           renormalize_first=bool(
                               p.get("renormalize_first", True)))
             for a in p["shifts"]]
-    lines = ["a_norm,measured_fraction,threshold,predicted_bound"]
-    for e in ests:
-        lines.append(",".join([fmt17(e.parameters["a_norm"]),
-                               fmt17(e.measured_fraction),
-                               fmt17(e.threshold),
-                               fmt17(e.predicted_bound)]))
+    rows = ((e.parameters["a_norm"], e.measured_fraction, e.threshold,
+             e.predicted_bound) for e in ests)
     payload = {"N": int(p["N"]), "M": int(p["M"]), "kappa": float(p["kappa"]),
                "estimates": [e.to_json_dict() for e in ests]}
-    return payload, "\n".join(lines) + "\n"
+    return payload, csv_text(("a_norm", "measured_fraction", "threshold",
+                              "predicted_bound"), rows)
 
 
-def _run_drift(cfg, seed):
-    omega = _frequency(cfg["frequency"])
-    C = build_cocycle(cfg, omega)
-    p = cfg["params"]
-    est = shift_drift_empirical(C, int(p["N"]), float(p["a_exponent"]),
+def _run_drift(inp: Inputs):
+    p = inp.p
+    est = shift_drift_empirical(inp.C, int(p["N"]), float(p["a_exponent"]),
                                 int(p["M"]), C_const=float(p.get("C", 10.0)),
                                 renormalize_first=bool(
                                     p.get("renormalize_first", True)))
     return {"estimate": est.to_json_dict()}, None
 
 
-def _run_loja(cfg, seed):
-    p = cfg["params"]
-    d = int(p.get("d", 1))
-    g = build_trigpoly(p["g"], d)
+def _run_loja(inp: Inputs):
+    p = inp.p
+    g = build_trigpoly(p["g"], int(p.get("d", 1)))
     fit = lojasiewicz_fit(g, [float(t) for t in p["t_grid"]], int(p["M"]))
-    lines = ["threshold,measured_fraction"]
-    for e in fit.estimates:
-        lines.append(",".join([fmt17(e.threshold),
-                               fmt17(e.measured_fraction)]))
     payload = {"S": fit.S, "b": fit.b, "M": int(p["M"]),
                "estimates": [e.to_json_dict() for e in fit.estimates]}
-    return payload, "\n".join(lines) + "\n"
+    return payload, _fractions_csv(fit.estimates)
 
 
-def _run_l2(cfg, seed):
-    omega = _frequency(cfg["frequency"])
-    C = build_cocycle(cfg, omega)
-    p = cfg["params"]
-    rep = l2_uniform_check(C, [int(n) for n in p["N_list"]], int(p["M"]),
+def _run_l2(inp: Inputs):
+    p = inp.p
+    rep = l2_uniform_check(inp.C, [int(n) for n in p["N_list"]], int(p["M"]),
                            renormalize_first=bool(
                                p.get("renormalize_first", True)))
-    lines = ["N,rms,excised_mass"]
-    for n, rms, ex in rep.rows:
-        lines.append(",".join([str(n), fmt17(rms), fmt17(ex)]))
     payload = {"rows": [{"N": n, "rms": rms, "excised_mass": ex}
                         for n, rms, ex in rep.rows],
                "det_rms": rep.det_rms, "ratio": rep.ratio,
                "growth_flagged": rep.growth_flagged}
-    return payload, "\n".join(lines) + "\n"
+    return payload, csv_text(("N", "rms", "excised_mass"), rep.rows)
 
 
-def _run_fourier(cfg, seed):
-    omega = _frequency(cfg["frequency"])
-    C = build_cocycle(cfg, omega)
-    p = cfg["params"]
-    prof = profile(C, int(p["N"]), int(p["M"]),
+def _run_fourier(inp: Inputs):
+    p = inp.p
+    prof = profile(inp.C, int(p["N"]), int(p["M"]),
                    renormalize_first=bool(p.get("renormalize_first", True)))
     rep = fourier_coeffs(prof, int(p["K0"]))
     payload = {"N": int(p["N"]), "M": rep.M, "K0": rep.K0,
-               "clip_level": rep.clip_level,
-               "clipped_count": rep.clipped_count,
-               "k0_coeff": rep.k0_coeff,
-               "parseval_lhs": rep.parseval_lhs,
+               "clip_level": rep.clip_level, "clipped_count": rep.clipped_count,
+               "k0_coeff": rep.k0_coeff, "parseval_lhs": rep.parseval_lhs,
                "parseval_rhs": rep.parseval_rhs,
                "tail_energy_times_K0": rep.tail_energy_times_K0,
                "max_k_weighted": rep.max_k_weighted}
     return payload, coeffs_to_csv(rep)
 
 
-def _run_ladder(cfg, seed):
-    p = cfg["params"]
+def _run_ladder(inp: Inputs):
+    p = inp.p
     kind = p["kind"]
+    if kind == "mixed" and "verify" in p:
+        raise ConfigError("mixed produces a gate report, not a ladder; "
+                          "verify is not applicable")
+    if kind == "liouville" and inp.omega is None:
+        raise ConfigError("liouville ladder requires a frequency block")
+    if "verify" in p and inp.C is None:
+        raise ConfigError("verify requires cocycle and frequency blocks")
     if kind == "mixed":
         gate = mixed_gate(int(p["N0"]), int(p["q0"]), int(p["K0"]),
                           _frequency(p.get("omega1")),
@@ -641,17 +625,10 @@ def _run_ladder(cfg, seed):
                           rho=float(p["rho"]), kappa=float(p["kappa"]),
                           delta=float(p["delta"]),
                           C=float(p.get("C", 10.0)), c=p.get("c"))
-        if "verify" in p:
-            raise ValueError("mixed produces a gate report, not a ladder; "
-                             "verify is not applicable")
         return {"gate": gate.to_json_dict()}, None
     if kind == "liouville":
-        omega = _frequency(cfg.get("frequency"))
-        if omega is None:
-            raise ValueError("liouville ladder requires a frequency block")
-        ladder = liouville_ladder(int(p["N0"]), int(p["q0"]), omega,
-                                  rho=float(p["rho"]),
-                                  kappa=float(p["kappa"]),
+        ladder = liouville_ladder(int(p["N0"]), int(p["q0"]), inp.omega,
+                                  rho=float(p["rho"]), kappa=float(p["kappa"]),
                                   C=float(p.get("C", 10.0)),
                                   max_scale=p.get("max_scale"))
     else:
@@ -664,12 +641,7 @@ def _run_ladder(cfg, seed):
                                     c=float(p.get("c", 0.1)))
     payload = {"ladder": ladder.to_json_dict()}
     if "verify" in p:
-        omega = _frequency(cfg.get("frequency"))
-        if "cocycle" not in cfg or omega is None:
-            raise ValueError("verify requires cocycle and frequency blocks")
-        C = build_cocycle(cfg, omega)
-        quad = build_quadrature(cfg, seed)
-        v = ladder_verify(C, ladder, quad=quad,
+        v = ladder_verify(inp.C, ladder, quad=inp.quad,
                           C_prime=float(p["verify"].get("C_prime", 10.0)),
                           renormalized=bool(
                               p["verify"].get("renormalized", False)))
@@ -677,38 +649,29 @@ def _run_ladder(cfg, seed):
     return payload, None
 
 
-def _run_cov(cfg, seed):
-    omega = _frequency(cfg["frequency"])
-    C = build_cocycle(cfg, omega)
-    p = cfg["params"]
+def _run_cov(inp: Inputs):
+    p = inp.p
     B = Automorphism.from_entries(p["B"])
-    diff = cov_invariance_check(C, B, N=int(p["N"]), M=int(p["M"]))
-    payload = {"B": [list(row) for row in p["B"]], "N": int(p["N"]),
-               "M": int(p["M"]), "difference": diff}
-    return payload, None
+    diff = cov_invariance_check(inp.C, B, N=int(p["N"]), M=int(p["M"]))
+    return {"B": [list(row) for row in p["B"]], "N": int(p["N"]),
+            "M": int(p["M"]), "difference": diff}, None
 
 
-def _run_example_discontinuity(cfg, seed):
-    omega = _frequency(cfg["frequency"])
-    p = cfg.get("params", {})
+def _run_example_discontinuity(inp: Inputs):
+    p, omega = inp.p, inp.omega
     k = tuple(int(v) for v in p["k"])
     C = Cocycle(DiscontinuityExample(k), omega)
     M = int(p.get("M", 4096))
     quad = QuadratureSpec(kind="uniform-grid", points_per_dim=M)
-    rows = []
-    for N in p.get("N_list", [1, 10, 100]):
-        est = L_prime_N(C, int(N), quad)
-        rows.append({"N": est.N, "value": est.value})
+    ests = [L_prime_N(C, int(N), quad) for N in p.get("N_list", [1, 10, 100])]
+    rows = [{"N": e.N, "value": e.value} for e in ests]
     dot = sum(ki * wi for ki, wi in zip(k, omega.components))
     resonant = abs(dot - round(dot)) < 1e-12
     reference = (2.0 / math.pi) * math.exp(-2.0 * math.pi * sum(k))
-    lines = ["N,value"]
-    for r in rows:
-        lines.append(",".join([str(r["N"]), fmt17(r["value"])]))
     payload = {"k": list(k), "omega": list(omega.components), "M": M,
                "resonant": resonant, "resonant_reference": reference,
                "rows": rows}
-    return payload, "\n".join(lines) + "\n"
+    return payload, csv_text(("N", "value"), ((e.N, e.value) for e in ests))
 
 
 HANDLERS = {
@@ -746,7 +709,7 @@ def _error_record(exc: Exception, name: Optional[str],
 
 def run(name: str, cfg: dict, digest: str, out_dir: str, seed: int) -> None:
     """Execute one experiment and write its outputs into out_dir."""
-    payload, csv_body = HANDLERS[name](cfg, seed)
+    payload, csv_body = HANDLERS[name](build(cfg, seed))
     meta = {"cocyclelab": __version__, "config_sha256": digest,
             "experiment": name, "seed": seed}
     os.makedirs(out_dir, exist_ok=True)
@@ -782,16 +745,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise ConfigError(
                 f"config is for experiment {cfg['experiment']!r} but the "
                 f"subcommand is {args.experiment!r}", digest)
-    except ConfigError as e:
-        sys.stderr.write(_error_record(e, args.experiment, e.digest))
-        return 2
-
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    threads = args.threads if args.threads is not None \
-        else int(cfg.get("threads", 1))
-    set_max_workers(threads)
-    try:
+        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        set_max_workers(args.threads if args.threads is not None
+                        else int(cfg.get("threads", 1)))
         run(args.experiment, cfg, digest, args.out, seed)
+    except ConfigError as e:
+        sys.stderr.write(_error_record(e, args.experiment, e.digest or digest))
+        return 2
     except (CocycleLabError, ValueError, ArithmeticError, KeyError) as e:
         record = _error_record(e, args.experiment, digest)
         sys.stderr.write(record)
@@ -804,7 +764,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         set_max_workers(1)
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

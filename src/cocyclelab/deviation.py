@@ -18,10 +18,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._util import fmt17, pairwise_total, to_json_text
+from ._util import csv_text, det_2x2, pairwise_total
 from .cocycle import Cocycle, TrigPoly, iterate_log_norm_many, renormalize
 from .errors import IdenticallyZero, ScanTooLarge
-from .lyapunov import MAX_NODES
+from .lyapunov import MAX_NODES, QuadratureSpec
 from .torus import dist_to_Z
 
 SENTINEL = -math.inf
@@ -116,10 +116,6 @@ class MeasureEstimate:
             "predicted_bound": self.predicted_bound,
             "parameters": dict(self.parameters),
         }
-
-
-def measures_to_json(estimates: Sequence[MeasureEstimate]) -> str:
-    return to_json_text([m.to_json_dict() for m in estimates])
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +294,8 @@ def l2_uniform_check(C: Cocycle, N_list: Sequence[int], M: int,
     # det rms is an integral statistic, so it uses midpoint nodes: the
     # integer grid can land on determinant zeros to machine precision and
     # the resulting ln^2 spikes make the value drift with M
-    axes = [(np.arange(M, dtype=np.float64) + 0.5) / M] * C.d
-    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, C.d)
-    vals = C.A.eval_many(X)
-    det = vals[:, 0, 0] * vals[:, 1, 1] - vals[:, 0, 1] * vals[:, 1, 0]
+    X = QuadratureSpec(points_per_dim=M).nodes(C.d)
+    det = det_2x2(C.A.eval_many(X))
     logs = np.log(np.maximum(np.abs(det), clip_floor))
     det_rms = math.sqrt(float(np.mean(logs ** 2)))
     col = [r[1] for r in rows]
@@ -315,24 +309,17 @@ def l2_uniform_check(C: Cocycle, N_list: Sequence[int], M: int,
 # ---------------------------------------------------------------------------
 
 def profile_to_csv(p: Profile) -> str:
-    header = ",".join([f"x{i + 1}" for i in range(p.d)] + ["value"])
-    lines = [header]
-    flat = p.values.reshape(-1)
     X = _integer_grid(p.d, p.M)
-    for i in range(flat.size):
-        coords = [fmt17(c) for c in X[i]]
-        lines.append(",".join(coords + [fmt17(flat[i])]))
-    return "\n".join(lines) + "\n"
+    return csv_text([f"x{i + 1}" for i in range(p.d)] + ["value"],
+                    ((*x, v) for x, v in zip(X, p.values.reshape(-1))))
 
 
 def coeffs_to_csv(report: FourierReport) -> str:
-    header = ",".join([f"k{i + 1}" for i in range(report.d)] + ["re", "im", "abs"])
-    lines = [header]
     ks = report.ks.reshape(-1, report.d)
     cs = report.coeffs.reshape(-1)
-    order = np.lexsort(ks.T[::-1])
-    for i in order:
-        c = cs[i]
-        lines.append(",".join([str(int(v)) for v in ks[i]]
-                              + [fmt17(c.real), fmt17(c.imag), fmt17(abs(c))]))
-    return "\n".join(lines) + "\n"
+    # abs of each numpy scalar: the vectorised np.abs(cs) can differ from it
+    # in the last bit
+    rows = ((*ks[i], c.real, c.imag, abs(c))
+            for i in np.lexsort(ks.T[::-1]) for c in (cs[i],))
+    return csv_text([f"k{i + 1}" for i in range(report.d)]
+                    + ["re", "im", "abs"], rows)

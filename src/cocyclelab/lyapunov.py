@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._util import fmt17, halton, pairwise_total
+from ._util import csv_text, det_2x2, halton, pairwise_total
 from .cocycle import (
     Cocycle,
     TrigPolyMatrix,
@@ -163,10 +163,7 @@ def det_log_integral(A, quad: Optional[QuadratureSpec] = None) -> DetLogIntegral
     if isinstance(A, TrigPolyMatrix) and det_scalar(A).is_zero():
         raise IdenticallySingular("det A is identically zero")
     quad = default_quadrature(A.d) if quad is None else quad
-    X = quad.nodes(A.d)
-    vals = A.eval_many(X)
-    det = vals[:, 0, 0] * vals[:, 1, 1] - vals[:, 0, 1] * vals[:, 1, 0]
-    mag = np.abs(det)
+    mag = np.abs(det_2x2(A.eval_many(quad.nodes(A.d))))
     clipped = mag < quad.clip_floor
     logs = np.log(np.maximum(mag, quad.clip_floor))
     value = pairwise_total(logs) / logs.size
@@ -247,8 +244,5 @@ def finite_scale_modulus(C: Cocycle, N: int,
 
 def le_table_to_csv(rows: Sequence[LEEstimate]) -> str:
     """CSV with the fixed header N,value,excised_mass,stderr."""
-    lines = ["N,value,excised_mass,stderr"]
-    for r in rows:
-        lines.append(",".join([str(r.N), fmt17(r.value), fmt17(r.excised_mass),
-                               fmt17(r.stderr)]))
-    return "\n".join(lines) + "\n"
+    return csv_text(("N", "value", "excised_mass", "stderr"),
+                    ((r.N, r.value, r.excised_mass, r.stderr) for r in rows))

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ._util import pairwise_total, to_json_text
+from ._util import pairwise_total
 from .cocycle import Cocycle, ComposedMatrix, iterate_log_norm_many
 from .deviation import _integer_grid
 from .errors import (AllSamplesSingular, GateFailed, InconsistentDelta,
@@ -107,14 +107,6 @@ class LadderVerification:
                 "passed": list(self.passed),
                 "all_passed": self.all_passed,
                 "estimates": {str(k): v for k, v in self.estimates.items()}}
-
-
-def ladder_to_json(ladder: ScaleLadder) -> str:
-    return to_json_text(ladder.to_json_dict())
-
-
-def verification_to_json(v: LadderVerification) -> str:
-    return to_json_text(v.to_json_dict())
 
 
 # ---------------------------------------------------------------------------

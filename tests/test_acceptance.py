@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from cocyclelab._util import set_max_workers
+from cocyclelab._util import set_max_workers, to_json_text
 from cocyclelab.avalanche import ap_check, ap_ensemble
 from cocyclelab.cocycle import (
     Cocycle,
@@ -38,7 +38,6 @@ from cocyclelab.lyapunov import (
 from cocyclelab.multiscale import (
     cov_invariance_check,
     induction_schedule,
-    ladder_to_json,
     ladder_verify,
     liouville_ladder,
 )
@@ -227,14 +226,14 @@ def test_criterion_9_ladder_replay_determinism():
     half = Frequency((0.5,))
 
     def liouville_json() -> str:
-        return ladder_to_json(liouville_ladder(16, 2, half, rho=1.0,
-                                               kappa=0.5, C=2.0,
-                                               max_scale=128))
+        return to_json_text(liouville_ladder(16, 2, half, rho=1.0,
+                                             kappa=0.5, C=2.0,
+                                             max_scale=128).to_json_dict())
 
     def induction_json() -> str:
-        return ladder_to_json(induction_schedule(
+        return to_json_text(induction_schedule(
             None, Frequency((GOLDEN,)), q0=1, K0=2, delta0=0.2, eps0=0.0,
-            N0=16, rho=0.95, c=0.1))
+            N0=16, rho=0.95, c=0.1).to_json_dict())
 
     texts = {}
     for workers in (1, 4):

@@ -7,11 +7,11 @@ from cocyclelab.avalanche import (
     ap_check,
     ap_consequence_check,
     ap_ensemble,
-    ap_report_to_json,
     ap_variant_check,
     ensemble_to_csv,
     random_hyperbolic_chain,
 )
+from cocyclelab._util import to_json_text
 from cocyclelab.cocycle import Cocycle, TrigPolyMatrix, amo
 from cocyclelab.errors import ChainTooShort, NotDivisible, NotUnimodular
 from cocyclelab.torus import Frequency
@@ -148,7 +148,7 @@ class TestEnsemble:
 
     def test_report_json(self):
         r = ap_check(diag_chain(100.0, 5))
-        text = ap_report_to_json(r)
+        text = to_json_text(r.to_json_dict())
         assert '"kind": "interior"' in text
         assert '"satisfied": true' in text
 

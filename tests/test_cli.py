@@ -1,10 +1,19 @@
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 import yaml
 
-from cocyclelab.cli import ConfigError, build_trigpoly, load_config, main
+from cocyclelab._util import csv_text
+from cocyclelab.cli import (
+    EXPERIMENTS,
+    ConfigError,
+    build_trigpoly,
+    load_config,
+    main,
+)
 from cocyclelab.cocycle import TrigPoly
 
 GOLDEN = 0.6180339887
@@ -215,7 +224,7 @@ class TestLadderSubcommand:
                        "kappa": 0.2, "delta": 0.01, "verify": {}},
         }
         rc, _ = run_cli(tmp_path, cfg)
-        assert rc == 3
+        assert rc == 2
 
 
 class TestDeviationSubcommands:
@@ -294,9 +303,8 @@ class TestConfigHelpers:
 
     def test_load_config_hash_is_file_hash(self, tmp_path):
         path = write_config(tmp_path, "cfg.yaml", LE_CONSTANT)
-        import hashlib
         cfg, digest = load_config(path)
-        expect = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        expect = hashlib.sha256((tmp_path / "cfg.yaml").read_bytes()).hexdigest()
         assert digest == expect
         assert cfg["experiment"] == "le"
 
@@ -305,3 +313,150 @@ class TestConfigHelpers:
         path.write_text("- just\n- a list\n")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+
+# Configs that pass the schema but cannot be built or do not fit their
+# experiment: each must exit 2 with a ConfigError record and no error.json.
+AMO = {"kind": "amo", "lam": 3.0, "E": 0.0}
+GRID16 = {"kind": "uniform-grid", "points_per_dim": 16}
+LIOUVILLE = {"kind": "liouville", "N0": 16, "q0": 2, "rho": 1.0,
+             "kappa": 0.5, "C": 2.0, "max_scale": 128}
+CONFIG_ERRORS = {
+    "continuity-non-trig-cocycle": {
+        "experiment": "continuity",
+        "cocycle": {"kind": "discontinuity", "k": [1]},
+        "frequency": [GOLDEN], "quadrature": GRID16,
+        "params": {"N": 2, "amplitudes": [0.1]}},
+    "mixed-with-verify": {
+        "experiment": "ladder",
+        "params": {"kind": "mixed", "N0": 100, "q0": 2, "K0": 5,
+                   "omega1": [0.5], "omega2": [GOLDEN], "rho": 0.5,
+                   "kappa": 0.2, "delta": 0.01, "verify": {}}},
+    "liouville-without-frequency": {
+        "experiment": "ladder", "params": LIOUVILLE},
+    "verify-without-cocycle": {
+        "experiment": "ladder", "frequency": [0.5],
+        "params": dict(LIOUVILLE, verify={})},
+    "cocycle-dimension-mismatch": {
+        "experiment": "le",
+        "cocycle": {"kind": "schrodinger",
+                    "v": [{"cos": [1, 0]}, {"cos": [0, 1]}], "E": 0.0},
+        "frequency": [GOLDEN], "quadrature": GRID16,
+        "params": {"N_list": [1]}},
+    "nan-frequency": {
+        "experiment": "le", "cocycle": AMO, "frequency": [math.nan],
+        "quadrature": GRID16, "params": {"N_list": [1]}},
+    "infinite-frequency": {
+        "experiment": "le", "cocycle": AMO, "frequency": [math.inf],
+        "quadrature": GRID16, "params": {"N_list": [1]}},
+    "monte-carlo-with-points-per-dim": {
+        "experiment": "le", "cocycle": AMO, "frequency": [GOLDEN],
+        "quadrature": {"kind": "monte-carlo", "points_per_dim": 16},
+        "params": {"N_list": [1]}},
+    "2d-index-in-1d-matrix": {
+        "experiment": "le",
+        "cocycle": {"kind": "matrix",
+                    "entries": [{"cos": [1, 0]}, -1.0, 1.0, 0.0]},
+        "frequency": [GOLDEN], "quadrature": GRID16,
+        "params": {"N_list": [1]}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_error_exits_2_without_error_json(tmp_path, capsys, case):
+    cfg = CONFIG_ERRORS[case]
+    rc, out = run_cli(tmp_path, cfg)
+    assert rc == 2
+    assert not (out / "error.json").exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert record["experiment"] == cfg["experiment"]
+    assert len(record["config_sha256"]) == 64
+
+
+# One small run per subcommand: (config, CSV header line or None).
+SUBCOMMANDS = {
+    "le": (LE_CONSTANT, "N,value,excised_mass,stderr"),
+    "le-limit": ({"experiment": "le-limit", "cocycle": AMO,
+                  "frequency": [GOLDEN], "quadrature": GRID16,
+                  "params": {"schedule": [1, 2]}},
+                 "N,value,excised_mass,stderr"),
+    "continuity": ({"experiment": "continuity", "cocycle": AMO,
+                    "frequency": [GOLDEN], "quadrature": GRID16,
+                    "params": {"N": 3, "amplitudes": [0.1, 0.01]}},
+                   "delta,diff,envelope"),
+    "ap": ({"experiment": "ap", "params": {"chains": 3, "n_max": 5}},
+           "n,mu,max_gap,residual,bound"),
+    "ldt": ({"experiment": "ldt", "cocycle": AMO, "frequency": [GOLDEN],
+             "params": {"N": 3, "M": 32, "kappas": [0.1]}},
+            "threshold,measured_fraction"),
+    "cdt": ({"experiment": "cdt", "cocycle": AMO, "frequency": [GOLDEN],
+             "params": {"N": 3, "M": 32, "kappa": 0.1, "shifts": [[0.1]]}},
+            "a_norm,measured_fraction,threshold,predicted_bound"),
+    "drift": ({"experiment": "drift", "cocycle": AMO, "frequency": [GOLDEN],
+               "params": {"N": 3, "M": 32, "a_exponent": 0.5}}, None),
+    "loja": ({"experiment": "loja",
+              "params": {"g": {"sin": [1]}, "t_grid": [0.5, 0.25],
+                         "M": 256}},
+             "threshold,measured_fraction"),
+    "l2": ({"experiment": "l2", "cocycle": AMO, "frequency": [GOLDEN],
+            "params": {"N_list": [2, 4], "M": 32}},
+           "N,rms,excised_mass"),
+    "fourier": ({"experiment": "fourier", "cocycle": AMO,
+                 "frequency": [GOLDEN],
+                 "params": {"N": 3, "M": 32, "K0": 4}},
+                "k1,re,im,abs"),
+    "ladder": ({"experiment": "ladder",
+                "params": {"kind": "induction", "omega1": None,
+                           "omega2": [GOLDEN], "q0": 1, "K0": 2,
+                           "delta0": 0.2, "N0": 16, "rho": 0.95}},
+               None),
+    "cov": ({"experiment": "cov",
+             "cocycle": {"kind": "schrodinger",
+                         "v": [{"cos": [1, 0]}, {"cos": [0, 1]}], "E": 0.5},
+             "frequency": [GOLDEN, 2**0.5 - 1],
+             "params": {"B": [[2, 3], [1, 2]], "N": 3, "M": 8}},
+            None),
+    "example-discontinuity": ({"experiment": "example-discontinuity",
+                               "frequency": [0.0],
+                               "params": {"k": [1], "N_list": [1],
+                                          "M": 64}},
+                              "N,value"),
+}
+
+
+def test_subcommand_cases_cover_every_experiment():
+    assert sorted(SUBCOMMANDS) == sorted(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_every_subcommand_runs(tmp_path, name):
+    cfg, header = SUBCOMMANDS[name]
+    rc, out = run_cli(tmp_path, cfg)
+    assert rc == 0
+    data = json.loads((out / f"{name}.json").read_text())
+    assert data["experiment"] == name
+    assert data["seed"] == 0
+    assert len(data["config_sha256"]) == 64
+    assert data["cocyclelab"]
+    csv_path = out / f"{name}.csv"
+    if header is None:
+        assert not csv_path.exists()
+    else:
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == (f"# cocyclelab={data['cocyclelab']} "
+                            f"config_sha256={data['config_sha256']}")
+        assert lines[1] == header
+        assert len(lines) > 2
+
+
+def test_csv_text_cell_formats():
+    rows = iter([(1, np.int64(-7), 0.1, math.inf),
+                 (2**70, np.int32(3), -math.inf, math.nan),
+                 (0, np.uint8(0), np.float64(2.5), 1.0)])
+    assert csv_text(("a", "b", "c", "d"), rows) == (
+        "a,b,c,d\n"
+        "1,-7,0.10000000000000001,inf\n"
+        "1180591620717411303424,3,-inf,nan\n"
+        "0,0,2.5,1\n")
+    assert csv_text(["x"], []) == "x\n"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cocyclelab._util import fmt17, to_json_text
 from cocyclelab.cocycle import (
     Cocycle,
     TrigPoly,
@@ -21,7 +22,6 @@ from cocyclelab.deviation import (
     l2_uniform_check,
     ldt_empirical,
     lojasiewicz_fit,
-    measures_to_json,
     profile,
     profile_to_csv,
     shift_drift_empirical,
@@ -158,7 +158,7 @@ class TestLDT:
 
     def test_json_emission(self):
         p = Profile.from_values(np.full(8, 1.0))
-        text = measures_to_json([ldt_empirical(p, 0.5)])
+        text = to_json_text([ldt_empirical(p, 0.5).to_json_dict()])
         assert '"measured_fraction": 0' in text
         assert '"threshold": 0.5' in text
 
@@ -261,7 +261,30 @@ class TestL2Uniform:
         assert abs(a - b) / a < 0.02
 
 
+def coeffs_csv_row_loop(report) -> str:
+    """The per-row loop coeffs_to_csv used before csv_text, kept as the
+    byte reference: abs is taken of each numpy complex scalar."""
+    header = ",".join([f"k{i + 1}" for i in range(report.d)]
+                      + ["re", "im", "abs"])
+    lines = [header]
+    ks = report.ks.reshape(-1, report.d)
+    cs = report.coeffs.reshape(-1)
+    for i in np.lexsort(ks.T[::-1]):
+        c = cs[i]
+        lines.append(",".join([str(int(v)) for v in ks[i]]
+                              + [fmt17(c.real), fmt17(c.imag), fmt17(abs(c))]))
+    return "\n".join(lines) + "\n"
+
+
 class TestCSV:
+    @pytest.mark.parametrize("shape", [(256,), (16, 16)])
+    def test_coeffs_csv_bytes_match_row_loop(self, shape):
+        # random values make np.abs(coeffs) differ from the scalar abs in the
+        # last bit on some entries, so a vectorised abs column fails here
+        values = np.random.default_rng(0).standard_normal(shape)
+        report = fourier_coeffs(Profile.from_values(values), 4)
+        assert coeffs_to_csv(report) == coeffs_csv_row_loop(report)
+
     def test_profile_csv_layout(self):
         p = profile(amo_cocycle(), 3, 8)
         lines = profile_to_csv(p).strip().split("\n")

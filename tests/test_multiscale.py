@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cocyclelab._util import set_max_workers
+from cocyclelab._util import set_max_workers, to_json_text
 from cocyclelab.cocycle import (
     Cocycle,
     DiscontinuityExample,
@@ -27,12 +27,10 @@ from cocyclelab.multiscale import (
     ScaleLadder,
     cov_invariance_check,
     induction_schedule,
-    ladder_to_json,
     ladder_verify,
     liouville_gate,
     liouville_ladder,
     mixed_gate,
-    verification_to_json,
 )
 from cocyclelab.torus import Automorphism, Frequency, min_dot_norm
 
@@ -187,8 +185,8 @@ class TestScaleLadderType:
 
     def test_json_roundtrip_fields(self):
         lad = small_resonant_ladder()
-        text = ladder_to_json(lad)
-        assert text == ladder_to_json(lad)
+        text = to_json_text(lad.to_json_dict())
+        assert text == to_json_text(lad.to_json_dict())
         assert '"eq:LiouvCondition"' in text
         assert text.endswith("\n")
 
@@ -254,8 +252,9 @@ class TestInductionSchedule:
 
     def test_replay_is_byte_identical(self):
         def gen():
-            return ladder_to_json(induction_schedule(
-                None, Frequency((GOLDEN,)), 1, 2, 0.2, 0.0, 16, 0.95, c=0.1))
+            return to_json_text(induction_schedule(
+                None, Frequency((GOLDEN,)), 1, 2, 0.2, 0.0, 16, 0.95,
+                c=0.1).to_json_dict())
         assert gen() == gen()
 
     def test_budgets_dominated_geometrically(self):
@@ -417,7 +416,8 @@ class TestLadderVerify:
         for w in (1, 3):
             set_max_workers(w)
             try:
-                outs.append(verification_to_json(ladder_verify(cc, lad)))
+                outs.append(to_json_text(
+                    ladder_verify(cc, lad).to_json_dict()))
             finally:
                 set_max_workers(1)
         assert outs[0] == outs[1]
