@@ -19,10 +19,11 @@ run on a thread pool, with N capped at the core count.
 
 Exit codes: 0 success; 2 a ConfigError from loading, building (say a cocycle
 whose dimension differs from the frequency's) or a handler (say a missing
-block); 3 a CocycleLabError, ValueError, ArithmeticError or KeyError raised
-while the library runs, which includes the config mistakes only the library
-checks (a grid size M that is not a power of two, a non-square B). Both write
-a JSON record to stderr; exit 3 also writes it to <out>/error.json.
+block, a grid size M that is not a power of two, a ladder frequency that is
+NaN or infinite, or a cov matrix B that is not square, unimodular and of the
+frequency's dimension); 3 a CocycleLabError, ValueError, ArithmeticError or
+KeyError raised while the library runs. Both write a JSON record to stderr;
+exit 3 also writes it to <out>/error.json.
 """
 
 import argparse
@@ -60,7 +61,7 @@ from .deviation import (
     shift_drift_empirical,
     coeffs_to_csv,
 )
-from .errors import CocycleLabError
+from .errors import CocycleLabError, NotUnimodular
 from .lyapunov import (
     L_N_renormalized,
     L_prime_N,
@@ -450,6 +451,22 @@ def _frequency(vals) -> Optional[Frequency]:
     return None if vals is None else Frequency(tuple(float(v) for v in vals))
 
 
+def _param_frequency(p: dict, key: str) -> Optional[Frequency]:
+    """A frequency given in params (a ladder's omega1/omega2)."""
+    try:
+        return _frequency(p.get(key))
+    except (ValueError, OverflowError) as e:
+        raise ConfigError(f"params.{key}: {e}") from e
+
+
+def _grid_size(p: dict) -> int:
+    """params.M of an experiment that samples the integer grid i/M."""
+    M = int(p["M"])
+    if M & (M - 1):
+        raise ConfigError(f"params.M = {M} is not a power of two")
+    return M
+
+
 @dataclass(frozen=True)
 class Inputs:
     """Library objects built from a config; None where a block is absent."""
@@ -539,10 +556,11 @@ def _run_ap(inp: Inputs):
 
 def _run_ldt(inp: Inputs):
     p = inp.p
-    prof = profile(inp.C, int(p["N"]), int(p["M"]),
+    M = _grid_size(p)
+    prof = profile(inp.C, int(p["N"]), M,
                    renormalize_first=bool(p.get("renormalize_first", True)))
     ests = [ldt_empirical(prof, float(k)) for k in p["kappas"]]
-    payload = {"N": int(p["N"]), "M": int(p["M"]), "mean": prof.mean,
+    payload = {"N": int(p["N"]), "M": M, "mean": prof.mean,
                "excised_mass": prof.excised_mass,
                "estimates": [e.to_json_dict() for e in ests]}
     return payload, _fractions_csv(ests)
@@ -550,15 +568,16 @@ def _run_ldt(inp: Inputs):
 
 def _run_cdt(inp: Inputs):
     p = inp.p
+    M = _grid_size(p)
     ests = [cdt_empirical(inp.C, int(p["N"]), [float(v) for v in a],
-                          float(p["kappa"]), int(p["M"]),
+                          float(p["kappa"]), M,
                           C_const=float(p.get("C", 1.0)),
                           renormalize_first=bool(
                               p.get("renormalize_first", True)))
             for a in p["shifts"]]
     rows = ((e.parameters["a_norm"], e.measured_fraction, e.threshold,
              e.predicted_bound) for e in ests)
-    payload = {"N": int(p["N"]), "M": int(p["M"]), "kappa": float(p["kappa"]),
+    payload = {"N": int(p["N"]), "M": M, "kappa": float(p["kappa"]),
                "estimates": [e.to_json_dict() for e in ests]}
     return payload, csv_text(("a_norm", "measured_fraction", "threshold",
                               "predicted_bound"), rows)
@@ -567,7 +586,7 @@ def _run_cdt(inp: Inputs):
 def _run_drift(inp: Inputs):
     p = inp.p
     est = shift_drift_empirical(inp.C, int(p["N"]), float(p["a_exponent"]),
-                                int(p["M"]), C_const=float(p.get("C", 10.0)),
+                                _grid_size(p), C_const=float(p.get("C", 10.0)),
                                 renormalize_first=bool(
                                     p.get("renormalize_first", True)))
     return {"estimate": est.to_json_dict()}, None
@@ -575,16 +594,18 @@ def _run_drift(inp: Inputs):
 
 def _run_loja(inp: Inputs):
     p = inp.p
+    M = _grid_size(p)
     g = build_trigpoly(p["g"], int(p.get("d", 1)))
-    fit = lojasiewicz_fit(g, [float(t) for t in p["t_grid"]], int(p["M"]))
-    payload = {"S": fit.S, "b": fit.b, "M": int(p["M"]),
+    fit = lojasiewicz_fit(g, [float(t) for t in p["t_grid"]], M)
+    payload = {"S": fit.S, "b": fit.b, "M": M,
                "estimates": [e.to_json_dict() for e in fit.estimates]}
     return payload, _fractions_csv(fit.estimates)
 
 
 def _run_l2(inp: Inputs):
     p = inp.p
-    rep = l2_uniform_check(inp.C, [int(n) for n in p["N_list"]], int(p["M"]),
+    rep = l2_uniform_check(inp.C, [int(n) for n in p["N_list"]],
+                           _grid_size(p),
                            renormalize_first=bool(
                                p.get("renormalize_first", True)))
     payload = {"rows": [{"N": n, "rms": rms, "excised_mass": ex}
@@ -596,7 +617,7 @@ def _run_l2(inp: Inputs):
 
 def _run_fourier(inp: Inputs):
     p = inp.p
-    prof = profile(inp.C, int(p["N"]), int(p["M"]),
+    prof = profile(inp.C, int(p["N"]), _grid_size(p),
                    renormalize_first=bool(p.get("renormalize_first", True)))
     rep = fourier_coeffs(prof, int(p["K0"]))
     payload = {"N": int(p["N"]), "M": rep.M, "K0": rep.K0,
@@ -618,10 +639,11 @@ def _run_ladder(inp: Inputs):
         raise ConfigError("liouville ladder requires a frequency block")
     if "verify" in p and inp.C is None:
         raise ConfigError("verify requires cocycle and frequency blocks")
+    omega1 = _param_frequency(p, "omega1")
+    omega2 = _param_frequency(p, "omega2")
     if kind == "mixed":
         gate = mixed_gate(int(p["N0"]), int(p["q0"]), int(p["K0"]),
-                          _frequency(p.get("omega1")),
-                          _frequency(p.get("omega2")),
+                          omega1, omega2,
                           rho=float(p["rho"]), kappa=float(p["kappa"]),
                           delta=float(p["delta"]),
                           C=float(p.get("C", 10.0)), c=p.get("c"))
@@ -632,8 +654,7 @@ def _run_ladder(inp: Inputs):
                                   C=float(p.get("C", 10.0)),
                                   max_scale=p.get("max_scale"))
     else:
-        ladder = induction_schedule(_frequency(p.get("omega1")),
-                                    _frequency(p.get("omega2")),
+        ladder = induction_schedule(omega1, omega2,
                                     q0=int(p["q0"]), K0=int(p["K0"]),
                                     delta0=float(p["delta0"]),
                                     eps0=float(p.get("eps0", 0.0)),
@@ -651,10 +672,17 @@ def _run_ladder(inp: Inputs):
 
 def _run_cov(inp: Inputs):
     p = inp.p
-    B = Automorphism.from_entries(p["B"])
-    diff = cov_invariance_check(inp.C, B, N=int(p["N"]), M=int(p["M"]))
+    M = _grid_size(p)
+    try:
+        B = Automorphism.from_entries(p["B"])
+    except (ValueError, NotUnimodular) as e:
+        raise ConfigError(f"params.B: {e}") from e
+    if B.d != inp.C.d:
+        raise ConfigError(f"params.B is {B.d}x{B.d} but the frequency has "
+                          f"d={inp.C.d}")
+    diff = cov_invariance_check(inp.C, B, N=int(p["N"]), M=M)
     return {"B": [list(row) for row in p["B"]], "N": int(p["N"]),
-            "M": int(p["M"]), "difference": diff}, None
+            "M": M, "difference": diff}, None
 
 
 def _run_example_discontinuity(inp: Inputs):

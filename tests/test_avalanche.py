@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from cocyclelab import avalanche
 from cocyclelab.avalanche import (
+    AP_BLOCK,
+    _chain_terms,
+    _interior_report,
+    _variant_report,
     ap_check,
     ap_consequence_check,
     ap_ensemble,
@@ -11,7 +16,7 @@ from cocyclelab.avalanche import (
     ensemble_to_csv,
     random_hyperbolic_chain,
 )
-from cocyclelab._util import to_json_text
+from cocyclelab._util import op_norm_2x2, to_json_text
 from cocyclelab.cocycle import Cocycle, TrigPolyMatrix, amo
 from cocyclelab.errors import ChainTooShort, NotDivisible, NotUnimodular
 from cocyclelab.torus import Frequency
@@ -188,3 +193,109 @@ class TestConsequence:
         c = Cocycle(A, Frequency((GOLDEN,)))
         r = ap_consequence_check(c, (0.0,), N0=5, N1=25, delta=0.1)
         assert set(r.hypothesis_flags) == {"eq:169", "eq:170", "eq:171"}
+
+
+# ---------------------------------------------------------------------------
+# Batched chain loop against the one-chain loop it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_norms(mats):
+    return op_norm_2x2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
+
+
+def reference_chain_terms(matrices):
+    """One chain at a time, one 2x2 product per step: the unbatched loop."""
+    mats = np.asarray(matrices, dtype=complex)
+    n = mats.shape[0]
+    v = np.log(_ref_norms(mats))
+    w = np.log(_ref_norms(mats[1:] @ mats[:-1]))
+    U = np.eye(2, dtype=complex)
+    logs = np.empty(n)
+    for j in range(n):
+        U = mats[j] @ U
+        s = float(_ref_norms(U[None])[0])
+        logs[j] = math.log(s)
+        U = U / s
+    return n, v, w, logs
+
+
+def reference_ensemble(chains, seed, mu=1e3, n_max=100, variant=False):
+    rng = np.random.default_rng(seed)
+    reports = []
+    for _ in range(chains):
+        n = int(rng.integers(3, n_max + 1))
+        terms = reference_chain_terms(random_hyperbolic_chain(rng, n, mu))
+        reports.append(_variant_report(terms, 101.0 / 99.0) if variant
+                       else _interior_report(terms, 10.0))
+    ratios = [r.residual / r.bound for r in reports if r.bound > 0]
+    worst = max(ratios) if ratios else 0.0
+    return reports, worst, bool(worst <= 1.0)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+def _chains(count, lengths, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = lengths
+    return [random_hyperbolic_chain(rng, int(rng.integers(lo, hi + 1)), 1e3)
+            for _ in range(count)]
+
+
+class TestBatchedChainTerms:
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("lengths", [(3, 100), (3, 3), (100, 100)],
+                             ids=["mixed", "all-3", "all-100"])
+    def test_bitwise_equal_to_one_chain_loop(self, count, lengths):
+        chains = _chains(count, lengths, seed=count)
+        got = _chain_terms(chains)
+        assert len(got) == count
+        for mats, (n, v, w, logs) in zip(chains, got):
+            rn, rv, rw, rlogs = reference_chain_terms(mats)
+            assert n == rn
+            assert _bits(v) == _bits(rv)
+            assert _bits(w) == _bits(rw)
+            assert _bits(logs) == _bits(rlogs)
+
+    @pytest.mark.parametrize("variant", [False, True],
+                             ids=["interior", "variant"])
+    @pytest.mark.parametrize("seed", [0, 1, 11])
+    def test_ensemble_matches_reference_path(self, seed, variant):
+        chains = 2 * AP_BLOCK + 2
+        res = ap_ensemble(chains, seed=seed, variant=variant)
+        reports, worst, within = reference_ensemble(chains, seed,
+                                                    variant=variant)
+        assert [to_json_text(r.to_json_dict()) for r in res.reports] == \
+            [to_json_text(r.to_json_dict()) for r in reports]
+        assert res.worst_ratio == worst
+        assert res.all_within is within
+
+    def test_matrix_cap_closes_blocks_early(self, monkeypatch):
+        blocks = []
+
+        def recording(chains):
+            blocks.append([len(m) for m in chains])
+            return _chain_terms(chains)
+
+        monkeypatch.setattr(avalanche, "AP_BLOCK_MATRICES", 300)
+        monkeypatch.setattr(avalanche, "_chain_terms", recording)
+        res = ap_ensemble(40, seed=2, variant=True)
+        assert sum(len(b) for b in blocks) == 40 and len(blocks) > 2
+        for b in blocks[:-1]:
+            assert sum(b) >= 300 > sum(b[:-1])
+        reports, _, _ = reference_ensemble(40, 2, variant=True)
+        assert [to_json_text(r.to_json_dict()) for r in res.reports] == \
+            [to_json_text(r.to_json_dict()) for r in reports]
+
+    def test_errors_still_come_from_ap_check(self):
+        with pytest.raises(ChainTooShort, match="got 2"):
+            ap_check(diag_chain(10.0, 2))
+        mats = diag_chain(10.0, 6)
+        mats[4] *= 1.5
+        with pytest.raises(NotUnimodular, match="^matrix 4 has det"):
+            ap_check(mats)
+        with pytest.raises(ValueError, match="stack of 2x2"):
+            ap_check(np.ones((4, 3, 3)))
+        with pytest.raises(ValueError, match="stack of 2x2"):
+            ap_variant_check(np.ones((2, 2)))

@@ -321,6 +321,13 @@ AMO = {"kind": "amo", "lam": 3.0, "E": 0.0}
 GRID16 = {"kind": "uniform-grid", "points_per_dim": 16}
 LIOUVILLE = {"kind": "liouville", "N0": 16, "q0": 2, "rho": 1.0,
              "kappa": 0.5, "C": 2.0, "max_scale": 128}
+INDUCTION = {"kind": "induction", "omega1": None, "omega2": [GOLDEN],
+             "q0": 1, "K0": 2, "delta0": 0.2, "N0": 16, "rho": 0.95}
+COV = {"experiment": "cov",
+       "cocycle": {"kind": "schrodinger",
+                   "v": [{"cos": [1, 0]}, {"cos": [0, 1]}], "E": 0.5},
+       "frequency": [GOLDEN, 2**0.5 - 1],
+       "params": {"B": [[2, 3], [1, 2]], "N": 3, "M": 8}}
 CONFIG_ERRORS = {
     "continuity-non-trig-cocycle": {
         "experiment": "continuity",
@@ -359,6 +366,43 @@ CONFIG_ERRORS = {
                     "entries": [{"cos": [1, 0]}, -1.0, 1.0, 0.0]},
         "frequency": [GOLDEN], "quadrature": GRID16,
         "params": {"N_list": [1]}},
+    "induction-nan-omega2": {
+        "experiment": "ladder",
+        "params": dict(INDUCTION, omega2=[math.nan])},
+    "mixed-nan-omega2": {
+        "experiment": "ladder",
+        "params": {"kind": "mixed", "N0": 100, "q0": 2, "K0": 5,
+                   "omega1": [0.5], "omega2": [math.nan], "rho": 0.5,
+                   "kappa": 0.2, "delta": 0.01}},
+    "induction-infinite-omega1": {
+        "experiment": "ladder",
+        "params": dict(INDUCTION, omega1=[math.inf])},
+    "fourier-M-not-power-of-two": {
+        "experiment": "fourier", "cocycle": AMO, "frequency": [GOLDEN],
+        "params": {"N": 3, "M": 100, "K0": 4}},
+    "ldt-M-not-power-of-two": {
+        "experiment": "ldt", "cocycle": AMO, "frequency": [GOLDEN],
+        "params": {"N": 3, "M": 24, "kappas": [0.1]}},
+    "cdt-M-not-power-of-two": {
+        "experiment": "cdt", "cocycle": AMO, "frequency": [GOLDEN],
+        "params": {"N": 3, "M": 24, "kappa": 0.1, "shifts": [[0.1]]}},
+    "drift-M-not-power-of-two": {
+        "experiment": "drift", "cocycle": AMO, "frequency": [GOLDEN],
+        "params": {"N": 3, "M": 24, "a_exponent": 0.5}},
+    "loja-M-not-power-of-two": {
+        "experiment": "loja",
+        "params": {"g": {"sin": [1]}, "t_grid": [0.5], "M": 24}},
+    "l2-M-not-power-of-two": {
+        "experiment": "l2", "cocycle": AMO, "frequency": [GOLDEN],
+        "params": {"N_list": [2], "M": 24}},
+    "cov-M-not-power-of-two": dict(COV, params=dict(COV["params"], M=12)),
+    "cov-non-square-B": dict(
+        COV, params=dict(COV["params"], B=[[1, 1], [0, 1], [0, 0]])),
+    "cov-non-unimodular-B": dict(
+        COV, params=dict(COV["params"], B=[[2, 0], [0, 1]])),
+    "cov-B-dimension-mismatch": dict(
+        COV, params=dict(COV["params"],
+                         B=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])),
 }
 
 
@@ -406,17 +450,8 @@ SUBCOMMANDS = {
                  "frequency": [GOLDEN],
                  "params": {"N": 3, "M": 32, "K0": 4}},
                 "k1,re,im,abs"),
-    "ladder": ({"experiment": "ladder",
-                "params": {"kind": "induction", "omega1": None,
-                           "omega2": [GOLDEN], "q0": 1, "K0": 2,
-                           "delta0": 0.2, "N0": 16, "rho": 0.95}},
-               None),
-    "cov": ({"experiment": "cov",
-             "cocycle": {"kind": "schrodinger",
-                         "v": [{"cos": [1, 0]}, {"cos": [0, 1]}], "E": 0.5},
-             "frequency": [GOLDEN, 2**0.5 - 1],
-             "params": {"B": [[2, 3], [1, 2]], "N": 3, "M": 8}},
-            None),
+    "ladder": ({"experiment": "ladder", "params": INDUCTION}, None),
+    "cov": (COV, None),
     "example-discontinuity": ({"experiment": "example-discontinuity",
                                "frequency": [0.0],
                                "params": {"k": [1], "N_list": [1],
