@@ -58,6 +58,7 @@ from .lyapunov import (
     det_log_integral,
     finite_scale_modulus,
     le_extrapolate,
+    le_table,
 )
 from .avalanche import (
     APReport,

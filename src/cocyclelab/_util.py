@@ -13,6 +13,12 @@ UNDERFLOW_FLOOR = 1e-300
 
 _max_workers = 1
 
+# A thread pays only above this many rows per worker. On a 2-core host the
+# orbit kernel on amo ran 1.4-1.7x slower at 2 workers than at 1 with 512,
+# 1024 and 1536 rows, about even at 3072 and 4096, and 0.6x at 6144 and
+# 8192 (median of 9 runs, about 4e5 node-steps each).
+MIN_ROWS_PER_WORKER = 2048
+
 
 def set_max_workers(n: int) -> None:
     """Set the worker-count hint for node-batch evaluation.
@@ -28,17 +34,33 @@ def map_chunked(fn, arr: np.ndarray, workers: int | None = None) -> list:
     """Apply fn to row-chunks of arr, in order, optionally on a thread pool.
 
     The worker count is capped at the number of cores: more threads than
-    cores cannot run at once, and each one costs an OS thread.
+    cores cannot run at once, and each one costs an OS thread. It is also
+    capped at one worker per MIN_ROWS_PER_WORKER rows, below which a chunk's
+    numpy calls are too short for the threads to overlap.
     """
     w = _max_workers if workers is None else max(1, int(workers))
-    w = min(w, os.cpu_count() or 1)
     n = arr.shape[0]
-    if w <= 1 or n < 2 * w:
+    w = min(w, os.cpu_count() or 1, n // MIN_ROWS_PER_WORKER)
+    if w <= 1:
         return [fn(arr)]
     bounds = [round(i * n / w) for i in range(w + 1)]
-    chunks = [arr[bounds[i]:bounds[i + 1]] for i in range(w) if bounds[i] < bounds[i + 1]]
+    chunks = [arr[bounds[i]:bounds[i + 1]] for i in range(w)]
     with ThreadPoolExecutor(max_workers=w) as pool:
         return list(pool.map(fn, chunks))
+
+
+def _disc_2x2(a, b, c, d):
+    """(f, disc) of the closed form in op_norm_2x2; either may overflow."""
+    f = (a.real**2 + a.imag**2 + b.real**2 + b.imag**2
+         + c.real**2 + c.imag**2 + d.real**2 + d.imag**2)
+    det = a * d - b * c
+    det2 = det.real**2 + det.imag**2
+    return f, f * f - 4.0 * det2
+
+
+def _sigma_max(f, disc):
+    # disc >= 0 exactly; tiny negatives are rounding.
+    return np.sqrt(0.5 * (f + np.sqrt(np.maximum(disc, 0.0))))
 
 
 def op_norm_2x2(a, b, c, d) -> np.ndarray:
@@ -47,15 +69,22 @@ def op_norm_2x2(a, b, c, d) -> np.ndarray:
 
     Closed form from the Frobenius norm and |det|:
     sigma_max^2 = (f + sqrt(f^2 - 4|det|^2)) / 2 with f = ||M||_F^2.
+    f^2 overflows once sigma_max passes about 1e77, so a matrix with finite
+    entries whose f^2 - 4|det|^2 is not finite is divided by its largest
+    entry modulus first and its norm multiplied back. A NaN or infinite
+    entry still gives a non-finite norm.
     """
-    f = (a.real**2 + a.imag**2 + b.real**2 + b.imag**2
-         + c.real**2 + c.imag**2 + d.real**2 + d.imag**2)
-    det = a * d - b * c
-    det2 = det.real**2 + det.imag**2
-    disc = f * f - 4.0 * det2
-    # disc >= 0 exactly; tiny negatives are rounding.
-    disc = np.maximum(disc, 0.0)
-    return np.sqrt(0.5 * (f + np.sqrt(disc)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, disc = _disc_2x2(a, b, c, d)
+    out = _sigma_max(f, disc)
+    if not np.isfinite(disc).all():
+        big = (~np.isfinite(disc) & np.isfinite(a) & np.isfinite(b)
+               & np.isfinite(c) & np.isfinite(d))
+        ents = [v[big] for v in (a, b, c, d)]
+        with np.errstate(over="ignore"):
+            scale = np.maximum.reduce([np.abs(v) for v in ents])
+            out[big] = scale * _sigma_max(*_disc_2x2(*(v / scale for v in ents)))
+    return out
 
 
 def det_2x2(mats: np.ndarray) -> np.ndarray:

@@ -244,8 +244,8 @@ def ap_consequence_check(C: Cocycle, x, N0: int, N1: int, delta: float,
     n = N1 // N0
     w = C.omega.as_array()
     shifts = (x[None, :] + np.arange(n + 1)[:, None] * (N0 * w)) % 1.0
-    l_n0, u0 = iterate_log_norm_many(C, N0, shifts)
-    l_2n0, u1 = iterate_log_norm_many(C, 2 * N0, shifts)
+    (l_n0, l_2n0), (u0, u1) = iterate_log_norm_many(C, 2 * N0, shifts,
+                                                    at=(N0, 2 * N0))
     if u0.any() or u1.any():
         raise ValueError("underflow along the orbit; renormalize the cocycle first")
     L_N0 = float(l_n0[0])

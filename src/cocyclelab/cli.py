@@ -63,11 +63,13 @@ from .deviation import (
 )
 from .errors import CocycleLabError, NotUnimodular
 from .lyapunov import (
+    # not called here; perfbench/tracer.py wraps these bindings by name
     L_N_renormalized,
     L_prime_N,
     QuadratureSpec,
     finite_scale_modulus,
     le_extrapolate,
+    le_table,
     le_table_to_csv,
 )
 from .multiscale import (
@@ -508,8 +510,8 @@ def _fractions_csv(estimates) -> str:
 
 def _run_le(inp: Inputs):
     renormalized = bool(inp.p.get("renormalized", False))
-    fn = L_N_renormalized if renormalized else L_prime_N
-    table = [fn(inp.C, int(N), inp.quad) for N in inp.p["N_list"]]
+    table = le_table(inp.C, [int(N) for N in inp.p["N_list"]], inp.quad,
+                     renormalized=renormalized)
     payload = {"renormalized": renormalized, "rows": _le_rows(table)}
     return payload, le_table_to_csv(table)
 
@@ -691,7 +693,7 @@ def _run_example_discontinuity(inp: Inputs):
     C = Cocycle(DiscontinuityExample(k), omega)
     M = int(p.get("M", 4096))
     quad = QuadratureSpec(kind="uniform-grid", points_per_dim=M)
-    ests = [L_prime_N(C, int(N), quad) for N in p.get("N_list", [1, 10, 100])]
+    ests = le_table(C, [int(N) for N in p.get("N_list", [1, 10, 100])], quad)
     rows = [{"N": e.N, "value": e.value} for e in ests]
     dot = sum(ki * wi for ki, wi in zip(k, omega.components))
     resonant = abs(dot - round(dot)) < 1e-12

@@ -430,24 +430,31 @@ def _left_multiply(mats: np.ndarray, U: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
-def _iterate_chunk(A, omega_vec: np.ndarray, N: int, X: np.ndarray,
+def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray,
                    step_logs: Optional[list] = None):
     """The orbit-product kernel: (avg, steps) for a batch of m starting points.
 
     The running products live in one (2, 2, m) array, entry-major with the
     nodes contiguous, so a step is a few elementwise operations on length-m
-    arrays. steps[i] is the number of steps node i completed before its
-    product underflowed (N if it never did); from then on the node carries
-    the identity and adds 0 to its log sum. If step_logs is a list, each
-    step's log factors are appended to it.
+    arrays. reads is an increasing list of step counts; the orbit runs to
+    the last one, and avg[r] is the average log-norm after reads[r] steps.
+    Nothing before step n depends on how far the orbit goes, so avg[r] is
+    bit-identical to that of a reads[r]-step orbit. steps[i] is the number
+    of steps node i completed before its product underflowed (the orbit
+    length if it never did); from then on the node carries the identity and
+    adds 0 to its log sum. If step_logs is a list, each step's log factors
+    are appended to it.
     """
     m = X.shape[0]
+    N = reads[-1]
     U = np.zeros((2, 2, m), dtype=complex)
     U[0, 0] = U[1, 1] = 1.0
     V = np.empty_like(U)
     steps = np.full(m, N)
     alive = None  # None while every node is alive, so no masking is needed
     acc = PairwiseSum()
+    avg = np.empty((len(reads), m))
+    r = 0
     pts = X.copy()
     for j in range(N):
         U, V = _left_multiply(A.eval_many(pts), U, V), U
@@ -465,30 +472,46 @@ def _iterate_chunk(A, omega_vec: np.ndarray, N: int, X: np.ndarray,
         acc.add(logs)
         if step_logs is not None:
             step_logs.append(logs)
+        if reads[r] == j + 1:
+            # total() leaves the levels as they are, so the orbit goes on
+            avg[r] = acc.total() / (j + 1)
+            r += 1
         pts = _frac(pts + omega_vec)
-    return acc.total() / N, steps
+    return avg, steps
 
 
-def iterate_log_norm_many(C: Cocycle, N: int, X: np.ndarray):
+def iterate_log_norm_many(C: Cocycle, N: int, X: np.ndarray,
+                          at: Optional[Sequence[int]] = None):
     """Averaged log-norms over a batch of starting points.
 
     Returns (avg, underflowed): avg[i] = (1/N) ln ||A_N(X[i])||, and
     underflowed[i] marks nodes whose running product degenerated (norm below
     1e-300 or non-finite); their avg entry is meaningless.
 
+    With at, one N-step orbit is read at each step count n in at (each
+    1 <= n <= N, in any order, repeats allowed), and avg and underflowed
+    have one row per entry: row r is bit for bit what N = at[r] returns.
+
     Per-step renormalization keeps a unit-norm running matrix and accumulates
     the log factors with a power-of-two pairwise scheme, so the raw product is
     never formed and averages at N and 2^j N subtract exactly for constant
     inputs.
     """
-    if N < 1:
+    want = [N] if at is None else [int(n) for n in at]
+    if N < 1 or any(n < 1 for n in want):
         raise ValueError("N must be >= 1")
+    if any(n > N for n in want):
+        raise ValueError(f"read point beyond the orbit length {N}")
+    reads = sorted(set(want))
     X = np.atleast_2d(np.asarray(X, dtype=float))
     w = C.omega.as_array()
-    parts = map_chunked(lambda chunk: _iterate_chunk(C.A, w, N, chunk), X)
-    avg = np.concatenate([p[0] for p in parts])
-    under = np.concatenate([p[1] for p in parts]) < N
-    return avg, under
+    parts = map_chunked(lambda chunk: _iterate_chunk(C.A, w, reads, chunk), X)
+    avg = np.concatenate([p[0] for p in parts], axis=1)
+    steps = np.concatenate([p[1] for p in parts])
+    if at is None:
+        return avg[0], steps < N
+    rows = np.searchsorted(reads, want)
+    return avg[rows], steps < np.array(want)[:, None]
 
 
 def iterate_log_norm(C: Cocycle, N: int, x, collect_partial: bool = False) -> LogNormResult:
@@ -502,10 +525,10 @@ def iterate_log_norm(C: Cocycle, N: int, x, collect_partial: bool = False) -> Lo
         raise ValueError("N must be >= 1")
     x = np.asarray(x, dtype=float).reshape(1, -1)
     step_logs = [] if collect_partial else None
-    avg, steps = _iterate_chunk(C.A, C.omega.as_array(), N, x, step_logs)
+    avg, steps = _iterate_chunk(C.A, C.omega.as_array(), [N], x, step_logs)
     under = bool(steps[0] < N)
     partial = None if step_logs is None else [float(v[0]) for v in step_logs[:steps[0]]]
-    return LogNormResult(log_norm_avg=-math.inf if under else float(avg[0]),
+    return LogNormResult(log_norm_avg=-math.inf if under else float(avg[0, 0]),
                          underflowed=under, partial_logs=partial)
 
 

@@ -37,9 +37,10 @@ def _integer_grid(d: int, M: int) -> np.ndarray:
     return np.stack(grids, axis=-1).reshape(-1, d)
 
 
-def _sample(C: Cocycle, N: int, X: np.ndarray, renormalize_first: bool):
+def _sample(C: Cocycle, N: int, X: np.ndarray, renormalize_first: bool,
+            at: Optional[Sequence[int]] = None):
     A = renormalize(C.A) if renormalize_first else C.A
-    return iterate_log_norm_many(Cocycle(A, C.omega), N, X)
+    return iterate_log_norm_many(Cocycle(A, C.omega), N, X, at=at)
 
 
 @dataclass
@@ -92,12 +93,19 @@ class Profile:
         return clipped, T, int(np.count_nonzero(filled < -T))
 
 
-def profile(C: Cocycle, N: int, M: int, renormalize_first: bool = True) -> Profile:
+def _profiles(C: Cocycle, Ns: Sequence[int], M: int,
+              renormalize_first: bool) -> List[Profile]:
+    """One Profile per scale in Ns, all read from one orbit run to max(Ns)."""
     X = _integer_grid(C.d, M)
-    avg, under = _sample(C, N, X, renormalize_first)
-    vals = np.where(under, SENTINEL, avg).reshape((M,) * C.d)
-    return Profile(d=C.d, M=M, N=N, values=vals,
-                   retained=~under.reshape((M,) * C.d))
+    avg, under = _sample(C, max(Ns), X, renormalize_first, at=Ns)
+    shape = (M,) * C.d
+    return [Profile(d=C.d, M=M, N=N, values=np.where(u, SENTINEL, a).reshape(shape),
+                    retained=~u.reshape(shape))
+            for N, a, u in zip(Ns, avg, under)]
+
+
+def profile(C: Cocycle, N: int, M: int, renormalize_first: bool = True) -> Profile:
+    return _profiles(C, [N], M, renormalize_first)[0]
 
 
 @dataclass(frozen=True)
@@ -287,10 +295,8 @@ class L2Report:
 def l2_uniform_check(C: Cocycle, N_list: Sequence[int], M: int,
                      renormalize_first: bool = True,
                      clip_floor: float = math.exp(-700.0)) -> L2Report:
-    rows: List[Tuple[int, float, float]] = []
-    for N in N_list:
-        p = profile(C, int(N), M, renormalize_first=renormalize_first)
-        rows.append((int(N), p.rms, p.excised_mass))
+    profiles = _profiles(C, [int(N) for N in N_list], M, renormalize_first)
+    rows = [(p.N, p.rms, p.excised_mass) for p in profiles]
     # det rms is an integral statistic, so it uses midpoint nodes: the
     # integer grid can land on determinant zeros to machine precision and
     # the resulting ln^2 spikes make the value drift with M

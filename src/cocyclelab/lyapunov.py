@@ -9,6 +9,11 @@ cocycle. They are tied together by
 which this module exposes as three independent computations (the two exponent
 routes plus the determinant integral) so the identity stays checkable instead
 of being true by construction.
+
+A list of scales is computed by le_table from one orbit run to the largest
+scale: the average at each smaller N is read as the orbit passes it, and is
+bit-identical to that of its own N-step orbit. L_prime_N and
+L_N_renormalized are its one-scale cases.
 """
 from __future__ import annotations
 
@@ -108,25 +113,43 @@ def _mean_and_stderr(vals: np.ndarray) -> Tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def L_prime_N(C: Cocycle, N: int, quad: Optional[QuadratureSpec] = None) -> LEEstimate:
-    """L'_N(A, omega): node average of (1/N) ln ||A_N(x)||.
+def le_table(C: Cocycle, Ns: Sequence[int], quad: Optional[QuadratureSpec] = None,
+             renormalized: bool = False) -> List[LEEstimate]:
+    """One estimate per scale in Ns, in input order, from a single orbit.
 
-    Underflowed nodes (the product degenerated below 1e-300) are excised and
-    the retained weights renormalized; the dropped fraction is reported as
-    excised_mass.
+    The orbit runs to max(Ns) and is read as it passes each N; an estimate is
+    bit-identical to one made with its own N-step orbit. Ns may be unsorted
+    and hold repeats. renormalized=True computes L_N instead of L'_N.
+
+    Underflowed nodes (the product degenerated below 1e-300) are excised at
+    every scale they died before, and the retained weights renormalized; the
+    dropped fraction is reported as excised_mass.
     """
-    if N < 1:
+    Ns = list(Ns)
+    if not Ns:
+        return []
+    if renormalized:
+        C = Cocycle(renormalize(C.A), C.omega)
+    if any(N < 1 for N in Ns):
         raise ValueError("N must be >= 1")
     quad = default_quadrature(C.d) if quad is None else quad
     X = quad.nodes(C.d)
-    avg, under = iterate_log_norm_many(C, N, X)
-    keep = ~under
-    kept = int(np.count_nonzero(keep))
-    if kept == 0:
-        raise AllSamplesSingular(f"all {X.shape[0]} nodes underflowed at N={N}")
-    value, stderr = _mean_and_stderr(avg[keep])
-    return LEEstimate(N=N, value=value, excised_mass=1.0 - kept / X.shape[0],
-                      quad=quad, stderr=stderr)
+    avg, under = iterate_log_norm_many(C, max(Ns), X, at=Ns)
+    table = []
+    for N, a, u in zip(Ns, avg, under):
+        keep = ~u
+        kept = int(np.count_nonzero(keep))
+        if kept == 0:
+            raise AllSamplesSingular(f"all {X.shape[0]} nodes underflowed at N={N}")
+        value, stderr = _mean_and_stderr(a[keep])
+        table.append(LEEstimate(N=N, value=value, excised_mass=1.0 - kept / X.shape[0],
+                                quad=quad, stderr=stderr))
+    return table
+
+
+def L_prime_N(C: Cocycle, N: int, quad: Optional[QuadratureSpec] = None) -> LEEstimate:
+    """L'_N(A, omega): node average of (1/N) ln ||A_N(x)||; see le_table."""
+    return le_table(C, [N], quad)[0]
 
 
 def L_N_renormalized(C: Cocycle, N: int, quad: Optional[QuadratureSpec] = None,
@@ -138,7 +161,7 @@ def L_N_renormalized(C: Cocycle, N: int, quad: Optional[QuadratureSpec] = None,
     in tests and experiments, never merged.
     """
     rn = renormalize(C.A, floor=floor)
-    return L_prime_N(Cocycle(rn, C.omega), N, quad)
+    return le_table(Cocycle(rn, C.omega), [N], quad)[0]
 
 
 @dataclass(frozen=True)
@@ -192,7 +215,7 @@ def le_extrapolate(C: Cocycle, schedule: Sequence[int],
         raise ValueError("schedule must be nonempty")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
-    table = [L_prime_N(C, int(N), quad) for N in schedule]
+    table = le_table(C, [int(N) for N in schedule], quad)
     incs = [abs(b.value - a.value) for a, b in zip(table, table[1:])]
     return ExtrapolationResult(table=table, limit=table[-1].value, increments=incs)
 

@@ -23,7 +23,8 @@ from .cocycle import Cocycle, ComposedMatrix, iterate_log_norm_many
 from .deviation import _integer_grid
 from .errors import (AllSamplesSingular, GateFailed, InconsistentDelta,
                      PreconditionFailed, ScanTooLarge)
-from .lyapunov import L_N_renormalized, L_prime_N, QuadratureSpec
+# L_prime_N, L_N_renormalized: not called here; perfbench/tracer.py wraps them by name
+from .lyapunov import L_N_renormalized, L_prime_N, QuadratureSpec, le_table
 from .torus import Automorphism, Frequency, build_automorphism, freq_norm, min_dot_norm
 
 DEFAULT_C = 10.0
@@ -398,8 +399,9 @@ def ladder_verify(C: Cocycle, ladder: ScaleLadder,
     """
     if len(ladder.scales) < 2:
         raise ValueError("ladder has a single scale; nothing to verify")
-    fn = L_N_renormalized if renormalized else L_prime_N
-    estimates = {int(n): fn(C, int(n), quad).value for n in ladder.scales}
+    table = le_table(C, [int(n) for n in ladder.scales], quad,
+                     renormalized=renormalized)
+    estimates = {e.N: e.value for e in table}
 
     budgets, base_budget = _pair_budgets(ladder, C_prime)
     pairs: List[Tuple[int, int, float, float]] = []

@@ -17,7 +17,13 @@ from cocyclelab.avalanche import (
     random_hyperbolic_chain,
 )
 from cocyclelab._util import op_norm_2x2, to_json_text
-from cocyclelab.cocycle import Cocycle, TrigPolyMatrix, amo
+from cocyclelab.cocycle import (
+    Cocycle,
+    TrigPolyMatrix,
+    amo,
+    iterate_log_norm,
+    iterate_log_norm_many,
+)
 from cocyclelab.errors import ChainTooShort, NotDivisible, NotUnimodular
 from cocyclelab.torus import Frequency
 
@@ -182,6 +188,24 @@ class TestConsequence:
         r = ap_consequence_check(c, (0.1,), N0=40, N1=400, delta=50.0)
         assert not r.hypothesis_flags["eq:169"]
         assert r.satisfied is None
+
+    @pytest.mark.parametrize("N0, N1", [(40, 400), (1, 3), (16, 16)])
+    def test_report_matches_separate_orbits(self, N0, N1):
+        # the two kernel calls the report made before N0 and 2 N0 shared an orbit
+        c = Cocycle(amo(3.0, 0.2), Frequency((GOLDEN,)))
+        x = np.array([0.1])
+        shifts = (x[None, :] + np.arange(N1 // N0 + 1)[:, None]
+                  * (N0 * c.omega.as_array())) % 1.0
+        l_n0, _ = iterate_log_norm_many(c, N0, shifts)
+        l_2n0, _ = iterate_log_norm_many(c, 2 * N0, shifts)
+        r = ap_consequence_check(c, x, N0=N0, N1=N1, delta=0.5)
+        assert r.L_N0.hex() == float(l_n0[0]).hex()
+        assert r.L_2N0.hex() == float(l_2n0[0]).hex()
+        L_N1 = iterate_log_norm(c, N1, x).log_norm_avg
+        drift = max(float(np.max(np.abs(l_n0[1:] - l_n0[0]))),
+                    float(np.max(np.abs(l_2n0[1:] - l_2n0[0]))))
+        assert r.hypothesis_flags["eq:171"] == (drift < 0.5 / 100.0)
+        assert r.lhs.hex() == abs(L_N1 + float(l_n0[0]) - 2.0 * float(l_2n0[0])).hex()
 
     def test_divisibility_enforced(self):
         c = Cocycle(amo(3.0, 0.0), Frequency((GOLDEN,)))

@@ -140,6 +140,25 @@ class TestExitCodes:
         assert on_disk["error"] == "GateFailed"
         assert "eq:" in on_disk["message"]
 
+    # The pair products of chains with these mu have norms near mu^2, past
+    # the 1e77 where the closed form's f^2 overflowed. all_within is not
+    # asserted: the bound C n / mu lies below the rounding of the residual.
+    @pytest.mark.parametrize("mu", [1.0e40, 1.0e78])
+    @pytest.mark.parametrize("variant", [False, True])
+    def test_ap_with_huge_mu_stays_finite(self, tmp_path, mu, variant):
+        cfg = {"experiment": "ap", "seed": 1,
+               "params": {"chains": 20, "n_max": 30, "mu": mu,
+                          "variant": variant}}
+        rc, out = run_cli(tmp_path, cfg)
+        assert rc == 0
+        lines = (out / "ap.csv").read_text().splitlines()
+        assert lines[1] == "n,mu,max_gap,residual,bound"
+        assert len(lines) == 22
+        for line in lines[2:]:
+            n, mu_i, max_gap, residual, bound = map(float, line.split(","))
+            assert math.isfinite(max_gap) and math.isfinite(residual)
+        assert math.isfinite(json.loads((out / "ap.json").read_text())["worst_ratio"])
+
 
 class TestDeterminism:
     def test_bytes_identical_across_runs_and_threads(self, tmp_path):

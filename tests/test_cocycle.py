@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cocyclelab import _util
 from cocyclelab._util import set_max_workers, to_json_text
 from cocyclelab.cocycle import (
     ComposedMatrix,
@@ -375,7 +376,9 @@ class TestIteration:
         for i, x in enumerate(X):
             assert avg[i] == iterate_log_norm(c, 20, x).log_norm_avg
 
-    def test_thread_count_does_not_change_bits(self):
+    def test_thread_count_does_not_change_bits(self, monkeypatch):
+        # split the 257 nodes even though each chunk is below the thread floor
+        monkeypatch.setattr(_util, "MIN_ROWS_PER_WORKER", 1)
         m = amo(2.0, 0.7)
         c = Cocycle(m, Frequency((GOLDEN,)))
         X = np.random.default_rng(3).random((257, 1))

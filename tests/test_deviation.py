@@ -10,12 +10,15 @@ from cocyclelab.cocycle import (
     TrigPolyMatrix,
     amo,
     discontinuity_example,
+    iterate_log_norm_many,
     jacobi,
+    renormalize,
 )
 from cocyclelab.deviation import (
     FourierReport,
     MeasureEstimate,
     Profile,
+    _integer_grid,
     cdt_empirical,
     coeffs_to_csv,
     fourier_coeffs,
@@ -253,6 +256,24 @@ class TestL2Uniform:
         r = l2_uniform_check(jacobi_cos(), (10, 100, 1000), 1024)
         assert r.ratio <= 2.0
         assert not r.growth_flagged
+
+    @pytest.mark.parametrize("renormalize_first", [True, False])
+    def test_rows_match_one_profile_per_N(self, renormalize_first):
+        # the per-N loop l2_uniform_check ran before it read every N from one orbit
+        C, N_list, M = jacobi_cos(), (50, 10, 10, 200, 1), 64
+        X = _integer_grid(1, M)
+        A = renormalize(C.A) if renormalize_first else C.A
+        want = []
+        for N in N_list:
+            avg, under = iterate_log_norm_many(Cocycle(A, C.omega), N, X)
+            p = Profile(d=1, M=M, N=N, values=np.where(under, -math.inf, avg),
+                        retained=~under)
+            want.append((N, p.rms, p.excised_mass))
+        r = l2_uniform_check(C, N_list, M, renormalize_first=renormalize_first)
+        assert [(n, a.hex(), b.hex()) for n, a, b in r.rows] == \
+            [(n, a.hex(), b.hex()) for n, a, b in want]
+        col = [row[1] for row in want]
+        assert r.ratio == max(col) / min(col)
 
     def test_det_rms_stable_in_grid(self):
         a = l2_uniform_check(jacobi_cos(), (10,), 512).det_rms

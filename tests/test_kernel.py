@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from cocyclelab import _util
-from cocyclelab._util import UNDERFLOW_FLOOR, PairwiseSum, map_chunked, set_max_workers
+from cocyclelab._util import (
+    UNDERFLOW_FLOOR,
+    PairwiseSum,
+    map_chunked,
+    op_norm_2x2,
+    set_max_workers,
+)
 from cocyclelab.cocycle import (
     Cocycle,
     DiscontinuityExample,
@@ -89,8 +95,10 @@ def ref_partial_logs(A, omega_vec, N, x):
 
 @pytest.fixture
 def workers(request, monkeypatch):
-    """Run with the given worker count, uncapped by this host's core count."""
+    """Run with the given worker count, uncapped by this host's core count
+    and by the rows-per-worker floor, so small batches are split too."""
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(_util, "MIN_ROWS_PER_WORKER", 1)
     set_max_workers(request.param)
     yield request.param
     set_max_workers(1)
@@ -201,6 +209,63 @@ def test_excision_midway_keeps_healthy_nodes_bitwise(workers):
     assert np.array_equal(avg[keep], alone)
 
 
+# One orbit read at several step counts against one orbit per count. The
+# lists are unsorted, repeat an entry and hold the single-step read; on the
+# excising cocycle nodes die between the reads, so the rows differ in which
+# nodes they flag.
+AT_LISTS = {"mixed": [1000, 250, 250, 2000, 1], "single": [16]}
+AT_COCYCLES = {
+    "amo": lambda: Cocycle(amo(3.0, 0.3), G1),
+    "excising": lambda: _excising(G1, floor=0.05),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+@pytest.mark.parametrize("at", sorted(AT_LISTS))
+@pytest.mark.parametrize("name", sorted(AT_COCYCLES))
+def test_reads_at_match_separate_orbits_bitwise(name, at, workers):
+    C = AT_COCYCLES[name]()
+    Ns = AT_LISTS[at]
+    X = _nodes(C.d)
+    avg, under = iterate_log_norm_many(C, max(Ns), X, at=Ns)
+    assert avg.shape == under.shape == (len(Ns), X.shape[0])
+    assert under.dtype == bool
+    for r, N in enumerate(Ns):
+        want, want_under = iterate_log_norm_many(C, N, X)
+        assert np.array_equal(under[r], want_under)
+        assert np.array_equal(avg[r], want)
+    if name == "excising" and at == "mixed":
+        counts = [int(u.sum()) for u in under]
+        assert counts[-1] < counts[0] == X.shape[0]
+
+
+class _CountingEvaluator:
+    """Wraps an evaluator and counts the points it is asked for."""
+
+    def __init__(self, base):
+        self.base, self.d, self.points = base, base.d, 0
+
+    def eval_many(self, X):
+        self.points += np.atleast_2d(X).shape[0]
+        return self.base.eval_many(X)
+
+
+def test_reads_at_run_exactly_N_steps():
+    A = _CountingEvaluator(amo(3.0, 0.3))
+    X = _nodes(1, m=10)
+    iterate_log_norm_many(Cocycle(A, G1), 7, X, at=(3, 7, 3))
+    assert A.points == 7 * 10
+
+
+def test_reads_at_are_checked():
+    C = Cocycle(amo(3.0, 0.3), G1)
+    X = _nodes(1, m=4)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        iterate_log_norm_many(C, 5, X, at=(2, 0))
+    with pytest.raises(ValueError, match="orbit length 5"):
+        iterate_log_norm_many(C, 5, X, at=(6,))
+
+
 # Starting points whose orbit survives 40 steps (None) or underflows at the
 # given step, so the partial logs are the whole orbit, empty, or cut short.
 @pytest.mark.parametrize("x, dies_at", [(0.15, None), (0.3, 0), (0.4, 28)])
@@ -252,3 +317,47 @@ def test_map_chunked_caps_workers_at_core_count(monkeypatch, via_setting):
         set_max_workers(1)
     assert _RecordingExecutor.seen == [4]
     assert len(parts) == 4 and sum(parts) == arr.sum()
+
+
+@pytest.mark.parametrize("rows, seen", [(512, []), (2 * _util.MIN_ROWS_PER_WORKER - 1, []),
+                                        (2 * _util.MIN_ROWS_PER_WORKER, [2]),
+                                        (65536, [2])])
+def test_map_chunked_needs_min_rows_per_worker(monkeypatch, rows, seen):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_util, "ThreadPoolExecutor", _RecordingExecutor)
+    _RecordingExecutor.seen = []
+    arr = np.arange(float(rows)).reshape(-1, 1)
+    parts = map_chunked(lambda c: c.shape[0], arr, workers=2)
+    assert _RecordingExecutor.seen == seen
+    assert sum(parts) == rows
+    assert min(parts) >= min(rows, _util.MIN_ROWS_PER_WORKER)
+
+
+# Matrices far beyond the range where the closed form's f^2 is finite.
+def test_op_norm_matches_svd_on_huge_matrices():
+    rng = np.random.default_rng(5)
+    mats = rng.standard_normal((400, 2, 2)) + 1j * rng.standard_normal((400, 2, 2))
+    mats *= (10.0 ** rng.uniform(80, 150, 400))[:, None, None]
+    mats[:5, 1] = 0.0          # singular: det = 0
+    mats[5:10, 1] = mats[5:10, 0] * 1e-20  # nearly singular
+    got = op_norm_2x2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
+    want = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_op_norm_keeps_bits_of_ordinary_matrices():
+    rng = np.random.default_rng(6)
+    mats = rng.standard_normal((4000, 2, 2)) + 1j * rng.standard_normal((4000, 2, 2))
+    mats *= (10.0 ** rng.uniform(-150, 70, 4000))[:, None, None]
+    got = op_norm_2x2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
+    assert np.array_equal(got, ref_op_norm(mats))
+
+
+def test_op_norm_of_non_finite_entries_is_non_finite():
+    mats = np.ones((4, 2, 2), dtype=complex)
+    mats[0, 0, 0] = np.nan
+    mats[1, 1, 0] = np.inf
+    mats[2, 0, 1] = complex(1e200, np.nan)
+    mats[3, 1, 1] = complex(-np.inf, 1e200)
+    got = op_norm_2x2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
+    assert not np.isfinite(got).any()

@@ -1,15 +1,20 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from cocyclelab import _util
+from cocyclelab._util import set_max_workers
 from cocyclelab.cocycle import (
     Cocycle,
     TrigPoly,
     TrigPolyMatrix,
     amo,
     discontinuity_example,
+    iterate_log_norm_many,
     jacobi,
+    renormalize,
     schrodinger,
 )
 from cocyclelab.errors import AllSamplesSingular, IdenticallySingular, ScanTooLarge
@@ -21,10 +26,13 @@ from cocyclelab.lyapunov import (
     L_prime_N,
     default_quadrature,
     det_log_integral,
+    _mean_and_stderr,
     finite_scale_modulus,
     le_extrapolate,
+    le_table,
     le_table_to_csv,
 )
+from cocyclelab.multiscale import ladder_verify, liouville_ladder
 from cocyclelab.torus import Frequency
 
 GOLDEN = 0.6180339887
@@ -261,3 +269,135 @@ class TestCSV:
         assert cells[0] == "10"
         assert float(cells[1]) == 1.0 / 3.0
         assert cells[2] == "0" and float(cells[3]) == 0.25
+
+
+# ---------------------------------------------------------------------------
+# le_table against the per-N loop it replaced
+# ---------------------------------------------------------------------------
+
+def ref_le_table(C, Ns, quad, renormalized=False):
+    """One orbit per scale, as L_N_renormalized and L_prime_N ran before."""
+    if renormalized:
+        C = Cocycle(renormalize(C.A), C.omega)
+    X = quad.nodes(C.d)
+    out = []
+    for N in Ns:
+        avg, under = iterate_log_norm_many(C, N, X)
+        keep = ~under
+        kept = int(np.count_nonzero(keep))
+        if kept == 0:
+            raise AllSamplesSingular(f"all {X.shape[0]} nodes underflowed at N={N}")
+        value, stderr = _mean_and_stderr(avg[keep])
+        out.append(LEEstimate(N=N, value=value, excised_mass=1.0 - kept / X.shape[0],
+                              quad=quad, stderr=stderr))
+    return out
+
+
+def _bits(table):
+    return [(e.N, e.value.hex(), e.excised_mass.hex(), e.stderr.hex()) for e in table]
+
+
+G1 = Frequency(((math.sqrt(5.0) - 1.0) / 2.0,))
+
+
+def _excising(floor):
+    """det A(x) = cos(2 pi x) + 0.3: the renormalized cocycle kills the nodes
+    whose orbit meets |det| < floor, at different steps for different nodes."""
+    a = TrigPoly.cosine((1,), 1.0) + TrigPoly.constant(1, 0.3)
+    e11 = TrigPoly.constant(1, 0.4) - TrigPoly.cosine((1,), 3.0)
+    A = TrigPolyMatrix.from_entries(e11, TrigPoly.constant(1, -1.0), a,
+                                    TrigPoly(1, {}), rho=0.5)
+    return Cocycle(renormalize(A, floor=floor), G1)
+
+
+def _jacobi_g1():
+    return Cocycle(jacobi(TrigPoly.cosine((1,), 4.0),
+                          TrigPoly(1, {(0,): 1.0, (1,): 0.25 + 0.1j, (-1,): 0.25}),
+                          0.3, G1), G1)
+
+
+@pytest.fixture
+def workers(request, monkeypatch):
+    """Split even small node sets across the given number of workers."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(_util, "MIN_ROWS_PER_WORKER", 1)
+    set_max_workers(request.param)
+    yield request.param
+    set_max_workers(1)
+
+
+LE_TABLE_CASES = {
+    "amo-raw": (lambda: Cocycle(amo(3.0, 0.3), G1), False),
+    "jacobi-renormalized": (_jacobi_g1, True),
+    "excising": (lambda: _excising(0.05), False),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+@pytest.mark.parametrize("Ns", [[1000, 250, 250, 2000, 1], [16], [1, 8, 4, 32, 8]],
+                         ids=["mixed", "single", "short"])
+@pytest.mark.parametrize("case", sorted(LE_TABLE_CASES))
+def test_le_table_matches_per_N_loop_bitwise(case, Ns, workers):
+    make, renormalized = LE_TABLE_CASES[case]
+    C, quad = make(), GRID(64)
+    try:
+        want = ref_le_table(C, Ns, quad, renormalized)
+    except AllSamplesSingular as e:
+        with pytest.raises(AllSamplesSingular) as got:
+            le_table(C, Ns, quad, renormalized=renormalized)
+        assert str(got.value) == str(e)
+        return
+    table = le_table(C, Ns, quad, renormalized=renormalized)
+    assert _bits(table) == _bits(want)
+    if case == "excising" and Ns != [16]:
+        assert len({e.excised_mass for e in table}) > 1
+
+
+def test_le_table_reports_the_first_singular_N_in_input_order():
+    # On the excising cocycle every node is dead by step 250 and a few at
+    # step 1, so 2000 is the first entry with no node left.
+    C, quad = _excising(0.05), GRID(64)
+    Ns = [1, 2000, 250]
+    with pytest.raises(AllSamplesSingular) as want:
+        ref_le_table(C, Ns, quad)
+    with pytest.raises(AllSamplesSingular) as got:
+        le_table(C, Ns, quad)
+    assert str(got.value) == str(want.value) == "all 64 nodes underflowed at N=2000"
+
+
+def test_le_table_errors():
+    C = Cocycle(amo(3.0, 0.3), G1)
+    assert le_table(C, [], GRID(8)) == []
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        le_table(C, [4, 0], GRID(8))
+    with pytest.raises(IdenticallySingular):
+        le_table(const_cocycle([[0, 1], [0, 0]]), [2], GRID(8), renormalized=True)
+
+
+def test_one_scale_estimators_are_le_table_entries():
+    C, quad = _jacobi_g1(), GRID(64)
+    assert _bits([L_prime_N(C, 40, quad)]) == _bits(ref_le_table(C, [40], quad))
+    assert _bits([L_N_renormalized(C, 40, quad)]) == _bits(
+        ref_le_table(C, [40], quad, renormalized=True))
+
+
+@pytest.mark.parametrize("workers", [1, 3], indirect=True)
+@pytest.mark.parametrize("renormalized", [False, True])
+def test_ladder_verify_estimates_match_per_N_loop(renormalized, workers):
+    C, quad = Cocycle(_jacobi_g1().A, Frequency((0.5,))), GRID(64)
+    lad = liouville_ladder(16, 2, Frequency((0.5,)), rho=1.0, kappa=0.5, C=2.0,
+                           max_scale=1024)
+    v = ladder_verify(C, lad, quad=quad, renormalized=renormalized)
+    want = ref_le_table(C, [int(n) for n in lad.scales], quad, renormalized)
+    assert list(v.estimates) == [e.N for e in want]
+    assert [x.hex() for x in v.estimates.values()] == [e.value.hex() for e in want]
+
+
+@pytest.mark.parametrize("workers", [1, 2], indirect=True)
+def test_le_extrapolate_table_matches_per_N_loop(workers):
+    C, quad = _jacobi_g1(), GRID(64)
+    schedule = (1, 10, 100, 400)
+    r = le_extrapolate(C, schedule, quad)
+    want = ref_le_table(C, schedule, quad)
+    assert _bits(r.table) == _bits(want)
+    assert r.increments == [abs(b.value - a.value) for a, b in zip(want, want[1:])]
