@@ -14,10 +14,12 @@ UNDERFLOW_FLOOR = 1e-300
 _max_workers = 1
 
 # A thread pays only above this many rows per worker. On a 2-core host the
-# orbit kernel on amo ran 1.4-1.7x slower at 2 workers than at 1 with 512,
-# 1024 and 1536 rows, about even at 3072 and 4096, and 0.6x at 6144 and
-# 8192 (median of 9 runs, about 4e5 node-steps each).
-MIN_ROWS_PER_WORKER = 2048
+# orbit kernel on amo (about 4e5 node-steps a run, 15 to 21 pairs of 1 and 2
+# workers) ran 1.6x slower at 2 workers with 512 rows and 1.2-1.5x with
+# 1024, but 0.55x with 2048, 0.76-0.90x with 3072 and 0.75-0.85x with 4096,
+# faster in every pair. 1536 rows read 1.09x in one set and 0.72x in
+# another, so the crossover lies between 1024 and 2048 rows.
+MIN_ROWS_PER_WORKER = 1024
 
 
 def set_max_workers(n: int) -> None:

@@ -488,9 +488,10 @@ def iterate_log_norm_many(C: Cocycle, N: int, X: np.ndarray,
     underflowed[i] marks nodes whose running product degenerated (norm below
     1e-300 or non-finite); their avg entry is meaningless.
 
-    With at, one N-step orbit is read at each step count n in at (each
+    With at, the N-step orbit is read at each step count n in at (each
     1 <= n <= N, in any order, repeats allowed), and avg and underflowed
     have one row per entry: row r is bit for bit what N = at[r] returns.
+    The orbit runs all N steps even when every n is smaller.
 
     Per-step renormalization keeps a unit-norm running matrix and accumulates
     the log factors with a power-of-two pairwise scheme, so the raw product is
@@ -502,7 +503,7 @@ def iterate_log_norm_many(C: Cocycle, N: int, X: np.ndarray,
         raise ValueError("N must be >= 1")
     if any(n > N for n in want):
         raise ValueError(f"read point beyond the orbit length {N}")
-    reads = sorted(set(want))
+    reads = sorted(set(want) | {N})
     X = np.atleast_2d(np.asarray(X, dtype=float))
     w = C.omega.as_array()
     parts = map_chunked(lambda chunk: _iterate_chunk(C.A, w, reads, chunk), X)

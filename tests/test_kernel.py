@@ -257,6 +257,18 @@ def test_reads_at_run_exactly_N_steps():
     assert A.points == 7 * 10
 
 
+def test_reads_before_N_still_run_N_steps():
+    A = _CountingEvaluator(amo(3.0, 0.3))
+    C = Cocycle(A, G1)
+    X = _nodes(1, m=10)
+    avg, under = iterate_log_norm_many(C, 10, X, at=(3, 5))
+    assert A.points == 10 * 10
+    for row, n in enumerate((3, 5)):
+        want_avg, want_under = iterate_log_norm_many(C, n, X)
+        assert avg[row].tobytes() == want_avg.tobytes()
+        assert np.array_equal(under[row], want_under)
+
+
 def test_reads_at_are_checked():
     C = Cocycle(amo(3.0, 0.3), G1)
     X = _nodes(1, m=4)
