@@ -181,18 +181,40 @@ def fmt17(x: float) -> str:
 
 _INT_TYPES = (int, np.integer)
 
+# Rows the CSV writers handle at a time: csv_text joins this many lines into
+# one string, and coeffs_to_csv converts this many rows to Python numbers.
+# Holding every line of a large table as its own object until the end left
+# the allocator's memory fragmented for the rest of the run.
+CSV_BLOCK = 4096
+
 
 def csv_text(header, rows) -> str:
     """CSV text: the header line, then one line per row, newline-terminated.
 
-    Integer cells (int, np.integer) are written as integers and every other
-    cell through fmt17. rows may be a generator, so a large table is never
-    held as per-column lists.
+    Integer cells (int, np.integer) are written as integers, "%d" as
+    str(int(v)), and every other cell as "%.17g", which is fmt17 for any
+    number. Each row is formatted by one %-template, built once for each
+    sequence of cell types met, so a float in an integer column is never
+    truncated. rows may be a generator, so a large table is never held as
+    per-column lists.
     """
+    templates: dict = {}
+    parts: list = []
     lines = [",".join(header)]
-    lines.extend(",".join([str(int(v)) if isinstance(v, _INT_TYPES)
-                           else fmt17(v) for v in row]) for row in rows)
-    return "\n".join(lines) + "\n"
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        template = templates.get(types)
+        if template is None:
+            template = templates[types] = ",".join(
+                "%d" if issubclass(t, _INT_TYPES) else "%.17g" for t in types)
+        lines.append(template % row)
+        if len(lines) == CSV_BLOCK:
+            parts.append("\n".join(lines))
+            lines.clear()
+    if lines:
+        parts.append("\n".join(lines))
+    return "\n".join(parts) + "\n"
 
 
 def _json_fragments(obj, out: list) -> None:

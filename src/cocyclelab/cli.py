@@ -5,14 +5,15 @@ Usage:
                             [--threads N] [--seed S]
 
 The config is a single YAML document; its "experiment" key must match the
-subcommand. load_config validates it against SCHEMA and PARAM_SCHEMAS; build
-turns its frequency, cocycle and quadrature blocks into library objects (an
-Inputs record); the experiment's handler calls the library and returns a JSON
-payload and an optional CSV body, which run writes to --out as
-<experiment>.json (always), <experiment>.csv for tabular results, and
-<experiment>.svg when "plot: true" and a CSV exists. Every CSV goes through
-_util.csv_text: integer cells as integers, every other cell via fmt17. Every
-output embeds the sha256 of the config file and the library version;
+subcommand. load_config validates it against SCHEMA and PARAM_SCHEMAS with
+validators compiled once at import; build turns its frequency, cocycle and
+quadrature blocks into library objects (an Inputs record); the experiment's
+handler calls the library and returns a JSON payload and an optional CSV
+body, which run writes to --out as <experiment>.json (always),
+<experiment>.csv for tabular results, and <experiment>.svg when "plot: true"
+and a CSV exists. Every CSV goes through _util.csv_text, which formats each
+row with one %-template: %d for integer cells, %.17g (fmt17) for the rest.
+Every output embeds the sha256 of the config file and the library version;
 identical config + seed yields identical bytes regardless of --threads.
 --threads N splits each node batch of the orbit-product kernel into N chunks
 run on a thread pool, with N capped at the core count.
@@ -34,8 +35,9 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import jsonschema
 import yaml
+from jsonschema import exceptions as schema_errors
+from jsonschema.validators import validator_for
 
 from . import __version__
 from ._svg import plot_csv_text
@@ -350,6 +352,17 @@ PARAM_SCHEMAS: Dict[str, dict] = {
     },
 }
 
+
+def _compile(schema: dict):
+    """A validator for schema, built once. The schemas are fixed, so they are
+    checked against the metaschema by the tests, not on every load."""
+    return validator_for(schema)(schema)
+
+
+_VALIDATOR = _compile(SCHEMA)
+_PARAM_VALIDATORS = {name: _compile({**schema, "$defs": _TRIGPOLY_DEFS})
+                     for name, schema in PARAM_SCHEMAS.items()}
+
 # experiments that run a cocycle need these top-level blocks
 _NEEDS_COCYCLE = {"le", "le-limit", "continuity", "ldt", "cdt", "drift",
                   "l2", "fourier", "cov"}
@@ -374,13 +387,13 @@ def load_config(path: str) -> tuple:
         raise ConfigError(f"config is not valid YAML: {e}", digest) from e
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a mapping", digest)
-    try:
-        jsonschema.validate(cfg, SCHEMA)
-        name = cfg["experiment"]
-        params_schema = dict(PARAM_SCHEMAS[name])
-        params_schema["$defs"] = _TRIGPOLY_DEFS
-        jsonschema.validate(cfg.get("params", {}), params_schema)
-    except jsonschema.ValidationError as e:
+    # best_match picks the error jsonschema.validate would raise
+    e = schema_errors.best_match(_VALIDATOR.iter_errors(cfg))
+    name = cfg.get("experiment")
+    if e is None:
+        e = schema_errors.best_match(
+            _PARAM_VALIDATORS[name].iter_errors(cfg.get("params", {})))
+    if e is not None:
         loc = "/".join(str(p) for p in e.absolute_path) or "<root>"
         raise ConfigError(f"config schema violation at {loc}: {e.message}",
                           digest) from e

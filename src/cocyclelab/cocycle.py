@@ -31,12 +31,43 @@ def _frac(x: np.ndarray) -> np.ndarray:
 
 
 def _tables(d: int, coeffs: dict, shape: tuple):
-    """Sorted index table ks (n, d) and coefficient table cs (n,) + shape.
-    Built once per object, as the kernel evaluates A at every step."""
+    """Sorted index table ks (n, d), coefficient table cs (n,) + shape, and
+    the number h of indices k > 0 when the table is symmetric (k in it
+    exactly when -k is), else None. Built once per object, as the kernel
+    evaluates A at every step."""
     keys = sorted(coeffs)
     ks = np.array(keys, dtype=np.int64).reshape(-1, d)
     cs = np.array([coeffs[k] for k in keys], dtype=complex).reshape((-1,) + shape)
-    return ks, cs
+    sym = all(tuple(-v for v in k) in coeffs for k in keys)
+    return ks, cs, (len(keys) // 2 if sym else None)
+
+
+def _phases(X: np.ndarray, ks: np.ndarray, h: Optional[int]) -> np.ndarray:
+    """e^{2 pi i k.x} for every node x in X and index k in ks: (m, n).
+
+    On a symmetric table (h from _tables) the sorted indices pair up as
+    ks[n-1-j] = -ks[j], so exp runs only over the h indices k > 0: the
+    column of -k is the conjugate of that of k, and the column of k = 0 is 1.
+    Every bit matches exp over the whole table. The conjugate's imaginary
+    part is taken as 0 - im, which is +0 where exp at -k.x gives +0. The
+    products k.x come from one matmul over the whole table, as BLAS may round
+    a column differently in a narrower product. For d > 1 BLAS does not
+    always give the two columns of a pair exactly opposite sums; then exp
+    runs over every column.
+    """
+    theta = X @ ks.T
+    n = ks.shape[0]
+    if not h or (ks.shape[1] > 1 and not np.array_equal(
+            theta[:, :h], np.negative(theta[:, :n - h - 1:-1]))):
+        return np.exp(TWO_PI_I * theta)
+    out = np.empty(theta.shape, dtype=complex)
+    upper, lower = out[:, n - h:], out[:, h - 1::-1]
+    np.exp(TWO_PI_I * theta[:, n - h:], out=upper)
+    if n - h > h:
+        out[:, h] = 1.0
+    lower.real = upper.real
+    np.subtract(0.0, upper.imag, out=lower.imag)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +88,7 @@ class TrigPoly:
             if c != 0:
                 clean[kt] = c
         self.coeffs = clean
-        self._ks, self._cs = _tables(self.d, clean, ())
+        self._ks, self._cs, self._half = _tables(self.d, clean, ())
 
     @classmethod
     def constant(cls, d: int, value: complex) -> "TrigPoly":
@@ -95,7 +126,7 @@ class TrigPoly:
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.exp(TWO_PI_I * (X @ self._ks.T)) @ self._cs
+        return _phases(X, self._ks, self._half) @ self._cs
 
     def eval(self, x) -> complex:
         return complex(self.eval_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
@@ -170,7 +201,7 @@ class TrigPolyMatrix:
             if np.any(arr != 0):
                 clean[kt] = arr
         self.coeffs = clean
-        self._ks, self._cs = _tables(self.d, clean, (2, 2))
+        self._ks, self._cs, self._half = _tables(self.d, clean, (2, 2))
 
     @classmethod
     def constant(cls, d: int, matrix, rho: float = 0.5) -> "TrigPolyMatrix":
@@ -198,7 +229,7 @@ class TrigPolyMatrix:
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        phases = np.exp(TWO_PI_I * (X @ self._ks.T))
+        phases = _phases(X, self._ks, self._half)
         return np.einsum("mn,nij->mij", phases, self._cs)
 
     def eval(self, x) -> np.ndarray:

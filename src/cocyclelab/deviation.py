@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._util import csv_text, det_2x2, pairwise_total
+from ._util import CSV_BLOCK, csv_text, det_2x2, pairwise_total
 from .cocycle import Cocycle, TrigPoly, iterate_log_norm_many, renormalize
 from .errors import IdenticallyZero, ScanTooLarge
 from .lyapunov import MAX_NODES, QuadratureSpec
@@ -323,9 +323,22 @@ def profile_to_csv(p: Profile) -> str:
 def coeffs_to_csv(report: FourierReport) -> str:
     ks = report.ks.reshape(-1, report.d)
     cs = report.coeffs.reshape(-1)
-    # abs of each numpy scalar: the vectorised np.abs(cs) can differ from it
-    # in the last bit
-    rows = ((*ks[i], c.real, c.imag, abs(c))
-            for i in np.lexsort(ks.T[::-1]) for c in (cs[i],))
+    order = np.lexsort(ks.T[::-1])
+
+    def rows():
+        # Python numbers, converted a block at a time: whole columns at once
+        # would hold every row's objects until the end.
+        # abs of each complex scalar: the vectorised np.abs(cs) can differ
+        # from it in the last bit. Both call hypot; Python raises where numpy
+        # overflows to inf.
+        for start in range(0, order.size, CSV_BLOCK):
+            idx = order[start:start + CSV_BLOCK]
+            for k, c in zip(ks[idx].tolist(), cs[idx].tolist()):
+                try:
+                    mag = abs(c)
+                except OverflowError:
+                    mag = math.inf
+                yield (*k, c.real, c.imag, mag)
+
     return csv_text([f"k{i + 1}" for i in range(report.d)]
-                    + ["re", "im", "abs"], rows)
+                    + ["re", "im", "abs"], rows())

@@ -2,13 +2,18 @@ import hashlib
 import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 import yaml
+from jsonschema.validators import validator_for
 
-from cocyclelab._util import csv_text
+from cocyclelab._util import CSV_BLOCK, csv_text, fmt17
 from cocyclelab.cli import (
+    _TRIGPOLY_DEFS,
     EXPERIMENTS,
+    PARAM_SCHEMAS,
+    SCHEMA,
     ConfigError,
     build_trigpoly,
     load_config,
@@ -514,3 +519,111 @@ def test_csv_text_cell_formats():
         "1180591620717411303424,3,-inf,nan\n"
         "0,0,2.5,1\n")
     assert csv_text(["x"], []) == "x\n"
+
+
+def csv_text_per_cell(header, rows) -> str:
+    """The per-cell writer csv_text used before its row templates, kept as
+    the byte reference."""
+    lines = [",".join(header)]
+    lines.extend(",".join([str(int(v)) if isinstance(v, (int, np.integer))
+                           else fmt17(v) for v in row]) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+CSV_CELLS = [0, -7, 2**53 + 1, 2**70, True, np.int64(-3), np.int32(5),
+             np.uint8(255), np.uint64(2**64 - 1), 0.1, -0.0, 5e-324, 1e308,
+             math.inf, -math.inf, math.nan, np.float64(2.5),
+             np.float32(0.1), np.float32(-math.inf), np.float16(0.3),
+             np.float64(-0.0), np.bool_(True), np.longdouble(1) / 3]
+
+
+class TestCsvTextBytes:
+    def test_every_cell_kind_matches_per_cell_writer(self):
+        rows = [tuple(CSV_CELLS), tuple(reversed(CSV_CELLS))]
+        header = [f"c{i}" for i in range(len(CSV_CELLS))]
+        assert csv_text(header, iter(rows)) == csv_text_per_cell(header, rows)
+
+    def test_a_float_in_an_integer_column_is_not_truncated(self):
+        rows = [(1, 2.5), (2.75, 3), (np.float32(4.5), np.int64(2**62 + 1)),
+                (5, 6.0)]
+        text = csv_text(("n", "x"), (r for r in rows))
+        assert text == csv_text_per_cell(("n", "x"), rows)
+        assert text.splitlines()[2] == "2.75,3"
+
+    def test_list_rows_and_generator_rows_agree(self):
+        rows = [[1, 0.5], [2, math.nan]]
+        assert csv_text(("a", "b"), rows) == csv_text(
+            ("a", "b"), (tuple(r) for r in rows)) == "a,b\n1,0.5\n2,nan\n"
+
+    @pytest.mark.parametrize("n", [CSV_BLOCK - 2, CSV_BLOCK - 1, CSV_BLOCK,
+                                   2 * CSV_BLOCK + 1])
+    def test_tables_across_join_blocks(self, n):
+        rows = [(i, i / 7.0) for i in range(n)]
+        text = csv_text(("i", "x"), iter(rows))
+        assert text == csv_text_per_cell(("i", "x"), rows)
+        assert text.count("\n") == n + 1
+
+    def test_random_columns_match_per_cell_writer(self):
+        rng = np.random.default_rng(7)
+        ints = rng.integers(-2**62, 2**62, 500)
+        floats = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
+        singles = rng.standard_normal(500).astype(np.float32)
+        rows = [(int(i), np.int64(i), float(f), np.float64(f), s)
+                for i, f, s in zip(ints, floats, singles)]
+        header = ("a", "b", "c", "d", "e")
+        assert csv_text(header, rows) == csv_text_per_cell(header, rows)
+
+
+def _param_schema(name):
+    return {**PARAM_SCHEMAS[name], "$defs": _TRIGPOLY_DEFS}
+
+
+def _validate_message(cfg) -> str:
+    """The ConfigError message from jsonschema.validate on the two schemas."""
+    try:
+        jsonschema.validate(cfg, SCHEMA)
+        jsonschema.validate(cfg.get("params", {}),
+                            _param_schema(cfg["experiment"]))
+    except jsonschema.ValidationError as e:
+        loc = "/".join(str(p) for p in e.absolute_path) or "<root>"
+        return f"config schema violation at {loc}: {e.message}"
+    raise AssertionError("config is valid")
+
+
+INVALID_CONFIGS = {
+    "root": {**LE_CONSTANT, "bogus": 1},
+    "root-cocycle": {**LE_CONSTANT, "cocycle": {"kind": "amo", "lam": "3"}},
+    "params": {**LE_CONSTANT, "params": {"N_list": [4, 0]}},
+    "defs-trigpoly": {"experiment": "loja",
+                      "params": {"g": [1.0, {"cos": [1], "bogus": 2}],
+                                 "t_grid": [0.1], "M": 8}},
+}
+
+
+class TestCompiledSchemas:
+    @pytest.mark.parametrize("name", ["<root>", *PARAM_SCHEMAS])
+    def test_schema_passes_metaschema(self, name):
+        schema = SCHEMA if name == "<root>" else _param_schema(name)
+        validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
+    def test_message_equals_jsonschema_validate(self, tmp_path, case):
+        cfg = INVALID_CONFIGS[case]
+        path = write_config(tmp_path, "bad.yaml", cfg)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == _validate_message(cfg)
+
+    def test_load_config_never_checks_a_schema(self, tmp_path, monkeypatch):
+        def refuse(cls, schema, *args, **kwargs):
+            raise AssertionError("check_schema called while loading")
+
+        for schema in (SCHEMA, *(_param_schema(n) for n in PARAM_SCHEMAS)):
+            monkeypatch.setattr(validator_for(schema), "check_schema",
+                                classmethod(refuse))
+        path = write_config(tmp_path, "good.yaml", LE_CONSTANT)
+        assert load_config(path)[0] == LE_CONSTANT
+        for case, cfg in INVALID_CONFIGS.items():
+            path = write_config(tmp_path, f"{case}.yaml", cfg)
+            with pytest.raises(ConfigError):
+                load_config(path)

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from cocyclelab import _util
 from cocyclelab._util import set_max_workers, to_json_text
 from cocyclelab.cocycle import (
+    TWO_PI_I,
     ComposedMatrix,
+    _phases,
     Cocycle,
     DiscontinuityExample,
     TrigPoly,
@@ -98,6 +100,95 @@ class TestTrigPoly:
         p = poly_from(e)
         assert p.conjugate().eval((x,)) == pytest.approx(
             p.eval((x,)).conjugate(), abs=1e-9)
+
+
+def same_bits(a, b) -> bool:
+    """Equal values, NaNs in the same places and the same sign on every
+    real and imaginary part, zeros included."""
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+@st.composite
+def support_and_nodes(draw):
+    """A coefficient support in Z^d, made symmetric or not, and nodes X."""
+    d = draw(st.integers(1, 3))
+    keys = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1,
+                         max_size=6, unique=True))
+    symmetric = draw(st.booleans())
+    if symmetric:
+        keys = sorted(set(keys) | {tuple(-v for v in k) for k in keys})
+    m = draw(st.sampled_from([1, 7, 512]))
+    X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
+        -1.0, 2.0, (m, d))
+    # exact zeros of k.x: the origin, a negative zero, equal coordinates
+    special = [[0.0] * d, [-0.0] * d, [0.5] * d,
+               draw(st.lists(st.floats(-4, 4), min_size=d, max_size=d))]
+    X[:min(m, 4)] = special[:min(m, 4)]
+    return d, keys, symmetric, X
+
+
+coefficient = st.complex_numbers(min_magnitude=1e-3, max_magnitude=2.0,
+                                 allow_nan=False, allow_infinity=False)
+
+
+class TestHalfTablePhases:
+    """On a symmetric index table eval_many runs exp over the indices k > 0
+    only; every bit must match exp over the whole table."""
+
+    @given(support_and_nodes(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_trig_poly_matches_all_exp(self, case, data):
+        d, keys, symmetric, X = case
+        p = TrigPoly(d, {k: data.draw(coefficient) for k in keys})
+        assert symmetric <= (p._half is not None)
+        phases = np.exp(TWO_PI_I * (X @ p._ks.T))
+        assert same_bits(_phases(X, p._ks, p._half), phases)
+        assert same_bits(p.eval_many(X), phases @ p._cs)
+
+    @given(support_and_nodes(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_trig_poly_matrix_matches_all_exp(self, case, data):
+        d, keys, symmetric, X = case
+        A = TrigPolyMatrix(d, {k: [[data.draw(coefficient) for _ in range(2)]
+                                   for _ in range(2)] for k in keys}, rho=0.5)
+        assert symmetric <= (A._half is not None)
+        ref = np.einsum("mn,nij->mij",
+                        np.exp(TWO_PI_I * (X @ A._ks.T)), A._cs)
+        assert same_bits(A.eval_many(X), ref)
+
+    def test_sweep_of_small_batches_matches_all_exp(self):
+        # single nodes in d >= 2: here BLAS gives some pairs of columns sums
+        # that are not exact negatives, which _phases must detect
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            d = int(rng.integers(2, 4))
+            keys = {tuple(int(v) for v in rng.integers(-4, 5, d))
+                    for _ in range(rng.integers(1, 8))}
+            keys |= {tuple(-v for v in k) for k in keys}
+            p = TrigPoly(d, {k: complex(*rng.uniform(-2, 2, 2))
+                             for k in keys})
+            for m in (1, 7):
+                X = rng.uniform(-1.0, 2.0, (m, d))
+                phases = np.exp(TWO_PI_I * (X @ p._ks.T))
+                assert same_bits(_phases(X, p._ks, p._half), phases)
+                assert same_bits(p.eval_many(X), phases @ p._cs)
+
+    @pytest.mark.parametrize("m", [512, 65536])
+    def test_named_cocycles_match_all_exp(self, m):
+        X = (np.arange(m)[:, None] + 0.5) / m
+        omega = Frequency((GOLDEN,))
+        v = TrigPoly.cosine((1,), 4.0)
+        a = TrigPoly.constant(1, 1.0) + TrigPoly.cosine((1,), 0.5)
+        X2 = np.random.default_rng(m).random((m, 2))
+        v2 = TrigPoly.cosine((1, 0), 2.0) + TrigPoly.cosine((0, 1))
+        for A, pts in ((amo(3.0, 0.3), X), (jacobi(v, a, 0.3, omega), X),
+                       (schrodinger(v2, 0.3, d=2), X2)):
+            assert A._half is not None
+            ref = np.einsum("mn,nij->mij",
+                            np.exp(TWO_PI_I * (pts @ A._ks.T)), A._cs)
+            assert same_bits(A.eval_many(pts), ref)
 
 
 class TestMatrixAlgebra:

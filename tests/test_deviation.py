@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -305,6 +306,26 @@ class TestCSV:
         values = np.random.default_rng(0).standard_normal(shape)
         report = fourier_coeffs(Profile.from_values(values), 4)
         assert coeffs_to_csv(report) == coeffs_csv_row_loop(report)
+
+    def test_coeffs_csv_bytes_match_row_loop_over_blocks(self):
+        # more rows than coeffs_to_csv converts at once, in shuffled k order
+        values = np.random.default_rng(1).standard_normal(3 * 4096 + 5)
+        report = fourier_coeffs(Profile.from_values(values), 4)
+        assert coeffs_to_csv(report) == coeffs_csv_row_loop(report)
+
+    def test_coeffs_csv_non_finite_parts_match_row_loop(self):
+        values = np.random.default_rng(2).standard_normal((16, 16))
+        report = fourier_coeffs(Profile.from_values(values), 4)
+        special = [complex(math.inf, 0.0), complex(-math.inf, math.nan),
+                   complex(math.nan, 1.0), complex(0.5, -math.inf),
+                   complex(-0.0, -0.0), complex(1.7e308, 1.7e308),
+                   complex(5e-324, -5e-324)]
+        coeffs = report.coeffs.copy()
+        coeffs.reshape(-1)[:len(special)] = special
+        report = dataclasses.replace(report, coeffs=coeffs)
+        text = coeffs_to_csv(report)
+        assert text == coeffs_csv_row_loop(report)
+        assert ",inf,nan,inf\n" not in text and ",-inf,nan,inf\n" in text
 
     def test_profile_csv_layout(self):
         p = profile(amo_cocycle(), 3, 8)
