@@ -8,8 +8,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import ScanTooLarge
+
 # Norm floor below which a running product counts as underflowed.
 UNDERFLOW_FLOOR = 1e-300
+
+# Memory guard for explicit node sets.
+MAX_NODES = 1 << 22
 
 _max_workers = 1
 
@@ -32,23 +37,44 @@ def set_max_workers(n: int) -> None:
     _max_workers = max(1, int(n))
 
 
-def map_chunked(fn, arr: np.ndarray, workers: int | None = None) -> list:
+def map_chunked(fn, arr: np.ndarray) -> list:
     """Apply fn to row-chunks of arr, in order, optionally on a thread pool.
 
-    The worker count is capped at the number of cores: more threads than
-    cores cannot run at once, and each one costs an OS thread. It is also
-    capped at one worker per MIN_ROWS_PER_WORKER rows, below which a chunk's
-    numpy calls are too short for the threads to overlap.
+    The worker count is set_max_workers's value, capped at the number of
+    cores: more threads than cores cannot run at once, and each one costs an
+    OS thread. It is also capped at one worker per MIN_ROWS_PER_WORKER rows,
+    below which a chunk's numpy calls are too short for the threads to
+    overlap.
     """
-    w = _max_workers if workers is None else max(1, int(workers))
     n = arr.shape[0]
-    w = min(w, os.cpu_count() or 1, n // MIN_ROWS_PER_WORKER)
+    w = min(_max_workers, os.cpu_count() or 1, n // MIN_ROWS_PER_WORKER)
     if w <= 1:
         return [fn(arr)]
     bounds = [round(i * n / w) for i in range(w + 1)]
     chunks = [arr[bounds[i]:bounds[i + 1]] for i in range(w)]
     with ThreadPoolExecutor(max_workers=w) as pool:
         return list(pool.map(fn, chunks))
+
+
+def grid(d: int, M: int, offset: float = 0.0) -> np.ndarray:
+    """The M^d nodes of T^d with coordinates (i + offset)/M, i = 0..M-1, as an
+    (M^d, d) array in row-major order (the last coordinate varies fastest).
+
+    Raises ScanTooLarge before allocating anything past MAX_NODES nodes.
+    """
+    if M ** d > MAX_NODES:
+        raise ScanTooLarge(f"{M ** d} grid nodes exceeds guard {MAX_NODES}")
+    axis = (np.arange(M) + offset) / M
+    grids = np.meshgrid(*(axis,) * d, indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, d)
+
+
+def dyadic_grid(d: int, M: int) -> np.ndarray:
+    """grid(d, M) for M a power of two: every node i/M is exact, so an integer
+    map of the torus sends nodes exactly onto nodes."""
+    if M < 1 or (M & (M - 1)) != 0:
+        raise ValueError("grid size must be a power of two")
+    return grid(d, M)
 
 
 def _disc_2x2(a, b, c, d):

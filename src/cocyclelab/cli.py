@@ -21,10 +21,12 @@ run on a thread pool, with N capped at the core count.
 Exit codes: 0 success; 2 a ConfigError from loading, building (say a cocycle
 whose dimension differs from the frequency's) or a handler (say a missing
 block, a grid size M that is not a power of two, a ladder frequency that is
-NaN or infinite, or a cov matrix B that is not square, unimodular and of the
-frequency's dimension); 3 a CocycleLabError, ValueError, ArithmeticError or
-KeyError raised while the library runs. Both write a JSON record to stderr;
-exit 3 also writes it to <out>/error.json.
+NaN or infinite, a cov matrix B that is not square, unimodular and of the
+frequency's dimension, an le-limit schedule that is not strictly increasing,
+a fourier K0 not below M/2, or an example-discontinuity k of zeros); 3 a
+CocycleLabError, ValueError, ArithmeticError or KeyError raised while the
+library runs. Both write a JSON record to stderr; exit 3 also writes it to
+<out>/error.json.
 """
 
 import argparse
@@ -530,7 +532,11 @@ def _run_le(inp: Inputs):
 
 
 def _run_le_limit(inp: Inputs):
-    res = le_extrapolate(inp.C, inp.p["schedule"], inp.quad)
+    schedule = inp.p["schedule"]
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ConfigError(f"params.schedule = {schedule} is not strictly "
+                          "increasing")
+    res = le_extrapolate(inp.C, schedule, inp.quad)
     payload = {"limit": res.limit, "increments": list(res.increments),
                "rows": _le_rows(res.table)}
     return payload, le_table_to_csv(res.table)
@@ -632,9 +638,12 @@ def _run_l2(inp: Inputs):
 
 def _run_fourier(inp: Inputs):
     p = inp.p
-    prof = profile(inp.C, int(p["N"]), _grid_size(p),
+    M, K0 = _grid_size(p), int(p["K0"])
+    if K0 >= M // 2:
+        raise ConfigError(f"params.K0 = {K0} is not below M/2 = {M // 2}")
+    prof = profile(inp.C, int(p["N"]), M,
                    renormalize_first=bool(p.get("renormalize_first", True)))
-    rep = fourier_coeffs(prof, int(p["K0"]))
+    rep = fourier_coeffs(prof, K0)
     payload = {"N": int(p["N"]), "M": rep.M, "K0": rep.K0,
                "clip_level": rep.clip_level, "clipped_count": rep.clipped_count,
                "k0_coeff": rep.k0_coeff, "parseval_lhs": rep.parseval_lhs,
@@ -703,6 +712,8 @@ def _run_cov(inp: Inputs):
 def _run_example_discontinuity(inp: Inputs):
     p, omega = inp.p, inp.omega
     k = tuple(int(v) for v in p["k"])
+    if not any(k):
+        raise ConfigError(f"params.k = {list(k)} must be nonzero")
     C = Cocycle(DiscontinuityExample(k), omega)
     M = int(p.get("M", 4096))
     quad = QuadratureSpec(kind="uniform-grid", points_per_dim=M)

@@ -7,9 +7,15 @@ the averaged log-norm (1/N) ln ||A_N(x)||.
 
 Two representations coexist behind one evaluation interface: exact
 trigonometric polynomials (finitely many Fourier coefficients) and pointwise
-analytic evaluators (the determinant-renormalized cocycle and the diagonal
-exponential example, whose entries are not trig polynomials). Anything with
-``d``, ``eval`` and ``eval_many`` can be iterated.
+analytic evaluators (the determinant-renormalized cocycle, the diagonal
+exponential example and the composition with a torus automorphism, whose
+entries are not trig polynomials). Anything with ``d``, ``eval`` and
+``eval_many`` can be iterated. Everything evaluates on the real torus;
+strip_norm is the one evaluator at complex points.
+
+Every orbit product runs through one kernel, _iterate_chunk, entered only
+through iterate_log_norm_many: a batch of starting points, read at one or
+several step counts of a single orbit. iterate_log_norm is its one-point case.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import UNDERFLOW_FLOOR, PairwiseSum, det_2x2, map_chunked, op_norm_2x2
+from ._util import UNDERFLOW_FLOOR, PairwiseSum, det_2x2, grid, map_chunked, op_norm_2x2
 from .errors import IdenticallySingular, OutsideStrip, Singular
 from .torus import Automorphism, Frequency
 
@@ -239,16 +245,6 @@ class TrigPolyMatrix:
             raise ValueError(f"point has dimension {x.shape[0]}, expected {self.d}")
         return self.eval_many(x.reshape(1, -1))[0]
 
-    def eval_strip(self, z) -> np.ndarray:
-        """A(z) for complex z with |Im z_j| <= rho."""
-        z = np.asarray(z, dtype=complex).reshape(-1)
-        if z.shape[0] != self.d:
-            raise ValueError(f"point has dimension {z.shape[0]}, expected {self.d}")
-        if np.max(np.abs(z.imag)) > self.rho + 1e-12:
-            raise OutsideStrip(f"|Im z| = {np.max(np.abs(z.imag))} exceeds rho = {self.rho}")
-        phases = np.exp(TWO_PI_I * (self._ks @ z))
-        return np.einsum("n,nij->ij", phases, self._cs)
-
     def __matmul__(self, other: "TrigPolyMatrix") -> "TrigPolyMatrix":
         out: dict = {}
         for k1, m1 in self.coeffs.items():
@@ -272,15 +268,6 @@ class TrigPolyMatrix:
         return TrigPolyMatrix(self.d, {k: s * m for k, m in self.coeffs.items()},
                               self.rho)
 
-    def compose(self, B: Automorphism) -> "TrigPolyMatrix":
-        """(A o B)(x) = A(Bx), exactly, by reindexing k -> B^T k."""
-        Bt = B.as_array().T
-        out: dict = {}
-        for k, m in self.coeffs.items():
-            kk = tuple(int(v) for v in Bt @ np.array(k, dtype=np.int64))
-            out[kk] = out.get(kk, 0) + m
-        return TrigPolyMatrix(self.d, out, self.rho)
-
 
 def det_scalar(A: TrigPolyMatrix) -> TrigPoly:
     """det A(x) as an exact trig polynomial (coefficient convolution)."""
@@ -300,14 +287,14 @@ def strip_norm(A: TrigPolyMatrix, B: TrigPolyMatrix, rho: float,
     By the per-variable maximum principle the sup sits on the 2^d corner faces
     Im z_j = +-rho; those faces are sampled on a uniform grid, plus the real
     torus as a degenerate face. The sample count is reported alongside.
+    Each face is a points_per_dim^d grid, so past MAX_NODES nodes this raises
+    ScanTooLarge before sampling.
     """
     if A.rho < rho - 1e-12 or B.rho < rho - 1e-12:
         raise OutsideStrip(f"strip radius {rho} exceeds a declared budget")
     D = A - B
     d = A.d
-    grids = np.meshgrid(*(np.arange(points_per_dim) / points_per_dim,) * d,
-                        indexing="ij")
-    X = np.stack(grids, axis=-1).reshape(-1, d)
+    X = grid(d, points_per_dim)
     best = 0.0
     ims = [np.zeros(d)]
     for signs in np.ndindex(*(2,) * d):
@@ -390,15 +377,6 @@ class DiscontinuityExample:
     def eval(self, x) -> np.ndarray:
         return self.eval_many(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
-    def eval_strip(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex).reshape(-1)
-        lam = np.exp(TWO_PI_I * complex(np.dot(self.k, z))) * self.scale
-        return np.array([[np.exp(lam), 0.0], [0.0, np.exp(-lam)]], dtype=complex)
-
-
-def discontinuity_example(k: Sequence[int]) -> DiscontinuityExample:
-    return DiscontinuityExample(k)
-
 
 class ComposedMatrix:
     """(A o B)(x) = A(Bx) for an integer automorphism B, evaluated pointwise."""
@@ -445,7 +423,6 @@ class LogNormResult:
 
     log_norm_avg: float
     underflowed: bool
-    partial_logs: Optional[list] = None
 
 
 def _left_multiply(mats: np.ndarray, U: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -461,8 +438,7 @@ def _left_multiply(mats: np.ndarray, U: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
-def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray,
-                   step_logs: Optional[list] = None):
+def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray):
     """The orbit-product kernel: (avg, steps) for a batch of m starting points.
 
     The running products live in one (2, 2, m) array, entry-major with the
@@ -473,8 +449,7 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
     bit-identical to that of a reads[r]-step orbit. steps[i] is the number
     of steps node i completed before its product underflowed (the orbit
     length if it never did); from then on the node carries the identity and
-    adds 0 to its log sum. If step_logs is a list, each step's log factors
-    are appended to it.
+    adds 0 to its log sum.
     """
     m = X.shape[0]
     N = reads[-1]
@@ -499,10 +474,7 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
         # U / s would promote s to complex, and numpy's complex division with
         # a zero imaginary part multiplies by 1/s: same bits, lower cost.
         U *= 1.0 / s
-        logs = np.log(s)
-        acc.add(logs)
-        if step_logs is not None:
-            step_logs.append(logs)
+        acc.add(np.log(s))
         if reads[r] == j + 1:
             # total() leaves the levels as they are, so the orbit goes on
             avg[r] = acc.total() / (j + 1)
@@ -546,22 +518,15 @@ def iterate_log_norm_many(C: Cocycle, N: int, X: np.ndarray,
     return avg[rows], steps < np.array(want)[:, None]
 
 
-def iterate_log_norm(C: Cocycle, N: int, x, collect_partial: bool = False) -> LogNormResult:
-    """(1/N) ln ||A_N(x, omega)|| with per-step renormalization.
+def iterate_log_norm(C: Cocycle, N: int, x) -> LogNormResult:
+    """(1/N) ln ||A_N(x, omega)|| at one point x: iterate_log_norm_many on one row.
 
     Underflow (zero or sub-1e-300 intermediate product) is reported via the
-    flag, not raised; the average is -inf in that case. collect_partial
-    returns the log factors of the steps completed before any underflow.
+    flag, not raised; the average is -inf in that case.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    step_logs = [] if collect_partial else None
-    avg, steps = _iterate_chunk(C.A, C.omega.as_array(), [N], x, step_logs)
-    under = bool(steps[0] < N)
-    partial = None if step_logs is None else [float(v[0]) for v in step_logs[:steps[0]]]
-    return LogNormResult(log_norm_avg=-math.inf if under else float(avg[0, 0]),
-                         underflowed=under, partial_logs=partial)
+    avg, under = iterate_log_norm_many(C, N, np.asarray(x, dtype=float).reshape(1, -1))
+    return LogNormResult(log_norm_avg=-math.inf if under[0] else float(avg[0]),
+                         underflowed=bool(under[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -631,35 +596,3 @@ def jacobi_periodic(v, a, v_per: Sequence[float], E: float, omega: Frequency,
             rho)
         prod = factor if prod is None else factor @ prod
     return prod
-
-
-# ---------------------------------------------------------------------------
-# Serialization (bit-exact round trip of doubles)
-# ---------------------------------------------------------------------------
-
-def matrix_to_json_dict(A: TrigPolyMatrix) -> dict:
-    coeffs = []
-    for k in sorted(A.coeffs):
-        m = A.coeffs[k]
-        flat = []
-        for i in range(2):
-            for j in range(2):
-                flat.append([float(m[i, j].real), float(m[i, j].imag)])
-        coeffs.append({"k": list(k), "m": flat})
-    return {"d": A.d, "degree": A.degree, "rho": A.rho, "coeffs": coeffs}
-
-
-def matrix_from_json_dict(doc: dict) -> TrigPolyMatrix:
-    d = int(doc["d"])
-    coeffs = {}
-    for item in doc["coeffs"]:
-        k = tuple(int(v) for v in item["k"])
-        m = np.zeros((2, 2), dtype=complex)
-        flat = item["m"]
-        for idx in range(4):
-            m[idx // 2, idx % 2] = complex(flat[idx][0], flat[idx][1])
-        coeffs[k] = m
-    out = TrigPolyMatrix(d, coeffs, float(doc["rho"]))
-    if out.degree != int(doc["degree"]):
-        raise ValueError(f"declared degree {doc['degree']} != actual {out.degree}")
-    return out

@@ -18,23 +18,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._util import CSV_BLOCK, csv_text, det_2x2, pairwise_total
+from ._util import CSV_BLOCK, csv_text, det_2x2, dyadic_grid, pairwise_total
 from .cocycle import Cocycle, TrigPoly, iterate_log_norm_many, renormalize
-from .errors import IdenticallyZero, ScanTooLarge
-from .lyapunov import MAX_NODES, QuadratureSpec
+from .errors import IdenticallyZero
+from .lyapunov import DEFAULT_CLIP_FLOOR, QuadratureSpec
 from .torus import dist_to_Z
 
 SENTINEL = -math.inf
-
-
-def _integer_grid(d: int, M: int) -> np.ndarray:
-    if M < 1 or (M & (M - 1)) != 0:
-        raise ValueError("grid size must be a power of two")
-    if M ** d > MAX_NODES:
-        raise ScanTooLarge(f"{M ** d} grid nodes exceeds guard {MAX_NODES}")
-    axis = np.arange(M) / M
-    grids = np.meshgrid(*(axis,) * d, indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, d)
 
 
 def _sample(C: Cocycle, N: int, X: np.ndarray, renormalize_first: bool,
@@ -96,7 +86,7 @@ class Profile:
 def _profiles(C: Cocycle, Ns: Sequence[int], M: int,
               renormalize_first: bool) -> List[Profile]:
     """One Profile per scale in Ns, all read from one orbit run to max(Ns)."""
-    X = _integer_grid(C.d, M)
+    X = dyadic_grid(C.d, M)
     avg, under = _sample(C, max(Ns), X, renormalize_first, at=Ns)
     shape = (M,) * C.d
     return [Profile(d=C.d, M=M, N=N, values=np.where(u, SENTINEL, a).reshape(shape),
@@ -200,7 +190,7 @@ def cdt_empirical(C: Cocycle, N: int, a, kappa: float, M: int,
     it exceeds 1 the estimate is flagged vacuous but still computed.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
-    X = _integer_grid(C.d, M)
+    X = dyadic_grid(C.d, M)
     base, under0 = _sample(C, N, X, renormalize_first)
     shifted, under1 = _sample(C, N, (X + a) % 1.0, renormalize_first)
     keep = ~(under0 | under1)
@@ -223,7 +213,7 @@ def shift_drift_empirical(C: Cocycle, N: int, a_exponent: float, M: int,
     """
     if not (0.0 < a_exponent < 1.0):
         raise ValueError("a_exponent must lie in (0, 1)")
-    X = _integer_grid(C.d, M)
+    X = dyadic_grid(C.d, M)
     base, under0 = _sample(C, N, X, renormalize_first)
     shifted, under1 = _sample(C, N, (X + C.omega.as_array()) % 1.0,
                               renormalize_first)
@@ -258,7 +248,7 @@ def lojasiewicz_fit(g: TrigPoly, t_grid: Sequence[float], M: int) -> LojFit:
         raise ValueError("t_grid must be positive")
     if any(b >= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_grid must be strictly decreasing")
-    X = _integer_grid(g.d, M)
+    X = dyadic_grid(g.d, M)
     mag = np.abs(g.eval_many(X))
     total = mag.size
     estimates = []
@@ -293,8 +283,7 @@ class L2Report:
 
 
 def l2_uniform_check(C: Cocycle, N_list: Sequence[int], M: int,
-                     renormalize_first: bool = True,
-                     clip_floor: float = math.exp(-700.0)) -> L2Report:
+                     renormalize_first: bool = True) -> L2Report:
     profiles = _profiles(C, [int(N) for N in N_list], M, renormalize_first)
     rows = [(p.N, p.rms, p.excised_mass) for p in profiles]
     # det rms is an integral statistic, so it uses midpoint nodes: the
@@ -302,7 +291,7 @@ def l2_uniform_check(C: Cocycle, N_list: Sequence[int], M: int,
     # the resulting ln^2 spikes make the value drift with M
     X = QuadratureSpec(points_per_dim=M).nodes(C.d)
     det = det_2x2(C.A.eval_many(X))
-    logs = np.log(np.maximum(np.abs(det), clip_floor))
+    logs = np.log(np.maximum(np.abs(det), DEFAULT_CLIP_FLOOR))
     det_rms = math.sqrt(float(np.mean(logs ** 2)))
     col = [r[1] for r in rows]
     ratio = max(col) / min(col) if min(col) > 0 else math.inf
@@ -313,12 +302,6 @@ def l2_uniform_check(C: Cocycle, N_list: Sequence[int], M: int,
 # ---------------------------------------------------------------------------
 # CSV emitters
 # ---------------------------------------------------------------------------
-
-def profile_to_csv(p: Profile) -> str:
-    X = _integer_grid(p.d, p.M)
-    return csv_text([f"x{i + 1}" for i in range(p.d)] + ["value"],
-                    ((*x, v) for x, v in zip(X, p.values.reshape(-1))))
-
 
 def coeffs_to_csv(report: FourierReport) -> str:
     ks = report.ks.reshape(-1, report.d)

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._util import csv_text, det_2x2, halton, pairwise_total
+from ._util import MAX_NODES, csv_text, det_2x2, grid, halton, pairwise_total
 from .cocycle import (
     Cocycle,
     TrigPolyMatrix,
@@ -33,9 +33,6 @@ from .cocycle import (
     strip_norm,
 )
 from .errors import AllSamplesSingular, IdenticallySingular, ScanTooLarge
-
-# Memory guard for explicit node sets.
-MAX_NODES = 1 << 22
 
 DEFAULT_CLIP_FLOOR = math.exp(-700.0)
 
@@ -78,10 +75,7 @@ class QuadratureSpec:
         if n > MAX_NODES:
             raise ScanTooLarge(f"{n} quadrature nodes exceeds guard {MAX_NODES}")
         if self.kind == "uniform-grid":
-            M = self.points_per_dim
-            axis = (np.arange(M) + 0.5) / M
-            grids = np.meshgrid(*(axis,) * d, indexing="ij")
-            return np.stack(grids, axis=-1).reshape(-1, d)
+            return grid(d, self.points_per_dim, 0.5)
         if self.kind == "low-discrepancy":
             return halton(n, d)
         return np.random.default_rng(self.seed).random((n, d))
@@ -152,16 +146,15 @@ def L_prime_N(C: Cocycle, N: int, quad: Optional[QuadratureSpec] = None) -> LEEs
     return le_table(C, [N], quad)[0]
 
 
-def L_N_renormalized(C: Cocycle, N: int, quad: Optional[QuadratureSpec] = None,
-                     floor: float = 1e-300) -> LEEstimate:
+def L_N_renormalized(C: Cocycle, N: int,
+                     quad: Optional[QuadratureSpec] = None) -> LEEstimate:
     """L_N(A, omega): L'_N of the pointwise-renormalized cocycle A/|det A|^{1/2}.
 
     Computed by iterating the renormalized evaluator directly, not by
     correcting L'_N with the determinant integral; the two routes are compared
-    in tests and experiments, never merged.
+    in tests and experiments, never merged. See le_table.
     """
-    rn = renormalize(C.A, floor=floor)
-    return le_table(Cocycle(rn, C.omega), [N], quad)[0]
+    return le_table(C, [N], quad, renormalized=True)[0]
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ._util import pairwise_total
+from ._util import dyadic_grid, pairwise_total
 from .cocycle import Cocycle, ComposedMatrix, iterate_log_norm_many
-from .deviation import _integer_grid
 from .errors import (AllSamplesSingular, GateFailed, InconsistentDelta,
                      PreconditionFailed, ScanTooLarge)
 # L_prime_N, L_N_renormalized: not called here; perfbench/tracer.py wraps them by name
@@ -425,7 +424,7 @@ def cov_invariance_check(C: Cocycle, B: Automorphism, N: int, M: int) -> float:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    X = _integer_grid(C.d, M)
+    X = dyadic_grid(C.d, M)
     a1, u1 = iterate_log_norm_many(C, N, X)
     comp = Cocycle(ComposedMatrix(C.A, B), B.inverse_map_frequency(C.omega))
     a2, u2 = iterate_log_norm_many(comp, N, X)

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 
 import jsonschema
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 import yaml
 from jsonschema.validators import validator_for
 
+import cocyclelab
 from cocyclelab._util import CSV_BLOCK, csv_text, fmt17
 from cocyclelab.cli import (
     _TRIGPOLY_DEFS,
@@ -427,6 +432,15 @@ CONFIG_ERRORS = {
     "cov-B-dimension-mismatch": dict(
         COV, params=dict(COV["params"],
                          B=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])),
+    "le-limit-schedule-not-increasing": {
+        "experiment": "le-limit", "cocycle": AMO, "frequency": [GOLDEN],
+        "quadrature": GRID16, "params": {"schedule": [10, 5]}},
+    "example-discontinuity-zero-k": {
+        "experiment": "example-discontinuity", "frequency": [0.0],
+        "params": {"k": [0], "N_list": [1], "M": 64}},
+    "fourier-K0-not-below-half-M": {
+        "experiment": "fourier", "cocycle": AMO, "frequency": [GOLDEN],
+        "params": {"N": 3, "M": 32, "K0": 16}},
 }
 
 
@@ -440,6 +454,37 @@ def test_config_error_exits_2_without_error_json(tmp_path, capsys, case):
     assert record["error"] == "ConfigError"
     assert record["experiment"] == cfg["experiment"]
     assert len(record["config_sha256"]) == 64
+
+
+def test_strip_norm_grid_past_the_guard_exits_3(tmp_path):
+    # continuity on T^3 samples each strip face on a 256^3 grid: 2^24 nodes,
+    # four times MAX_NODES. The guard must refuse it before allocating.
+    cfg = {"experiment": "continuity",
+           "cocycle": {"kind": "schrodinger", "E": 0.3,
+                       "v": {"cos": [1, 0, 0], "amp": 3.0}},
+           "frequency": [GOLDEN, 2**0.5 - 1, 10**0.5 - 3],
+           "quadrature": {"kind": "low-discrepancy", "total_points": 64},
+           "params": {"N": 2, "amplitudes": [0.1]}}
+    path = write_config(tmp_path, "cfg.yaml", cfg)
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(cocyclelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    # 2 GiB of address space: a grid built past the guard fails with
+    # MemoryError instead of exhausting the host
+    limited_main = ("import resource, sys; "
+                    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+                    "from cocyclelab.cli import main; sys.exit(main(sys.argv[1:]))")
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", limited_main, "continuity", "--config", path,
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - t0 < 30
+    assert proc.returncode == 3, proc.stderr
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ScanTooLarge"
+    assert record["message"] == "16777216 grid nodes exceeds guard 4194304"
 
 
 # One small run per subcommand: (config, CSV header line or None).

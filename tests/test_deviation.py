@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from cocyclelab._util import fmt17, to_json_text
+from cocyclelab._util import dyadic_grid, fmt17, to_json_text
 from cocyclelab.cocycle import (
     Cocycle,
+    DiscontinuityExample,
     TrigPoly,
     TrigPolyMatrix,
     amo,
-    discontinuity_example,
     iterate_log_norm_many,
     jacobi,
     renormalize,
@@ -19,7 +19,6 @@ from cocyclelab.deviation import (
     FourierReport,
     MeasureEstimate,
     Profile,
-    _integer_grid,
     cdt_empirical,
     coeffs_to_csv,
     fourier_coeffs,
@@ -27,7 +26,6 @@ from cocyclelab.deviation import (
     ldt_empirical,
     lojasiewicz_fit,
     profile,
-    profile_to_csv,
     shift_drift_empirical,
 )
 from cocyclelab.errors import IdenticallyZero, ScanTooLarge
@@ -54,7 +52,7 @@ class TestProfile:
         assert p.mean == math.log(2.0)
 
     def test_resonant_discontinuity_closed_form(self):
-        c = Cocycle(discontinuity_example((1,)), Frequency((0.0,)))
+        c = Cocycle(DiscontinuityExample((1,)), Frequency((0.0,)))
         p = profile(c, 7, 256)
         x = np.arange(256) / 256
         want = math.exp(-2 * math.pi) * np.abs(np.cos(2 * np.pi * x))
@@ -262,7 +260,7 @@ class TestL2Uniform:
     def test_rows_match_one_profile_per_N(self, renormalize_first):
         # the per-N loop l2_uniform_check ran before it read every N from one orbit
         C, N_list, M = jacobi_cos(), (50, 10, 10, 200, 1), 64
-        X = _integer_grid(1, M)
+        X = dyadic_grid(1, M)
         A = renormalize(C.A) if renormalize_first else C.A
         want = []
         for N in N_list:
@@ -326,13 +324,6 @@ class TestCSV:
         text = coeffs_to_csv(report)
         assert text == coeffs_csv_row_loop(report)
         assert ",inf,nan,inf\n" not in text and ",-inf,nan,inf\n" in text
-
-    def test_profile_csv_layout(self):
-        p = profile(amo_cocycle(), 3, 8)
-        lines = profile_to_csv(p).strip().split("\n")
-        assert lines[0] == "x1,value"
-        assert len(lines) == 9
-        assert lines[1].startswith("0,")
 
     def test_coeffs_csv_sorted_by_k(self):
         p = Profile.from_values(np.cos(2 * np.pi * np.arange(16) / 16))

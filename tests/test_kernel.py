@@ -15,8 +15,11 @@ import pytest
 
 from cocyclelab import _util
 from cocyclelab._util import (
+    MAX_NODES,
     UNDERFLOW_FLOOR,
     PairwiseSum,
+    dyadic_grid,
+    grid,
     map_chunked,
     op_norm_2x2,
     set_max_workers,
@@ -34,6 +37,8 @@ from cocyclelab.cocycle import (
     renormalize,
     schrodinger,
 )
+from cocyclelab.errors import ScanTooLarge
+from cocyclelab.lyapunov import QuadratureSpec
 from cocyclelab.torus import Frequency
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -280,19 +285,44 @@ def test_reads_at_are_checked():
 
 # Starting points whose orbit survives 40 steps (None) or underflows at the
 # given step, so the partial logs are the whole orbit, empty, or cut short.
+# Reading one orbit at every step count n gives the partial sums n * avg[n].
 @pytest.mark.parametrize("x, dies_at", [(0.15, None), (0.3, 0), (0.4, 28)])
 def test_collect_partial_matches_scalar_loop(x, dies_at):
     C = _excising(G1, floor=0.05)
     want_logs, want_under = ref_partial_logs(C.A, C.omega.as_array(), 40, (x,))
     assert want_under == (dies_at is not None)
     assert len(want_logs) == (40 if dies_at is None else dies_at)
-    r = iterate_log_norm(C, 40, (x,), collect_partial=True)
-    assert r.underflowed == want_under
-    assert r.partial_logs == pytest.approx(want_logs, rel=1e-12, abs=1e-14)
-    if want_under:
-        assert r.log_norm_avg == -math.inf
-    else:
-        assert r.log_norm_avg == iterate_log_norm(C, 40, (x,)).log_norm_avg
+    avg, under = iterate_log_norm_many(C, 40, np.array([[x]]), at=range(1, 41))
+    ns = np.arange(1, 41)
+    assert np.array_equal(under[:, 0], ns > len(want_logs))
+    alive = ns[~under[:, 0]]
+    got = alive * avg[alive - 1, 0]
+    want = np.cumsum(want_logs)[alive - 1]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+# iterate_log_norm is a one-row iterate_log_norm_many; an underflowed orbit
+# reads -inf. The nilpotent constant dies at its second step.
+ONE_POINT = {
+    "amo": (lambda: Cocycle(amo(3.0, 0.3), G1), (0.37,)),
+    "excising-survives": (lambda: _excising(G1, floor=0.05), (0.15,)),
+    "excising-dies": (lambda: _excising(G1, floor=0.05), (0.4,)),
+    "schrodinger-2d": (lambda: Cocycle(schrodinger(_v2(), 0.2, d=2), G2), (0.21, 0.83)),
+    "nilpotent-2d": (lambda: Cocycle(TrigPolyMatrix.constant(2, [[0, 1], [0, 0]]), G2),
+                     (0.5, 0.25)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_POINT))
+def test_iterate_log_norm_is_one_row_of_the_batch(name):
+    make, x = ONE_POINT[name]
+    C = make()
+    r = iterate_log_norm(C, 40, x)
+    avg, under = iterate_log_norm_many(C, 40, np.array([x]))
+    assert r.underflowed is bool(under[0])
+    assert r.underflowed == (name.endswith("dies") or name.startswith("nilpotent"))
+    want = -math.inf if under[0] else float(avg[0])
+    assert r.log_norm_avg.hex() == want.hex()
 
 
 class _RecordingExecutor:
@@ -313,18 +343,16 @@ class _RecordingExecutor:
         return [fn(c) for c in chunks]
 
 
-@pytest.mark.parametrize("via_setting", [False, True])
-def test_map_chunked_caps_workers_at_core_count(monkeypatch, via_setting):
+# A request one above the core count, and one far above it.
+@pytest.mark.parametrize("far_above", [False, True])
+def test_map_chunked_caps_workers_at_core_count(monkeypatch, far_above):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(_util, "ThreadPoolExecutor", _RecordingExecutor)
     _RecordingExecutor.seen = []
     arr = np.arange(65536.0).reshape(-1, 1)
     try:
-        if via_setting:
-            set_max_workers(30000)
-            parts = map_chunked(lambda c: c.sum(), arr)
-        else:
-            parts = map_chunked(lambda c: c.sum(), arr, workers=30000)
+        set_max_workers(30000 if far_above else 5)
+        parts = map_chunked(lambda c: c.sum(), arr)
     finally:
         set_max_workers(1)
     assert _RecordingExecutor.seen == [4]
@@ -339,7 +367,11 @@ def test_map_chunked_needs_min_rows_per_worker(monkeypatch, rows, seen):
     monkeypatch.setattr(_util, "ThreadPoolExecutor", _RecordingExecutor)
     _RecordingExecutor.seen = []
     arr = np.arange(float(rows)).reshape(-1, 1)
-    parts = map_chunked(lambda c: c.shape[0], arr, workers=2)
+    try:
+        set_max_workers(2)
+        parts = map_chunked(lambda c: c.shape[0], arr)
+    finally:
+        set_max_workers(1)
     assert _RecordingExecutor.seen == seen
     assert sum(parts) == rows
     assert min(parts) >= min(rows, _util.MIN_ROWS_PER_WORKER)
@@ -373,3 +405,61 @@ def test_op_norm_of_non_finite_entries_is_non_finite():
     mats[3, 1, 1] = complex(-np.inf, 1e200)
     got = op_norm_2x2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
     assert not np.isfinite(got).any()
+
+
+# ---------------------------------------------------------------------------
+# The grid builder against the three formulas it replaced
+# ---------------------------------------------------------------------------
+
+def ref_midpoint_grid(d, M):
+    """The midpoint grid (i + 1/2)/M of a uniform-grid QuadratureSpec."""
+    axis = (np.arange(M) + 0.5) / M
+    grids = np.meshgrid(*(axis,) * d, indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, d)
+
+
+def ref_integer_grid(d, M):
+    """The integer grid i/M of deviation and cov, without its checks."""
+    axis = np.arange(M) / M
+    grids = np.meshgrid(*(axis,) * d, indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, d)
+
+
+def ref_strip_grid(d, M):
+    """The grid of each face of strip_norm."""
+    grids = np.meshgrid(*(np.arange(M) / M,) * d, indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, d)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("M", [1, 3, 8, 512])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_matches_old_formulas_bitwise(d, M):
+    if M ** d > MAX_NODES:
+        for build in (lambda: grid(d, M), lambda: grid(d, M, 0.5),
+                      lambda: dyadic_grid(d, M),
+                      lambda: QuadratureSpec(points_per_dim=M).nodes(d)):
+            with pytest.raises(ScanTooLarge):
+                build()
+        return
+    assert _same_bits(QuadratureSpec(points_per_dim=M).nodes(d), ref_midpoint_grid(d, M))
+    assert _same_bits(grid(d, M, 0.5), ref_midpoint_grid(d, M))
+    assert _same_bits(grid(d, M), ref_integer_grid(d, M))
+    assert _same_bits(grid(d, M), ref_strip_grid(d, M))
+    if M & (M - 1):
+        with pytest.raises(ValueError, match="power of two"):
+            dyadic_grid(d, M)
+    else:
+        assert _same_bits(dyadic_grid(d, M), ref_integer_grid(d, M))
+
+
+def test_grid_guard_messages():
+    M = 2 ** 11 + 1  # (2^11)^2 is MAX_NODES itself
+    with pytest.raises(ScanTooLarge, match=f"^{M ** 2} grid nodes exceeds guard {MAX_NODES}$"):
+        grid(2, M)
+    with pytest.raises(ScanTooLarge,
+                       match=f"^{M ** 2} quadrature nodes exceeds guard {MAX_NODES}$"):
+        QuadratureSpec(points_per_dim=M).nodes(2)

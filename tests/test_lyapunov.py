@@ -10,8 +10,8 @@ from cocyclelab.cocycle import (
     Cocycle,
     TrigPoly,
     TrigPolyMatrix,
+    DiscontinuityExample,
     amo,
-    discontinuity_example,
     iterate_log_norm_many,
     jacobi,
     renormalize,
@@ -91,14 +91,14 @@ class TestLPrimeN:
     def test_resonant_discontinuity_matches_closed_form(self):
         # omega = 0: the torus average of e^{-2 pi}|cos 2 pi x| is
         # (2/pi) e^{-2 pi}, independent of N
-        c = Cocycle(discontinuity_example((1,)), Frequency((0.0,)))
+        c = Cocycle(DiscontinuityExample((1,)), Frequency((0.0,)))
         want = (2.0 / math.pi) * math.exp(-2.0 * math.pi)
         for N in (1, 10, 100):
             est = L_prime_N(c, N, GRID(4096))
             assert est.value == pytest.approx(want, abs=1e-6)
 
     def test_irrational_discontinuity_decays(self):
-        c = Cocycle(discontinuity_example((1,)), Frequency((GOLDEN,)))
+        c = Cocycle(DiscontinuityExample((1,)), Frequency((GOLDEN,)))
         small = L_prime_N(c, 200, GRID(1024)).value
         smaller = L_prime_N(c, 800, GRID(1024)).value
         assert small <= 1e-2
@@ -372,6 +372,40 @@ def test_le_table_errors():
         le_table(C, [4, 0], GRID(8))
     with pytest.raises(IdenticallySingular):
         le_table(const_cocycle([[0, 1], [0, 0]]), [2], GRID(8), renormalized=True)
+
+
+def _singular_at_half():
+    # det = 1 + cos(2 pi x) is exactly 0 at x = 1/2, a node of every odd grid
+    A = TrigPolyMatrix.from_entries(
+        TrigPoly.constant(1, 1.0) + TrigPoly.cosine((1,)), TrigPoly.constant(1, 0.5),
+        TrigPoly(1, {}), TrigPoly.constant(1, 1.0), rho=0.5)
+    return Cocycle(A, Frequency((GOLDEN,)))
+
+
+# (value, stderr, excised_mass) as float.hex, computed when L_N_renormalized
+# still renormalized with its own floor argument and called le_table itself
+RENORMALIZED_BITS = [
+    (_jacobi_g1, 40, GRID(64),
+     ("0x1.9618c5ce55c38p-1", "0x1.511c7973e4900p-8", "0x0.0p+0")),
+    (lambda: Cocycle(jacobi(TrigPoly.cosine((1,), 0.7),
+                            TrigPoly(1, {(0,): 1.0, (1,): 0.3}), 0.4,
+                            Frequency((3 / 16,))), Frequency((3 / 16,))),
+     64, GRID(256),
+     ("0x1.a9152d0f2f00cp-10", "0x1.20137a1ee36b6p-15", "0x0.0p+0")),
+    (lambda: Cocycle(schrodinger(TrigPoly.cosine((1, 0), 2.0)
+                                 + TrigPoly.cosine((0, 1), 1.0), 0.2).scaled(1.5 + 0.5j),
+                     Frequency((GOLDEN, 2 ** 0.5 - 1))),
+     12, QuadratureSpec(kind="low-discrepancy", total_points=300),
+     ("0x1.26935c59ae8a0p-2", "0x1.3d011d7ad4970p-7", "0x0.0p+0")),
+    (_singular_at_half, 5, GRID(9),
+     ("0x1.a1d2d23720d10p-2", "0x1.4f79fc4ab5b4dp-5", "0x1.c71c71c71c720p-4")),
+]
+
+
+@pytest.mark.parametrize("make, N, quad, want", RENORMALIZED_BITS)
+def test_L_N_renormalized_bits_unchanged(make, N, quad, want):
+    e = L_N_renormalized(make(), N, quad)
+    assert (e.value.hex(), e.stderr.hex(), e.excised_mass.hex()) == want
 
 
 def test_one_scale_estimators_are_le_table_entries():
