@@ -714,6 +714,9 @@ def _run_example_discontinuity(inp: Inputs):
     k = tuple(int(v) for v in p["k"])
     if not any(k):
         raise ConfigError(f"params.k = {list(k)} must be nonzero")
+    if len(k) != omega.d:
+        raise ConfigError(f"params.k = {list(k)} has length {len(k)} but the "
+                          f"frequency has d={omega.d}")
     C = Cocycle(DiscontinuityExample(k), omega)
     M = int(p.get("M", 4096))
     quad = QuadratureSpec(kind="uniform-grid", points_per_dim=M)

@@ -6,7 +6,7 @@ class CocycleLabError(Exception):
 
 
 class ScanTooLarge(CocycleLabError):
-    """A lattice scan would exceed the brute-force guard (K**d > 1e9)."""
+    """A lattice scan would exceed the scan guard (K**d > 1e9)."""
 
 
 class NotCoprime(CocycleLabError):

@@ -261,7 +261,7 @@ def induction_schedule(omega1: Optional[Frequency], omega2: Optional[Frequency],
 
     The trace is a plan, not a proof. It halts with a named cause when the
     admissible-scale boundary is crossed, when the omega2 block is exhausted,
-    or when the next scan exceeds the brute-force guard. Budgets K_s^(-c) are
+    or when the next scan exceeds the scan guard. Budgets K_s^(-c) are
     recorded per round; their sum is dominated by a geometric series.
     """
     if q0 < 1 or K0 < 1 or N0 < 1:

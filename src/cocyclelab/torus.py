@@ -1,20 +1,28 @@
 """Frequency arithmetic on the d-torus.
 
-Distance-to-integer norms, brute-force Diophantine scans, rational-dependence
+Distance-to-integer norms, exact Diophantine scans, rational-dependence
 detection, and integer unimodular changes of variables. Everything here is a
 pure function of its inputs; scans are deterministic regardless of chunking.
+
+The scans read each omega_j as the dyadic rational its double holds and
+compare integer residues of k . omega mod 1, so their minima are exact:
+continued-fraction convergents for d=1, a blocked residue scan of the
+canonical half-space for d >= 2. freq_norm and dist_to_Z stay in floating
+point.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from fractions import Fraction
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import NotCoprime, NotUnimodular, ScanTooLarge
 
 SCAN_GUARD = 10**9  # reject scans with K**d above this
+WORD = 64  # lattice residues fit uint64 while every omega_j is a multiple of 2^-64
 
 
 def dist_to_Z(t):
@@ -89,109 +97,154 @@ def _check_guard(d: int, K: int) -> None:
         raise ScanTooLarge(f"K**d = {K}**{d} exceeds the scan guard {SCAN_GUARD}")
 
 
-def _box_chunks(dims: int, K: int, max_rows: int) -> Iterator[np.ndarray]:
-    """Full box [-K, K]^dims in lexicographic order, yielded in row chunks."""
-    side = 2 * K + 1
-    if side**dims <= max_rows:
-        grids = np.meshgrid(*(np.arange(-K, K + 1, dtype=np.int64),) * dims,
-                            indexing="ij")
-        yield np.stack(grids, axis=-1).reshape(-1, dims)
-        return
-    if dims == 1:
-        for start in range(-K, K + 1, max_rows):
-            stop = min(K + 1, start + max_rows)
-            yield np.arange(start, stop, dtype=np.int64).reshape(-1, 1)
-        return
-    for v in range(-K, K + 1):
-        for chunk in _box_chunks(dims - 1, K, max_rows):
-            lead = np.full((chunk.shape[0], 1), v, dtype=np.int64)
-            yield np.hstack([lead, chunk])
+def _dyadic(omega: Frequency) -> tuple:
+    """(numerators m_j, modulus 2^b) with omega_j = m_j / 2^b exactly.
 
-
-def _half_lattice_chunks(d: int, K: int, max_rows: int = 1 << 19) -> Iterator[np.ndarray]:
-    """Nonzero k in [-K, K]^d with first nonzero component positive, lex order.
-
-    dist_to_Z(k . omega) is even in k, so scanning this canonical half-space is
-    exhaustive, and lex order within it fixes the tie-break deterministically.
+    A double is a dyadic rational, so one common b covers every component.
+    b is at least 64: residues of k . m mod 2^64 are then plain uint64
+    wraparound, and scaling numerators and modulus by one power of two
+    leaves every comparison of distances unchanged.
     """
-    if d == 1:
-        for start in range(1, K + 1, max_rows):
-            stop = min(K + 1, start + max_rows)
-            yield np.arange(start, stop, dtype=np.int64).reshape(-1, 1)
-        return
-    for chunk in _half_lattice_chunks(d - 1, K, max_rows):
-        yield np.hstack([np.zeros((chunk.shape[0], 1), dtype=np.int64), chunk])
-    for v in range(1, K + 1):
-        for chunk in _box_chunks(d - 1, K, max_rows):
-            lead = np.full((chunk.shape[0], 1), v, dtype=np.int64)
-            yield np.hstack([lead, chunk])
+    ratios = [c.as_integer_ratio() for c in omega.components]
+    bits = max([WORD] + [den.bit_length() - 1 for _, den in ratios])
+    modulus = 1 << bits
+    ms = [(num << (bits - den.bit_length() + 1)) % modulus for num, den in ratios]
+    return ms, modulus
 
 
-def _tie_key(k_row: np.ndarray) -> tuple:
-    return (int(np.max(np.abs(k_row))), tuple(int(v) for v in k_row))
+def _convergent_scan(m: int, modulus: int, K: int, floor: int) -> tuple:
+    """Smallest (max(dist, floor), k, (k,)) over 1 <= k <= K in one dimension.
+
+    dist is min(r, modulus - r) with r = k m mod modulus. The smallest k that
+    minimizes the key is a best approximation of the second kind of
+    m / modulus, hence a continued-fraction convergent denominator
+    (Khinchin, Continued Fractions, Thm. 16), so only the O(log K)
+    denominators up to K are visited.
+    """
+    best = None
+    q_prev, q = 0, 1
+    num, den = modulus, m  # continued fraction of modulus / m = 1 / alpha
+    while q <= K:
+        r = q * m % modulus
+        cand = (max(min(r, modulus - r), floor), q, (q,))
+        if best is None or cand < best:
+            best = cand
+        if den == 0:
+            break
+        a, rem = divmod(num, den)
+        num, den = den, rem
+        q_prev, q = q, a * q + q_prev
+    return best
 
 
-def _best_in_chunk(chunk: np.ndarray, mask: np.ndarray) -> Optional[np.ndarray]:
-    """Row of chunk[mask] minimizing (max-norm, lex); None if mask is empty."""
-    if not mask.any():
-        return None
-    cand = chunk[mask]
-    norms = np.max(np.abs(cand), axis=1)
-    cand = cand[norms == norms.min()]
-    order = np.lexsort(cand.T[::-1])  # lex by first column, then second, ...
-    return cand[order[0]]
+def _times(v: np.ndarray, m: int, modulus: int) -> np.ndarray:
+    """v * m mod modulus for an int64 array v: uint64 when modulus is 2^64
+    (the product wraps mod 2^64 by itself), Python ints otherwise."""
+    if modulus == 1 << WORD:
+        return v.astype(np.uint64) * np.uint64(m)
+    return np.array([int(x) * m % modulus for x in v], dtype=object)
+
+
+def _plus(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
+    """a + b mod modulus for residue arrays of one kind (broadcasting)."""
+    total = a + b
+    return total if total.dtype == np.uint64 else total % modulus
+
+
+def _fold(r: np.ndarray, modulus: int) -> np.ndarray:
+    """min(r, modulus - r) elementwise: modulus times the distance to Z."""
+    neg = -r if r.dtype == np.uint64 else (modulus - r) % modulus
+    return np.minimum(r, neg)
+
+
+def _box_residues(ms: Sequence[int], K: int, modulus: int) -> tuple:
+    """Residues k . m mod modulus and max-norms over the box [-K, K]^len(ms),
+    flattened in lexicographic order."""
+    side = np.arange(-K, K + 1, dtype=np.int64)
+    res = _times(np.zeros(1, dtype=np.int64), 0, modulus)
+    norm = np.zeros(1, dtype=np.int64)
+    for m in ms:
+        res = _plus(res[:, None], _times(side, m, modulus), modulus).ravel()
+        norm = np.maximum.outer(norm, np.abs(side)).ravel()
+    return res, norm
+
+
+def _lattice_scan(ms: Sequence[int], modulus: int, K: int, floor: int,
+                  max_rows: int = 1 << 19) -> tuple:
+    """Smallest (max(dist, floor), max-norm, k) over the canonical half-space.
+
+    dist is modulus times dist_to_Z(k . omega). The half-space holds the
+    nonzero k in [-K, K]^d whose first nonzero component is positive;
+    dist is even in k, so it is exhaustive, and ordering ties by
+    (max-norm, lex) within it fixes the result. The lead-zero part recurses
+    one dimension down. For lead v >= 1 the inner box [-K, K]^(d-1) is
+    split into chunks (a prefix over its leading axes, the full box over
+    its trailing axes); a block of lead residues is added to a chunk's
+    residues, and no block exceeds max_rows elements.
+    """
+    if len(ms) == 1:
+        return _convergent_scan(ms[0], modulus, K, floor)
+    dist, norm, k = _lattice_scan(ms[1:], modulus, K, floor, max_rows)
+    best = (dist, norm, (0,) + k)
+    inner = len(ms) - 1
+    tail = inner
+    while tail > 1 and (2 * K + 1)**tail > max_rows:
+        tail -= 1
+    pre_res, pre_norm = _box_residues(ms[1:1 + inner - tail], K, modulus)
+    tail_res, tail_norm = _box_residues(ms[1 + inner - tail:], K, modulus)
+    n = tail_res.size
+    step = max(1, max_rows // n)
+    for i in range(pre_res.size):
+        chunk_res = _plus(tail_res, pre_res[i], modulus)
+        chunk_norm = np.maximum(tail_norm, pre_norm[i])
+        for v0 in range(1, K + 1, step):
+            leads = np.arange(v0, min(K + 1, v0 + step), dtype=np.int64)
+            r = _plus(_times(leads, ms[0], modulus)[:, None], chunk_res, modulus)
+            lo, hi = int(r.min()), int(r.max())
+            cmin = max(min(lo, (modulus - hi) % modulus), floor)
+            if cmin > best[0]:
+                continue
+            iv, iu = np.divmod(np.flatnonzero(_fold(r, modulus) <= cmin), n)
+            norms = np.maximum(leads[iv], chunk_norm[iu])
+            j = int(np.argmin(norms))  # first minimum: lex order within block
+            rest = np.unravel_index(i * n + int(iu[j]), (2 * K + 1,) * inner)
+            cand = (cmin, int(norms[j]),
+                    (int(leads[iv[j]]),) + tuple(int(t) - K for t in rest))
+            if cand < best:
+                best = cand
+    return best
 
 
 def min_dot_norm(omega: Frequency, K: int) -> DiophantineReport:
-    """Exact brute-force minimum of dist_to_Z(k . omega) over 0 < |k| <= K.
+    """Exact minimum of dist_to_Z(k . omega) over 0 < |k| <= K.
 
-    |k| is the max-norm. Ties: smallest |k| first, then lexicographic over the
-    canonical half-space. Raises ScanTooLarge when K**d > 1e9.
+    Each omega_j is taken as the dyadic rational its double holds, and k .
+    omega is reduced in integer arithmetic, so delta is the correctly rounded
+    exact minimum. |k| is the max-norm. Ties: smallest |k| first, then
+    lexicographic over the canonical half-space. Raises ScanTooLarge when
+    K**d > 1e9.
     """
     _check_guard(omega.d, K)
-    w = omega.as_array()
-    best_val = math.inf
-    best_key: Optional[tuple] = None
-    best_k: Optional[np.ndarray] = None
-    for chunk in _half_lattice_chunks(omega.d, K):
-        vals = dist_to_Z(chunk @ w)
-        cmin = float(vals.min())
-        if cmin > best_val:
-            continue
-        row = _best_in_chunk(chunk, vals == cmin)
-        key = _tie_key(row)
-        if cmin < best_val or (best_key is not None and key < best_key):
-            best_val, best_key, best_k = cmin, key, row
-    assert best_k is not None
-    return DiophantineReport(K=K, delta=best_val,
-                             argmin_k=tuple(int(v) for v in best_k))
+    ms, modulus = _dyadic(omega)
+    r, _, k = _lattice_scan(ms, modulus, K, 0)
+    return DiophantineReport(K=K, delta=r / modulus, argmin_k=k)
 
 
 def rational_dependence(omega: Frequency, K: int, tol: float) -> Optional[tuple]:
     """Some k with 0 < |k| <= K and dist_to_Z(k . omega) <= tol, or None.
 
-    Returns the smallest such k by (max-norm, lex). With tol=0 this detects
-    exact integer values of k . omega in floating point.
+    Returns the smallest such k by (max-norm, lex). The distance is exact
+    (see min_dot_norm), so tol=0 detects an exact integer k . omega.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be >= 0")
     _check_guard(omega.d, K)
-    w = omega.as_array()
-    best_key: Optional[tuple] = None
-    best_k: Optional[np.ndarray] = None
-    for chunk in _half_lattice_chunks(omega.d, K):
-        vals = dist_to_Z(chunk @ w)
-        row = _best_in_chunk(chunk, vals <= tol)
-        if row is None:
-            continue
-        key = _tie_key(row)
-        if best_key is None or key < best_key:
-            best_key, best_k = key, row
-        if omega.d == 1:
-            break  # 1-d chunks arrive in (max-norm, lex) order already
-    if best_k is None:
-        return None
-    return tuple(int(v) for v in best_k)
+    ms, modulus = _dyadic(omega)
+    # dist <= tol exactly iff the residue distance is <= floor(tol * 2^b);
+    # no distance exceeds 1/2
+    floor = modulus // 2 if tol >= 0.5 else math.floor(Fraction(tol) * modulus)
+    r, _, k = _lattice_scan(ms, modulus, K, floor)
+    return k if r <= floor else None
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
@@ -245,6 +246,36 @@ class TestLadderSubcommand:
         assert set(flags) == {"eq:Mixed:hyp1", "eq:Mixed:hyp2",
                               "eq:Mixed:hyp3"}
 
+    def test_mixed_gate_at_the_d1_scan_guard(self, tmp_path):
+        # K0 = 1e9 is the largest d=1 scan the guard admits; a brute-force
+        # scan of it takes tens of seconds, the convergent walk does not
+        K0 = 10**9
+        cfg = {
+            "experiment": "ladder",
+            "params": {"kind": "mixed", "N0": 16, "q0": 1, "K0": K0,
+                       "omega1": None, "omega2": [GOLDEN], "rho": 0.5,
+                       "kappa": 0.5, "delta": 1e-12},
+        }
+        t0 = time.perf_counter()
+        rc, out = run_cli(tmp_path, cfg)
+        assert time.perf_counter() - t0 < 2.0
+        assert rc == 0
+        scan_delta = json.loads((out / "ladder.json").read_text())[
+            "gate"]["params"]["scan_delta"]
+        # ||q x|| at the largest continued-fraction denominator q <= K0 of
+        # the exact rational x the double GOLDEN holds
+        x = Fraction(GOLDEN)
+        q_prev, q, t = 0, 1, 1 / x
+        while True:
+            a = math.floor(t)
+            if a * q + q_prev > K0:
+                break
+            q_prev, q = q, a * q + q_prev
+            if t == a:
+                break
+            t = 1 / (t - a)
+        assert scan_delta == float(abs(q * x - round(q * x)))
+
     def test_mixed_with_verify_rejected(self, tmp_path):
         cfg = {
             "experiment": "ladder",
@@ -438,6 +469,9 @@ CONFIG_ERRORS = {
     "example-discontinuity-zero-k": {
         "experiment": "example-discontinuity", "frequency": [0.0],
         "params": {"k": [0], "N_list": [1], "M": 64}},
+    "example-discontinuity-k-dimension-mismatch": {
+        "experiment": "example-discontinuity", "frequency": [0.5],
+        "params": {"k": [1, 2], "N_list": [1], "M": 64}},
     "fourier-K0-not-below-half-M": {
         "experiment": "fourier", "cocycle": AMO, "frequency": [GOLDEN],
         "params": {"N": 3, "M": 32, "K0": 16}},

@@ -274,19 +274,35 @@ class TestInductionSchedule:
         assert sch.scales == (2**62,)
 
     def test_cov_step_on_exact_resonance(self):
-        sch = induction_schedule(None, Frequency((3 / 7,)), q0=1, K0=2,
+        sch = induction_schedule(None, Frequency((3 / 8,)), q0=1, K0=2,
                                  delta0=1 / 7, eps0=0.0, N0=15, rho=0.95,
                                  c=0.1)
         steps = [s for s in sch.step_flags if s.get("kind") == "automorphism"]
         assert len(steps) == 1
         s = steps[0]
-        assert s["k"] == [7]
-        assert s["gcd"] == 7
+        assert s["k"] == [8]
+        assert s["gcd"] == 8
         assert s["n1"] == [1]
         assert s["B"] == [[1]]
-        assert s["q"] == 7
-        assert s["new_coordinate"] == pytest.approx(3 / 7)
+        assert s["q"] == 8
+        assert s["new_coordinate"] == pytest.approx(3 / 8)
         assert sch.halt == "d2-exhausted"
+
+    def test_decimal_rational_double_is_not_resonant(self):
+        # the double 3/7 is a dyadic rational: 7 times it misses 3 by
+        # 3 * 2^-54, so the ladder takes a scale step instead of an
+        # automorphism, then the next scan trips the guard
+        rep = min_dot_norm(Frequency((3 / 7,)), 2**20)
+        assert rep.delta == float.fromhex("0x1.8p-53")
+        assert rep.argmin_k == (7,)
+        sch = induction_schedule(None, Frequency((3 / 7,)), q0=1, K0=2,
+                                 delta0=0.14, eps0=0.0, N0=16, rho=0.95,
+                                 c=0.1)
+        kinds = [s.get("kind") for s in sch.step_flags[1:]]
+        assert kinds == ["scale", "halt"]
+        assert sch.step_flags[1]["delta"] == rep.delta
+        assert len(sch.scales) == 2
+        assert sch.halt == "ScanTooLarge"
 
     def test_base_case_halts_immediately(self):
         sch = induction_schedule(HALF, None, q0=2, K0=2048, delta0=1.0,

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from cocyclelab.errors import NotCoprime, NotUnimodular, ScanTooLarge
 from cocyclelab.torus import (
     Automorphism,
+    _dyadic,
+    _lattice_scan,
     Frequency,
     build_automorphism,
     dist_to_Z,
@@ -20,19 +24,62 @@ from cocyclelab.torus import (
 GOLDEN = 0.6180339887
 
 
-def brute_min_dot(omega, K):
-    """Independent oracle: full-lattice scan, no canonicalization tricks."""
-    w = np.array(omega)
-    best = math.inf
-    d = len(w)
-    ranges = [range(-K, K + 1)] * d
-    import itertools
-    for k in itertools.product(*ranges):
-        if all(v == 0 for v in k):
+def brute_min_dot(omega, K, tol=None):
+    """Independent oracle: full-lattice scan in exact rational arithmetic.
+
+    Each component is the exact rational its double holds. Returns
+    (delta, argmin_k) with delta a Fraction; argmin_k is the smallest
+    minimizer by (max-norm, lex) after flipping each k into the half-space
+    whose first nonzero component is positive. With tol, only k with
+    ||k . omega|| <= tol count and all of them tie (rational_dependence).
+    """
+    w = [Fraction(c) for c in omega]
+    best = None
+    for k in itertools.product(range(-K, K + 1), repeat=len(w)):
+        if not any(k):
             continue
-        t = float(np.dot(k, w))
-        best = min(best, abs(t - round(t)))
-    return best
+        t = sum(kj * wj for kj, wj in zip(k, w))
+        dist = abs(t - round(t))
+        if tol is not None:
+            if dist > Fraction(tol):
+                continue
+            dist = Fraction(0)
+        sign = 1 if next(v for v in k if v) > 0 else -1
+        canon = tuple(sign * v for v in k)
+        key = (dist, max(abs(v) for v in k), canon)
+        if best is None or key < best:
+            best = key
+    return None if best is None else (best[0], best[2])
+
+
+def brute_min_dot_1d(w, K):
+    """(delta, k) of the d=1 minimum by an exact vectorized scan of 1..K."""
+    num, den = w.as_integer_ratio()
+    r = np.arange(1, K + 1, dtype=object) * num % den
+    dist = np.minimum(r, den - r)
+    i = int(np.argmin(dist))  # first minimum: smallest k
+    return Fraction(int(dist[i]), den), i + 1
+
+
+# Components of omega for the exact-scan properties: any double in [0, 1),
+# dyadic p/2^j, decimal rationals p/q, and doubles below 2^-12 (whose
+# denominators exceed 2^64 and take the Python-int path).
+COMPONENTS = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.integers(1, 10).flatmap(
+        lambda j: st.integers(0, 2**j - 1).map(lambda p: p / 2**j)),
+    st.integers(2, 40).flatmap(
+        lambda q: st.integers(0, q - 1).map(lambda p: p / q)),
+    st.floats(2.0**-70, 2.0**-12, exclude_max=True),
+)
+MAX_K = {1: 40, 2: 6, 3: 3}
+
+
+@st.composite
+def scan_cases(draw):
+    d = draw(st.integers(1, 3))
+    comps = draw(st.lists(COMPONENTS, min_size=d, max_size=d))
+    return comps, draw(st.integers(1, MAX_K[d]))
 
 
 class TestDistToZ:
@@ -96,16 +143,15 @@ class TestMinDotNorm:
         rep = min_dot_norm(Frequency([GOLDEN]), 10)
         assert rep.delta == pytest.approx(0.0557, abs=1e-4)
         assert rep.argmin_k == (8,)
-        assert rep.delta == pytest.approx(brute_min_dot([GOLDEN], 10), abs=0)
+        assert (rep.delta, rep.argmin_k) == (float(brute_min_dot([GOLDEN], 10)[0]), (8,))
 
     def test_two_dim_against_oracle(self):
         omega = [math.sqrt(2) - 1, math.sqrt(3) - 1]
         rep = min_dot_norm(Frequency(omega), 5)
-        assert rep.delta == pytest.approx(brute_min_dot(omega, 5), abs=0)
-        k = np.array(rep.argmin_k)
-        assert 0 < np.max(np.abs(k)) <= 5
-        t = float(k @ np.array(omega))
-        assert abs(t - round(t)) == pytest.approx(rep.delta, abs=0)
+        delta, k = brute_min_dot(omega, 5)
+        assert rep.delta == float(delta)
+        assert rep.argmin_k == k
+        assert 0 < max(abs(v) for v in k) <= 5
 
     def test_non_increasing_in_K(self):
         f = Frequency([GOLDEN])
@@ -115,6 +161,37 @@ class TestMinDotNorm:
     def test_scan_guard(self):
         with pytest.raises(ScanTooLarge):
             min_dot_norm(Frequency([0.1, 0.2]), 10**5)
+
+    def test_decimal_rational_is_dyadic(self):
+        # 7 * fl(3/7) rounds to 3.0 in floating point, but the double 3/7 is
+        # a dyadic rational and 7 times it misses 3 by 3 * 2^-54
+        rep = min_dot_norm(Frequency((3 / 7,)), 2**20)
+        assert rep.delta == float.fromhex("0x1.8p-53")
+        assert rep.argmin_k == (7,)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(scan_cases())
+    def test_equals_exact_brute_force(self, case):
+        comps, K = case
+        rep = min_dot_norm(Frequency(comps), K)
+        delta, k = brute_min_dot(Frequency(comps).components, K)
+        assert rep.delta == float(delta)
+        assert rep.argmin_k == k
+
+    @pytest.mark.parametrize("w", [GOLDEN, math.sqrt(2) - 1, math.pi - 3,
+                                   3 / 7, 0.1, 2.0**-40 * GOLDEN, 0.12345678])
+    def test_convergents_match_integer_scan_at_large_K(self, w):
+        for K in (1, 2, 7, 1000, 99_991, 10**5):
+            rep = min_dot_norm(Frequency([w]), K)
+            delta, k = brute_min_dot_1d(w, K)
+            assert (rep.delta, rep.argmin_k) == (float(delta), (k,))
+
+    def test_block_size_does_not_change_the_result(self):
+        omega = Frequency([GOLDEN, 3 / 8, 2.0**-30])
+        ms, modulus = _dyadic(omega)
+        ref = _lattice_scan(ms, modulus, 4, 0)
+        for rows in (1, 3, 9, 80):
+            assert _lattice_scan(ms, modulus, 4, 0, max_rows=rows) == ref
 
 
 class TestRationalDependence:
@@ -129,10 +206,31 @@ class TestRationalDependence:
         assert rational_dependence(Frequency([a, 1 - a]), 2, 1e-12) == (1, 1)
 
     def test_exactness_semantics_with_tol_zero(self):
-        # 0.5 * 2 is exactly 1.0 in floating point
+        # 0.5 is a dyadic rational and 2 * 0.5 is the integer 1
         assert rational_dependence(Frequency([0.5]), 4, 0.0) == (2,)
-        # no k <= 4 makes k * 0.3 an exact float integer
+        # the double 0.3 has denominator 2^54, so no k <= 4 makes k * 0.3 an integer
         assert rational_dependence(Frequency([0.3]), 4, 0.0) is None
+        # nor does 7 * fl(3/7), though it rounds to 3.0 in floating point
+        assert rational_dependence(Frequency([3 / 7]), 10, 0.0) is None
+        assert rational_dependence(Frequency([3 / 7]), 10, 2.0**-52) == (7,)
+
+    def test_tol_is_compared_exactly(self):
+        # ||2 * 0.375|| = 1/4 exactly: a tolerance one ulp below misses it
+        assert rational_dependence(Frequency([0.375]), 2, 0.25) == (2,)
+        assert rational_dependence(Frequency([0.375]), 2,
+                                   math.nextafter(0.25, 0.0)) is None
+
+    def test_tol_half_admits_every_k(self):
+        assert rational_dependence(Frequency([GOLDEN]), 3, 0.5) == (1,)
+        assert rational_dependence(Frequency([GOLDEN, 0.1]), 3, math.inf) == (0, 1)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(scan_cases(), st.sampled_from([0.0, 1e-3, 0.05, 0.2, 0.5]))
+    def test_equals_exact_brute_force(self, case, tol):
+        comps, K = case
+        found = brute_min_dot(Frequency(comps).components, K, tol=tol)
+        want = None if found is None else found[1]
+        assert rational_dependence(Frequency(comps), K, tol) == want
 
 
 class TestAutomorphism:
