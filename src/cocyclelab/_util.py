@@ -73,7 +73,7 @@ def dyadic_grid(d: int, M: int) -> np.ndarray:
     """grid(d, M) for M a power of two: every node i/M is exact, so an integer
     map of the torus sends nodes exactly onto nodes."""
     if M < 1 or (M & (M - 1)) != 0:
-        raise ValueError("grid size must be a power of two")
+        raise ValueError(f"grid size M = {M} is not a power of two")
     return grid(d, M)
 
 

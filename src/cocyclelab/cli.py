@@ -18,15 +18,12 @@ identical config + seed yields identical bytes regardless of --threads.
 --threads N splits each node batch of the orbit-product kernel into N chunks
 run on a thread pool, with N capped at the core count.
 
-Exit codes: 0 success; 2 a ConfigError from loading, building (say a cocycle
-whose dimension differs from the frequency's) or a handler (say a missing
-block, a grid size M that is not a power of two, a ladder frequency that is
-NaN or infinite, a cov matrix B that is not square, unimodular and of the
-frequency's dimension, an le-limit schedule that is not strictly increasing,
-a fourier K0 not below M/2, or an example-discontinuity k of zeros); 3 a
-CocycleLabError, ValueError, ArithmeticError or KeyError raised while the
-library runs. Both write a JSON record to stderr; exit 3 also writes it to
-<out>/error.json.
+Exit codes: 0 success; 2 a config error, written to stderr: a ConfigError
+from loading or a handler check, an --out that cannot be written, or a
+ValueError or KeyError raised before any output is written (every library
+argument comes from the config, so the library's argument checks are config
+checks); 3 a CocycleLabError (a failed gate, a guard) or an ArithmeticError,
+written to stderr and to <out>/error.json.
 """
 
 import argparse
@@ -183,7 +180,6 @@ SCHEMA = {
                                   "monte-carlo"]},
                 "points_per_dim": {"type": "integer", "minimum": 1},
                 "total_points": {"type": "integer", "minimum": 1},
-                "clip_floor": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
         },
@@ -456,32 +452,14 @@ def build_cocycle(spec: dict, omega: Frequency) -> Cocycle:
                             float(spec["E"]), omega, rho=rho)
     elif kind == "discontinuity":
         A = DiscontinuityExample(tuple(spec["k"]))
-    elif kind == "matrix":
+    else:  # "matrix"; the schema admits no other kind
         e = [build_trigpoly(s, d) for s in spec["entries"]]
         A = TrigPolyMatrix.from_entries(e[0], e[1], e[2], e[3], rho=rho)
-    else:
-        raise ValueError(f"unknown cocycle kind {kind!r}")
     return Cocycle(A, omega)
 
 
 def _frequency(vals) -> Optional[Frequency]:
     return None if vals is None else Frequency(tuple(float(v) for v in vals))
-
-
-def _param_frequency(p: dict, key: str) -> Optional[Frequency]:
-    """A frequency given in params (a ladder's omega1/omega2)."""
-    try:
-        return _frequency(p.get(key))
-    except (ValueError, OverflowError) as e:
-        raise ConfigError(f"params.{key}: {e}") from e
-
-
-def _grid_size(p: dict) -> int:
-    """params.M of an experiment that samples the integer grid i/M."""
-    M = int(p["M"])
-    if M & (M - 1):
-        raise ConfigError(f"params.M = {M} is not a power of two")
-    return M
 
 
 @dataclass(frozen=True)
@@ -496,16 +474,13 @@ class Inputs:
 
 
 def build(cfg: dict, seed: int) -> Inputs:
-    """Build stage: a block that cannot be constructed is a ConfigError."""
-    try:
-        omega = _frequency(cfg.get("frequency"))
-        C = (build_cocycle(cfg["cocycle"], omega)
-             if "cocycle" in cfg and omega is not None else None)
-        q = cfg.get("quadrature")
-        quad = None if q is None else QuadratureSpec(
-            **{"kind": "uniform-grid", **q}, seed=seed)
-    except (ValueError, OverflowError) as e:
-        raise ConfigError(str(e)) from e
+    """Build stage: turn every block present into its library object."""
+    omega = _frequency(cfg.get("frequency"))
+    C = (build_cocycle(cfg["cocycle"], omega)
+         if "cocycle" in cfg and omega is not None else None)
+    q = cfg.get("quadrature")
+    quad = None if q is None else QuadratureSpec(
+        **{"kind": "uniform-grid", **q}, seed=seed)
     return Inputs(cfg.get("params", {}), seed, omega, C, quad)
 
 
@@ -532,11 +507,7 @@ def _run_le(inp: Inputs):
 
 
 def _run_le_limit(inp: Inputs):
-    schedule = inp.p["schedule"]
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ConfigError(f"params.schedule = {schedule} is not strictly "
-                          "increasing")
-    res = le_extrapolate(inp.C, schedule, inp.quad)
+    res = le_extrapolate(inp.C, inp.p["schedule"], inp.quad)
     payload = {"limit": res.limit, "increments": list(res.increments),
                "rows": _le_rows(res.table)}
     return payload, le_table_to_csv(res.table)
@@ -577,7 +548,7 @@ def _run_ap(inp: Inputs):
 
 def _run_ldt(inp: Inputs):
     p = inp.p
-    M = _grid_size(p)
+    M = int(p["M"])
     prof = profile(inp.C, int(p["N"]), M,
                    renormalize_first=bool(p.get("renormalize_first", True)))
     ests = [ldt_empirical(prof, float(k)) for k in p["kappas"]]
@@ -589,7 +560,7 @@ def _run_ldt(inp: Inputs):
 
 def _run_cdt(inp: Inputs):
     p = inp.p
-    M = _grid_size(p)
+    M = int(p["M"])
     ests = [cdt_empirical(inp.C, int(p["N"]), [float(v) for v in a],
                           float(p["kappa"]), M,
                           C_const=float(p.get("C", 1.0)),
@@ -607,7 +578,7 @@ def _run_cdt(inp: Inputs):
 def _run_drift(inp: Inputs):
     p = inp.p
     est = shift_drift_empirical(inp.C, int(p["N"]), float(p["a_exponent"]),
-                                _grid_size(p), C_const=float(p.get("C", 10.0)),
+                                int(p["M"]), C_const=float(p.get("C", 10.0)),
                                 renormalize_first=bool(
                                     p.get("renormalize_first", True)))
     return {"estimate": est.to_json_dict()}, None
@@ -615,7 +586,7 @@ def _run_drift(inp: Inputs):
 
 def _run_loja(inp: Inputs):
     p = inp.p
-    M = _grid_size(p)
+    M = int(p["M"])
     g = build_trigpoly(p["g"], int(p.get("d", 1)))
     fit = lojasiewicz_fit(g, [float(t) for t in p["t_grid"]], M)
     payload = {"S": fit.S, "b": fit.b, "M": M,
@@ -626,7 +597,7 @@ def _run_loja(inp: Inputs):
 def _run_l2(inp: Inputs):
     p = inp.p
     rep = l2_uniform_check(inp.C, [int(n) for n in p["N_list"]],
-                           _grid_size(p),
+                           int(p["M"]),
                            renormalize_first=bool(
                                p.get("renormalize_first", True)))
     payload = {"rows": [{"N": n, "rms": rms, "excised_mass": ex}
@@ -638,7 +609,7 @@ def _run_l2(inp: Inputs):
 
 def _run_fourier(inp: Inputs):
     p = inp.p
-    M, K0 = _grid_size(p), int(p["K0"])
+    M, K0 = int(p["M"]), int(p["K0"])
     if K0 >= M // 2:
         raise ConfigError(f"params.K0 = {K0} is not below M/2 = {M // 2}")
     prof = profile(inp.C, int(p["N"]), M,
@@ -663,8 +634,7 @@ def _run_ladder(inp: Inputs):
         raise ConfigError("liouville ladder requires a frequency block")
     if "verify" in p and inp.C is None:
         raise ConfigError("verify requires cocycle and frequency blocks")
-    omega1 = _param_frequency(p, "omega1")
-    omega2 = _param_frequency(p, "omega2")
+    omega1, omega2 = _frequency(p.get("omega1")), _frequency(p.get("omega2"))
     if kind == "mixed":
         gate = mixed_gate(int(p["N0"]), int(p["q0"]), int(p["K0"]),
                           omega1, omega2,
@@ -696,14 +666,11 @@ def _run_ladder(inp: Inputs):
 
 def _run_cov(inp: Inputs):
     p = inp.p
-    M = _grid_size(p)
+    M = int(p["M"])
     try:
         B = Automorphism.from_entries(p["B"])
-    except (ValueError, NotUnimodular) as e:
+    except NotUnimodular as e:
         raise ConfigError(f"params.B: {e}") from e
-    if B.d != inp.C.d:
-        raise ConfigError(f"params.B is {B.d}x{B.d} but the frequency has "
-                          f"d={inp.C.d}")
     diff = cov_invariance_check(inp.C, B, N=int(p["N"]), M=M)
     return {"B": [list(row) for row in p["B"]], "N": int(p["N"]),
             "M": M, "difference": diff}, None
@@ -712,11 +679,6 @@ def _run_cov(inp: Inputs):
 def _run_example_discontinuity(inp: Inputs):
     p, omega = inp.p, inp.omega
     k = tuple(int(v) for v in p["k"])
-    if not any(k):
-        raise ConfigError(f"params.k = {list(k)} must be nonzero")
-    if len(k) != omega.d:
-        raise ConfigError(f"params.k = {list(k)} has length {len(k)} but the "
-                          f"frequency has d={omega.d}")
     C = Cocycle(DiscontinuityExample(k), omega)
     M = int(p.get("M", 4096))
     quad = QuadratureSpec(kind="uniform-grid", points_per_dim=M)
@@ -765,20 +727,31 @@ def _error_record(exc: Exception, name: Optional[str],
 
 
 def run(name: str, cfg: dict, digest: str, out_dir: str, seed: int) -> None:
-    """Execute one experiment and write its outputs into out_dir."""
-    payload, csv_body = HANDLERS[name](build(cfg, seed))
+    """Execute one experiment and write its outputs into out_dir.
+
+    Every library argument comes from the config, so a ValueError or KeyError
+    raised before an output is written is a ConfigError.
+    """
     meta = {"cocyclelab": __version__, "config_sha256": digest,
             "experiment": name, "seed": seed}
-    os.makedirs(out_dir, exist_ok=True)
-    base = os.path.join(out_dir, name)
-    _write(base + ".json", to_json_text({**meta, **payload}))
-    if csv_body is not None:
-        stamp = f"# cocyclelab={__version__} config_sha256={digest}\n"
-        _write(base + ".csv", stamp + csv_body)
-        if cfg.get("plot", False):
-            comment = f"cocyclelab={__version__} config_sha256={digest}"
-            _write(base + ".svg", plot_csv_text(csv_body, title=name,
-                                                comment=comment))
+    try:
+        payload, csv_body = HANDLERS[name](build(cfg, seed))
+        texts = {".json": to_json_text({**meta, **payload})}
+        if csv_body is not None:
+            stamp = f"cocyclelab={__version__} config_sha256={digest}"
+            texts[".csv"] = f"# {stamp}\n" + csv_body
+            if cfg.get("plot", False):
+                texts[".svg"] = plot_csv_text(csv_body, title=name,
+                                              comment=stamp)
+    except (ValueError, KeyError) as e:
+        message = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+        raise ConfigError(message, digest) from e
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for suffix, text in texts.items():
+            _write(os.path.join(out_dir, name + suffix), text)
+    except OSError as e:
+        raise ConfigError(f"cannot write --out {out_dir}: {e}", digest) from e
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -809,7 +782,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as e:
         sys.stderr.write(_error_record(e, args.experiment, e.digest or digest))
         return 2
-    except (CocycleLabError, ValueError, ArithmeticError, KeyError) as e:
+    except (CocycleLabError, ArithmeticError) as e:
         record = _error_record(e, args.experiment, digest)
         sys.stderr.write(record)
         try:

@@ -30,6 +30,8 @@ from .errors import IdenticallySingular, OutsideStrip, Singular
 from .torus import Automorphism, Frequency
 
 TWO_PI_I = 2j * math.pi
+# most nodes per strip face when strip_norm picks the grid (256^2)
+STRIP_FACE_NODES = 1 << 16
 
 
 def _frac(x: np.ndarray) -> np.ndarray:
@@ -281,19 +283,24 @@ class StripNormResult:
 
 
 def strip_norm(A: TrigPolyMatrix, B: TrigPolyMatrix, rho: float,
-               points_per_dim: int = 256) -> StripNormResult:
+               points_per_dim: Optional[int] = None) -> StripNormResult:
     """sup over the strip |Im z_j| <= rho of the entrywise max of |A(z) - B(z)|.
 
     By the per-variable maximum principle the sup sits on the 2^d corner faces
     Im z_j = +-rho; those faces are sampled on a uniform grid, plus the real
     torus as a degenerate face. The sample count is reported alongside.
     Each face is a points_per_dim^d grid, so past MAX_NODES nodes this raises
-    ScanTooLarge before sampling.
+    ScanTooLarge before sampling. By default points_per_dim is 256, or the
+    largest p with p^d <= STRIP_FACE_NODES when 256^d is more (40 at d = 3).
     """
     if A.rho < rho - 1e-12 or B.rho < rho - 1e-12:
         raise OutsideStrip(f"strip radius {rho} exceeds a declared budget")
     D = A - B
     d = A.d
+    if points_per_dim is None:
+        points_per_dim = 256
+        while points_per_dim ** d > STRIP_FACE_NODES:
+            points_per_dim -= 1
     X = grid(d, points_per_dim)
     best = 0.0
     ims = [np.zeros(d)]

@@ -120,8 +120,8 @@ def _validate_base(N0: int, q0: int, rho: float, kappa: float, C: float) -> None
         raise ValueError("N0 must be >= 1")
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie in (0, 1)")
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite")
     if C <= 0.0:
         raise ValueError("C must be positive")
 
@@ -422,6 +422,8 @@ def cov_invariance_check(C: Cocycle, B: Automorphism, N: int, M: int) -> float:
     B = identity the two evaluations are bitwise identical and the result is
     exactly 0.0.
     """
+    if B.d != C.d:
+        raise ValueError(f"B is {B.d}x{B.d} but omega lives in T^{C.d}")
     if N < 1:
         raise ValueError("N must be >= 1")
     X = dyadic_grid(C.d, M)

@@ -44,6 +44,8 @@ class Frequency:
     components: tuple
 
     def __init__(self, components: Sequence[float]):
+        if not all(math.isfinite(float(c)) for c in components):
+            raise ValueError(f"frequency components must be finite: {list(components)}")
         comps = tuple(float(c) - math.floor(float(c)) for c in components)
         if len(comps) == 0:
             raise ValueError("Frequency needs dimension d >= 1")

@@ -255,6 +255,17 @@ class TestStripNorm:
         with pytest.raises(OutsideStrip):
             strip_norm(a, a, rho=0.2)
 
+    # 256 points per axis while a face has at most 2^16 nodes, then the
+    # largest count that keeps it there; 2^d corner faces plus the real torus
+    @pytest.mark.parametrize("d, per_axis", [(1, 256), (2, 256), (3, 40),
+                                             (4, 16), (5, 9)])
+    def test_default_face_grid(self, d, per_axis):
+        a = TrigPolyMatrix(d, {(1,) + (0,) * (d - 1): np.eye(2)}, rho=0.5)
+        b = TrigPolyMatrix(d, {}, rho=0.5)
+        r = strip_norm(a, b, rho=0.25)
+        assert r.samples == (2 ** d + 1) * per_axis ** d
+        assert r.value == pytest.approx(math.exp(2 * math.pi * 0.25), rel=1e-12)
+
 
 class TestConstructors:
     def test_schrodinger_shape(self):
