@@ -459,7 +459,7 @@ def build_cocycle(spec: dict, omega: Frequency) -> Cocycle:
 
 
 def _frequency(vals) -> Optional[Frequency]:
-    return None if vals is None else Frequency(tuple(float(v) for v in vals))
+    return None if vals is None else Frequency(vals)
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,17 @@ strip_norm is the one evaluator at complex points.
 Every orbit product runs through one kernel, _iterate_chunk, entered only
 through iterate_log_norm_many: a batch of starting points, read at one or
 several step counts of a single orbit. iterate_log_norm is its one-point case.
+
+Evaluation is node-contiguous from end to end. The phase table of a trig
+polynomial is (n, m), one row per index k over all m nodes, and the matrix
+evaluators return A(X) as an (m, 2, 2) view of entry-major (2, 2, m) memory,
+the kernel's own layout, so a step copies nothing. An outside evaluator may
+return a C-order (m, 2, 2) stack; the kernel copies that to its layout.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,6 +37,8 @@ from .errors import IdenticallySingular, OutsideStrip, Singular
 from .torus import Automorphism, Frequency
 
 TWO_PI_I = 2j * math.pi
+# the largest x with e^x finite in double precision, about 709.78
+LN_DBL_MAX = math.log(sys.float_info.max)
 # most nodes per strip face when strip_norm picks the grid (256^2)
 STRIP_FACE_NODES = 1 << 16
 
@@ -51,28 +60,30 @@ def _tables(d: int, coeffs: dict, shape: tuple):
 
 
 def _phases(X: np.ndarray, ks: np.ndarray, h: Optional[int]) -> np.ndarray:
-    """e^{2 pi i k.x} for every node x in X and index k in ks: (m, n).
+    """e^{2 pi i k.x} for every index k in ks and node x in X: (n, m).
 
-    On a symmetric table (h from _tables) the sorted indices pair up as
-    ks[n-1-j] = -ks[j], so exp runs only over the h indices k > 0: the
-    column of -k is the conjugate of that of k, and the column of k = 0 is 1.
-    Every bit matches exp over the whole table. The conjugate's imaginary
-    part is taken as 0 - im, which is +0 where exp at -k.x gives +0. The
-    products k.x come from one matmul over the whole table, as BLAS may round
-    a column differently in a narrower product. For d > 1 BLAS does not
-    always give the two columns of a pair exactly opposite sums; then exp
-    runs over every column.
+    Index-major, so that each row is one index over all m nodes and the
+    matrix evaluator can reduce over the rows straight into the kernel's
+    entry-major layout. On a symmetric table (h from _tables) the sorted
+    indices pair up as ks[n-1-j] = -ks[j], so exp runs only over the h
+    indices k > 0: the row of -k is the conjugate of that of k, and the row
+    of k = 0 is 1. Every bit matches exp over the whole table. The
+    conjugate's imaginary part is taken as 0 - im, which is +0 where exp at
+    -k.x gives +0. The products k.x come from one matmul over the whole
+    table, X @ ks.T, transposed, as BLAS may round a column differently in a
+    narrower product. For d > 1 BLAS does not always give the two rows of a
+    pair exactly opposite sums; then exp runs over every row.
     """
-    theta = X @ ks.T
+    theta = (X @ ks.T).T
     n = ks.shape[0]
-    if not h or (ks.shape[1] > 1 and not np.array_equal(
-            theta[:, :h], np.negative(theta[:, :n - h - 1:-1]))):
-        return np.exp(TWO_PI_I * theta)
     out = np.empty(theta.shape, dtype=complex)
-    upper, lower = out[:, n - h:], out[:, h - 1::-1]
-    np.exp(TWO_PI_I * theta[:, n - h:], out=upper)
+    if not h or (ks.shape[1] > 1 and not np.array_equal(
+            theta[:h], np.negative(theta[:n - h - 1:-1]))):
+        return np.exp(TWO_PI_I * theta, out=out)
+    upper, lower = out[n - h:], out[h - 1::-1]
+    np.exp(TWO_PI_I * theta[n - h:], out=upper)
     if n - h > h:
-        out[:, h] = 1.0
+        out[h] = 1.0
     lower.real = upper.real
     np.subtract(0.0, upper.imag, out=lower.imag)
     return out
@@ -134,7 +145,9 @@ class TrigPoly:
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return _phases(X, self._ks, self._half) @ self._cs
+        # BLAS rounds a product differently by operand layout: keep (m, n)
+        phases = np.ascontiguousarray(_phases(X, self._ks, self._half).T)
+        return phases @ self._cs
 
     def eval(self, x) -> complex:
         return complex(self.eval_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
@@ -238,7 +251,7 @@ class TrigPolyMatrix:
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         phases = _phases(X, self._ks, self._half)
-        return np.einsum("mn,nij->mij", phases, self._cs)
+        return np.einsum("nm,nij->ijm", phases, self._cs).transpose(2, 0, 1)
 
     def eval(self, x) -> np.ndarray:
         """A(x) for a real point x of T^d."""
@@ -308,8 +321,8 @@ def strip_norm(A: TrigPolyMatrix, B: TrigPolyMatrix, rho: float,
         ims.append(rho * (2.0 * np.array(signs) - 1.0))
     for im in ims:
         Z = X + 1j * im
-        phases = np.exp(TWO_PI_I * (Z @ D._ks.T))
-        vals = np.einsum("mn,nij->mij", phases, D._cs)
+        phases = np.exp(TWO_PI_I * (Z @ D._ks.T).T)
+        vals = np.einsum("nm,nij->ijm", phases, D._cs)
         best = max(best, float(np.max(np.abs(vals))))
     return StripNormResult(value=best, samples=len(ims) * X.shape[0])
 
@@ -358,7 +371,9 @@ class DiscontinuityExample:
     """diag(e^{lam(x)}, e^{-lam(x)}) with lam(x) = e^{2 pi i k.x} e^{-2 pi sum(k)}.
 
     The entries are exponentials of a trig monomial, hence analytic but not
-    polynomial; this is a pointwise evaluator.
+    polynomial; this is a pointwise evaluator. |lam| is the scale
+    e^{-2 pi sum(k)}, so e^{+-lam} is finite at every x only while the scale
+    is at most ln(DBL_MAX); past that the constructor raises OverflowError.
     """
 
     def __init__(self, k: Sequence[int]):
@@ -367,7 +382,12 @@ class DiscontinuityExample:
             raise ValueError("k must be nonzero")
         self.k = kt
         self.d = len(kt)
-        self.scale = math.exp(-2.0 * math.pi * sum(kt))
+        exponent = -2.0 * math.pi * sum(kt)
+        if exponent > math.log(LN_DBL_MAX):
+            raise OverflowError(
+                f"|lam| = e^(-2 pi sum(k)) = e^{exponent:.6g} exceeds "
+                f"ln(DBL_MAX) = {LN_DBL_MAX:.6g}, so exp(lam) overflows")
+        self.scale = math.exp(exponent)
 
     def lam_many(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -376,10 +396,10 @@ class DiscontinuityExample:
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         lam = self.lam_many(X)
-        out = np.zeros((lam.shape[0], 2, 2), dtype=complex)
-        out[:, 0, 0] = np.exp(lam)
-        out[:, 1, 1] = np.exp(-lam)
-        return out
+        out = np.zeros((2, 2, lam.shape[0]), dtype=complex)
+        out[0, 0] = np.exp(lam)
+        out[1, 1] = np.exp(-lam)
+        return out.transpose(2, 0, 1)
 
     def eval(self, x) -> np.ndarray:
         return self.eval_many(np.asarray(x, dtype=float).reshape(1, -1))[0]
@@ -435,8 +455,9 @@ class LogNormResult:
 def _left_multiply(mats: np.ndarray, U: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out <- mats @ U, for an (m, 2, 2) stack mats and U, out of shape (2, 2, m).
 
-    A function of its own so that mats and its transposed copy are freed
-    before the next step evaluates A: at 65536 nodes each is 4 MiB.
+    The built-in evaluators return mats as an entry-major view, so reading
+    it as (2, 2, m) copies nothing; a C-order stack from an outside
+    evaluator is copied to that layout here.
     """
     M = np.ascontiguousarray(mats.transpose(1, 2, 0))
     # Row i of the product is M_i0 * (row 0 of U) + M_i1 * (row 1 of U).

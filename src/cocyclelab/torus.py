@@ -44,9 +44,13 @@ class Frequency:
     components: tuple
 
     def __init__(self, components: Sequence[float]):
-        if not all(math.isfinite(float(c)) for c in components):
+        try:
+            vals = [float(c) for c in components]
+        except OverflowError:  # an int past the double range
+            vals = [math.inf]
+        if not all(math.isfinite(v) for v in vals):
             raise ValueError(f"frequency components must be finite: {list(components)}")
-        comps = tuple(float(c) - math.floor(float(c)) for c in components)
+        comps = tuple(v - math.floor(v) for v in vals)
         if len(comps) == 0:
             raise ValueError("Frequency needs dimension d >= 1")
         object.__setattr__(self, "components", comps)

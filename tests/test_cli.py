@@ -423,6 +423,10 @@ CONFIG_ERRORS = {
     "infinite-frequency": {
         "experiment": "le", "cocycle": AMO, "frequency": [math.inf],
         "quadrature": GRID16, "params": {"N_list": [1]}},
+    # an integer past the double range: float() raises OverflowError
+    "huge-integer-frequency": {
+        "experiment": "le", "cocycle": AMO, "frequency": [10**400],
+        "quadrature": GRID16, "params": {"N_list": [1]}},
     "monte-carlo-with-points-per-dim": {
         "experiment": "le", "cocycle": AMO, "frequency": [GOLDEN],
         "quadrature": {"kind": "monte-carlo", "points_per_dim": 16},
@@ -560,6 +564,32 @@ def test_numerical_failure_exits_3_with_error_json(tmp_path, capsys, error):
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == error
     assert json.loads((out / "error.json").read_text()) == record
+
+
+def test_discontinuity_scale_past_the_exp_range_exits_3(tmp_path, capsys):
+    # |lam| = e^{4 pi} would overflow exp(lam) at every node
+    cfg = {"experiment": "example-discontinuity", "frequency": [0.0],
+           "params": {"k": [-2], "N_list": [1], "M": 8}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = run_cli(tmp_path, cfg)
+    assert rc == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "OverflowError"
+    assert "ln(DBL_MAX) = 709.783" in record["message"]
+    assert json.loads((out / "error.json").read_text()) == record
+
+
+def test_discontinuity_scale_within_the_exp_range_runs(tmp_path):
+    # |lam| = e^{2 pi}, about 535, stays below ln(DBL_MAX)
+    cfg = {"experiment": "example-discontinuity", "frequency": [0.0],
+           "params": {"k": [-1], "N_list": [1, 3], "M": 8}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = run_cli(tmp_path, cfg)
+    assert rc == 0
+    rows = json.loads((out / "example-discontinuity.json").read_text())["rows"]
+    assert all(math.isfinite(r["value"]) and r["value"] > 0 for r in rows)
 
 
 @pytest.mark.parametrize("out_name", ["notadir/sub", "notadir"])

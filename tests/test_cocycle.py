@@ -140,7 +140,7 @@ class TestHalfTablePhases:
         p = TrigPoly(d, {k: data.draw(coefficient) for k in keys})
         assert symmetric <= (p._half is not None)
         phases = np.exp(TWO_PI_I * (X @ p._ks.T))
-        assert same_bits(_phases(X, p._ks, p._half), phases)
+        assert same_bits(_phases(X, p._ks, p._half), phases.T)
         assert same_bits(p.eval_many(X), phases @ p._cs)
 
     @given(support_and_nodes(), st.data())
@@ -168,7 +168,7 @@ class TestHalfTablePhases:
             for m in (1, 7):
                 X = rng.uniform(-1.0, 2.0, (m, d))
                 phases = np.exp(TWO_PI_I * (X @ p._ks.T))
-                assert same_bits(_phases(X, p._ks, p._half), phases)
+                assert same_bits(_phases(X, p._ks, p._half), phases.T)
                 assert same_bits(p.eval_many(X), phases @ p._cs)
 
     @pytest.mark.parametrize("m", [512, 65536])
@@ -185,6 +185,104 @@ class TestHalfTablePhases:
             ref = np.einsum("mn,nij->mij",
                             np.exp(TWO_PI_I * (pts @ A._ks.T)), A._cs)
             assert same_bits(A.eval_many(pts), ref)
+
+
+def _c_order_stack(A, X):
+    """A(X) as the C-order (m, 2, 2) stack of the einsum over an (m, n)
+    phase table, the layout an outside evaluator returns."""
+    phases = np.exp(TWO_PI_I * (X @ A._ks.T))
+    return np.einsum("mn,nij->mij", phases, A._cs)
+
+
+class _COrderEvaluator:
+    """An outside evaluator: the values of base, copied to C order."""
+
+    def __init__(self, base):
+        self.base, self.d = base, base.d
+
+    def eval_many(self, X):
+        return np.ascontiguousarray(self.base.eval_many(X))
+
+
+class TestEntryMajorLayout:
+    """The built-in evaluators return A as an (m, 2, 2) view of entry-major
+    (2, 2, m) memory, with the bits of the C-order reference."""
+
+    @staticmethod
+    def _polys():
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 3):
+            keys = {tuple(int(v) for v in rng.integers(-3, 4, d))
+                    for _ in range(4)}
+            for symmetric in (False, True):
+                if symmetric:
+                    keys |= {tuple(-v for v in k) for k in keys}
+                coeffs = {k: rng.uniform(-2, 2, (2, 2))
+                          + 1j * rng.uniform(-2, 2, (2, 2)) for k in keys}
+                yield TrigPolyMatrix(d, coeffs, rho=0.5), rng
+
+    @staticmethod
+    def _check(vals, ref):
+        assert vals.shape == ref.shape
+        assert vals.transpose(1, 2, 0).flags.c_contiguous
+        assert same_bits(vals, ref)
+
+    @pytest.mark.parametrize("m", [1, 7, 512])
+    def test_trig_poly_matrix(self, m):
+        for A, rng in self._polys():
+            X = rng.uniform(-1.0, 2.0, (m, A.d))
+            self._check(A.eval_many(X), _c_order_stack(A, X))
+
+    @pytest.mark.parametrize("m", [1, 512])
+    def test_renormalized(self, m):
+        for A, rng in self._polys():
+            X = rng.uniform(-1.0, 2.0, (m, A.d))
+            ref = renormalize(_COrderEvaluator(A)).eval_many(X)
+            self._check(renormalize(A).eval_many(X), ref)
+
+    def test_composed(self):
+        v = TrigPoly.cosine((1, 0), 2.0) + TrigPoly.cosine((0, 1))
+        A = schrodinger(v, 0.3, d=2)
+        B = Automorphism.from_entries([[2, 3], [1, 2]])
+        X = np.random.default_rng(6).random((512, 2))
+        Y = X @ B.as_array().T.astype(float)
+        ref = _c_order_stack(A, Y - np.floor(Y))
+        self._check(ComposedMatrix(A, B).eval_many(X), ref)
+
+    @pytest.mark.parametrize("k", [(1,), (2, -1), (1, 0, 3)])
+    def test_discontinuity(self, k):
+        ex = DiscontinuityExample(k)
+        X = np.random.default_rng(7).random((512, len(k)))
+        lam = ex.lam_many(X)
+        ref = np.zeros((512, 2, 2), dtype=complex)
+        ref[:, 0, 0] = np.exp(lam)
+        ref[:, 1, 1] = np.exp(-lam)
+        self._check(ex.eval_many(X), ref)
+
+    def test_c_order_evaluator_iterates_to_the_same_bits(self):
+        A = renormalize(jacobi(TrigPoly.cosine((1,), 4.0),
+                               TrigPoly.constant(1, 1.0)
+                               + TrigPoly.cosine((1,), 0.5), 0.3,
+                               Frequency((GOLDEN,))))
+        X = (np.arange(512)[:, None] + 0.5) / 512
+        omega = Frequency((GOLDEN,))
+        avg, under = iterate_log_norm_many(Cocycle(A, omega), 9, X)
+        ref, ref_under = iterate_log_norm_many(
+            Cocycle(_COrderEvaluator(A), omega), 9, X)
+        assert avg.tobytes() == ref.tobytes()
+        assert np.array_equal(under, ref_under)
+
+    @pytest.mark.parametrize("m", [1, 7, 512])
+    def test_scalar_trig_poly_keeps_its_blas_product(self, m):
+        rng = np.random.default_rng(8)
+        for d in (1, 2, 3):
+            keys = {tuple(int(v) for v in rng.integers(-3, 4, d))
+                    for _ in range(4)}
+            keys |= {tuple(-v for v in k) for k in keys}
+            p = TrigPoly(d, {k: complex(*rng.uniform(-2, 2, 2)) for k in keys})
+            X = rng.uniform(-1.0, 2.0, (m, d))
+            phases_mn = np.exp(TWO_PI_I * (X @ p._ks.T))
+            assert same_bits(p.eval_many(X), phases_mn @ p._cs)
 
 
 class TestMatrixAlgebra:
@@ -395,6 +493,17 @@ class TestDiscontinuityExample:
             for N in (1, 7):
                 got = iterate_log_norm(c, N, (x,)).log_norm_avg
                 assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [(-2,), (1, -3), (-200,)])
+    def test_scale_past_the_exp_range_overflows(self, k):
+        with pytest.raises(OverflowError, match=r"ln\(DBL_MAX\) = 709\.783"):
+            DiscontinuityExample(k)
+
+    def test_largest_scale_below_the_exp_range_is_finite(self):
+        ex = DiscontinuityExample((-1,))
+        assert ex.scale == pytest.approx(math.exp(2 * math.pi))
+        X = (np.arange(64)[:, None] + 0.5) / 64
+        assert np.all(np.isfinite(ex.eval_many(X)))
 
     def test_rejects_zero_index(self):
         with pytest.raises(ValueError):

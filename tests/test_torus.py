@@ -114,6 +114,12 @@ class TestFrequency:
         with pytest.raises(ValueError):
             Frequency([])
 
+    @pytest.mark.parametrize("c", [10**400, -(10**400)])
+    def test_integer_past_the_double_range_is_not_finite(self, c):
+        # float(10**400) raises OverflowError; it must read as a bad value
+        with pytest.raises(ValueError, match="must be finite"):
+            Frequency([0.5, c])
+
 
 class TestFreqNorm:
     def test_both_components_integral(self):
