@@ -22,6 +22,11 @@ polynomial is (n, m), one row per index k over all m nodes, and the matrix
 evaluators return A(X) as an (m, 2, 2) view of entry-major (2, 2, m) memory,
 the kernel's own layout, so a step copies nothing. An outside evaluator may
 return a C-order (m, 2, 2) stack; the kernel copies that to its layout.
+
+Every k.x in this module comes from _dot, a fixed-order elementwise sum with
+no BLAS, so a node has the same bits alone as in any batch and under any
+BLAS build; every trig-polynomial evaluation is the one reduction of
+_evaluate.
 """
 from __future__ import annotations
 
@@ -51,42 +56,62 @@ def _tables(d: int, coeffs: dict, shape: tuple):
     """Sorted index table ks (n, d), coefficient table cs (n,) + shape, and
     the number h of indices k > 0 when the table is symmetric (k in it
     exactly when -k is), else None. Built once per object, as the kernel
-    evaluates A at every step."""
+    evaluates A at every step. The indices are small integers, stored as
+    float64 (exact) so that no step casts them."""
     keys = sorted(coeffs)
-    ks = np.array(keys, dtype=np.int64).reshape(-1, d)
+    ks = np.array(keys, dtype=float).reshape(-1, d)
     cs = np.array([coeffs[k] for k in keys], dtype=complex).reshape((-1,) + shape)
     sym = all(tuple(-v for v in k) in coeffs for k in keys)
     return ks, cs, (len(keys) // 2 if sym else None)
+
+
+def _dot(X: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """k.x for every index k in ks (n, d) and node x in X (m, d): (n, m).
+
+    A fixed-order elementwise sum over the d coordinates, with no BLAS, so
+    each entry depends only on k and x: a node has the same bits alone as in
+    any batch, under any BLAS build, and (-k).x = -(k.x) exactly.
+    """
+    theta = ks[:, :1] * X[:, 0]
+    for j in range(1, ks.shape[1]):
+        theta += ks[:, j:j + 1] * X[:, j]
+    return theta
 
 
 def _phases(X: np.ndarray, ks: np.ndarray, h: Optional[int]) -> np.ndarray:
     """e^{2 pi i k.x} for every index k in ks and node x in X: (n, m).
 
     Index-major, so that each row is one index over all m nodes and the
-    matrix evaluator can reduce over the rows straight into the kernel's
-    entry-major layout. On a symmetric table (h from _tables) the sorted
-    indices pair up as ks[n-1-j] = -ks[j], so exp runs only over the h
-    indices k > 0: the row of -k is the conjugate of that of k, and the row
-    of k = 0 is 1. Every bit matches exp over the whole table. The
-    conjugate's imaginary part is taken as 0 - im, which is +0 where exp at
-    -k.x gives +0. The products k.x come from one matmul over the whole
-    table, X @ ks.T, transposed, as BLAS may round a column differently in a
-    narrower product. For d > 1 BLAS does not always give the two rows of a
-    pair exactly opposite sums; then exp runs over every row.
+    evaluators reduce over the rows straight into the kernel's entry-major
+    layout. On a symmetric table (h from _tables) the sorted indices pair up
+    as ks[n-1-j] = -ks[j], so k.x and exp run only over the h indices k > 0:
+    as _dot negates exactly, the row of -k is the conjugate of that of k,
+    and the row of k = 0 is 1. Every bit matches exp over the whole table.
+    The conjugate's imaginary part is taken as 0 - im, which is +0 where exp
+    at -k.x gives +0.
     """
-    theta = (X @ ks.T).T
+    if h is None:
+        out = TWO_PI_I * _dot(X, ks)
+        return np.exp(out, out=out)
     n = ks.shape[0]
-    out = np.empty(theta.shape, dtype=complex)
-    if not h or (ks.shape[1] > 1 and not np.array_equal(
-            theta[:h], np.negative(theta[:n - h - 1:-1]))):
-        return np.exp(TWO_PI_I * theta, out=out)
-    upper, lower = out[n - h:], out[h - 1::-1]
-    np.exp(TWO_PI_I * theta[n - h:], out=upper)
-    if n - h > h:
-        out[h] = 1.0
+    out = np.empty((n, X.shape[0]), dtype=complex)
+    upper, lower = out[n - h:], out[:h][::-1]
+    np.multiply(TWO_PI_I, _dot(X, ks[n - h:]), out=upper)
+    np.exp(upper, out=upper)
+    out[h:n - h] = 1.0
     lower.real = upper.real
     np.subtract(0.0, upper.imag, out=lower.imag)
     return out
+
+
+def _evaluate(X: np.ndarray, ks: np.ndarray, cs: np.ndarray,
+              h: Optional[int]) -> np.ndarray:
+    """sum_k c_k e^{2 pi i k.x} at every node x in X: shape cs.shape[1:] + (m,).
+
+    One reduction over the index rows for every evaluator: the scalar table,
+    the matrix table (entry-major, the kernel's layout) and the strip faces.
+    """
+    return np.einsum("nm,n...->...m", _phases(X, ks, h), cs)
 
 
 # ---------------------------------------------------------------------------
@@ -145,18 +170,18 @@ class TrigPoly:
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        # BLAS rounds a product differently by operand layout: keep (m, n)
-        phases = np.ascontiguousarray(_phases(X, self._ks, self._half).T)
-        return phases @ self._cs
+        return _evaluate(X, self._ks, self._cs, self._half)
 
     def eval(self, x) -> complex:
         return complex(self.eval_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def shift(self, t: Sequence[float]) -> "TrigPoly":
         """f(x + t): multiplies c_k by e^{2 pi i k.t}."""
-        tv = np.asarray(t, dtype=float)
-        return TrigPoly(self.d, {k: c * complex(np.exp(TWO_PI_I * float(np.dot(k, tv))))
-                                 for k, c in self.coeffs.items()})
+        tv = np.asarray(t, dtype=float).reshape(1, -1)
+        ks = np.array(list(self.coeffs), dtype=float).reshape(-1, self.d)
+        theta = _dot(tv, ks)[:, 0]
+        return TrigPoly(self.d, {k: c * complex(np.exp(TWO_PI_I * float(th)))
+                                 for (k, c), th in zip(self.coeffs.items(), theta)})
 
     def conjugate(self) -> "TrigPoly":
         """x -> conj(f(x)): coefficient c_k becomes conj(c_{-k})."""
@@ -250,8 +275,7 @@ class TrigPolyMatrix:
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        phases = _phases(X, self._ks, self._half)
-        return np.einsum("nm,nij->ijm", phases, self._cs).transpose(2, 0, 1)
+        return _evaluate(X, self._ks, self._cs, self._half).transpose(2, 0, 1)
 
     def eval(self, x) -> np.ndarray:
         """A(x) for a real point x of T^d."""
@@ -320,9 +344,9 @@ def strip_norm(A: TrigPolyMatrix, B: TrigPolyMatrix, rho: float,
     for signs in np.ndindex(*(2,) * d):
         ims.append(rho * (2.0 * np.array(signs) - 1.0))
     for im in ims:
-        Z = X + 1j * im
-        phases = np.exp(TWO_PI_I * (Z @ D._ks.T).T)
-        vals = np.einsum("nm,nij->ijm", phases, D._cs)
+        # off the real torus the row of -k is not the conjugate of that of
+        # k, so exp runs over the whole table
+        vals = _evaluate(X + 1j * im, D._ks, D._cs, None)
         best = max(best, float(np.max(np.abs(vals))))
     return StripNormResult(value=best, samples=len(ims) * X.shape[0])
 
@@ -388,11 +412,11 @@ class DiscontinuityExample:
                 f"|lam| = e^(-2 pi sum(k)) = e^{exponent:.6g} exceeds "
                 f"ln(DBL_MAX) = {LN_DBL_MAX:.6g}, so exp(lam) overflows")
         self.scale = math.exp(exponent)
+        self._ks = np.array([kt], dtype=float)
 
     def lam_many(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        kv = np.array(self.k, dtype=float)
-        return np.exp(TWO_PI_I * (X @ kv)) * self.scale
+        return np.exp(TWO_PI_I * _dot(X, self._ks)[0]) * self.scale
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         lam = self.lam_many(X)
@@ -414,10 +438,12 @@ class ComposedMatrix:
         self.base = base
         self.B = B
         self.d = base.d
+        self._rows = B.as_array().astype(float)
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return self.base.eval_many(_frac(X @ self.B.as_array().T.astype(float)))
+        # coordinate i of Bx is (row i of B).x
+        return self.base.eval_many(_frac(_dot(X, self._rows).T))
 
     def eval(self, x) -> np.ndarray:
         return self.eval_many(np.asarray(x, dtype=float).reshape(1, -1))[0]

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._util import CSV_BLOCK, csv_text, det_2x2, dyadic_grid, pairwise_total
 from .cocycle import Cocycle, TrigPoly, iterate_log_norm_many, renormalize
-from .errors import IdenticallyZero
+from .errors import AllSamplesSingular, IdenticallyZero
 from .lyapunov import DEFAULT_CLIP_FLOOR, QuadratureSpec
 from .torus import dist_to_Z
 
@@ -31,6 +31,20 @@ def _sample(C: Cocycle, N: int, X: np.ndarray, renormalize_first: bool,
             at: Optional[Sequence[int]] = None):
     A = renormalize(C.A) if renormalize_first else C.A
     return iterate_log_norm_many(Cocycle(A, C.omega), N, X, at=at)
+
+
+def _shift_diffs(C: Cocycle, N: int, M: int, a: np.ndarray,
+                 renormalize_first: bool) -> np.ndarray:
+    """|L_N(x) - L_N(x + a)| over the grid nodes x where neither orbit
+    underflowed; raises AllSamplesSingular when there is no such node."""
+    X = dyadic_grid(C.d, M)
+    base, under0 = _sample(C, N, X, renormalize_first)
+    shifted, under1 = _sample(C, N, (X + a) % 1.0, renormalize_first)
+    keep = ~(under0 | under1)
+    if not keep.any():
+        raise AllSamplesSingular(
+            f"all {X.shape[0]} node pairs underflowed at N={N}")
+    return np.abs(base[keep] - shifted[keep])
 
 
 @dataclass
@@ -85,9 +99,15 @@ class Profile:
 
 def _profiles(C: Cocycle, Ns: Sequence[int], M: int,
               renormalize_first: bool) -> List[Profile]:
-    """One Profile per scale in Ns, all read from one orbit run to max(Ns)."""
+    """One Profile per scale in Ns, all read from one orbit run to max(Ns).
+
+    Raises AllSamplesSingular when every node underflowed at some scale.
+    """
     X = dyadic_grid(C.d, M)
     avg, under = _sample(C, max(Ns), X, renormalize_first, at=Ns)
+    for N, u in zip(Ns, under):
+        if u.all():
+            raise AllSamplesSingular(f"all {X.shape[0]} nodes underflowed at N={N}")
     shape = (M,) * C.d
     return [Profile(d=C.d, M=M, N=N, values=np.where(u, SENTINEL, a).reshape(shape),
                     retained=~u.reshape(shape))
@@ -190,12 +210,8 @@ def cdt_empirical(C: Cocycle, N: int, a, kappa: float, M: int,
     it exceeds 1 the estimate is flagged vacuous but still computed.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
-    X = dyadic_grid(C.d, M)
-    base, under0 = _sample(C, N, X, renormalize_first)
-    shifted, under1 = _sample(C, N, (X + a) % 1.0, renormalize_first)
-    keep = ~(under0 | under1)
-    diffs = np.abs(base[keep] - shifted[keep])
-    frac = float(np.count_nonzero(diffs > kappa)) / max(1, diffs.size)
+    diffs = _shift_diffs(C, N, M, a, renormalize_first)
+    frac = float(np.count_nonzero(diffs > kappa)) / diffs.size
     a_norm = float(np.sum(dist_to_Z(a)))
     bound = C_const * kappa ** (-3.0) * a_norm if kappa > 0 else math.inf
     return MeasureEstimate(
@@ -213,14 +229,9 @@ def shift_drift_empirical(C: Cocycle, N: int, a_exponent: float, M: int,
     """
     if not (0.0 < a_exponent < 1.0):
         raise ValueError("a_exponent must lie in (0, 1)")
-    X = dyadic_grid(C.d, M)
-    base, under0 = _sample(C, N, X, renormalize_first)
-    shifted, under1 = _sample(C, N, (X + C.omega.as_array()) % 1.0,
-                              renormalize_first)
-    keep = ~(under0 | under1)
+    diffs = _shift_diffs(C, N, M, C.omega.as_array(), renormalize_first)
     thresh = C_const * N ** (-a_exponent)
-    diffs = np.abs(base[keep] - shifted[keep])
-    frac = float(np.count_nonzero(diffs > thresh)) / max(1, diffs.size)
+    frac = float(np.count_nonzero(diffs > thresh)) / diffs.size
     return MeasureEstimate(
         threshold=thresh, measured_fraction=frac,
         predicted_bound=math.exp(-N ** (1.0 - a_exponent)),

@@ -566,6 +566,28 @@ def test_numerical_failure_exits_3_with_error_json(tmp_path, capsys, error):
     assert json.loads((out / "error.json").read_text()) == record
 
 
+# A constant 1e-200 diagonal, not renormalized: every orbit underflows by N = 2.
+TINY = {"kind": "constant", "diag": [1.0e-200, 1.0e-200]}
+UNDERFLOWING = {
+    "ldt": {"N": 2, "M": 8, "kappas": [0.1]},
+    "fourier": {"N": 2, "M": 8, "K0": 2},
+    "l2": {"N_list": [2], "M": 8},
+    "cdt": {"N": 2, "M": 8, "kappa": 0.1, "shifts": [[0.1]]},
+    "drift": {"N": 2, "M": 8, "a_exponent": 0.5},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(UNDERFLOWING))
+def test_deviation_with_every_node_underflowed_exits_3(tmp_path, capsys, experiment):
+    cfg = {"experiment": experiment, "cocycle": TINY, "frequency": [GOLDEN],
+           "params": dict(UNDERFLOWING[experiment], renormalize_first=False)}
+    rc, out = run_cli(tmp_path, cfg)
+    assert rc == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "AllSamplesSingular"
+    assert json.loads((out / "error.json").read_text()) == record
+
+
 def test_discontinuity_scale_past_the_exp_range_exits_3(tmp_path, capsys):
     # |lam| = e^{4 pi} would overflow exp(lam) at every node
     cfg = {"experiment": "example-discontinuity", "frequency": [0.0],

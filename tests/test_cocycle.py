@@ -10,6 +10,7 @@ from cocyclelab._util import set_max_workers
 from cocyclelab.cocycle import (
     TWO_PI_I,
     ComposedMatrix,
+    _dot,
     _phases,
     Cocycle,
     DiscontinuityExample,
@@ -129,6 +130,11 @@ coefficient = st.complex_numbers(min_magnitude=1e-3, max_magnitude=2.0,
                                  allow_nan=False, allow_infinity=False)
 
 
+def _all_exp(X, ks):
+    """e^{2 pi i k.x} with exp over the whole index table: (n, m)."""
+    return np.exp(TWO_PI_I * _dot(X, ks))
+
+
 class TestHalfTablePhases:
     """On a symmetric index table eval_many runs exp over the indices k > 0
     only; every bit must match exp over the whole table."""
@@ -139,9 +145,9 @@ class TestHalfTablePhases:
         d, keys, symmetric, X = case
         p = TrigPoly(d, {k: data.draw(coefficient) for k in keys})
         assert symmetric <= (p._half is not None)
-        phases = np.exp(TWO_PI_I * (X @ p._ks.T))
-        assert same_bits(_phases(X, p._ks, p._half), phases.T)
-        assert same_bits(p.eval_many(X), phases @ p._cs)
+        phases = _all_exp(X, p._ks)
+        assert same_bits(_phases(X, p._ks, p._half), phases)
+        assert same_bits(p.eval_many(X), np.einsum("nm,n->m", phases, p._cs))
 
     @given(support_and_nodes(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -150,13 +156,12 @@ class TestHalfTablePhases:
         A = TrigPolyMatrix(d, {k: [[data.draw(coefficient) for _ in range(2)]
                                    for _ in range(2)] for k in keys}, rho=0.5)
         assert symmetric <= (A._half is not None)
-        ref = np.einsum("mn,nij->mij",
-                        np.exp(TWO_PI_I * (X @ A._ks.T)), A._cs)
+        ref = np.einsum("nm,nij->mij", _all_exp(X, A._ks), A._cs)
         assert same_bits(A.eval_many(X), ref)
 
     def test_sweep_of_small_batches_matches_all_exp(self):
-        # single nodes in d >= 2: here BLAS gives some pairs of columns sums
-        # that are not exact negatives, which _phases must detect
+        # single nodes and small batches in d >= 2: the half table is right
+        # only if _dot gives k and -k exactly opposite sums in any batch
         rng = np.random.default_rng(11)
         for _ in range(400):
             d = int(rng.integers(2, 4))
@@ -167,9 +172,10 @@ class TestHalfTablePhases:
                              for k in keys})
             for m in (1, 7):
                 X = rng.uniform(-1.0, 2.0, (m, d))
-                phases = np.exp(TWO_PI_I * (X @ p._ks.T))
-                assert same_bits(_phases(X, p._ks, p._half), phases.T)
-                assert same_bits(p.eval_many(X), phases @ p._cs)
+                phases = _all_exp(X, p._ks)
+                assert same_bits(_phases(X, p._ks, p._half), phases)
+                assert same_bits(p.eval_many(X),
+                                 np.einsum("nm,n->m", phases, p._cs))
 
     @pytest.mark.parametrize("m", [512, 65536])
     def test_named_cocycles_match_all_exp(self, m):
@@ -182,16 +188,14 @@ class TestHalfTablePhases:
         for A, pts in ((amo(3.0, 0.3), X), (jacobi(v, a, 0.3, omega), X),
                        (schrodinger(v2, 0.3, d=2), X2)):
             assert A._half is not None
-            ref = np.einsum("mn,nij->mij",
-                            np.exp(TWO_PI_I * (pts @ A._ks.T)), A._cs)
+            ref = np.einsum("nm,nij->mij", _all_exp(pts, A._ks), A._cs)
             assert same_bits(A.eval_many(pts), ref)
 
 
 def _c_order_stack(A, X):
-    """A(X) as the C-order (m, 2, 2) stack of the einsum over an (m, n)
+    """A(X) as the C-order (m, 2, 2) stack of the einsum over the full
     phase table, the layout an outside evaluator returns."""
-    phases = np.exp(TWO_PI_I * (X @ A._ks.T))
-    return np.einsum("mn,nij->mij", phases, A._cs)
+    return np.einsum("nm,nij->mij", _all_exp(X, A._ks), A._cs)
 
 
 class _COrderEvaluator:
@@ -245,7 +249,7 @@ class TestEntryMajorLayout:
         A = schrodinger(v, 0.3, d=2)
         B = Automorphism.from_entries([[2, 3], [1, 2]])
         X = np.random.default_rng(6).random((512, 2))
-        Y = X @ B.as_array().T.astype(float)
+        Y = _dot(X, B.as_array().astype(float)).T
         ref = _c_order_stack(A, Y - np.floor(Y))
         self._check(ComposedMatrix(A, B).eval_many(X), ref)
 
@@ -271,18 +275,6 @@ class TestEntryMajorLayout:
             Cocycle(_COrderEvaluator(A), omega), 9, X)
         assert avg.tobytes() == ref.tobytes()
         assert np.array_equal(under, ref_under)
-
-    @pytest.mark.parametrize("m", [1, 7, 512])
-    def test_scalar_trig_poly_keeps_its_blas_product(self, m):
-        rng = np.random.default_rng(8)
-        for d in (1, 2, 3):
-            keys = {tuple(int(v) for v in rng.integers(-3, 4, d))
-                    for _ in range(4)}
-            keys |= {tuple(-v for v in k) for k in keys}
-            p = TrigPoly(d, {k: complex(*rng.uniform(-2, 2, 2)) for k in keys})
-            X = rng.uniform(-1.0, 2.0, (m, d))
-            phases_mn = np.exp(TWO_PI_I * (X @ p._ks.T))
-            assert same_bits(p.eval_many(X), phases_mn @ p._cs)
 
 
 class TestMatrixAlgebra:
@@ -561,14 +553,33 @@ class TestIteration:
             assert n * avg[n - 1, 0] == pytest.approx(
                 n * brute_average(m, c.omega, n, (0.4,)), abs=1e-10)
 
-    def test_batch_matches_single(self):
-        m = amo(2.0, 0.7)
-        c = Cocycle(m, Frequency((GOLDEN,)))
-        X = np.linspace(0, 1, 9, endpoint=False).reshape(-1, 1)
+    # per dimension: the potential's indices, an automorphism of Z^d and a
+    # frequency
+    SINGLE_VS_BATCH = {
+        1: ([(1,), (3,)], [[1]], (GOLDEN,)),
+        2: ([(2, -1), (3, 1)], [[2, 3], [1, 2]], (GOLDEN, 2**0.5 - 1)),
+        3: ([(1, -2, 3), (2, 1, -1)], [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+            (GOLDEN, 2**0.5 - 1, 10**0.5 - 3)),
+    }
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batch_matches_single(self, d):
+        # a node's bits do not depend on the batch it is evaluated in
+        indices, B, w = self.SINGLE_VS_BATCH[d]
+        v = TrigPoly.cosine(indices[0], 2.0) + TrigPoly.cosine(indices[1], 1.5)
+        p = v + TrigPoly.sine(indices[1], 0.5)
+        A = schrodinger(v, 0.3, d=d)
+        c = Cocycle(A, Frequency(w))
+        X = np.random.default_rng(d).random((64, d))
         avg, under = iterate_log_norm_many(c, 20, X)
         assert not under.any()
+        evaluators = (p, A, DiscontinuityExample(indices[0]),
+                      ComposedMatrix(A, Automorphism.from_entries(B)))
+        batches = [e.eval_many(X) for e in evaluators]
         for i, x in enumerate(X):
-            assert avg[i] == iterate_log_norm(c, 20, x).log_norm_avg
+            assert avg[i].hex() == iterate_log_norm(c, 20, x).log_norm_avg.hex()
+            for e, batch in zip(evaluators, batches):
+                assert same_bits(np.asarray(e.eval(x)), batch[i])
 
     def test_thread_count_does_not_change_bits(self, monkeypatch):
         # split the 257 nodes even though each chunk is below the thread floor
