@@ -453,8 +453,8 @@ def build_cocycle(spec: dict, omega: Frequency) -> Cocycle:
     elif kind == "discontinuity":
         A = DiscontinuityExample(tuple(spec["k"]))
     else:  # "matrix"; the schema admits no other kind
-        e = [build_trigpoly(s, d) for s in spec["entries"]]
-        A = TrigPolyMatrix.from_entries(e[0], e[1], e[2], e[3], rho=rho)
+        A = TrigPolyMatrix(*(build_trigpoly(s, d) for s in spec["entries"]),
+                           rho=rho)
     return Cocycle(A, omega)
 
 
@@ -519,12 +519,11 @@ def _run_continuity(inp: Inputs):
         raise ConfigError("continuity needs a trig-polynomial cocycle")
     i, j = p.get("entry", [0, 0])
     k = tuple(p.get("k", [0] * A.d))
-    entries = [A.entry(0, 0), A.entry(0, 1), A.entry(1, 0), A.entry(1, 1)]
     perturbed = []
     for amp in p["amplitudes"]:
-        bumped = list(entries)
+        bumped = list(A.entries)
         bumped[2 * i + j] = bumped[2 * i + j] + TrigPoly(A.d, {k: float(amp)})
-        perturbed.append(TrigPolyMatrix.from_entries(*bumped, rho=A.rho))
+        perturbed.append(TrigPolyMatrix(*bumped, rho=A.rho))
     table = finite_scale_modulus(inp.C, int(p["N"]), perturbed, inp.quad)
     env = {r.delta: r.diff for r in table.envelope}
     rows = ((r.delta, r.diff, env[r.delta])

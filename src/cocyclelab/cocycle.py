@@ -6,12 +6,14 @@ A_N(x) = A(x + (N-1) omega) ... A(x + omega) A(x), and the central quantity is
 the averaged log-norm (1/N) ln ||A_N(x)||.
 
 Two representations coexist behind one evaluation interface: exact
-trigonometric polynomials (finitely many Fourier coefficients) and pointwise
-analytic evaluators (the determinant-renormalized cocycle, the diagonal
-exponential example and the composition with a torus automorphism, whose
-entries are not trig polynomials). Anything with ``d``, ``eval`` and
-``eval_many`` can be iterated. Everything evaluates on the real torus;
-strip_norm is the one evaluator at complex points.
+trigonometric polynomials and pointwise analytic evaluators (the
+determinant-renormalized cocycle, the diagonal exponential example and the
+composition with a torus automorphism, whose entries are not trig
+polynomials). A matrix trig polynomial is its four TrigPoly entries, so every
+coefficient operation (products, sums, scalings) is TrigPoly's, entry by entry;
+the only matrix-shaped data is its evaluation table. Anything with ``d``,
+``eval`` and ``eval_many`` can be iterated. Everything evaluates on the real
+torus; strip_norm is the one evaluator at complex points.
 
 Every orbit product runs through one kernel, _iterate_chunk, entered only
 through iterate_log_norm_many: a batch of starting points, read at one or
@@ -52,16 +54,20 @@ def _frac(x: np.ndarray) -> np.ndarray:
     return x - np.floor(x)
 
 
-def _tables(d: int, coeffs: dict, shape: tuple):
-    """Sorted index table ks (n, d), coefficient table cs (n,) + shape, and
-    the number h of indices k > 0 when the table is symmetric (k in it
-    exactly when -k is), else None. Built once per object, as the kernel
-    evaluates A at every step. The indices are small integers, stored as
-    float64 (exact) so that no step casts them."""
-    keys = sorted(coeffs)
+def _tables(d: int, coeffs: Sequence[dict], shape: tuple):
+    """Evaluation table of one or more coefficient dicts over the union of
+    their indices: the sorted index table ks (n, d), the coefficient table
+    cs (n,) + shape (dict e in entry e, 0 where it lacks the index), and the
+    number h of indices k > 0 when the table is symmetric (k in it exactly
+    when -k is), else None. Built once per object, as the kernel evaluates A
+    at every step. The indices are small integers, stored as float64 (exact)
+    so that no step casts them."""
+    index = set().union(*coeffs)
+    keys = sorted(index)
     ks = np.array(keys, dtype=float).reshape(-1, d)
-    cs = np.array([coeffs[k] for k in keys], dtype=complex).reshape((-1,) + shape)
-    sym = all(tuple(-v for v in k) in coeffs for k in keys)
+    cs = np.array([[c.get(k, 0j) for c in coeffs] for k in keys],
+                  dtype=complex).reshape((-1,) + shape)
+    sym = all(tuple(-v for v in k) in index for k in keys)
     return ks, cs, (len(keys) // 2 if sym else None)
 
 
@@ -132,7 +138,7 @@ class TrigPoly:
             if c != 0:
                 clean[kt] = c
         self.coeffs = clean
-        self._ks, self._cs, self._half = _tables(self.d, clean, ())
+        self._ks, self._cs, self._half = _tables(self.d, (clean,), ())
 
     @classmethod
     def constant(cls, d: int, value: complex) -> "TrigPoly":
@@ -227,51 +233,36 @@ def _as_poly(v, d: int) -> TrigPoly:
 class TrigPolyMatrix:
     """M(2,C)-valued trig polynomial with an analyticity budget rho.
 
-    coeffs maps k in Z^d (max-norm |k| <= degree) to a 2x2 complex matrix.
-    Values are immutable by convention; nothing here mutates a stored array.
+    entries = (e11, e12, e21, e22) are TrigPolys on one torus T^d, and every
+    coefficient operation acts on them entry by entry. Values are immutable
+    by convention; nothing here mutates a stored array.
     """
 
-    def __init__(self, d: int, coeffs: dict, rho: float):
+    def __init__(self, e11: TrigPoly, e12: TrigPoly, e21: TrigPoly,
+                 e22: TrigPoly, rho: float):
         if rho <= 0:
             raise ValueError("rho must be positive")
-        self.d = int(d)
+        self.entries = (e11, e12, e21, e22)
+        self.d = e11.d
+        if any(e.d != self.d for e in self.entries):
+            raise ValueError("entries live on tori of different dimensions")
         self.rho = float(rho)
-        clean = {}
-        for k, m in coeffs.items():
-            kt = tuple(int(v) for v in k)
-            if len(kt) != self.d:
-                raise ValueError(f"coefficient index {kt} has wrong dimension")
-            arr = np.array(m, dtype=complex)
-            if arr.shape != (2, 2):
-                raise ValueError("coefficients must be 2x2 matrices")
-            if np.any(arr != 0):
-                clean[kt] = arr
-        self.coeffs = clean
-        self._ks, self._cs, self._half = _tables(self.d, clean, (2, 2))
+        self._ks, self._cs, self._half = _tables(
+            self.d, [e.coeffs for e in self.entries], (2, 2))
 
     @classmethod
     def constant(cls, d: int, matrix, rho: float = 0.5) -> "TrigPolyMatrix":
-        return cls(d, {(0,) * d: np.array(matrix, dtype=complex)}, rho)
-
-    @classmethod
-    def from_entries(cls, e11: TrigPoly, e12: TrigPoly, e21: TrigPoly,
-                     e22: TrigPoly, rho: float) -> "TrigPolyMatrix":
-        d = e11.d
-        out: dict = {}
-        for (i, j), p in (((0, 0), e11), ((0, 1), e12), ((1, 0), e21), ((1, 1), e22)):
-            for k, c in p.coeffs.items():
-                m = out.setdefault(k, np.zeros((2, 2), dtype=complex))
-                m[i, j] = c
-        return cls(d, out, rho)
+        arr = np.array(matrix, dtype=complex)
+        if arr.shape != (2, 2):
+            raise ValueError("a constant matrix must be 2x2")
+        return cls(*(TrigPoly.constant(d, c) for c in arr.reshape(-1)), rho)
 
     @property
     def degree(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(max(abs(v) for v in k) for k in self.coeffs)
+        return max(e.degree for e in self.entries)
 
     def entry(self, i: int, j: int) -> TrigPoly:
-        return TrigPoly(self.d, {k: m[i, j] for k, m in self.coeffs.items()})
+        return self.entries[2 * i + j]
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -285,27 +276,22 @@ class TrigPolyMatrix:
         return self.eval_many(x.reshape(1, -1))[0]
 
     def __matmul__(self, other: "TrigPolyMatrix") -> "TrigPolyMatrix":
-        out: dict = {}
-        for k1, m1 in self.coeffs.items():
-            for k2, m2 in other.coeffs.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                acc = out.get(k)
-                prod = m1 @ m2
-                out[k] = prod if acc is None else acc + prod
-        return TrigPolyMatrix(self.d, out, min(self.rho, other.rho))
+        a11, a12, a21, a22 = self.entries
+        b11, b12, b21, b22 = other.entries
+        return TrigPolyMatrix(a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+                              a21 * b11 + a22 * b21, a21 * b12 + a22 * b22,
+                              min(self.rho, other.rho))
 
     def __add__(self, other: "TrigPolyMatrix") -> "TrigPolyMatrix":
-        out = {k: m.copy() for k, m in self.coeffs.items()}
-        for k, m in other.coeffs.items():
-            out[k] = out.get(k, np.zeros((2, 2), dtype=complex)) + m
-        return TrigPolyMatrix(self.d, out, min(self.rho, other.rho))
+        return TrigPolyMatrix(*(a + b for a, b in zip(self.entries, other.entries)),
+                              min(self.rho, other.rho))
 
     def __sub__(self, other: "TrigPolyMatrix") -> "TrigPolyMatrix":
-        return self + other.scaled(-1.0)
+        return TrigPolyMatrix(*(a - b for a, b in zip(self.entries, other.entries)),
+                              min(self.rho, other.rho))
 
     def scaled(self, s: complex) -> "TrigPolyMatrix":
-        return TrigPolyMatrix(self.d, {k: s * m for k, m in self.coeffs.items()},
-                              self.rho)
+        return TrigPolyMatrix(*(e.scaled(s) for e in self.entries), self.rho)
 
 
 def det_scalar(A: TrigPolyMatrix) -> TrigPoly:
@@ -594,9 +580,8 @@ def schrodinger(v, E: float, rho: float = 0.5, d: int = 1) -> TrigPolyMatrix:
     if not vp.is_real():
         raise ValueError("v must be real-valued on the torus")
     e11 = TrigPoly.constant(d, E) - vp
-    return TrigPolyMatrix.from_entries(
-        e11, TrigPoly.constant(d, -1.0), TrigPoly.constant(d, 1.0),
-        TrigPoly(d, {}), rho)
+    return TrigPolyMatrix(e11, TrigPoly.constant(d, -1.0),
+                          TrigPoly.constant(d, 1.0), TrigPoly(d, {}), rho)
 
 
 def amo(lam: float, E: float, rho: float = 0.5) -> TrigPolyMatrix:
@@ -605,21 +590,13 @@ def amo(lam: float, E: float, rho: float = 0.5) -> TrigPolyMatrix:
 
 
 def jacobi(v, a, E: float, omega: Frequency, rho: float = 0.5) -> TrigPolyMatrix:
-    """[[E - v(x), -conj(a(x - omega))], [a(x), 0]].
+    """[[E - v(x), -conj(a(x - omega))], [a(x), 0]]: jacobi_periodic with one
+    site and zero background.
 
     The (1,2) entry is realized as a trig polynomial by conjugating the
     coefficients of a and phase-shifting by -omega.
     """
-    d = omega.d
-    vp = _as_poly(v, d)
-    ap = _as_poly(a, d)
-    if ap.is_zero():
-        raise IdenticallySingular("a is identically zero")
-    if not vp.is_real():
-        raise ValueError("v must be real-valued on the torus")
-    a_conj_shift = ap.shift(-omega.as_array()).conjugate()
-    e11 = TrigPoly.constant(d, E) - vp
-    return TrigPolyMatrix.from_entries(e11, -a_conj_shift, ap, TrigPoly(d, {}), rho)
+    return jacobi_periodic(v, a, (0.0,), E, omega, rho)
 
 
 def jacobi_periodic(v, a, v_per: Sequence[float], E: float, omega: Frequency,
@@ -627,8 +604,8 @@ def jacobi_periodic(v, a, v_per: Sequence[float], E: float, omega: Frequency,
     """One period of Jacobi factors with background v_per(j), expanded.
 
     Site j in {1..q} contributes the factor at x + (j-1) omega with background
-    v_per(j); the product runs j = q..1 so that q = 1 with v_per = (0,) is
-    exactly jacobi(v, a, E, omega). Degree grows q-fold.
+    v_per(j); the product runs j = q..1, and q = 1 with v_per = (0,) is
+    jacobi(v, a, E, omega). Degree grows q-fold.
     """
     q = len(v_per)
     if q < 1:
@@ -638,11 +615,13 @@ def jacobi_periodic(v, a, v_per: Sequence[float], E: float, omega: Frequency,
     if ap.is_zero():
         raise IdenticallySingular("a is identically zero")
     vp = _as_poly(v, d)
+    if not vp.is_real():
+        raise ValueError("v must be real-valued on the torus")
     w = omega.as_array()
     prod: Optional[TrigPolyMatrix] = None
     for j in range(1, q + 1):
         t = _frac((j - 1) * w)
-        factor = TrigPolyMatrix.from_entries(
+        factor = TrigPolyMatrix(
             TrigPoly.constant(d, E - float(v_per[j - 1])) - vp.shift(t),
             -(ap.shift(t - w).conjugate()),
             ap.shift(t),

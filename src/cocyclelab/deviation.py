@@ -273,9 +273,15 @@ def lojasiewicz_fit(g: TrigPoly, t_grid: Sequence[float], M: int) -> LojFit:
         # nothing to regress against (e.g. |g| bounded away from zero);
         # fractions are still the deliverable
         return LojFit(S=math.nan, b=math.nan, estimates=estimates)
+    # least-squares line ln m = ln S + b ln t in closed form, every sum
+    # pairwise, so that no BLAS or LAPACK call can move its bits
     lt = np.log([u[0] for u in usable])
     lm = np.log([u[1] for u in usable])
-    b, logS = np.polyfit(lt, lm, 1)
+    mean_t = pairwise_total(lt) / lt.size
+    mean_m = pairwise_total(lm) / lm.size
+    dt = lt - mean_t
+    b = pairwise_total(dt * (lm - mean_m)) / pairwise_total(dt * dt)
+    logS = mean_m - b * mean_t
     return LojFit(S=float(np.exp(logS)), b=float(b), estimates=estimates)
 
 

@@ -310,14 +310,17 @@ class Automorphism:
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=np.int64)
 
-    def inverse_array(self) -> np.ndarray:
-        return np.array(self.inverse, dtype=np.int64)
-
     def map_frequency(self, omega: Frequency) -> Frequency:
-        return Frequency(self.as_array() @ omega.as_array())
+        return Frequency(_exact_rows(self.entries, omega))
 
     def inverse_map_frequency(self, omega: Frequency) -> Frequency:
-        return Frequency(self.inverse_array() @ omega.as_array())
+        return Frequency(_exact_rows(self.inverse, omega))
+
+
+def _exact_rows(rows: tuple, omega: Frequency) -> list:
+    """(row . omega) mod 1 for each integer row, exact and rounded once."""
+    w = [Fraction(c) for c in omega.components]
+    return [float(sum(b * c for b, c in zip(r, w)) % 1) for r in rows]
 
 
 def _complete_two(k1: int, k2: int) -> list:

@@ -247,8 +247,8 @@ def test_criterion_9_ladder_replay_determinism():
                  and len(set(texts[1][2:] + texts[4][2:])) == 1)
 
     z = TrigPoly.constant(1, 0.0)
-    A = TrigPolyMatrix.from_entries(TrigPoly.constant(1, 2.0), z, z,
-                                    TrigPoly.constant(1, 0.5), rho=1.0)
+    A = TrigPolyMatrix(TrigPoly.constant(1, 2.0), z, z,
+                       TrigPoly.constant(1, 0.5), rho=1.0)
     lad = liouville_ladder(16, 2, half, rho=1.0, kappa=0.5, C=2.0,
                            max_scale=128)
     v = ladder_verify(Cocycle(A, half), lad, quad=GRID(64))

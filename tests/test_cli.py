@@ -431,6 +431,13 @@ CONFIG_ERRORS = {
         "experiment": "le", "cocycle": AMO, "frequency": [GOLDEN],
         "quadrature": {"kind": "monte-carlo", "points_per_dim": 16},
         "params": {"N_list": [1]}},
+    "jacobi-periodic-complex-potential": {
+        "experiment": "le",
+        "cocycle": {"kind": "jacobi_periodic",
+                    "v": {"coeffs": [{"k": [1], "re": 1.0}]}, "a": 1.0,
+                    "v_per": [0.0, 1.0], "E": 0.2},
+        "frequency": [GOLDEN], "quadrature": GRID16,
+        "params": {"N_list": [1]}},
     "2d-index-in-1d-matrix": {
         "experiment": "le",
         "cocycle": {"kind": "matrix",

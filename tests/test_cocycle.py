@@ -48,6 +48,13 @@ small_coeff = st.tuples(st.integers(-3, 3),
                         st.floats(-2, 2, allow_nan=False))
 
 
+def from_blocks(d, blocks, rho=0.5):
+    """The TrigPolyMatrix whose coefficient at k is the 2x2 block blocks[k]."""
+    arrs = {k: np.asarray(m, dtype=complex) for k, m in blocks.items()}
+    return TrigPolyMatrix(*(TrigPoly(d, {k: m[i, j] for k, m in arrs.items()})
+                            for i in (0, 1) for j in (0, 1)), rho=rho)
+
+
 def poly_from(entries):
     coeffs = {}
     for k, re, im in entries:
@@ -153,8 +160,8 @@ class TestHalfTablePhases:
     @settings(max_examples=150, deadline=None)
     def test_trig_poly_matrix_matches_all_exp(self, case, data):
         d, keys, symmetric, X = case
-        A = TrigPolyMatrix(d, {k: [[data.draw(coefficient) for _ in range(2)]
-                                   for _ in range(2)] for k in keys}, rho=0.5)
+        A = from_blocks(d, {k: [[data.draw(coefficient) for _ in range(2)]
+                                for _ in range(2)] for k in keys})
         assert symmetric <= (A._half is not None)
         ref = np.einsum("nm,nij->mij", _all_exp(X, A._ks), A._cs)
         assert same_bits(A.eval_many(X), ref)
@@ -223,7 +230,7 @@ class TestEntryMajorLayout:
                     keys |= {tuple(-v for v in k) for k in keys}
                 coeffs = {k: rng.uniform(-2, 2, (2, 2))
                           + 1j * rng.uniform(-2, 2, (2, 2)) for k in keys}
-                yield TrigPolyMatrix(d, coeffs, rho=0.5), rng
+                yield from_blocks(d, coeffs), rng
 
     @staticmethod
     def _check(vals, ref):
@@ -282,6 +289,17 @@ class TestMatrixAlgebra:
         m = TrigPolyMatrix.constant(1, [[1, 2], [3, 4]])
         assert np.array_equal(m.eval((0.7,)), np.array([[1, 2], [3, 4]], dtype=complex))
 
+    def test_constructor_checks(self):
+        one, two = TrigPoly.constant(1, 1.0), TrigPoly.constant(2, 1.0)
+        for rho in (0.0, -0.5):
+            with pytest.raises(ValueError, match="rho must be positive"):
+                TrigPolyMatrix(one, one, one, one, rho=rho)
+        with pytest.raises(ValueError, match="different dimensions"):
+            TrigPolyMatrix(one, one, two, one, rho=0.5)
+        for bad in ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], np.eye(3), [1.0, 2.0]):
+            with pytest.raises(ValueError, match="must be 2x2"):
+                TrigPolyMatrix.constant(1, bad)
+
     def test_eval_dimension_mismatch(self):
         m = TrigPolyMatrix.constant(2, np.eye(2))
         with pytest.raises(ValueError):
@@ -313,7 +331,7 @@ class TestMatrixAlgebra:
         B = Automorphism.from_entries([[2, 3], [1, 2]])
         coeffs = {(1, 0): np.array([[1.0, 0], [0, 0.5]]),
                   (0, -1): np.array([[0, 2.0], [0, 0]])}
-        A = TrigPolyMatrix(2, coeffs, rho=0.3)
+        A = from_blocks(2, coeffs, rho=0.3)
         wrapped = ComposedMatrix(A, B)
         rng = np.random.default_rng(7)
         for x in rng.random((20, 2)):
@@ -335,13 +353,13 @@ class TestStripNorm:
 
     def test_monomial_grows_like_exp(self):
         # sup of |e^{2 pi i z}| over |Im z| <= rho is e^{2 pi rho}
-        a = TrigPolyMatrix(1, {(1,): np.array([[1.0, 0], [0, 0]])}, rho=0.5)
-        b = TrigPolyMatrix(1, {}, rho=0.5)
+        a = from_blocks(1, {(1,): [[1.0, 0], [0, 0]]})
+        b = from_blocks(1, {})
         r = strip_norm(a, b, rho=0.25, points_per_dim=32)
         assert r.value == pytest.approx(math.exp(2 * math.pi * 0.25), rel=1e-12)
 
     def test_budget_enforced(self):
-        a = TrigPolyMatrix(1, {(1,): np.eye(2)}, rho=0.1)
+        a = from_blocks(1, {(1,): np.eye(2)}, rho=0.1)
         with pytest.raises(OutsideStrip):
             strip_norm(a, a, rho=0.2)
 
@@ -350,8 +368,8 @@ class TestStripNorm:
     @pytest.mark.parametrize("d, per_axis", [(1, 256), (2, 256), (3, 40),
                                              (4, 16), (5, 9)])
     def test_default_face_grid(self, d, per_axis):
-        a = TrigPolyMatrix(d, {(1,) + (0,) * (d - 1): np.eye(2)}, rho=0.5)
-        b = TrigPolyMatrix(d, {}, rho=0.5)
+        a = from_blocks(d, {(1,) + (0,) * (d - 1): np.eye(2)})
+        b = from_blocks(d, {})
         r = strip_norm(a, b, rho=0.25)
         assert r.samples == (2 ** d + 1) * per_axis ** d
         assert r.value == pytest.approx(math.exp(2 * math.pi * 0.25), rel=1e-12)
@@ -379,9 +397,7 @@ class TestConstructors:
         v = TrigPoly.cosine((1,), 1.3)
         j = jacobi(v, 1.0, 0.4, om)
         s = schrodinger(v, 0.4)
-        assert set(j.coeffs) == set(s.coeffs)
-        for k in j.coeffs:
-            assert np.array_equal(j.coeffs[k], s.coeffs[k])
+        assert [e.coeffs for e in j.entries] == [e.coeffs for e in s.entries]
 
     def test_jacobi_offdiagonal_is_conjugate_shift(self):
         om = Frequency((GOLDEN,))
@@ -402,26 +418,21 @@ class TestConstructors:
         assert abs(d.coeffs[(0,)]) == pytest.approx(1.0, abs=1e-14)
         assert d.coeffs[(0,)] == pytest.approx(np.exp(2j * math.pi * 0.3), abs=1e-14)
 
+    @pytest.mark.parametrize("v_per", [(0.0,), (0.0, 1.0)])
+    def test_jacobi_periodic_rejects_complex_potential(self, v_per):
+        with pytest.raises(ValueError, match="real-valued"):
+            jacobi_periodic(TrigPoly(1, {(1,): 1.0}), 1.0, v_per, 0.2,
+                            Frequency((GOLDEN,)))
+
     def test_jacobi_rejects_zero_a(self):
         with pytest.raises(IdenticallySingular):
             jacobi(0.0, TrigPoly(1, {}), 0.0, Frequency((GOLDEN,)))
 
-    def test_jacobi_periodic_q1_is_jacobi(self):
-        om = Frequency((GOLDEN,))
-        v = TrigPoly.cosine((1,))
-        a = TrigPoly(1, {(0,): 1.0, (1,): 0.2})
-        jp = jacobi_periodic(v, a, (0.0,), 1.1, om)
-        j = jacobi(v, a, 1.1, om)
-        assert set(jp.coeffs) == set(j.coeffs)
-        for k in jp.coeffs:
-            assert np.allclose(jp.coeffs[k], j.coeffs[k], atol=1e-15)
-
     def test_jacobi_periodic_q2_alternating_background(self):
         om = Frequency((GOLDEN,))
         jp = jacobi_periodic(0.0, 1.0, (0.0, 1.0), 0.0, om)
-        assert set(jp.coeffs) == {(0,)}
-        assert np.array_equal(jp.coeffs[(0,)],
-                              np.array([[-1, 1], [0, -1]], dtype=complex))
+        assert [e.coeffs for e in jp.entries] == [{(0,): -1}, {(0,): 1}, {},
+                                                  {(0,): -1}]
 
     def test_jacobi_periodic_constant_background_squares_schrodinger(self):
         om = Frequency((GOLDEN,))
@@ -442,15 +453,15 @@ class TestRenormalize:
         assert np.allclose(np.abs(dets), 1.0, atol=1e-12)
 
     def test_identically_singular_rejected(self):
-        m = TrigPolyMatrix(1, {(0,): np.array([[1.0, 0], [0, 0]])}, rho=0.5)
+        m = TrigPolyMatrix.constant(1, [[1.0, 0], [0, 0]])
         with pytest.raises(IdenticallySingular):
             renormalize(m)
 
     def test_pointwise_singular_raises(self):
         # det = e^{2 pi i x} - 1 vanishes exactly at x = 0 in floats
         f = TrigPoly(1, {(1,): 1.0, (0,): -1.0})
-        m = TrigPolyMatrix.from_entries(f, TrigPoly(1, {}), TrigPoly(1, {}),
-                                        TrigPoly.constant(1, 1.0), rho=0.5)
+        m = TrigPolyMatrix(f, TrigPoly(1, {}), TrigPoly(1, {}),
+                           TrigPoly.constant(1, 1.0), rho=0.5)
         r = renormalize(m)
         with pytest.raises(Singular):
             r.eval((0.0,))

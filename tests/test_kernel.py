@@ -169,8 +169,8 @@ def test_kernel_matches_matmul_loop_closely(name, workers):
 def _excising(omega, floor=0.5):
     a = TrigPoly.cosine((1,), 1.0) + TrigPoly.constant(1, 0.3)
     e11 = TrigPoly.constant(1, 0.4) - TrigPoly.cosine((1,), 3.0)
-    A = TrigPolyMatrix.from_entries(e11, TrigPoly.constant(1, -1.0), a,
-                                    TrigPoly(1, {}), rho=0.5)
+    A = TrigPolyMatrix(e11, TrigPoly.constant(1, -1.0), a,
+                       TrigPoly(1, {}), rho=0.5)
     return Cocycle(renormalize(A, floor=floor), omega)
 
 

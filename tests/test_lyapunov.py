@@ -150,7 +150,7 @@ class TestDetLogIntegral:
         assert fine.clipped_mass == 0.0
 
     def test_identically_singular_rejected(self):
-        A = TrigPolyMatrix(1, {(0,): np.array([[1.0, 0], [0, 0]])}, rho=0.5)
+        A = TrigPolyMatrix.constant(1, [[1.0, 0], [0, 0]])
         with pytest.raises(IdenticallySingular):
             det_log_integral(A, GRID(16))
 
@@ -305,8 +305,8 @@ def _excising(floor):
     whose orbit meets |det| < floor, at different steps for different nodes."""
     a = TrigPoly.cosine((1,), 1.0) + TrigPoly.constant(1, 0.3)
     e11 = TrigPoly.constant(1, 0.4) - TrigPoly.cosine((1,), 3.0)
-    A = TrigPolyMatrix.from_entries(e11, TrigPoly.constant(1, -1.0), a,
-                                    TrigPoly(1, {}), rho=0.5)
+    A = TrigPolyMatrix(e11, TrigPoly.constant(1, -1.0), a,
+                       TrigPoly(1, {}), rho=0.5)
     return Cocycle(renormalize(A, floor=floor), G1)
 
 
@@ -376,7 +376,7 @@ def test_le_table_errors():
 
 def _singular_at_half():
     # det = 1 + cos(2 pi x) is exactly 0 at x = 1/2, a node of every odd grid
-    A = TrigPolyMatrix.from_entries(
+    A = TrigPolyMatrix(
         TrigPoly.constant(1, 1.0) + TrigPoly.cosine((1,)), TrigPoly.constant(1, 0.5),
         TrigPoly(1, {}), TrigPoly.constant(1, 1.0), rho=0.5)
     return Cocycle(A, Frequency((GOLDEN,)))

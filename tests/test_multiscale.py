@@ -40,8 +40,8 @@ HALF = Frequency((0.5,))
 
 def constant_diag(top=2.0):
     z = TrigPoly.constant(1, 0.0)
-    return TrigPolyMatrix.from_entries(TrigPoly.constant(1, top), z, z,
-                                       TrigPoly.constant(1, 1.0 / top), rho=1.0)
+    return TrigPolyMatrix(TrigPoly.constant(1, top), z, z,
+                          TrigPoly.constant(1, 1.0 / top), rho=1.0)
 
 
 def small_resonant_ladder(max_scale=128):

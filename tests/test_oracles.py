@@ -123,7 +123,7 @@ def test_jensen_upper_triangular(case):
     (aa, ab, ak), (ba, bb, bk), (da, db, dk) = TRIANGULAR[case]
     a, b, d = _linear(aa, ab, ak), _linear(ba, bb, bk), _linear(da, db, dk)
     zero = TrigPoly(1, {})
-    A = TrigPolyMatrix.from_entries(a, b, zero, d, rho=0.5)
+    A = TrigPolyMatrix(a, b, zero, d, rho=0.5)
     C = Cocycle(A, Frequency((GOLDEN,)))
     dom, other = ((aa, ab), (da, db))
     if abs(da) > abs(aa):

@@ -284,6 +284,26 @@ class TestAutomorphism:
         back = B.inverse_map_frequency(B.map_frequency(Frequency([0.0, 0.0])))
         assert back.components == (0.0, 0.0)
 
+    def test_frequency_maps_round_once(self):
+        # (2, 3) . (0.3, 0.7) summed in doubles rounds twice and lands one
+        # ulp below the double nearest the exact residue
+        B = Automorphism.from_entries([[2, 3], [1, 2]])
+        w = Frequency([0.3, 0.7])
+        got = B.map_frequency(w).components[0]
+        exact = (2 * Fraction(0.3) + 3 * Fraction(0.7)) % 1
+        assert abs(Fraction(got) - exact) <= Fraction(math.ulp(got)) / 2
+        assert got != (2 * 0.3 + 3 * 0.7) % 1.0
+        B3 = Automorphism.from_entries([[2, 3, 1], [1, 2, 1], [0, 0, 1]])
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            w = Frequency(rng.random(3))
+            for rows, mapped in ((B3.entries, B3.map_frequency(w)),
+                                 (B3.inverse, B3.inverse_map_frequency(w))):
+                for r, got in zip(rows, mapped.components):
+                    exact = sum(b * Fraction(c) for b, c in zip(r, w.components)) % 1
+                    assert 0.0 <= got < 1.0
+                    assert abs(Fraction(got) - exact) <= Fraction(math.ulp(got)) / 2
+
     @settings(max_examples=200)
     @given(st.lists(st.integers(-9, 9), min_size=2, max_size=4))
     def test_completion_properties(self, k):
