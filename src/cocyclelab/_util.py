@@ -23,8 +23,32 @@ _max_workers = 1
 # workers) ran 1.6x slower at 2 workers with 512 rows and 1.2-1.5x with
 # 1024, but 0.55x with 2048, 0.76-0.90x with 3072 and 0.75-0.85x with 4096,
 # faster in every pair. 1536 rows read 1.09x in one set and 0.72x in
-# another, so the crossover lies between 1024 and 2048 rows.
+# another, so the crossover lies between 1024 and 2048 rows. With one
+# worker walking BLOCK_ROWS blocks, 2 against 1 worker (fresh processes,
+# about 1e6 node-steps a run, alternating; median time ratio, pairs where 2
+# workers won) read 0.92 (9/12) and 0.93 (10/12) at 2048 rows, 1.02 (5/12)
+# twice at 4096, 0.58 (11/12) at 16384 and 0.85 (10/12) at 65536: two
+# workers still win from 2048 rows, so the crossover has not moved. At 4096
+# rows the split is even; one worker there runs one block, as before blocks.
 MIN_ROWS_PER_WORKER = 1024
+
+# One worker hands fn blocks of at most this many rows. The orbit kernel's
+# per-step temporaries are then 64-256 KiB, inside the 2 MiB L2 and below
+# glibc's heap-trim threshold, so freed ones are reused from the heap; a
+# whole 65536-row batch makes 1-4 MiB temporaries that go back to the OS and
+# are faulted in again every step. On a 2-core host, amo on 65536 nodes with
+# N = 32 in a fresh process (5 runs each, ns per node-step, minor faults):
+# whole batch 195-223 (59k faults), blocks of 2048 163-235 (0.3k), 4096
+# 136-172 (2.8k), 8192 205-243 (83k), 16384 206-232 (89k, 3 runs). Blocks
+# of 8192 or more pass the trim threshold and fault more than the whole
+# batch; 2048 pays more numpy dispatch per node. The renormalized amo and
+# the renormalized 2-d Schrodinger cocycle were also fastest at 4096.
+# Workers are not blocked:
+# 4096-row blocks on both workers slowed a two-thread le on 65536 nodes in a
+# warm process that had run the other wide experiments, from 0.15-0.17 s to
+# 0.21-0.23 s, as many short numpy calls hand the interpreter lock back and
+# forth.
+BLOCK_ROWS = 4096
 
 
 def set_max_workers(n: int) -> None:
@@ -45,11 +69,19 @@ def map_chunked(fn, arr: np.ndarray) -> list:
     OS thread. It is also capped at one worker per MIN_ROWS_PER_WORKER rows,
     below which a chunk's numpy calls are too short for the threads to
     overlap.
+
+    One worker walks arr in consecutive blocks of at most BLOCK_ROWS rows,
+    so fn's per-row temporaries fit in L2 and stay below the allocator's
+    trim threshold instead of being faulted in afresh on every step (the
+    sweep is at BLOCK_ROWS). Two or more workers each get one contiguous
+    chunk. fn must treat rows independently, as the orbit kernel does, for
+    the split to leave its results unchanged.
     """
     n = arr.shape[0]
     w = min(_max_workers, os.cpu_count() or 1, n // MIN_ROWS_PER_WORKER)
     if w <= 1:
-        return [fn(arr)]
+        # max(n, 1): an empty arr still gets one (empty) call
+        return [fn(arr[i:i + BLOCK_ROWS]) for i in range(0, max(n, 1), BLOCK_ROWS)]
     bounds = [round(i * n / w) for i in range(w + 1)]
     chunks = [arr[bounds[i]:bounds[i + 1]] for i in range(w)]
     with ThreadPoolExecutor(max_workers=w) as pool:
@@ -226,21 +258,21 @@ def csv_text(header, rows) -> str:
     """
     templates: dict = {}
     parts: list = []
-    lines = [",".join(header)]
+    # every line carries its newline, so the text is one join of the blocks
+    lines = [",".join(header) + "\n"]
     for row in rows:
         row = tuple(row)
         types = tuple(map(type, row))
         template = templates.get(types)
         if template is None:
             template = templates[types] = ",".join(
-                "%d" if issubclass(t, _INT_TYPES) else "%.17g" for t in types)
+                "%d" if issubclass(t, _INT_TYPES) else "%.17g" for t in types) + "\n"
         lines.append(template % row)
         if len(lines) == CSV_BLOCK:
-            parts.append("\n".join(lines))
+            parts.append("".join(lines))
             lines.clear()
-    if lines:
-        parts.append("\n".join(lines))
-    return "\n".join(parts) + "\n"
+    parts.append("".join(lines))
+    return "".join(parts)
 
 
 def _json_fragments(obj, out: list) -> None:

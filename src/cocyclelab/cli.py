@@ -713,9 +713,11 @@ HANDLERS = {
 # Driver
 # ---------------------------------------------------------------------------
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, *texts: str) -> None:
+    """Write texts to path one after another, with no joined copy."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        for text in texts:
+            fh.write(text)
     print(path)
 
 
@@ -735,20 +737,20 @@ def run(name: str, cfg: dict, digest: str, out_dir: str, seed: int) -> None:
             "experiment": name, "seed": seed}
     try:
         payload, csv_body = HANDLERS[name](build(cfg, seed))
-        texts = {".json": to_json_text({**meta, **payload})}
+        texts = {".json": (to_json_text({**meta, **payload}),)}
         if csv_body is not None:
             stamp = f"cocyclelab={__version__} config_sha256={digest}"
-            texts[".csv"] = f"# {stamp}\n" + csv_body
+            texts[".csv"] = (f"# {stamp}\n", csv_body)
             if cfg.get("plot", False):
-                texts[".svg"] = plot_csv_text(csv_body, title=name,
-                                              comment=stamp)
+                texts[".svg"] = (plot_csv_text(csv_body, title=name,
+                                               comment=stamp),)
     except (ValueError, KeyError) as e:
         message = f"missing key {e}" if isinstance(e, KeyError) else str(e)
         raise ConfigError(message, digest) from e
     try:
         os.makedirs(out_dir, exist_ok=True)
-        for suffix, text in texts.items():
-            _write(os.path.join(out_dir, name + suffix), text)
+        for suffix, pieces in texts.items():
+            _write(os.path.join(out_dir, name + suffix), *pieces)
     except OSError as e:
         raise ConfigError(f"cannot write --out {out_dir}: {e}", digest) from e
 

@@ -18,6 +18,11 @@ torus; strip_norm is the one evaluator at complex points.
 Every orbit product runs through one kernel, _iterate_chunk, entered only
 through iterate_log_norm_many: a batch of starting points, read at one or
 several step counts of a single orbit. iterate_log_norm is its one-point case.
+On one worker the batch goes through the kernel in consecutive blocks of at
+most _util.BLOCK_ROWS nodes, so a step's temporaries stay in L2 and are
+reused from the heap rather than faulted in again every step; with several
+workers each takes one contiguous chunk. Every node's orbit is independent,
+so the split changes no bits.
 
 Evaluation is node-contiguous from end to end. The phase table of a trig
 polynomial is (n, m), one row per index k over all m nodes, and the matrix
@@ -490,6 +495,10 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
     of steps node i completed before its product underflowed (the orbit
     length if it never did); from then on the node carries the identity and
     adds 0 to its log sum.
+
+    Each step allocates a few (m,) and (2, 2, m) temporaries; map_chunked
+    keeps m at most BLOCK_ROWS on one worker, which is what keeps them
+    cache-sized and off the allocator's trim path.
     """
     m = X.shape[0]
     N = reads[-1]

@@ -377,6 +377,43 @@ def test_map_chunked_needs_min_rows_per_worker(monkeypatch, rows, seen):
     assert min(parts) >= min(rows, _util.MIN_ROWS_PER_WORKER)
 
 
+# One worker walks a batch in BLOCK_ROWS blocks, a short one last; an empty
+# batch is still one (empty) call.
+@pytest.mark.parametrize("block, rows, sizes", [
+    (7, 50, [7] * 7 + [1]),
+    (None, 3 * _util.BLOCK_ROWS + 5, [_util.BLOCK_ROWS] * 3 + [5]),
+    (None, 0, [0]),
+])
+def test_one_worker_walks_blocks_in_order(monkeypatch, block, rows, sizes):
+    if block is not None:
+        monkeypatch.setattr(_util, "BLOCK_ROWS", block)
+    monkeypatch.setattr(_util, "ThreadPoolExecutor", _RecordingExecutor)
+    _RecordingExecutor.seen = []
+    arr = np.arange(float(rows)).reshape(-1, 1)
+    parts = map_chunked(lambda c: c[:, 0].copy(), arr)
+    assert _RecordingExecutor.seen == []
+    assert [p.size for p in parts] == sizes
+    assert np.array_equal(np.concatenate(parts), arr[:, 0])
+
+
+# Blocks of 7 rows over 50 excising nodes: nodes die at different steps,
+# some before the read at 5 and some between 5 and N, so the underflow
+# accounting crosses block edges. At 2 workers the same rows are split in
+# two chunks instead.
+@pytest.mark.parametrize("workers", [1, 2], indirect=True)
+def test_blocked_walk_matches_rows_run_alone(monkeypatch, workers):
+    monkeypatch.setattr(_util, "BLOCK_ROWS", 7)
+    C = _excising(G1, floor=0.05)
+    N, at = 40, [1, 5, 40]
+    X = np.linspace(0.0, 1.0, 50, endpoint=False).reshape(-1, 1)
+    avg, under = iterate_log_norm_many(C, N, X, at=at)
+    assert under[1].any() and (under[2] & ~under[1]).any() and not under[2].all()
+    for i in range(X.shape[0]):
+        alone, alone_under = iterate_log_norm_many(C, N, X[i:i + 1], at=at)
+        assert np.array_equal(under[:, i], alone_under[:, 0])
+        assert avg[:, i].tobytes() == alone[:, 0].tobytes()
+
+
 # Matrices far beyond the range where the closed form's f^2 is finite.
 def test_op_norm_matches_svd_on_huge_matrices():
     rng = np.random.default_rng(5)
