@@ -88,6 +88,7 @@ from .multiscale import (
     GateReport,
     LadderVerification,
     ScaleLadder,
+    ScalePair,
     cov_invariance_check,
     induction_schedule,
     ladder_verify,

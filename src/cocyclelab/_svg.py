@@ -4,6 +4,7 @@ One polyline over a framed viewport with linear axes. Coordinates are
 formatted with fixed precision so identical data yields identical bytes.
 """
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 WIDTH = 640.0
@@ -100,7 +101,8 @@ def plot_csv_text(csv_text: str, title: str = "",
     """Plot column 2 against column 1 of a CSV document.
 
     Leading '#' comment lines are skipped; the header row provides the axis
-    labels. Rows whose first two fields do not parse as numbers are dropped.
+    labels. Rows whose first two fields do not parse as finite numbers are
+    dropped: an inf or nan coordinate has no place on linear axes.
     """
     lines = [ln for ln in csv_text.splitlines()
              if ln and not ln.startswith("#")]
@@ -116,6 +118,8 @@ def plot_csv_text(csv_text: str, title: str = "",
         try:
             x, y = float(parts[0]), float(parts[1])
         except (ValueError, IndexError):
+            continue
+        if not (math.isfinite(x) and math.isfinite(y)):
             continue
         xs.append(x)
         ys.append(y)

@@ -1,6 +1,7 @@
 """Shared numeric and serialization helpers (internal)."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -275,6 +276,17 @@ def csv_text(header, rows) -> str:
     return "".join(parts)
 
 
+def _json_object(items, out: list) -> None:
+    out.append("{")
+    for i, (k, v) in enumerate(items):
+        if i:
+            out.append(", ")
+        out.append(json.dumps(str(k)))
+        out.append(": ")
+        _json_fragments(v, out)
+    out.append("}")
+
+
 def _json_fragments(obj, out: list) -> None:
     if obj is None:
         out.append("null")
@@ -292,14 +304,9 @@ def _json_fragments(obj, out: list) -> None:
         else:
             out.append(fmt17(obj))
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(k)))
-            out.append(": ")
-            _json_fragments(v, out)
-        out.append("}")
+        _json_object(obj.items(), out)
+    elif isinstance(obj, tuple) and hasattr(obj, "_fields"):  # a named tuple
+        _json_object(zip(obj._fields, obj), out)
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
@@ -311,12 +318,21 @@ def _json_fragments(obj, out: list) -> None:
         out.append(str(int(obj)))
     elif isinstance(obj, (np.floating,)):
         _json_fragments(float(obj), out)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _json_object(((f.name, getattr(obj, f.name))
+                      for f in dataclasses.fields(obj) if f.repr), out)
     else:
         raise TypeError(f"not JSON-serializable: {type(obj)!r}")
 
 
 def to_json_text(obj) -> str:
-    """Deterministic JSON text: insertion order kept, floats at 17 digits."""
+    """Deterministic JSON text: insertion order kept, floats at 17 digits.
+
+    A result's JSON is its fields: a dataclass instance is written as an
+    object of its fields in declaration order, leaving out those declared
+    repr=False, and a named tuple as an object of its _fields. Dict keys are
+    written as strings, and inf and nan as the strings "inf", "-inf", "nan".
+    """
     out: list = []
     _json_fragments(obj, out)
     out.append("\n")

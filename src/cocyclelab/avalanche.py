@@ -53,15 +53,6 @@ class APReport:
     def hypotheses_ok(self) -> bool:
         return self.hypothesis_min_norm_ok and self.hypothesis_gap_ok
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind, "n": self.n, "mu": self.mu, "C": self.C,
-            "hypothesis_min_norm_ok": self.hypothesis_min_norm_ok,
-            "hypothesis_gap_ok": self.hypothesis_gap_ok,
-            "max_gap": self.max_gap, "residual": self.residual,
-            "bound": self.bound, "satisfied": bool(self.residual <= self.bound),
-        }
-
 
 def _norms(mats: np.ndarray) -> np.ndarray:
     return op_norm_2x2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
@@ -213,15 +204,6 @@ class ConsequenceReport:
         if not self.hypotheses_ok:
             return None
         return bool(self.lhs < self.rhs)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N0": self.N0, "N1": self.N1, "delta": self.delta, "C": self.C,
-            "L_N0": self.L_N0, "L_2N0": self.L_2N0, "L_N1": self.L_N1,
-            "hypothesis_flags": dict(self.hypothesis_flags),
-            "hypotheses_ok": self.hypotheses_ok,
-            "lhs": self.lhs, "rhs": self.rhs, "satisfied": self.satisfied,
-        }
 
 
 def ap_consequence_check(C: Cocycle, x, N0: int, N1: int, delta: float,

@@ -9,10 +9,13 @@ subcommand. load_config validates it against SCHEMA and PARAM_SCHEMAS with
 validators compiled once at import; build turns its frequency, cocycle and
 quadrature blocks into library objects (an Inputs record); the experiment's
 handler calls the library and returns a JSON payload and an optional CSV
-body, which run writes to --out as <experiment>.json (always),
-<experiment>.csv for tabular results, and <experiment>.svg when "plot: true"
-and a CSV exists. Every CSV goes through _util.csv_text, which formats each
-row with one %-template: %d for integer cells, %.17g (fmt17) for the rest.
+body. A payload holds result objects as they are: _util.to_json_text writes a
+dataclass (or named tuple) as an object of its fields in declaration order,
+without the fields declared repr=False. run writes the outputs to --out
+as <experiment>.json (always), <experiment>.csv for tabular results, and
+<experiment>.svg when "plot: true" and a CSV exists. Every CSV goes through
+_util.csv_text, which formats each row with one %-template: %d for integer
+cells, %.17g (fmt17) for the rest.
 Every output embeds the sha256 of the config file and the library version;
 identical config + seed yields identical bytes regardless of --threads.
 --threads N splits each node batch of the orbit-product kernel into N chunks
@@ -488,11 +491,6 @@ def build(cfg: dict, seed: int) -> Inputs:
 # Experiment handlers: each returns (payload dict, csv text or None)
 # ---------------------------------------------------------------------------
 
-def _le_rows(table) -> List[dict]:
-    return [{"N": r.N, "value": r.value, "excised_mass": r.excised_mass,
-             "stderr": r.stderr} for r in table]
-
-
 def _fractions_csv(estimates) -> str:
     return csv_text(("threshold", "measured_fraction"),
                     ((e.threshold, e.measured_fraction) for e in estimates))
@@ -502,14 +500,14 @@ def _run_le(inp: Inputs):
     renormalized = bool(inp.p.get("renormalized", False))
     table = le_table(inp.C, [int(N) for N in inp.p["N_list"]], inp.quad,
                      renormalized=renormalized)
-    payload = {"renormalized": renormalized, "rows": _le_rows(table)}
+    payload = {"renormalized": renormalized, "rows": table}
     return payload, le_table_to_csv(table)
 
 
 def _run_le_limit(inp: Inputs):
     res = le_extrapolate(inp.C, inp.p["schedule"], inp.quad)
     payload = {"limit": res.limit, "increments": list(res.increments),
-               "rows": _le_rows(res.table)}
+               "rows": res.table}
     return payload, le_table_to_csv(res.table)
 
 
@@ -529,9 +527,7 @@ def _run_continuity(inp: Inputs):
     rows = ((r.delta, r.diff, env[r.delta])
             for r in sorted(table.rows, key=lambda r: r.delta))
     payload = {"N": table.N, "entry": [i, j], "k": list(k),
-               "rows": [{"delta": r.delta, "diff": r.diff} for r in table.rows],
-               "envelope": [{"delta": r.delta, "diff": r.diff}
-                            for r in table.envelope]}
+               "rows": table.rows, "envelope": table.envelope}
     return payload, csv_text(("delta", "diff", "envelope"), rows)
 
 
@@ -553,7 +549,7 @@ def _run_ldt(inp: Inputs):
     ests = [ldt_empirical(prof, float(k)) for k in p["kappas"]]
     payload = {"N": int(p["N"]), "M": M, "mean": prof.mean,
                "excised_mass": prof.excised_mass,
-               "estimates": [e.to_json_dict() for e in ests]}
+               "estimates": ests}
     return payload, _fractions_csv(ests)
 
 
@@ -569,7 +565,7 @@ def _run_cdt(inp: Inputs):
     rows = ((e.parameters["a_norm"], e.measured_fraction, e.threshold,
              e.predicted_bound) for e in ests)
     payload = {"N": int(p["N"]), "M": M, "kappa": float(p["kappa"]),
-               "estimates": [e.to_json_dict() for e in ests]}
+               "estimates": ests}
     return payload, csv_text(("a_norm", "measured_fraction", "threshold",
                               "predicted_bound"), rows)
 
@@ -580,7 +576,7 @@ def _run_drift(inp: Inputs):
                                 int(p["M"]), C_const=float(p.get("C", 10.0)),
                                 renormalize_first=bool(
                                     p.get("renormalize_first", True)))
-    return {"estimate": est.to_json_dict()}, None
+    return {"estimate": est}, None
 
 
 def _run_loja(inp: Inputs):
@@ -589,7 +585,7 @@ def _run_loja(inp: Inputs):
     g = build_trigpoly(p["g"], int(p.get("d", 1)))
     fit = lojasiewicz_fit(g, [float(t) for t in p["t_grid"]], M)
     payload = {"S": fit.S, "b": fit.b, "M": M,
-               "estimates": [e.to_json_dict() for e in fit.estimates]}
+               "estimates": fit.estimates}
     return payload, _fractions_csv(fit.estimates)
 
 
@@ -640,7 +636,7 @@ def _run_ladder(inp: Inputs):
                           rho=float(p["rho"]), kappa=float(p["kappa"]),
                           delta=float(p["delta"]),
                           C=float(p.get("C", 10.0)), c=p.get("c"))
-        return {"gate": gate.to_json_dict()}, None
+        return {"gate": gate}, None
     if kind == "liouville":
         ladder = liouville_ladder(int(p["N0"]), int(p["q0"]), inp.omega,
                                   rho=float(p["rho"]), kappa=float(p["kappa"]),
@@ -653,13 +649,13 @@ def _run_ladder(inp: Inputs):
                                     eps0=float(p.get("eps0", 0.0)),
                                     N0=int(p["N0"]), rho=float(p["rho"]),
                                     c=float(p.get("c", 0.1)))
-    payload = {"ladder": ladder.to_json_dict()}
+    payload = {"ladder": ladder}
     if "verify" in p:
         v = ladder_verify(inp.C, ladder, quad=inp.quad,
                           C_prime=float(p["verify"].get("C_prime", 10.0)),
                           renormalized=bool(
                               p["verify"].get("renormalized", False)))
-        payload["verification"] = v.to_json_dict()
+        payload["verification"] = v
     return payload, None
 
 

@@ -127,14 +127,6 @@ class MeasureEstimate:
     predicted_bound: Optional[float] = None
     parameters: Dict[str, float] = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "measured_fraction": self.measured_fraction,
-            "predicted_bound": self.predicted_bound,
-            "parameters": dict(self.parameters),
-        }
-
 
 # ---------------------------------------------------------------------------
 # Fourier decay

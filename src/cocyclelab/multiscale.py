@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -49,10 +49,6 @@ class GateReport:
     def failed_flags(self) -> Tuple[str, ...]:
         return tuple(k for k, v in self.flags.items() if not v)
 
-    def to_json_dict(self) -> dict:
-        return {"flags": dict(self.flags), "max_scale": self.max_scale,
-                "params": dict(self.params)}
-
 
 @dataclass(frozen=True)
 class ScaleLadder:
@@ -80,33 +76,24 @@ class ScaleLadder:
             if r & (r - 1):
                 raise ValueError(f"scale ratio {r} is not a power of two")
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind,
-                "scales": [int(n) for n in self.scales],
-                "params": dict(self.params),
-                "step_flags": [dict(s) for s in self.step_flags],
-                "halt": self.halt}
+
+class ScalePair(NamedTuple):
+    """One compared pair of ladder scales: |L_{N_i} - L_{N_j}| and its budget."""
+
+    N_i: int
+    N_j: int
+    difference: float
+    budget: float
 
 
 @dataclass(frozen=True)
 class LadderVerification:
     """Measured |L_{N_i} - L_{N_j}| against the ladder's budgets."""
 
-    pairs: Tuple[Tuple[int, int, float, float], ...]
+    pairs: Tuple[ScalePair, ...]
     passed: Tuple[bool, ...]
+    all_passed: bool
     estimates: Dict[int, float]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(self.passed)
-
-    def to_json_dict(self) -> dict:
-        return {"pairs": [{"N_i": int(a), "N_j": int(b), "difference": d,
-                           "budget": w}
-                          for (a, b, d, w) in self.pairs],
-                "passed": list(self.passed),
-                "all_passed": self.all_passed,
-                "estimates": {str(k): v for k, v in self.estimates.items()}}
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +390,15 @@ def ladder_verify(C: Cocycle, ladder: ScaleLadder,
     estimates = {e.N: e.value for e in table}
 
     budgets, base_budget = _pair_budgets(ladder, C_prime)
-    pairs: List[Tuple[int, int, float, float]] = []
-    for (a, b), w_pair in zip(zip(ladder.scales, ladder.scales[1:]), budgets):
-        pairs.append((int(a), int(b), abs(estimates[a] - estimates[b]), w_pair))
-    if len(ladder.scales) > 2:
-        a, b = ladder.scales[0], ladder.scales[-1]
-        pairs.append((int(a), int(b), abs(estimates[a] - estimates[b]), base_budget))
-    passed = tuple(d < w_pair for (_, _, d, w_pair) in pairs)
-    return LadderVerification(pairs=tuple(pairs), passed=passed,
-                              estimates=estimates)
+    scales = ladder.scales
+    compared = list(zip(zip(scales, scales[1:]), budgets))
+    if len(scales) > 2:
+        compared.append(((scales[0], scales[-1]), base_budget))
+    pairs = tuple(ScalePair(int(a), int(b), abs(estimates[a] - estimates[b]), w)
+                  for (a, b), w in compared)
+    passed = tuple(p.difference < p.budget for p in pairs)
+    return LadderVerification(pairs=pairs, passed=passed,
+                              all_passed=all(passed), estimates=estimates)
 
 
 def cov_invariance_check(C: Cocycle, B: Automorphism, N: int, M: int) -> float:

@@ -228,12 +228,12 @@ def test_criterion_9_ladder_replay_determinism():
     def liouville_json() -> str:
         return to_json_text(liouville_ladder(16, 2, half, rho=1.0,
                                              kappa=0.5, C=2.0,
-                                             max_scale=128).to_json_dict())
+                                             max_scale=128))
 
     def induction_json() -> str:
         return to_json_text(induction_schedule(
             None, Frequency((GOLDEN,)), q0=1, K0=2, delta0=0.2, eps0=0.0,
-            N0=16, rho=0.95, c=0.1).to_json_dict())
+            N0=16, rho=0.95, c=0.1))
 
     texts = {}
     for workers in (1, 4):

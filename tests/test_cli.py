@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import time
 import tracemalloc
 import warnings
 from fractions import Fraction
+from typing import NamedTuple
 
 import jsonschema
 import numpy as np
@@ -18,7 +20,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
-from cocyclelab._util import CSV_BLOCK, csv_text, fmt17
+from cocyclelab._svg import plot_csv_text
+from cocyclelab._util import CSV_BLOCK, csv_text, fmt17, to_json_text
+from cocyclelab.avalanche import ap_check, ap_consequence_check
 from cocyclelab.cli import (
     _TRIGPOLY_DEFS,
     EXPERIMENTS,
@@ -30,8 +34,18 @@ from cocyclelab.cli import (
     load_config,
     main,
 )
-from cocyclelab.cocycle import TrigPoly, TrigPolyMatrix, strip_norm
+from cocyclelab.cocycle import Cocycle, TrigPoly, TrigPolyMatrix, amo, strip_norm
+from cocyclelab.deviation import Profile, cdt_empirical, ldt_empirical
 from cocyclelab.errors import CocycleLabError, ScanTooLarge
+from cocyclelab.lyapunov import QuadratureSpec, finite_scale_modulus, le_table
+from cocyclelab.multiscale import (
+    ScaleLadder,
+    induction_schedule,
+    ladder_verify,
+    liouville_gate,
+    liouville_ladder,
+    mixed_gate,
+)
 from cocyclelab.torus import Frequency
 
 GOLDEN = 0.6180339887
@@ -351,6 +365,24 @@ class TestPlotting:
         rc, out = run_cli(tmp_path, LE_CONSTANT)
         assert rc == 0
         assert not (out / "le.svg").exists()
+
+    def test_non_finite_rows_are_not_plotted(self, tmp_path):
+        # an infinite threshold is a valid t_grid entry; its CSV row is kept
+        cfg = {"experiment": "loja", "plot": True,
+               "params": {"g": [{"cos": [1]}], "M": 64,
+                          "t_grid": [math.inf, 0.5, 0.1]}}
+        rc, out = run_cli(tmp_path, cfg)
+        assert rc == 0
+        assert "\ninf," in (out / "loja.csv").read_text()
+        svg = (out / "loja.svg").read_text()
+        assert "<polyline" in svg
+        assert "nan" not in svg and "inf" not in svg
+
+    def test_plot_csv_text_drops_non_finite_rows(self):
+        text = "x,y\n1,2\ninf,3\n4,nan\n-inf,-inf\n5,6\n"
+        assert plot_csv_text(text) == plot_csv_text("x,y\n1,2\n5,6\n")
+        with pytest.raises(ValueError, match="no numeric rows"):
+            plot_csv_text("x,y\ninf,1\n2,nan\n")
 
 
 class TestConfigHelpers:
@@ -799,6 +831,156 @@ class TestCsvTextBytes:
                 for i, f, s in zip(ints, floats, singles)]
         header = ("a", "b", "c", "d", "e")
         assert csv_text(header, rows) == csv_text_per_cell(header, rows)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Row:
+    N: int
+    value: float
+    hidden: object = dataclasses.field(repr=False)
+    tag: str = "a"
+
+
+class _Pair(NamedTuple):
+    lo: int
+    hi: float
+
+
+def test_to_json_text_writes_results_as_their_fields():
+    obj = {"row": _Row(np.int64(3), 0.1, hidden=object(), tag="x"),
+           "pairs": [_Pair(1, math.inf), _Pair(2, -math.inf)],
+           7: {1: math.nan, "t": (True, None)}}
+    assert to_json_text(obj) == (
+        '{"row": {"N": 3, "value": 0.10000000000000001, "tag": "x"}, '
+        '"pairs": [{"lo": 1, "hi": "inf"}, {"lo": 2, "hi": "-inf"}], '
+        '"7": {"1": "nan", "t": [true, null]}}\n')
+    assert to_json_text([_Row(1, 2.5, hidden=None)]) == \
+        '[{"N": 1, "value": 2.5, "tag": "a"}]\n'
+    with pytest.raises(TypeError, match="not JSON-serializable"):
+        to_json_text(_Row)
+
+
+# The hand-written JSON dicts the result types and cli.py built before a
+# result's JSON became its fields, kept as byte references.
+
+def measure_estimate_dict(e) -> dict:
+    return {"threshold": e.threshold,
+            "measured_fraction": e.measured_fraction,
+            "predicted_bound": e.predicted_bound,
+            "parameters": dict(e.parameters)}
+
+
+def gate_report_dict(g) -> dict:
+    return {"flags": dict(g.flags), "max_scale": g.max_scale,
+            "params": dict(g.params)}
+
+
+def scale_ladder_dict(lad) -> dict:
+    return {"kind": lad.kind, "scales": [int(n) for n in lad.scales],
+            "params": dict(lad.params),
+            "step_flags": [dict(s) for s in lad.step_flags], "halt": lad.halt}
+
+
+def ladder_verification_dict(v) -> dict:
+    return {"pairs": [{"N_i": int(a), "N_j": int(b), "difference": d,
+                       "budget": w} for (a, b, d, w) in v.pairs],
+            "passed": list(v.passed),
+            "all_passed": all(v.passed),
+            "estimates": {str(k): x for k, x in v.estimates.items()}}
+
+
+def ap_report_dict(r) -> dict:
+    return {"kind": r.kind, "n": r.n, "mu": r.mu, "C": r.C,
+            "hypothesis_min_norm_ok": r.hypothesis_min_norm_ok,
+            "hypothesis_gap_ok": r.hypothesis_gap_ok,
+            "max_gap": r.max_gap, "residual": r.residual,
+            "bound": r.bound, "satisfied": bool(r.residual <= r.bound)}
+
+
+def consequence_report_dict(r) -> dict:
+    return {"N0": r.N0, "N1": r.N1, "delta": r.delta, "C": r.C,
+            "L_N0": r.L_N0, "L_2N0": r.L_2N0, "L_N1": r.L_N1,
+            "hypothesis_flags": dict(r.hypothesis_flags),
+            "hypotheses_ok": r.hypotheses_ok,
+            "lhs": r.lhs, "rhs": r.rhs, "satisfied": r.satisfied}
+
+
+def le_rows(table) -> list:
+    return [{"N": r.N, "value": r.value, "excised_mass": r.excised_mass,
+             "stderr": r.stderr} for r in table]
+
+
+def modulus_rows(rows) -> list:
+    return [{"delta": r.delta, "diff": r.diff} for r in rows]
+
+
+def _amo_golden():
+    return Cocycle(amo(3.0, 0.2), Frequency((GOLDEN,)))
+
+
+QUAD16 = QuadratureSpec(kind="uniform-grid", points_per_dim=16)
+
+
+class TestJsonMatchesHandWrittenDicts:
+    def test_measure_estimates(self):
+        ldt = ldt_empirical(Profile.from_values(np.linspace(-1.0, 1.0, 8)), 0.3)
+        cdt = cdt_empirical(_amo_golden(), 3, (0.1,), 0.1, 32)
+        assert cdt.parameters and cdt.predicted_bound is not None
+        for e in (ldt, cdt):
+            assert to_json_text(e) == to_json_text(measure_estimate_dict(e))
+
+    def test_gates(self):
+        liouville = liouville_gate(16, 2, Frequency((0.5,)), rho=1.0,
+                                   kappa=0.5, C=2.0)
+        mixed = mixed_gate(100, 2, 5, Frequency((0.5,)), Frequency((GOLDEN,)),
+                           rho=0.5, kappa=0.2, delta=0.01)
+        for g in (liouville, mixed):
+            assert to_json_text({"gate": g}) == \
+                to_json_text({"gate": gate_report_dict(g)})
+
+    def test_ladders(self):
+        liouville = liouville_ladder(16, 2, Frequency((0.5,)), rho=1.0,
+                                     kappa=0.5, C=2.0, max_scale=128)
+        induction = induction_schedule(None, Frequency((GOLDEN,)), q0=1, K0=2,
+                                       delta0=0.2, eps0=0.0, N0=16, rho=0.95,
+                                       c=0.1)
+        for lad in (liouville, induction):
+            assert to_json_text(lad) == to_json_text(scale_ladder_dict(lad))
+
+    def test_verification_with_a_base_to_top_pair(self):
+        lad = ScaleLadder(kind="liouville", scales=(16, 32, 64),
+                          params={"kappa": 0.5, "q0": 2, "K0": None,
+                                  "delta0": None, "rho": 1.0, "C": 2.0,
+                                  "c": None},
+                          step_flags=())
+        v = ladder_verify(_amo_golden(), lad, quad=QUAD16)
+        assert len(v.pairs) == 3 and v.pairs[-1].N_j == 64
+        assert v.all_passed is all(v.passed)
+        assert to_json_text(v) == to_json_text(ladder_verification_dict(v))
+
+    def test_le_rows_and_modulus_table(self):
+        C = _amo_golden()
+        table = le_table(C, [1, 4, 2], QUAD16)
+        assert to_json_text(table) == to_json_text(le_rows(table))
+        A = C.A
+        bumped = [TrigPolyMatrix(A.entries[0] + TrigPoly(1, {(0,): amp}),
+                                 *A.entries[1:], rho=A.rho)
+                  for amp in (0.1, 0.01)]
+        mod = finite_scale_modulus(C, 3, bumped, QUAD16)
+        assert to_json_text([mod.rows, mod.envelope]) == \
+            to_json_text([modulus_rows(mod.rows), modulus_rows(mod.envelope)])
+
+    def test_avalanche_reports_drop_only_the_derived_keys(self):
+        chain = np.array([np.diag([100.0, 0.01])] * 5, dtype=complex)
+        r = ap_check(chain)
+        ref = ap_report_dict(r)
+        del ref["satisfied"]
+        assert to_json_text(r) == to_json_text(ref)
+        c = ap_consequence_check(_amo_golden(), (0.1,), N0=4, N1=16,
+                                 delta=0.5)
+        ref = consequence_report_dict(c)
+        del ref["hypotheses_ok"], ref["satisfied"]
+        assert to_json_text(c) == to_json_text(ref)
 
 
 def _param_schema(name):

@@ -160,7 +160,7 @@ class TestLDT:
 
     def test_json_emission(self):
         p = Profile.from_values(np.full(8, 1.0))
-        text = to_json_text([ldt_empirical(p, 0.5).to_json_dict()])
+        text = to_json_text([ldt_empirical(p, 0.5)])
         assert '"measured_fraction": 0' in text
         assert '"threshold": 0.5' in text
 

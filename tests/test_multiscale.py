@@ -185,8 +185,8 @@ class TestScaleLadderType:
 
     def test_json_roundtrip_fields(self):
         lad = small_resonant_ladder()
-        text = to_json_text(lad.to_json_dict())
-        assert text == to_json_text(lad.to_json_dict())
+        text = to_json_text(lad)
+        assert text == to_json_text(lad)
         assert '"eq:LiouvCondition"' in text
         assert text.endswith("\n")
 
@@ -254,7 +254,7 @@ class TestInductionSchedule:
         def gen():
             return to_json_text(induction_schedule(
                 None, Frequency((GOLDEN,)), 1, 2, 0.2, 0.0, 16, 0.95,
-                c=0.1).to_json_dict())
+                c=0.1))
         assert gen() == gen()
 
     def test_budgets_dominated_geometrically(self):
@@ -432,8 +432,7 @@ class TestLadderVerify:
         for w in (1, 3):
             set_max_workers(w)
             try:
-                outs.append(to_json_text(
-                    ladder_verify(cc, lad).to_json_dict()))
+                outs.append(to_json_text(ladder_verify(cc, lad)))
             finally:
                 set_max_workers(1)
         assert outs[0] == outs[1]
