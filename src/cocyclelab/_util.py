@@ -148,6 +148,21 @@ def op_norm_2x2(a, b, c, d) -> np.ndarray:
     return out
 
 
+def step_2x2(mats: np.ndarray, U: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One step of m 2x2 running products: out <- mats @ U, and their norms.
+
+    mats is an (m, 2, 2) stack; U and out are entry-major (2, 2, m). Row i of
+    a product is M_i0 * (row 0 of U) + M_i1 * (row 1 of U), elementwise with
+    no BLAS, so its bits depend neither on the batch nor on the BLAS build.
+    mats as a view of entry-major memory is read in place; a C-order stack
+    is copied to that layout first.
+    """
+    M = np.ascontiguousarray(mats.transpose(1, 2, 0))
+    np.multiply(M[:, 0, None], U[0], out=out)
+    out += M[:, 1, None] * U[1]
+    return op_norm_2x2(out[0, 0], out[0, 1], out[1, 0], out[1, 1])
+
+
 def det_2x2(mats: np.ndarray) -> np.ndarray:
     m = np.asarray(mats)
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]

@@ -23,16 +23,16 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ._util import csv_text, det_2x2, op_norm_2x2, pairwise_total
+from ._util import csv_text, det_2x2, op_norm_2x2, pairwise_total, step_2x2
 from .cocycle import Cocycle, iterate_log_norm, iterate_log_norm_many
 from .errors import ChainTooShort, NotDivisible, NotUnimodular
 
 DET_TOL = 1e-9
 # ap_ensemble hands _chain_terms blocks of at most AP_BLOCK chains, closed
 # early once they hold AP_BLOCK_MATRICES matrices. A block shares the step
-# loop's numpy dispatch among its chains, and its memory grows with it (about
-# 260 bytes per matrix), so the cap holds a block near 20 MiB when chains are
-# long.
+# loop's numpy dispatch among its chains, and its memory grows with it (a
+# tracemalloc peak of about 270 bytes per matrix, the chains not counted), so
+# the cap holds a block near 17 MiB when chains are long.
 AP_BLOCK = 64
 AP_BLOCK_MATRICES = 1 << 16
 
@@ -54,10 +54,6 @@ class APReport:
         return self.hypothesis_min_norm_ok and self.hypothesis_gap_ok
 
 
-def _norms(mats: np.ndarray) -> np.ndarray:
-    return op_norm_2x2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
-
-
 def _validated(matrices) -> np.ndarray:
     mats = np.asarray(matrices, dtype=complex)
     if mats.ndim != 3 or mats.shape[1:] != (2, 2):
@@ -66,7 +62,7 @@ def _validated(matrices) -> np.ndarray:
     if n < 3:
         raise ChainTooShort(f"need n >= 3 matrices, got {n}")
     det = det_2x2(mats)
-    bad = np.abs(det - 1.0) > DET_TOL
+    bad = ~(np.abs(det - 1.0) <= DET_TOL)  # a NaN determinant is bad too
     if bad.any():
         j = int(np.argmax(bad))
         raise NotUnimodular(f"matrix {j} has det {det[j]}, not 1 within {DET_TOL}")
@@ -78,36 +74,37 @@ def _chain_terms(chains) -> List[tuple]:
 
     v[j] = ln||A_j||, w[j] = ln||A_{j+1} A_j|| and logs[j] is the log-norm
     factor of the running product A_j...A_1 at step j. The running products
-    of all chains advance together, one step j per loop iteration, as a
-    stacked matmul over the chains longer than j; the chains are sorted
-    longest first so those form a prefix. Every value is bit-identical to
-    running each chain on its own.
+    of all chains advance together, one step j per loop iteration, by the
+    orbit kernel's step _util.step_2x2 (which also gives w) on the chains
+    longer than j: sorted longest first, they are a prefix of the (2, 2, k)
+    products. Every value is bit-identical to running each chain alone.
     """
     stacks = [_validated(m) for m in chains]
     ns = np.array([m.shape[0] for m in stacks])
     starts = np.cumsum(ns) - ns
     allm = np.concatenate(stacks)
-    v = np.log(_norms(allm))
+    v = np.log(op_norm_2x2(*allm.reshape(-1, 4).T))  # entries a, b, c, d
     # pairs across a chain boundary are computed and never read
-    w = np.log(_norms(allm[1:] @ allm[:-1]))
+    pairs = np.empty((2, 2, len(allm) - 1), dtype=complex)
+    w = np.log(step_2x2(allm[1:], allm[:-1].transpose(1, 2, 0), pairs))
     order = np.argsort(-ns, kind="stable")
     lengths, first = ns[order].tolist(), starts[order]
     logs = np.empty(len(allm))
     # Running products with per-step renormalization; SL(2) norms are >= 1
     # so the accumulated factors cannot underflow.
-    U = np.empty((len(stacks), 2, 2), dtype=complex)
-    U[:] = np.eye(2)
+    U = np.eye(2, dtype=complex)[:, :, None].repeat(len(stacks), axis=2)
+    V = np.empty_like(U)
     live = len(stacks)
     for j in range(lengths[0]):
         while lengths[live - 1] <= j:
             live -= 1
         at = first[:live] + j
-        U = allm[at] @ U[:live]
-        s = _norms(U)
+        s = step_2x2(allm[at], U[:, :, :live], V[:, :, :live])
+        U, V = V, U
         # math.log, not np.log: the vectorised log differs in the last bit
         # for some inputs
         logs[at] = [math.log(x) for x in s.tolist()]
-        U = U / s[:, None, None]
+        U[:, :, :live] *= 1.0 / s
     return [(n, v[a:a + n], w[a:a + n - 1], logs[a:a + n])
             for n, a in zip(ns.tolist(), starts.tolist())]
 
@@ -218,10 +215,10 @@ def ap_consequence_check(C: Cocycle, x, N0: int, N1: int, delta: float,
     Conclusion compared: |L_{N1}(x) + L_{N0}(x) - 2 L_{2N0}(x)| against
     delta/20 + C_const |L_{N0}(x)| N0/N1.
     """
+    if not 1 <= N0 <= N1:
+        raise ValueError(f"need 1 <= N0 <= N1, got N0={N0}, N1={N1}")
     if N1 % N0 != 0:
         raise NotDivisible(f"N0={N0} must divide N1={N1}")
-    if N1 < N0:
-        raise ValueError("N1 must be >= N0")
     x = np.asarray(x, dtype=float).reshape(-1)
     n = N1 // N0
     w = C.omega.as_array()
@@ -233,8 +230,8 @@ def ap_consequence_check(C: Cocycle, x, N0: int, N1: int, delta: float,
     L_N0 = float(l_n0[0])
     L_2N0 = float(l_2n0[0])
     L_N1 = iterate_log_norm(C, N1, x).log_norm_avg
-    drift0 = float(np.max(np.abs(l_n0[1:] - L_N0))) if n >= 1 else 0.0
-    drift1 = float(np.max(np.abs(l_2n0[1:] - L_2N0))) if n >= 1 else 0.0
+    drift0 = float(np.max(np.abs(l_n0[1:] - L_N0)))
+    drift1 = float(np.max(np.abs(l_2n0[1:] - L_2N0)))
     flags = {
         "eq:169": bool(L_N0 > delta),
         "eq:170": bool(abs(L_N0 - L_2N0) < L_N0 / 100.0),

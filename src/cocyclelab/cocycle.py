@@ -28,7 +28,8 @@ Evaluation is node-contiguous from end to end. The phase table of a trig
 polynomial is (n, m), one row per index k over all m nodes, and the matrix
 evaluators return A(X) as an (m, 2, 2) view of entry-major (2, 2, m) memory,
 the kernel's own layout, so a step copies nothing. An outside evaluator may
-return a C-order (m, 2, 2) stack; the kernel copies that to its layout.
+return a C-order (m, 2, 2) stack; the step copies that to its layout. The
+step is _util.step_2x2, which avalanche's chains advance through as well.
 
 Every k.x in this module comes from _dot, a fixed-order elementwise sum with
 no BLAS, so a node has the same bits alone as in any batch and under any
@@ -44,7 +45,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import UNDERFLOW_FLOOR, PairwiseSum, det_2x2, grid, map_chunked, op_norm_2x2
+from ._util import UNDERFLOW_FLOOR, PairwiseSum, det_2x2, grid, map_chunked, step_2x2
 from .errors import IdenticallySingular, OutsideStrip, Singular
 from .torus import Automorphism, Frequency
 
@@ -469,32 +470,18 @@ class LogNormResult:
     underflowed: bool
 
 
-def _left_multiply(mats: np.ndarray, U: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out <- mats @ U, for an (m, 2, 2) stack mats and U, out of shape (2, 2, m).
-
-    The built-in evaluators return mats as an entry-major view, so reading
-    it as (2, 2, m) copies nothing; a C-order stack from an outside
-    evaluator is copied to that layout here.
-    """
-    M = np.ascontiguousarray(mats.transpose(1, 2, 0))
-    # Row i of the product is M_i0 * (row 0 of U) + M_i1 * (row 1 of U).
-    np.multiply(M[:, 0, None], U[0], out=out)
-    out += M[:, 1, None] * U[1]
-    return out
-
-
 def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray):
     """The orbit-product kernel: (avg, steps) for a batch of m starting points.
 
     The running products live in one (2, 2, m) array, entry-major with the
-    nodes contiguous, so a step is a few elementwise operations on length-m
-    arrays. reads is an increasing list of step counts; the orbit runs to
-    the last one, and avg[r] is the average log-norm after reads[r] steps.
-    Nothing before step n depends on how far the orbit goes, so avg[r] is
-    bit-identical to that of a reads[r]-step orbit. steps[i] is the number
-    of steps node i completed before its product underflowed (the orbit
-    length if it never did); from then on the node carries the identity and
-    adds 0 to its log sum.
+    nodes contiguous, so a step (_util.step_2x2) is a few elementwise
+    operations on length-m arrays. reads is an increasing list of step
+    counts; the orbit runs to the last one, and avg[r] is the average
+    log-norm after reads[r] steps. Nothing before step n depends on how far
+    the orbit goes, so avg[r] is bit-identical to that of a reads[r]-step
+    orbit. steps[i] is the number of steps node i completed before its
+    product underflowed (the orbit length if it never did); from then on the
+    node carries the identity and adds 0 to its log sum.
 
     Each step allocates a few (m,) and (2, 2, m) temporaries; map_chunked
     keeps m at most BLOCK_ROWS on one worker, which is what keeps them
@@ -512,8 +499,8 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
     r = 0
     pts = X.copy()
     for j in range(N):
-        U, V = _left_multiply(A.eval_many(pts), U, V), U
-        s = op_norm_2x2(U[0, 0], U[0, 1], U[1, 0], U[1, 1])
+        s = step_2x2(A.eval_many(pts), U, V)
+        U, V = V, U
         ok = np.isfinite(s) & (s > UNDERFLOW_FLOOR)
         if alive is not None or not ok.all():
             alive = ok if alive is None else alive & ok

@@ -98,6 +98,14 @@ class TestApCheck:
         with pytest.raises(NotUnimodular):
             ap_check(mats)
 
+    @pytest.mark.parametrize("check", [ap_check, ap_variant_check])
+    def test_nan_matrix_rejected(self, check):
+        # a NaN determinant compares False against the tolerance either way
+        mats = diag_chain(2.0, 5)
+        mats[2, 0, 0] = np.nan
+        with pytest.raises(NotUnimodular, match="^matrix 2 has det"):
+            check(mats)
+
 
 class TestApVariantCheck:
     def test_identical_chain_boundary_identity(self):
@@ -212,6 +220,17 @@ class TestConsequence:
         with pytest.raises(NotDivisible):
             ap_consequence_check(c, (0.1,), N0=7, N1=100, delta=0.5)
 
+    @pytest.mark.parametrize("N0, N1, message", [
+        (0, 10, "need 1 <= N0 <= N1, got N0=0, N1=10"),
+        (-2, 4, "need 1 <= N0 <= N1, got N0=-2, N1=4"),
+        (5, 3, "need 1 <= N0 <= N1, got N0=5, N1=3"),
+    ])
+    def test_scales_checked_before_divisibility(self, N0, N1, message):
+        c = Cocycle(amo(3.0, 0.0), Frequency((GOLDEN,)))
+        with pytest.raises(ValueError, match=message) as info:
+            ap_consequence_check(c, (0.1,), N0=N0, N1=N1, delta=0.5)
+        assert not isinstance(info.value, NotDivisible)
+
     def test_flag_keys_are_stable(self):
         A = TrigPolyMatrix.constant(1, [[3.0, 0], [0, 1 / 3.0]])
         c = Cocycle(A, Frequency((GOLDEN,)))
@@ -267,20 +286,69 @@ def _chains(count, lengths, seed):
             for _ in range(count)]
 
 
+def _kernel_product(M, U):
+    """M @ U for 2x2 arrays, entry by entry in the kernel's order
+    M_i0 U_0j + M_i1 U_1j, on one-element arrays."""
+    out = np.empty((2, 2, 1), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            out[i, j] = M[i, 0:1] * U[0, j:j + 1] + M[i, 1:2] * U[1, j:j + 1]
+    return out[:, :, 0]
+
+
+def kernel_order_chain_terms(matrices):
+    """reference_chain_terms with every product in the kernel's order."""
+    mats = np.asarray(matrices, dtype=complex)
+    n = mats.shape[0]
+    v = np.log(_ref_norms(mats))
+    w = np.log(_ref_norms(np.array([_kernel_product(mats[j + 1], mats[j])
+                                    for j in range(n - 1)])))
+    U = np.eye(2, dtype=complex)
+    logs = np.empty(n)
+    for j in range(n):
+        U = _kernel_product(mats[j], U)
+        s = float(_ref_norms(U[None])[0])
+        logs[j] = math.log(s)
+        U = U / s
+    return n, v, w, logs
+
+
+def complex_sl2_chains(count, seed):
+    """Seeded complex SL(2,C) chains of 3 to 100 matrices: Gaussian matrices
+    over a square root of their determinant."""
+    rng = np.random.default_rng(seed)
+    chains = []
+    for _ in range(count):
+        n = int(rng.integers(3, 101))
+        g = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+        chains.append(g / np.sqrt(det)[:, None, None])
+    return chains
+
+
+def _assert_bitwise_equal(chains, reference):
+    got = _chain_terms(chains)
+    assert len(got) == len(chains)
+    for mats, (n, v, w, logs) in zip(chains, got):
+        rn, rv, rw, rlogs = reference(mats)
+        assert n == rn
+        assert _bits(v) == _bits(rv)
+        assert _bits(w) == _bits(rw)
+        assert _bits(logs) == _bits(rlogs)
+
+
 class TestBatchedChainTerms:
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 129])
+    def test_complex_chains_bitwise_equal_to_kernel_order(self, count):
+        _assert_bitwise_equal(complex_sl2_chains(count, seed=100 + count),
+                              kernel_order_chain_terms)
+
     @pytest.mark.parametrize("count", [1, 63, 64, 65, 129])
     @pytest.mark.parametrize("lengths", [(3, 100), (3, 3), (100, 100)],
                              ids=["mixed", "all-3", "all-100"])
     def test_bitwise_equal_to_one_chain_loop(self, count, lengths):
-        chains = _chains(count, lengths, seed=count)
-        got = _chain_terms(chains)
-        assert len(got) == count
-        for mats, (n, v, w, logs) in zip(chains, got):
-            rn, rv, rw, rlogs = reference_chain_terms(mats)
-            assert n == rn
-            assert _bits(v) == _bits(rv)
-            assert _bits(w) == _bits(rw)
-            assert _bits(logs) == _bits(rlogs)
+        _assert_bitwise_equal(_chains(count, lengths, seed=count),
+                              reference_chain_terms)
 
     @pytest.mark.parametrize("variant", [False, True],
                              ids=["interior", "variant"])
