@@ -30,6 +30,7 @@ from .torus import (
     Frequency,
     build_automorphism,
     freq_norm,
+    frequency_multiple,
     min_dot_norm,
     rational_dependence,
     torus_distance,

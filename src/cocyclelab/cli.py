@@ -83,7 +83,7 @@ from .multiscale import (
     liouville_ladder,
     mixed_gate,
 )
-from .torus import Automorphism, Frequency
+from .torus import Automorphism, Frequency, frequency_multiple
 
 EXPERIMENTS = (
     "le", "le-limit", "continuity", "ap", "ldt", "cdt", "drift", "loja",
@@ -449,10 +449,12 @@ def build_cocycle(spec: dict, omega: Frequency) -> Cocycle:
                    build_trigpoly(spec["a"], d), float(spec["E"]), omega,
                    rho=rho)
     elif kind == "jacobi_periodic":
+        v_per = [float(v) for v in spec["v_per"]]
         A = jacobi_periodic(build_trigpoly(spec.get("v", 0.0), d),
-                            build_trigpoly(spec["a"], d),
-                            [float(v) for v in spec["v_per"]],
+                            build_trigpoly(spec["a"], d), v_per,
                             float(spec["E"]), omega, rho=rho)
+        # A spans q sites, so the next block starts q omega further on
+        omega = frequency_multiple(omega, len(v_per))
     elif kind == "discontinuity":
         A = DiscontinuityExample(tuple(spec["k"]))
     else:  # "matrix"; the schema admits no other kind

@@ -602,6 +602,10 @@ def jacobi_periodic(v, a, v_per: Sequence[float], E: float, omega: Frequency,
     Site j in {1..q} contributes the factor at x + (j-1) omega with background
     v_per(j); the product runs j = q..1, and q = 1 with v_per = (0,) is
     jacobi(v, a, E, omega). Degree grows q-fold.
+
+    The block spans q sites, so its cocycle is iterated over
+    torus.frequency_multiple(omega, q), not omega; its exponent is then q
+    times the per-site one.
     """
     q = len(v_per)
     if q < 1:

@@ -18,19 +18,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._util import CSV_BLOCK, csv_text, det_2x2, dyadic_grid, pairwise_total
-from .cocycle import Cocycle, TrigPoly, iterate_log_norm_many, renormalize
+from ._util import CSV_BLOCK, csv_text, dyadic_grid, pairwise_total
+# iterate_log_norm_many: not called here; perfbench/tracer.py wraps it by name
+from .cocycle import Cocycle, TrigPoly, iterate_log_norm_many
 from .errors import AllSamplesSingular, IdenticallyZero
-from .lyapunov import DEFAULT_CLIP_FLOOR, QuadratureSpec
+from .lyapunov import (DEFAULT_CLIP_FLOOR, QuadratureSpec, clipped_log_det,
+                       kept_mean, sample_log_norms)
 from .torus import dist_to_Z
 
 SENTINEL = -math.inf
-
-
-def _sample(C: Cocycle, N: int, X: np.ndarray, renormalize_first: bool,
-            at: Optional[Sequence[int]] = None):
-    A = renormalize(C.A) if renormalize_first else C.A
-    return iterate_log_norm_many(Cocycle(A, C.omega), N, X, at=at)
 
 
 def _shift_diffs(C: Cocycle, N: int, M: int, a: np.ndarray,
@@ -38,8 +34,9 @@ def _shift_diffs(C: Cocycle, N: int, M: int, a: np.ndarray,
     """|L_N(x) - L_N(x + a)| over the grid nodes x where neither orbit
     underflowed; raises AllSamplesSingular when there is no such node."""
     X = dyadic_grid(C.d, M)
-    base, under0 = _sample(C, N, X, renormalize_first)
-    shifted, under1 = _sample(C, N, (X + a) % 1.0, renormalize_first)
+    (base,), (under0,) = sample_log_norms(C, [N], X, renormalize_first)
+    (shifted,), (under1,) = sample_log_norms(C, [N], (X + a) % 1.0,
+                                             renormalize_first)
     keep = ~(under0 | under1)
     if not keep.any():
         raise AllSamplesSingular(
@@ -51,25 +48,31 @@ def _shift_diffs(C: Cocycle, N: int, M: int, a: np.ndarray,
 class Profile:
     """L_N(x) on the integer grid (i1,...,id)/M, in grid shape.
 
-    Underflowed nodes hold the -inf sentinel with retained=False; mean and
-    rms are over retained nodes only.
+    Underflowed nodes hold the -inf sentinel; mean and rms are over the
+    retained (finite) nodes only, and a profile needs at least one.
     """
 
     d: int
     M: int
     N: int
     values: np.ndarray
-    retained: np.ndarray
 
     def __post_init__(self):
         if self.values.shape != (self.M,) * self.d:
             raise ValueError("values shape must be (M,)*d")
+        if not self.retained.any():
+            raise AllSamplesSingular(f"profile at N={self.N} has no finite value")
 
     @classmethod
     def from_values(cls, values: np.ndarray, N: int = 0) -> "Profile":
+        """Every non-finite value (nan, +-inf) becomes the -inf sentinel."""
         values = np.asarray(values, dtype=float)
-        return cls(d=values.ndim, M=values.shape[0], N=N, values=values,
-                   retained=np.isfinite(values))
+        values = np.where(np.isfinite(values), values, SENTINEL)
+        return cls(d=values.ndim, M=values.shape[0], N=N, values=values)
+
+    @property
+    def retained(self) -> np.ndarray:
+        return np.isfinite(self.values)
 
     @property
     def excised_mass(self) -> float:
@@ -77,24 +80,17 @@ class Profile:
 
     @property
     def mean(self) -> float:
-        kept = self.values[self.retained]
-        if kept.size == 0:
-            return math.nan
-        return pairwise_total(kept) / kept.size
+        return kept_mean(self.values[self.retained])
 
     @property
     def rms(self) -> float:
-        kept = self.values[self.retained]
-        if kept.size == 0:
-            return math.nan
-        return math.sqrt(pairwise_total(kept ** 2) / kept.size)
+        return math.sqrt(kept_mean(self.values[self.retained] ** 2))
 
     def clipped(self) -> Tuple[np.ndarray, float, int]:
         """(values clipped below at -T, T, clipped count); T = 2(rms + 10)."""
         T = 2.0 * (self.rms + 10.0)
-        filled = np.where(self.retained, self.values, SENTINEL)
-        clipped = np.maximum(filled, -T)
-        return clipped, T, int(np.count_nonzero(filled < -T))
+        return (np.maximum(self.values, -T), T,
+                int(np.count_nonzero(self.values < -T)))
 
 
 def _profiles(C: Cocycle, Ns: Sequence[int], M: int,
@@ -103,14 +99,9 @@ def _profiles(C: Cocycle, Ns: Sequence[int], M: int,
 
     Raises AllSamplesSingular when every node underflowed at some scale.
     """
-    X = dyadic_grid(C.d, M)
-    avg, under = _sample(C, max(Ns), X, renormalize_first, at=Ns)
-    for N, u in zip(Ns, under):
-        if u.all():
-            raise AllSamplesSingular(f"all {X.shape[0]} nodes underflowed at N={N}")
+    avg, under = sample_log_norms(C, Ns, dyadic_grid(C.d, M), renormalize_first)
     shape = (M,) * C.d
-    return [Profile(d=C.d, M=M, N=N, values=np.where(u, SENTINEL, a).reshape(shape),
-                    retained=~u.reshape(shape))
+    return [Profile(d=C.d, M=M, N=N, values=np.where(u, SENTINEL, a).reshape(shape))
             for N, a, u in zip(Ns, avg, under)]
 
 
@@ -299,8 +290,7 @@ def l2_uniform_check(C: Cocycle, N_list: Sequence[int], M: int,
     # integer grid can land on determinant zeros to machine precision and
     # the resulting ln^2 spikes make the value drift with M
     X = QuadratureSpec(points_per_dim=M).nodes(C.d)
-    det = det_2x2(C.A.eval_many(X))
-    logs = np.log(np.maximum(np.abs(det), DEFAULT_CLIP_FLOOR))
+    logs, _ = clipped_log_det(C.A, X, DEFAULT_CLIP_FLOOR)
     det_rms = math.sqrt(float(np.mean(logs ** 2)))
     col = [r[1] for r in rows]
     ratio = max(col) / min(col) if min(col) > 0 else math.inf

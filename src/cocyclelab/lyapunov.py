@@ -10,15 +10,15 @@ which this module exposes as three independent computations (the two exponent
 routes plus the determinant integral) so the identity stays checkable instead
 of being true by construction.
 
-A list of scales is computed by le_table from one orbit run to the largest
-scale: the average at each smaller N is read as the orbit passes it, and is
-bit-identical to that of its own N-step orbit. L_prime_N and
-L_N_renormalized are its one-scale cases.
+sample_log_norms takes every sample of x -> (1/N) ln ||A_N(x)|| in the
+package, for a list of scales from one orbit run to the largest; kept_mean
+averages its surviving nodes. L_prime_N and L_N_renormalized are the
+one-scale cases of le_table.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,18 +89,40 @@ def default_quadrature(d: int) -> QuadratureSpec:
     return QuadratureSpec(kind="low-discrepancy", total_points=65536)
 
 
+def sample_log_norms(C: Cocycle, Ns: Sequence[int], X: np.ndarray,
+                     renormalized: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    """(avg, underflowed) of one orbit from the nodes X, read at each N in Ns
+    (iterate_log_norm_many with at=Ns): row r is bit for bit what an
+    Ns[r]-step orbit gives.
+
+    renormalized=True iterates A/|det A|^{1/2} (L_N instead of L'_N). Raises
+    AllSamplesSingular for the first N, in input order, with no survivor.
+    """
+    if renormalized:
+        C = Cocycle(renormalize(C.A), C.omega)
+    avg, under = iterate_log_norm_many(C, max(Ns), X, at=Ns)
+    for N, u in zip(Ns, under):
+        if u.all():
+            raise AllSamplesSingular(f"all {u.size} nodes underflowed at N={N}")
+    return avg, under
+
+
+def kept_mean(kept: np.ndarray) -> float:
+    """Mean of the surviving nodes' values, summed pairwise in a fixed order."""
+    return pairwise_total(kept) / kept.size
+
+
 @dataclass(frozen=True)
 class LEEstimate:
     N: int
     value: float
     excised_mass: float
-    quad: QuadratureSpec = field(repr=False, compare=False)
     stderr: float = 0.0
 
 
 def _mean_and_stderr(vals: np.ndarray) -> Tuple[float, float]:
     n = vals.size
-    mean = pairwise_total(vals) / n
+    mean = kept_mean(vals)
     if n < 2:
         return mean, 0.0
     var = pairwise_total((vals - mean) ** 2) / (n - 1)
@@ -109,11 +131,8 @@ def _mean_and_stderr(vals: np.ndarray) -> Tuple[float, float]:
 
 def le_table(C: Cocycle, Ns: Sequence[int], quad: Optional[QuadratureSpec] = None,
              renormalized: bool = False) -> List[LEEstimate]:
-    """One estimate per scale in Ns, in input order, from a single orbit.
-
-    The orbit runs to max(Ns) and is read as it passes each N; an estimate is
-    bit-identical to one made with its own N-step orbit. Ns may be unsorted
-    and hold repeats. renormalized=True computes L_N instead of L'_N.
+    """One estimate per scale in Ns, in input order, from one sample_log_norms
+    orbit. renormalized=True computes L_N instead of L'_N.
 
     Underflowed nodes (the product degenerated below 1e-300) are excised at
     every scale they died before, and the retained weights renormalized; the
@@ -122,22 +141,15 @@ def le_table(C: Cocycle, Ns: Sequence[int], quad: Optional[QuadratureSpec] = Non
     Ns = list(Ns)
     if not Ns:
         return []
-    if renormalized:
-        C = Cocycle(renormalize(C.A), C.omega)
-    if any(N < 1 for N in Ns):
-        raise ValueError("N must be >= 1")
     quad = default_quadrature(C.d) if quad is None else quad
     X = quad.nodes(C.d)
-    avg, under = iterate_log_norm_many(C, max(Ns), X, at=Ns)
+    avg, under = sample_log_norms(C, Ns, X, renormalized)
     table = []
     for N, a, u in zip(Ns, avg, under):
-        keep = ~u
-        kept = int(np.count_nonzero(keep))
-        if kept == 0:
-            raise AllSamplesSingular(f"all {X.shape[0]} nodes underflowed at N={N}")
-        value, stderr = _mean_and_stderr(a[keep])
-        table.append(LEEstimate(N=N, value=value, excised_mass=1.0 - kept / X.shape[0],
-                                quad=quad, stderr=stderr))
+        kept = a[~u]
+        value, stderr = _mean_and_stderr(kept)
+        table.append(LEEstimate(N=N, value=value, excised_mass=1.0 - kept.size / X.shape[0],
+                                stderr=stderr))
     return table
 
 
@@ -169,6 +181,13 @@ class DetLogIntegral:
         return self.value
 
 
+def clipped_log_det(A, X: np.ndarray, floor: float) -> Tuple[np.ndarray, int]:
+    """ln|det A(x)| at the nodes X, clipped below at ln(floor), and the number
+    of nodes where the clip applied."""
+    mag = np.abs(det_2x2(A.eval_many(X)))
+    return np.log(np.maximum(mag, floor)), int(np.count_nonzero(mag < floor))
+
+
 def det_log_integral(A, quad: Optional[QuadratureSpec] = None) -> DetLogIntegral:
     """Integral of ln|det A(x)| over T^d.
 
@@ -179,13 +198,9 @@ def det_log_integral(A, quad: Optional[QuadratureSpec] = None) -> DetLogIntegral
     if isinstance(A, TrigPolyMatrix) and det_scalar(A).is_zero():
         raise IdenticallySingular("det A is identically zero")
     quad = default_quadrature(A.d) if quad is None else quad
-    mag = np.abs(det_2x2(A.eval_many(quad.nodes(A.d))))
-    clipped = mag < quad.clip_floor
-    logs = np.log(np.maximum(mag, quad.clip_floor))
-    value = pairwise_total(logs) / logs.size
-    return DetLogIntegral(value=value,
-                          clipped_mass=float(np.count_nonzero(clipped)) / logs.size,
-                          nodes=logs.size)
+    logs, clipped = clipped_log_det(A, quad.nodes(A.d), quad.clip_floor)
+    return DetLogIntegral(value=pairwise_total(logs) / logs.size,
+                          clipped_mass=clipped / logs.size, nodes=logs.size)
 
 
 @dataclass(frozen=True)

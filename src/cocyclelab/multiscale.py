@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
-from ._util import dyadic_grid, pairwise_total
+from ._util import dyadic_grid
+# iterate_log_norm_many, L_prime_N, L_N_renormalized: not called here;
+# perfbench/tracer.py wraps these bindings by name
 from .cocycle import Cocycle, ComposedMatrix, iterate_log_norm_many
-from .errors import (AllSamplesSingular, GateFailed, InconsistentDelta,
-                     PreconditionFailed, ScanTooLarge)
-# L_prime_N, L_N_renormalized: not called here; perfbench/tracer.py wraps them by name
-from .lyapunov import L_N_renormalized, L_prime_N, QuadratureSpec, le_table
+from .errors import (GateFailed, InconsistentDelta, PreconditionFailed,
+                     ScanTooLarge)
+from .lyapunov import (L_N_renormalized, L_prime_N, QuadratureSpec, kept_mean,
+                       le_table, sample_log_norms)
 from .torus import Automorphism, Frequency, build_automorphism, freq_norm, min_dot_norm
 
 DEFAULT_C = 10.0
@@ -411,18 +411,8 @@ def cov_invariance_check(C: Cocycle, B: Automorphism, N: int, M: int) -> float:
     """
     if B.d != C.d:
         raise ValueError(f"B is {B.d}x{B.d} but omega lives in T^{C.d}")
-    if N < 1:
-        raise ValueError("N must be >= 1")
     X = dyadic_grid(C.d, M)
-    a1, u1 = iterate_log_norm_many(C, N, X)
+    (a1,), (u1,) = sample_log_norms(C, [N], X)
     comp = Cocycle(ComposedMatrix(C.A, B), B.inverse_map_frequency(C.omega))
-    a2, u2 = iterate_log_norm_many(comp, N, X)
-
-    def grid_avg(avg: np.ndarray, under: np.ndarray) -> float:
-        keep = ~under
-        kept = int(np.count_nonzero(keep))
-        if kept == 0:
-            raise AllSamplesSingular("every grid node underflowed")
-        return pairwise_total(avg[keep]) / kept
-
-    return abs(grid_avg(a1, u1) - grid_avg(a2, u2))
+    (a2,), (u2,) = sample_log_norms(comp, [N], X)
+    return abs(kept_mean(a1[~u1]) - kept_mean(a2[~u2]))

@@ -78,6 +78,13 @@ def freq_norm(omega: Frequency, q: int) -> float:
     return float(np.sum(dist_to_Z(q * omega.as_array())))
 
 
+def frequency_multiple(omega: Frequency, q: int) -> Frequency:
+    """q omega mod 1, computed exactly and rounded once per component."""
+    axes = range(omega.d)
+    return Frequency(_exact_rows([[q if i == j else 0 for j in axes] for i in axes],
+                                 omega))
+
+
 def torus_distance(a: Frequency, b: Frequency) -> float:
     """Distance on T^d as the sum of componentwise distances to Z.
 

@@ -34,7 +34,8 @@ from cocyclelab.cli import (
     load_config,
     main,
 )
-from cocyclelab.cocycle import Cocycle, TrigPoly, TrigPolyMatrix, amo, strip_norm
+from cocyclelab.cocycle import (Cocycle, TrigPoly, TrigPolyMatrix, amo,
+                                iterate_log_norm_many, strip_norm)
 from cocyclelab.deviation import Profile, cdt_empirical, ldt_empirical
 from cocyclelab.errors import CocycleLabError, ScanTooLarge
 from cocyclelab.lyapunov import QuadratureSpec, finite_scale_modulus, le_table
@@ -607,19 +608,21 @@ def test_numerical_failure_exits_3_with_error_json(tmp_path, capsys, error):
 
 # A constant 1e-200 diagonal, not renormalized: every orbit underflows by N = 2.
 TINY = {"kind": "constant", "diag": [1.0e-200, 1.0e-200]}
+RAW = {"renormalize_first": False}
 UNDERFLOWING = {
-    "ldt": {"N": 2, "M": 8, "kappas": [0.1]},
-    "fourier": {"N": 2, "M": 8, "K0": 2},
-    "l2": {"N_list": [2], "M": 8},
-    "cdt": {"N": 2, "M": 8, "kappa": 0.1, "shifts": [[0.1]]},
-    "drift": {"N": 2, "M": 8, "a_exponent": 0.5},
+    "ldt": {"N": 2, "M": 8, "kappas": [0.1], **RAW},
+    "fourier": {"N": 2, "M": 8, "K0": 2, **RAW},
+    "l2": {"N_list": [2], "M": 8, **RAW},
+    "cdt": {"N": 2, "M": 8, "kappa": 0.1, "shifts": [[0.1]], **RAW},
+    "drift": {"N": 2, "M": 8, "a_exponent": 0.5, **RAW},
+    "cov": {"B": [[1]], "N": 2, "M": 8},
 }
 
 
 @pytest.mark.parametrize("experiment", sorted(UNDERFLOWING))
 def test_deviation_with_every_node_underflowed_exits_3(tmp_path, capsys, experiment):
     cfg = {"experiment": experiment, "cocycle": TINY, "frequency": [GOLDEN],
-           "params": dict(UNDERFLOWING[experiment], renormalize_first=False)}
+           "params": UNDERFLOWING[experiment]}
     rc, out = run_cli(tmp_path, cfg)
     assert rc == 3
     record = json.loads(capsys.readouterr().err)
@@ -699,6 +702,60 @@ def test_continuity_runs_on_T3(tmp_path):
     rows = json.loads((out / "continuity.json").read_text())["rows"]
     # a constant bump of the (0, 0) entry is at strip distance |amp|
     assert [r["delta"] for r in rows] == pytest.approx([0.1, 0.01], rel=1e-12)
+
+
+# Periodic-background Jacobi blocks: v = 3 cos 2 pi x over the golden mean.
+JP_V = {"cos": [1], "amp": 3.0}
+JP_OMEGA = Frequency(((math.sqrt(5.0) - 1.0) / 2.0,))
+
+
+def test_jacobi_periodic_constant_background_is_jacobi_at_twice_the_length():
+    # with v_per = (0.4, 0.4) a block is two sites of jacobi at E - 0.4, so
+    # N blocks are 2N sites and the block average is twice the site average
+    block = build_cocycle({"kind": "jacobi_periodic", "v": JP_V, "a": 1.0,
+                           "v_per": [0.4, 0.4], "E": 0.3}, JP_OMEGA)
+    site = build_cocycle({"kind": "jacobi", "v": JP_V, "a": 1.0,
+                          "E": 0.3 - 0.4}, JP_OMEGA)
+    X = np.arange(256).reshape(-1, 1) / 256
+    a_block, u_block = iterate_log_norm_many(block, 200, X)
+    a_site, u_site = iterate_log_norm_many(site, 400, X)
+    assert not u_block.any() and not u_site.any()
+    assert np.max(np.abs(a_block - 2.0 * a_site)) < 1e-10
+
+
+def site_by_site_log_norm(v, a, v_per, E, w, x, n_sites):
+    """ln ||J_{n-1}(x + (n-1) w) ... J_0(x)|| by a matmul loop over sites,
+    J_k(t) = [[E - v_per[k mod q] - v(t), -conj(a(t - w))], [a(t), 0]]."""
+    P = np.eye(2, dtype=complex)
+    for k in range(n_sites):
+        t = x + k * w
+        J = np.array([[E - v_per[k % len(v_per)] - v(t), -np.conj(a(t - w))],
+                      [a(t), 0.0]])
+        P = J @ P
+    return math.log(np.linalg.norm(P, 2))
+
+
+@pytest.mark.parametrize("v_per", [[0.0, 1.0], [0.0, 1.0, -0.5]])
+def test_jacobi_periodic_matches_a_site_by_site_product(v_per):
+    # a complex hopping a, so that the conjugated (1,2) entry is exercised
+    spec = {"kind": "jacobi_periodic", "v": {"cos": [1], "amp": 1.5},
+            "a": [0.7, {"coeffs": [{"k": [1], "re": 0.3, "im": 0.2}]}],
+            "v_per": v_per, "E": 0.3}
+    C = build_cocycle(spec, JP_OMEGA)
+    w = JP_OMEGA.components[0]
+
+    def v(t):
+        return 1.5 * math.cos(2 * math.pi * t)
+
+    def a(t):
+        return 0.7 + (0.3 + 0.2j) * np.exp(2j * math.pi * t)
+
+    N, X = 10, np.arange(16).reshape(-1, 1) / 16
+    avg, under = iterate_log_norm_many(C, N, X)
+    assert not under.any()
+    want = [site_by_site_log_norm(v, a, v_per, 0.3, w, x, len(v_per) * N) / N
+            for x in X[:, 0]]
+    assert np.max(np.abs(avg - want)) < 1e-9
 
 
 # One small run per subcommand: (config, CSV header line or None).

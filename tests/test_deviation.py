@@ -28,7 +28,7 @@ from cocyclelab.deviation import (
     profile,
     shift_drift_empirical,
 )
-from cocyclelab.errors import IdenticallyZero, ScanTooLarge
+from cocyclelab.errors import AllSamplesSingular, IdenticallyZero, ScanTooLarge
 from cocyclelab.torus import Frequency
 
 GOLDEN = 0.6180339887
@@ -93,6 +93,12 @@ class TestProfile:
         assert count == 1
         assert clipped[1] == -T
         assert clipped[3] == -100.0
+
+    @pytest.mark.parametrize("fill", [-math.inf, math.nan])
+    def test_all_excised_profile_raises(self, fill):
+        # its mean, rms, Fourier coefficients and ldt fraction have no value
+        with pytest.raises(AllSamplesSingular, match="no finite value"):
+            Profile.from_values(np.full(8, fill))
 
 
 class TestFourier:
@@ -265,8 +271,7 @@ class TestL2Uniform:
         want = []
         for N in N_list:
             avg, under = iterate_log_norm_many(Cocycle(A, C.omega), N, X)
-            p = Profile(d=1, M=M, N=N, values=np.where(under, -math.inf, avg),
-                        retained=~under)
+            p = Profile(d=1, M=M, N=N, values=np.where(under, -math.inf, avg))
             want.append((N, p.rms, p.excised_mass))
         r = l2_uniform_check(C, N_list, M, renormalize_first=renormalize_first)
         assert [(n, a.hex(), b.hex()) for n, a, b in r.rows] == \

@@ -259,9 +259,7 @@ class TestFiniteScaleModulus:
 
 class TestCSV:
     def test_header_and_formatting(self):
-        q = GRID(16)
-        rows = [LEEstimate(N=10, value=1.0 / 3.0, excised_mass=0.0, quad=q,
-                           stderr=0.25)]
+        rows = [LEEstimate(N=10, value=1.0 / 3.0, excised_mass=0.0, stderr=0.25)]
         text = le_table_to_csv(rows)
         lines = text.strip().split("\n")
         assert lines[0] == "N,value,excised_mass,stderr"
@@ -289,7 +287,7 @@ def ref_le_table(C, Ns, quad, renormalized=False):
             raise AllSamplesSingular(f"all {X.shape[0]} nodes underflowed at N={N}")
         value, stderr = _mean_and_stderr(avg[keep])
         out.append(LEEstimate(N=N, value=value, excised_mass=1.0 - kept / X.shape[0],
-                              quad=quad, stderr=stderr))
+                              stderr=stderr))
     return out
 
 

@@ -16,6 +16,7 @@ from cocyclelab.torus import (
     build_automorphism,
     dist_to_Z,
     freq_norm,
+    frequency_multiple,
     min_dot_norm,
     rational_dependence,
     torus_distance,
@@ -137,6 +138,20 @@ class TestFreqNorm:
         a = freq_norm(Frequency(comps), q)
         b = freq_norm(Frequency([1.0 - c for c in comps]), q)
         assert a == pytest.approx(b, abs=1e-9)
+
+
+class TestFrequencyMultiple:
+    @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3),
+           st.integers(1, 50))
+    def test_exact_and_rounded_once(self, comps, q):
+        got = frequency_multiple(Frequency(comps), q).components
+        assert got == tuple(float(q * Fraction(c) % 1) for c in comps)
+
+    def test_differs_from_float_multiplication(self):
+        # 3 * w rounds before the reduction mod 1
+        w = 0.4142135623730951
+        assert frequency_multiple(Frequency([w]), 3).components[0] != (3 * w) % 1
+        assert frequency_multiple(Frequency([w]), 1) == Frequency([w])
 
 
 class TestMinDotNorm:
