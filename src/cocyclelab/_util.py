@@ -124,27 +124,43 @@ def _sigma_max(f, disc):
     return np.sqrt(0.5 * (f + np.sqrt(np.maximum(disc, 0.0))))
 
 
+# Below this squared Frobenius norm (the smallest normal double) the closed
+# form's squares lose bits to underflow, down to f = 0 for entries below
+# about 1e-162.
+_F_MIN = float(np.finfo(float).tiny)
+
+
 def op_norm_2x2(a, b, c, d) -> np.ndarray:
     """Operator 2-norm (largest singular value) of the 2x2 complex matrices
     [[a, b], [c, d]], given entrywise as four equal-shape arrays.
 
     Closed form from the Frobenius norm and |det|:
     sigma_max^2 = (f + sqrt(f^2 - 4|det|^2)) / 2 with f = ||M||_F^2.
-    f^2 overflows once sigma_max passes about 1e77, so a matrix with finite
-    entries whose f^2 - 4|det|^2 is not finite is divided by its largest
-    entry modulus first and its norm multiplied back. A NaN or infinite
-    entry still gives a non-finite norm.
+    f^2 overflows once sigma_max passes about 1e77, and f itself is
+    subnormal once the entries fall below about 1e-154. A matrix with finite
+    entries on either tail (f^2 - 4|det|^2 not finite, or f below the
+    smallest normal double) is divided by its largest entry modulus first
+    and its norm multiplied back; a zero matrix keeps norm 0. A NaN or
+    infinite entry still gives a non-finite norm.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         f, disc = _disc_2x2(a, b, c, d)
     out = _sigma_max(f, disc)
-    if not np.isfinite(disc).all():
-        big = (~np.isfinite(disc) & np.isfinite(a) & np.isfinite(b)
-               & np.isfinite(c) & np.isfinite(d))
-        ents = [v[big] for v in (a, b, c, d)]
-        with np.errstate(over="ignore"):
+    # one reduction per tail; max propagates a NaN
+    if not (disc.max(initial=-np.inf) < np.inf
+            and f.min(initial=np.inf) >= _F_MIN):
+        tail = ((~np.isfinite(disc) | (f < _F_MIN)) & np.isfinite(a)
+                & np.isfinite(b) & np.isfinite(c) & np.isfinite(d))
+        ents = [v[tail] for v in (a, b, c, d)]
+        # numpy divides a complex v by a real scale as v * (1 / scale), and
+        # 1 / scale overflows for a subnormal scale; lifting the tiny side
+        # by 2^600 is exact, so a normal scale's quotients keep their bits
+        lift = np.where(f[tail] < _F_MIN, 2.0**600, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
             scale = np.maximum.reduce([np.abs(v) for v in ents])
-            out[big] = scale * _sigma_max(*_disc_2x2(*(v / scale for v in ents)))
+            unit = _sigma_max(*_disc_2x2(
+                *(v * lift / (scale * lift) for v in ents)))
+            out[tail] = np.where(scale > 0, scale * unit, 0.0)
     return out
 
 

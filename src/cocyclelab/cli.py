@@ -5,10 +5,15 @@ Usage:
                             [--threads N] [--seed S]
 
 The config is a single YAML document; its "experiment" key must match the
-subcommand. load_config validates it against SCHEMA and PARAM_SCHEMAS with
-validators compiled once at import; build turns its frequency, cocycle and
-quadrature blocks into library objects (an Inputs record); the experiment's
-handler calls the library and returns a JSON payload and an optional CSV
+subcommand. Each experiment is one entry of _TABLE: its handler, the
+top-level blocks it needs and its params schema. EXPERIMENTS, PARAM_SCHEMAS,
+SCHEMA's experiment enum and load_config's block checks are read from that
+table, and every closed object in the schemas comes from _closed, so a new
+experiment is one entry and a new parameter is one property (plus a named
+fragment when its constraint repeats). load_config validates the config
+against SCHEMA and PARAM_SCHEMAS with validators compiled once at import;
+build turns its frequency, cocycle and quadrature blocks into library
+objects (an Inputs record); the experiment's handler calls the library and returns a JSON payload and an optional CSV
 body. A payload holds result objects as they are: _util.to_json_text writes a
 dataclass (or named tuple) as an object of its fields in declaration order,
 without the fields declared repr=False. run writes the outputs to --out
@@ -35,7 +40,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import yaml
 from jsonschema import exceptions as schema_errors
@@ -85,11 +90,6 @@ from .multiscale import (
 )
 from .torus import Automorphism, Frequency, frequency_multiple
 
-EXPERIMENTS = (
-    "le", "le-limit", "continuity", "ap", "ldt", "cdt", "drift", "loja",
-    "l2", "fourier", "ladder", "cov", "example-discontinuity",
-)
-
 
 class ConfigError(Exception):
     """The config failed to load, validate or build; maps to exit code 2."""
@@ -100,274 +100,46 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Config schema
+# Config schema: one builder for every closed object, one fragment for every
+# repeated constraint. The dicts, key order included, are what best_match
+# iterates over, so they fix which error a config reports.
 # ---------------------------------------------------------------------------
 
-_TRIGPOLY = {"$ref": "#/$defs/trigpoly"}
+def _closed(*required: str, **properties: dict) -> dict:
+    """A closed object: the given properties in order, the required ones
+    listed when there are any, and no other key."""
+    schema = {"type": "object"}
+    if required:
+        schema["required"] = list(required)
+    schema["properties"] = properties
+    schema["additionalProperties"] = False
+    return schema
 
+
+_NUM = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_POS_INT = {"type": "integer", "minimum": 1}
+_GRID_SIZE = {"type": "integer", "minimum": 2}  # points per axis, M
+_BOOL = {"type": "boolean"}
+_NUMS = {"type": "array", "items": _NUM, "minItems": 1}
+_NULLABLE_FREQ = {"anyOf": [{"type": "null"}, _NUMS]}
+_INTS = {"type": "array", "items": {"type": "integer"}}
+_NONEMPTY_INTS = {**_INTS, "minItems": 1}
+_POS_INTS = {"type": "array", "items": _POS_INT, "minItems": 1}
+
+_TRIGPOLY = {"$ref": "#/$defs/trigpoly"}
 _TRIGPOLY_DEFS = {
     "trigpoly": {
         "anyOf": [
-            {"type": "number"},
-            {"type": "array", "items": {"$ref": "#/$defs/trigpoly"}},
-            {
-                "type": "object",
-                "properties": {
-                    "const": {"type": "number"},
-                    "cos": {"type": "array", "items": {"type": "integer"}},
-                    "sin": {"type": "array", "items": {"type": "integer"}},
-                    "amp": {"type": "number"},
-                    "coeffs": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["k"],
-                            "properties": {
-                                "k": {"type": "array",
-                                      "items": {"type": "integer"}},
-                                "re": {"type": "number"},
-                                "im": {"type": "number"},
-                            },
-                            "additionalProperties": False,
-                        },
-                    },
-                },
-                "additionalProperties": False,
-            },
+            _NUM,
+            {"type": "array", "items": _TRIGPOLY},
+            _closed(const=_NUM, cos=_INTS, sin=_INTS, amp=_NUM,
+                    coeffs={"type": "array",
+                            "items": _closed("k", k=_INTS, re=_NUM,
+                                             im=_NUM)}),
         ]
     }
 }
-
-_FREQ = {"type": "array", "items": {"type": "number"}, "minItems": 1}
-_NULLABLE_FREQ = {"anyOf": [{"type": "null"}, _FREQ]}
-_INT_LIST = {"type": "array", "items": {"type": "integer", "minimum": 1},
-             "minItems": 1}
-_NUM_LIST = {"type": "array", "items": {"type": "number"}, "minItems": 1}
-
-SCHEMA = {
-    "$defs": _TRIGPOLY_DEFS,
-    "type": "object",
-    "required": ["experiment"],
-    "properties": {
-        "experiment": {"enum": list(EXPERIMENTS)},
-        "seed": {"type": "integer", "minimum": 0},
-        "threads": {"type": "integer", "minimum": 1},
-        "plot": {"type": "boolean"},
-        "frequency": _FREQ,
-        "cocycle": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["constant", "schrodinger", "amo", "jacobi",
-                                  "jacobi_periodic", "discontinuity",
-                                  "matrix"]},
-                "rho": {"type": "number", "exclusiveMinimum": 0},
-                "diag": {"type": "array", "items": {"type": "number"},
-                         "minItems": 2, "maxItems": 2},
-                "v": _TRIGPOLY,
-                "a": _TRIGPOLY,
-                "E": {"type": "number"},
-                "lam": {"type": "number"},
-                "v_per": _NUM_LIST,
-                "k": {"type": "array", "items": {"type": "integer"},
-                      "minItems": 1},
-                "entries": {"type": "array", "items": _TRIGPOLY,
-                            "minItems": 4, "maxItems": 4},
-            },
-            "additionalProperties": False,
-        },
-        "quadrature": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": ["uniform-grid", "low-discrepancy",
-                                  "monte-carlo"]},
-                "points_per_dim": {"type": "integer", "minimum": 1},
-                "total_points": {"type": "integer", "minimum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "params": {"type": "object"},
-    },
-    "additionalProperties": False,
-}
-
-PARAM_SCHEMAS: Dict[str, dict] = {
-    "le": {
-        "type": "object",
-        "required": ["N_list"],
-        "properties": {"N_list": _INT_LIST,
-                       "renormalized": {"type": "boolean"}},
-        "additionalProperties": False,
-    },
-    "le-limit": {
-        "type": "object",
-        "required": ["schedule"],
-        "properties": {"schedule": _INT_LIST},
-        "additionalProperties": False,
-    },
-    "continuity": {
-        "type": "object",
-        "required": ["N", "amplitudes"],
-        "properties": {
-            "N": {"type": "integer", "minimum": 1},
-            "amplitudes": _NUM_LIST,
-            "entry": {"type": "array", "items": {"type": "integer",
-                                                 "minimum": 0, "maximum": 1},
-                      "minItems": 2, "maxItems": 2},
-            "k": {"type": "array", "items": {"type": "integer"}},
-        },
-        "additionalProperties": False,
-    },
-    "ap": {
-        "type": "object",
-        "required": ["chains"],
-        "properties": {
-            "chains": {"type": "integer", "minimum": 1},
-            "mu": {"type": "number", "exclusiveMinimum": 1},
-            "n_max": {"type": "integer", "minimum": 3},
-            "variant": {"type": "boolean"},
-        },
-        "additionalProperties": False,
-    },
-    "ldt": {
-        "type": "object",
-        "required": ["N", "M", "kappas"],
-        "properties": {
-            "N": {"type": "integer", "minimum": 1},
-            "M": {"type": "integer", "minimum": 2},
-            "kappas": _NUM_LIST,
-            "renormalize_first": {"type": "boolean"},
-        },
-        "additionalProperties": False,
-    },
-    "cdt": {
-        "type": "object",
-        "required": ["N", "M", "kappa", "shifts"],
-        "properties": {
-            "N": {"type": "integer", "minimum": 1},
-            "M": {"type": "integer", "minimum": 2},
-            "kappa": {"type": "number", "exclusiveMinimum": 0},
-            "shifts": {"type": "array", "items": _NUM_LIST, "minItems": 1},
-            "C": {"type": "number", "exclusiveMinimum": 0},
-            "renormalize_first": {"type": "boolean"},
-        },
-        "additionalProperties": False,
-    },
-    "drift": {
-        "type": "object",
-        "required": ["N", "M", "a_exponent"],
-        "properties": {
-            "N": {"type": "integer", "minimum": 1},
-            "M": {"type": "integer", "minimum": 2},
-            "a_exponent": {"type": "number", "exclusiveMinimum": 0,
-                           "exclusiveMaximum": 1},
-            "C": {"type": "number", "exclusiveMinimum": 0},
-            "renormalize_first": {"type": "boolean"},
-        },
-        "additionalProperties": False,
-    },
-    "loja": {
-        "type": "object",
-        "required": ["g", "t_grid", "M"],
-        "properties": {
-            "g": _TRIGPOLY,
-            "d": {"type": "integer", "minimum": 1},
-            "t_grid": _NUM_LIST,
-            "M": {"type": "integer", "minimum": 2},
-        },
-        "additionalProperties": False,
-    },
-    "l2": {
-        "type": "object",
-        "required": ["N_list", "M"],
-        "properties": {
-            "N_list": _INT_LIST,
-            "M": {"type": "integer", "minimum": 2},
-            "renormalize_first": {"type": "boolean"},
-        },
-        "additionalProperties": False,
-    },
-    "fourier": {
-        "type": "object",
-        "required": ["N", "M", "K0"],
-        "properties": {
-            "N": {"type": "integer", "minimum": 1},
-            "M": {"type": "integer", "minimum": 4},
-            "K0": {"type": "integer", "minimum": 1},
-            "renormalize_first": {"type": "boolean"},
-        },
-        "additionalProperties": False,
-    },
-    "ladder": {
-        "type": "object",
-        "required": ["kind"],
-        "properties": {
-            "kind": {"enum": ["liouville", "mixed", "induction"]},
-            "N0": {"type": "integer", "minimum": 1},
-            "q0": {"type": "integer", "minimum": 1},
-            "K0": {"type": "integer", "minimum": 1},
-            "rho": {"type": "number", "exclusiveMinimum": 0},
-            "kappa": {"type": "number"},
-            "C": {"type": "number", "exclusiveMinimum": 0},
-            "c": {"type": "number", "exclusiveMinimum": 0},
-            "max_scale": {"type": "number", "exclusiveMinimum": 0},
-            "delta": {"type": "number", "exclusiveMinimum": 0},
-            "delta0": {"type": "number", "exclusiveMinimum": 0},
-            "eps0": {"type": "number", "minimum": 0},
-            "omega1": _NULLABLE_FREQ,
-            "omega2": _NULLABLE_FREQ,
-            "verify": {
-                "type": "object",
-                "properties": {
-                    "C_prime": {"type": "number", "exclusiveMinimum": 0},
-                    "renormalized": {"type": "boolean"},
-                },
-                "additionalProperties": False,
-            },
-        },
-        "additionalProperties": False,
-    },
-    "cov": {
-        "type": "object",
-        "required": ["B", "N", "M"],
-        "properties": {
-            "B": {"type": "array",
-                  "items": {"type": "array",
-                            "items": {"type": "integer"}, "minItems": 1},
-                  "minItems": 1},
-            "N": {"type": "integer", "minimum": 1},
-            "M": {"type": "integer", "minimum": 2},
-        },
-        "additionalProperties": False,
-    },
-    "example-discontinuity": {
-        "type": "object",
-        "required": ["k"],
-        "properties": {
-            "k": {"type": "array", "items": {"type": "integer"},
-                  "minItems": 1},
-            "N_list": _INT_LIST,
-            "M": {"type": "integer", "minimum": 2},
-        },
-        "additionalProperties": False,
-    },
-}
-
-
-def _compile(schema: dict):
-    """A validator for schema, built once. The schemas are fixed, so they are
-    checked against the metaschema by the tests, not on every load."""
-    return validator_for(schema)(schema)
-
-
-_VALIDATOR = _compile(SCHEMA)
-_PARAM_VALIDATORS = {name: _compile({**schema, "$defs": _TRIGPOLY_DEFS})
-                     for name, schema in PARAM_SCHEMAS.items()}
-
-# experiments that run a cocycle need these top-level blocks
-_NEEDS_COCYCLE = {"le", "le-limit", "continuity", "ldt", "cdt", "drift",
-                  "l2", "fourier", "cov"}
-_NEEDS_FREQUENCY = _NEEDS_COCYCLE | {"example-discontinuity"}
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +170,10 @@ def load_config(path: str) -> tuple:
         loc = "/".join(str(p) for p in e.absolute_path) or "<root>"
         raise ConfigError(f"config schema violation at {loc}: {e.message}",
                           digest) from e
-    if name in _NEEDS_COCYCLE and "cocycle" not in cfg:
-        raise ConfigError(f"experiment {name} requires a cocycle block", digest)
-    if name in _NEEDS_FREQUENCY and "frequency" not in cfg:
-        raise ConfigError(f"experiment {name} requires a frequency block",
-                          digest)
+    for block in _TABLE[name].needs:
+        if block not in cfg:
+            raise ConfigError(f"experiment {name} requires a {block} block",
+                              digest)
     return cfg, digest
 
 
@@ -525,9 +296,9 @@ def _run_continuity(inp: Inputs):
         bumped[2 * i + j] = bumped[2 * i + j] + TrigPoly(A.d, {k: float(amp)})
         perturbed.append(TrigPolyMatrix(*bumped, rho=A.rho))
     table = finite_scale_modulus(inp.C, int(p["N"]), perturbed, inp.quad)
-    env = {r.delta: r.diff for r in table.envelope}
-    rows = ((r.delta, r.diff, env[r.delta])
-            for r in sorted(table.rows, key=lambda r: r.delta))
+    # the envelope runs over the rows in this order, ties included
+    rows = ((r.delta, r.diff, e.diff) for r, e in
+            zip(sorted(table.rows, key=lambda r: r.delta), table.envelope))
     payload = {"N": table.N, "entry": [i, j], "k": list(k),
                "rows": table.rows, "envelope": table.envelope}
     return payload, csv_text(("delta", "diff", "envelope"), rows)
@@ -690,21 +461,111 @@ def _run_example_discontinuity(inp: Inputs):
     return payload, csv_text(("N", "value"), ((e.N, e.value) for e in ests))
 
 
-HANDLERS = {
-    "le": _run_le,
-    "le-limit": _run_le_limit,
-    "continuity": _run_continuity,
-    "ap": _run_ap,
-    "ldt": _run_ldt,
-    "cdt": _run_cdt,
-    "drift": _run_drift,
-    "loja": _run_loja,
-    "l2": _run_l2,
-    "fourier": _run_fourier,
-    "ladder": _run_ladder,
-    "cov": _run_cov,
-    "example-discontinuity": _run_example_discontinuity,
+# ---------------------------------------------------------------------------
+# The experiments: one entry each
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Experiment:
+    """A subcommand: its handler, the top-level blocks it cannot run without
+    (load_config checks them in this order) and its params schema."""
+
+    run: Callable[[Inputs], tuple]
+    needs: Tuple[str, ...]
+    params: dict
+
+
+_ORBIT = ("cocycle", "frequency")  # every experiment that iterates a cocycle
+
+_TABLE: Dict[str, _Experiment] = {
+    "le": _Experiment(_run_le, _ORBIT, _closed(
+        "N_list", N_list=_POS_INTS, renormalized=_BOOL)),
+    "le-limit": _Experiment(_run_le_limit, _ORBIT, _closed(
+        "schedule", schedule=_POS_INTS)),
+    "continuity": _Experiment(_run_continuity, _ORBIT, _closed(
+        "N", "amplitudes", N=_POS_INT, amplitudes=_NUMS,
+        entry={"type": "array",
+               "items": {"type": "integer", "minimum": 0, "maximum": 1},
+               "minItems": 2, "maxItems": 2},
+        k=_INTS)),
+    "ap": _Experiment(_run_ap, (), _closed(
+        "chains", chains=_POS_INT,
+        mu={"type": "number", "exclusiveMinimum": 1},
+        n_max={"type": "integer", "minimum": 3}, variant=_BOOL)),
+    "ldt": _Experiment(_run_ldt, _ORBIT, _closed(
+        "N", "M", "kappas", N=_POS_INT, M=_GRID_SIZE, kappas=_NUMS,
+        renormalize_first=_BOOL)),
+    "cdt": _Experiment(_run_cdt, _ORBIT, _closed(
+        "N", "M", "kappa", "shifts", N=_POS_INT, M=_GRID_SIZE,
+        kappa=_POSITIVE, shifts={"type": "array", "items": _NUMS,
+                                 "minItems": 1},
+        C=_POSITIVE, renormalize_first=_BOOL)),
+    "drift": _Experiment(_run_drift, _ORBIT, _closed(
+        "N", "M", "a_exponent", N=_POS_INT, M=_GRID_SIZE,
+        a_exponent={**_POSITIVE, "exclusiveMaximum": 1}, C=_POSITIVE,
+        renormalize_first=_BOOL)),
+    "loja": _Experiment(_run_loja, (), _closed(
+        "g", "t_grid", "M", g=_TRIGPOLY, d=_POS_INT, t_grid=_NUMS,
+        M=_GRID_SIZE)),
+    "l2": _Experiment(_run_l2, _ORBIT, _closed(
+        "N_list", "M", N_list=_POS_INTS, M=_GRID_SIZE,
+        renormalize_first=_BOOL)),
+    "fourier": _Experiment(_run_fourier, _ORBIT, _closed(
+        "N", "M", "K0", N=_POS_INT, M={"type": "integer", "minimum": 4},
+        K0=_POS_INT, renormalize_first=_BOOL)),
+    "ladder": _Experiment(_run_ladder, (), _closed(
+        "kind", kind={"enum": ["liouville", "mixed", "induction"]},
+        N0=_POS_INT, q0=_POS_INT, K0=_POS_INT, rho=_POSITIVE, kappa=_NUM,
+        C=_POSITIVE, c=_POSITIVE, max_scale=_POSITIVE, delta=_POSITIVE,
+        delta0=_POSITIVE, eps0={"type": "number", "minimum": 0},
+        omega1=_NULLABLE_FREQ, omega2=_NULLABLE_FREQ,
+        verify=_closed(C_prime=_POSITIVE, renormalized=_BOOL))),
+    "cov": _Experiment(_run_cov, _ORBIT, _closed(
+        "B", "N", "M",
+        B={"type": "array", "items": _NONEMPTY_INTS, "minItems": 1},
+        N=_POS_INT, M=_GRID_SIZE)),
+    "example-discontinuity": _Experiment(
+        _run_example_discontinuity, ("frequency",), _closed(
+            "k", k=_NONEMPTY_INTS, N_list=_POS_INTS, M=_GRID_SIZE)),
 }
+
+EXPERIMENTS = tuple(_TABLE)
+PARAM_SCHEMAS: Dict[str, dict] = {name: e.params for name, e in _TABLE.items()}
+
+SCHEMA = {
+    "$defs": _TRIGPOLY_DEFS,
+    **_closed(
+        "experiment", experiment={"enum": list(EXPERIMENTS)},
+        seed={"type": "integer", "minimum": 0}, threads=_POS_INT, plot=_BOOL,
+        frequency=_NUMS,
+        cocycle=_closed(
+            "kind",
+            kind={"enum": ["constant", "schrodinger", "amo", "jacobi",
+                           "jacobi_periodic", "discontinuity", "matrix"]},
+            rho=_POSITIVE,
+            diag={"type": "array", "items": _NUM, "minItems": 2,
+                  "maxItems": 2},
+            v=_TRIGPOLY, a=_TRIGPOLY, E=_NUM, lam=_NUM, v_per=_NUMS,
+            k=_NONEMPTY_INTS,
+            entries={"type": "array", "items": _TRIGPOLY, "minItems": 4,
+                     "maxItems": 4}),
+        quadrature=_closed(
+            kind={"enum": ["uniform-grid", "low-discrepancy",
+                           "monte-carlo"]},
+            points_per_dim=_POS_INT, total_points=_POS_INT),
+        params={"type": "object"}),
+}
+
+
+def _compile(schema: dict):
+    """A validator for schema, built once. The schemas are fixed, so they are
+    checked against the metaschema by the tests, not on every load."""
+    return validator_for(schema)(schema)
+
+
+_VALIDATOR = _compile(SCHEMA)
+_PARAM_VALIDATORS = {name: _compile({**schema, "$defs": _TRIGPOLY_DEFS})
+                     for name, schema in PARAM_SCHEMAS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +595,7 @@ def run(name: str, cfg: dict, digest: str, out_dir: str, seed: int) -> None:
     meta = {"cocyclelab": __version__, "config_sha256": digest,
             "experiment": name, "seed": seed}
     try:
-        payload, csv_body = HANDLERS[name](build(cfg, seed))
+        payload, csv_body = _TABLE[name].run(build(cfg, seed))
         texts = {".json": (to_json_text({**meta, **payload}),)}
         if csv_body is not None:
             stamp = f"cocyclelab={__version__} config_sha256={digest}"

@@ -525,7 +525,9 @@ def iterate_log_norm_many(C: Cocycle, N: int, X: np.ndarray,
 
     Returns (avg, underflowed): avg[i] = (1/N) ln ||A_N(X[i])||, and
     underflowed[i] marks nodes whose running product degenerated (norm below
-    1e-300 or non-finite); their avg entry is meaningless.
+    1e-300 or non-finite); their avg entry is meaningless. X holds m nodes
+    of T^d as an (m, d) array, or one node as its d coordinates; any other
+    shape raises ValueError.
 
     With at, the N-step orbit is read at each step count n in at (each
     1 <= n <= N, in any order, repeats allowed), and avg and underflowed
@@ -543,7 +545,11 @@ def iterate_log_norm_many(C: Cocycle, N: int, X: np.ndarray,
     if any(n > N for n in want):
         raise ValueError(f"read point beyond the orbit length {N}")
     reads = sorted(set(want) | {N})
+    given = np.shape(X)
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or X.shape[1] != C.d:
+        raise ValueError(f"nodes of shape {given} are not points of T^{C.d}: "
+                         f"expected shape (m, {C.d})")
     w = C.omega.as_array()
     parts = map_chunked(lambda chunk: _iterate_chunk(C.A, w, reads, chunk), X)
     avg = np.concatenate([p[0] for p in parts], axis=1)

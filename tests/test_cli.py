@@ -606,8 +606,9 @@ def test_numerical_failure_exits_3_with_error_json(tmp_path, capsys, error):
     assert json.loads((out / "error.json").read_text()) == record
 
 
-# A constant 1e-200 diagonal, not renormalized: every orbit underflows by N = 2.
-TINY = {"kind": "constant", "diag": [1.0e-200, 1.0e-200]}
+# A constant 1e-305 diagonal, not renormalized: every orbit underflows at its
+# first step, whose norm 1e-305 is below UNDERFLOW_FLOOR.
+TINY = {"kind": "constant", "diag": [1.0e-305, 1.0e-305]}
 RAW = {"renormalize_first": False}
 UNDERFLOWING = {
     "ldt": {"N": 2, "M": 8, "kappas": [0.1], **RAW},
@@ -702,6 +703,24 @@ def test_continuity_runs_on_T3(tmp_path):
     rows = json.loads((out / "continuity.json").read_text())["rows"]
     # a constant bump of the (0, 0) entry is at strip distance |amp|
     assert [r["delta"] for r in rows] == pytest.approx([0.1, 0.01], rel=1e-12)
+
+
+# +-amplitudes give tied distances: each CSV row must carry its own JSON
+# envelope row, not the envelope value of the last tied row.
+def test_continuity_csv_envelope_is_the_json_envelope(tmp_path):
+    cfg = {"experiment": "continuity", "cocycle": {**AMO, "E": 0.3},
+           "frequency": [GOLDEN],
+           "quadrature": {"kind": "uniform-grid", "points_per_dim": 64},
+           "params": {"N": 20, "amplitudes": [0.1, -0.1, -0.2, 0.2]}}
+    rc, out = run_cli(tmp_path, cfg)
+    assert rc == 0
+    data = json.loads((out / "continuity.json").read_text())
+    rows = sorted(data["rows"], key=lambda r: r["delta"])
+    want = [[r["delta"], r["diff"], e["diff"]]
+            for r, e in zip(rows, data["envelope"])]
+    lines = (out / "continuity.csv").read_text().splitlines()[2:]
+    assert [[float(v) for v in line.split(",")] for line in lines] == want
+    assert len({r["delta"] for r in rows}) < len(rows)
 
 
 # Periodic-background Jacobi blocks: v = 3 cos 2 pi x over the golden mean.

@@ -283,6 +283,21 @@ def test_reads_at_are_checked():
         iterate_log_norm_many(C, 5, X, at=(6,))
 
 
+# A flat array is one node, so for d = 1 three numbers would be one node
+# with three coordinates: every shape but (m, d) and (d,) is refused before
+# the orbit runs, with the given and the expected shape.
+@pytest.mark.parametrize("d, X, given", [
+    (1, np.array([0.1, 0.2, 0.3]), r"\(3,\)"),
+    (1, np.zeros((4, 2)), r"\(4, 2\)"),
+    (2, np.zeros((4, 1)), r"\(4, 1\)"),
+    (1, np.zeros((2, 3, 1)), r"\(2, 3, 1\)"),
+], ids=["d1-flat", "d1-two-coords", "d2-one-coord", "d1-3-dims"])
+def test_node_shape_is_checked(d, X, given):
+    C = BITWISE["amo" if d == 1 else "schrodinger-2d"]()
+    with pytest.raises(ValueError, match=given + rf".*\(m, {d}\)"):
+        iterate_log_norm_many(C, 3, X)
+
+
 # Starting points whose orbit survives 40 steps (None) or underflows at the
 # given step, so the partial logs are the whole orbit, empty, or cut short.
 # Reading one orbit at every step count n gives the partial sums n * avg[n].
@@ -424,6 +439,32 @@ def test_op_norm_matches_svd_on_huge_matrices():
     got = op_norm_2x2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
     want = np.linalg.svd(mats, compute_uv=False)[:, 0]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+# Matrices whose squared Frobenius norm is below the smallest normal double,
+# down to subnormal entries, and zero matrices.
+def test_op_norm_matches_svd_on_tiny_matrices():
+    rng = np.random.default_rng(7)
+    mats = rng.standard_normal((400, 2, 2)) + 1j * rng.standard_normal((400, 2, 2))
+    mats *= (10.0 ** rng.uniform(-300, -160, 400))[:, None, None]
+    mats[:5, 1] = 0.0          # singular: det = 0
+    mats[5:10, 1] = mats[5:10, 0] * 1e-20  # nearly singular
+    mats[10:12] = 0.0
+    mats[12] = np.diag([1e-160, 1e-160])
+    mats[13] = np.diag([1e-200, 1e-200])
+    mats[14] = np.diag([3e-320, 1e-320])
+    got = op_norm_2x2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
+    want = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+# Each step's product has norm 1e-200, above UNDERFLOW_FLOOR: no node is
+# excised, and the average is ln 1e-200 at every N.
+def test_tiny_constant_cocycle_is_not_excised():
+    C = Cocycle(TrigPolyMatrix.constant(1, np.diag([1e-200, 1e-200])), G1)
+    avg, under = iterate_log_norm_many(C, 4, _nodes(1, m=8), at=(1, 4))
+    assert not under.any()
+    np.testing.assert_allclose(avg, math.log(1e-200), rtol=1e-15)
 
 
 def test_op_norm_keeps_bits_of_ordinary_matrices():
