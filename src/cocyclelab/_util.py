@@ -51,6 +51,17 @@ MIN_ROWS_PER_WORKER = 1024
 # forth.
 BLOCK_ROWS = 4096
 
+# The orbit kernel evaluates the points of max(1, LOOKAHEAD_ROWS // m) steps
+# of an m-node chunk in one call (cocycle._iterate_chunk), so chunks of 512
+# nodes or fewer pay the per-call cost of evaluation once per block of
+# steps. At 1024 rows a block's evaluation temporaries (the phase table, the
+# (2, 2, rows) output) stay under glibc's 128 KiB mmap threshold. On a
+# 2-core host, the orbit-long benchmark experiments run in a fresh process
+# (seeds 1-3, ru_maxrss after each) ended at 40.2-40.3 MB with 1024, as
+# with no look-ahead (a budget of 1), but at 40.3-40.4 MB with 2048 and
+# 40.7-40.9 MB with 4096.
+LOOKAHEAD_ROWS = 1024
+
 
 def set_max_workers(n: int) -> None:
     """Set the worker-count hint for node-batch evaluation.
@@ -62,8 +73,10 @@ def set_max_workers(n: int) -> None:
     _max_workers = max(1, int(n))
 
 
-def map_chunked(fn, arr: np.ndarray) -> list:
-    """Apply fn to row-chunks of arr, in order, optionally on a thread pool.
+def map_chunked(fn, n: int) -> list:
+    """Apply fn to row ranges covering range(n), in order, optionally on a
+    thread pool; fn gets each range as a slice and the results come back as
+    a list.
 
     The worker count is set_max_workers's value, capped at the number of
     cores: more threads than cores cannot run at once, and each one costs an
@@ -71,20 +84,20 @@ def map_chunked(fn, arr: np.ndarray) -> list:
     below which a chunk's numpy calls are too short for the threads to
     overlap.
 
-    One worker walks arr in consecutive blocks of at most BLOCK_ROWS rows,
+    One worker walks the rows in consecutive blocks of at most BLOCK_ROWS,
     so fn's per-row temporaries fit in L2 and stay below the allocator's
     trim threshold instead of being faulted in afresh on every step (the
     sweep is at BLOCK_ROWS). Two or more workers each get one contiguous
     chunk. fn must treat rows independently, as the orbit kernel does, for
     the split to leave its results unchanged.
     """
-    n = arr.shape[0]
     w = min(_max_workers, os.cpu_count() or 1, n // MIN_ROWS_PER_WORKER)
     if w <= 1:
-        # max(n, 1): an empty arr still gets one (empty) call
-        return [fn(arr[i:i + BLOCK_ROWS]) for i in range(0, max(n, 1), BLOCK_ROWS)]
+        # max(n, 1): no rows still make one (empty) call
+        return [fn(slice(i, min(i + BLOCK_ROWS, n)))
+                for i in range(0, max(n, 1), BLOCK_ROWS)]
     bounds = [round(i * n / w) for i in range(w + 1)]
-    chunks = [arr[bounds[i]:bounds[i + 1]] for i in range(w)]
+    chunks = [slice(bounds[i], bounds[i + 1]) for i in range(w)]
     with ThreadPoolExecutor(max_workers=w) as pool:
         return list(pool.map(fn, chunks))
 
@@ -110,11 +123,21 @@ def dyadic_grid(d: int, M: int) -> np.ndarray:
     return grid(d, M)
 
 
-def _disc_2x2(a, b, c, d):
-    """(f, disc) of the closed form in op_norm_2x2; either may overflow."""
-    f = (a.real**2 + a.imag**2 + b.real**2 + b.imag**2
-         + c.real**2 + c.imag**2 + d.real**2 + d.imag**2)
-    det = a * d - b * c
+def _disc_2x2(E, scratch=None):
+    """(f, disc) of the closed form in op_norm_2x2; either may overflow.
+
+    One call squares the float view of all four entries, real and imaginary
+    parts interleaved, into scratch when one is given (a C-order complex
+    array of E's shape, whose values are then lost); f adds the eight
+    squares left to right. np.add.reduce would pair them (for m = 1 its
+    order differs), so the sum is spelled out.
+    """
+    E = np.ascontiguousarray(E)
+    sq = np.square(E.view(float),
+                   out=None if scratch is None else scratch.view(float))
+    f = (sq[0, 0, 0::2] + sq[0, 0, 1::2] + sq[0, 1, 0::2] + sq[0, 1, 1::2]
+         + sq[1, 0, 0::2] + sq[1, 0, 1::2] + sq[1, 1, 0::2] + sq[1, 1, 1::2])
+    det = E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0]
     det2 = det.real**2 + det.imag**2
     return f, f * f - 4.0 * det2
 
@@ -124,59 +147,73 @@ def _sigma_max(f, disc):
     return np.sqrt(0.5 * (f + np.sqrt(np.maximum(disc, 0.0))))
 
 
-# Below this squared Frobenius norm (the smallest normal double) the closed
-# form's squares lose bits to underflow, down to f = 0 for entries below
-# about 1e-162.
-_F_MIN = float(np.finfo(float).tiny)
+# Below this squared Frobenius norm f the closed form's f*f leaves the
+# normal range (2^-1022) and loses bits to underflow, down to f*f = 0, where
+# the norm reads sqrt(f/2); f itself is 0 for entries below about 1e-162.
+_F_MIN = 2.0**-511
 
 
-def op_norm_2x2(a, b, c, d) -> np.ndarray:
+def op_norm_2x2(E) -> np.ndarray:
     """Operator 2-norm (largest singular value) of the 2x2 complex matrices
-    [[a, b], [c, d]], given entrywise as four equal-shape arrays.
+    [[a, b], [c, d]] = [[E[0, 0], E[0, 1]], [E[1, 0], E[1, 1]]], given as an
+    entry-major (2, 2, m) stack.
 
     Closed form from the Frobenius norm and |det|:
     sigma_max^2 = (f + sqrt(f^2 - 4|det|^2)) / 2 with f = ||M||_F^2.
-    f^2 overflows once sigma_max passes about 1e77, and f itself is
-    subnormal once the entries fall below about 1e-154. A matrix with finite
-    entries on either tail (f^2 - 4|det|^2 not finite, or f below the
-    smallest normal double) is divided by its largest entry modulus first
-    and its norm multiplied back; a zero matrix keeps norm 0. A NaN or
-    infinite entry still gives a non-finite norm.
+    f^2 overflows once sigma_max passes about 1e77, and underflows once the
+    entries fall below about 1e-77. A matrix with finite entries on either
+    tail (f^2 - 4|det|^2 not finite, or f below 2^-511) is divided by its
+    largest entry modulus first and its norm multiplied back; a zero matrix
+    keeps norm 0. A NaN or infinite entry still gives a non-finite norm.
     """
+    return _op_norm(E)[0]
+
+
+def _op_norm(E, scratch=None):
+    """(op_norm_2x2(E), closed): closed is True when no matrix was on a
+    tail, and then every norm is finite and at least sqrt(2^-512) = 2^-256.
+    scratch is as in _disc_2x2."""
     with np.errstate(over="ignore", invalid="ignore"):
-        f, disc = _disc_2x2(a, b, c, d)
+        f, disc = _disc_2x2(E, scratch)
     out = _sigma_max(f, disc)
-    # one reduction per tail; max propagates a NaN
-    if not (disc.max(initial=-np.inf) < np.inf
-            and f.min(initial=np.inf) >= _F_MIN):
-        tail = ((~np.isfinite(disc) | (f < _F_MIN)) & np.isfinite(a)
-                & np.isfinite(b) & np.isfinite(c) & np.isfinite(d))
-        ents = [v[tail] for v in (a, b, c, d)]
+    # one reduction per tail; max and min propagate a NaN
+    closed = (disc.max(initial=-np.inf) < np.inf
+              and f.min(initial=np.inf) >= _F_MIN)
+    if not closed:
+        tail = ~np.isfinite(disc) | (f < _F_MIN)
+        tail &= np.isfinite(E).all(axis=(0, 1))
+        ents = E[:, :, tail]
         # numpy divides a complex v by a real scale as v * (1 / scale), and
         # 1 / scale overflows for a subnormal scale; lifting the tiny side
         # by 2^600 is exact, so a normal scale's quotients keep their bits
         lift = np.where(f[tail] < _F_MIN, 2.0**600, 1.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            scale = np.maximum.reduce([np.abs(v) for v in ents])
-            unit = _sigma_max(*_disc_2x2(
-                *(v * lift / (scale * lift) for v in ents)))
+            scale = np.abs(ents).max(axis=(0, 1))
+            unit = _sigma_max(*_disc_2x2(ents * lift / (scale * lift)))
             out[tail] = np.where(scale > 0, scale * unit, 0.0)
-    return out
+    return out, closed
 
 
-def step_2x2(mats: np.ndarray, U: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """One step of m 2x2 running products: out <- mats @ U, and their norms.
+def step_2x2(mats: np.ndarray, U: np.ndarray, out: np.ndarray):
+    """One step of m 2x2 running products: out <- mats @ U. Returns their
+    norms and whether every one came from the closed form, as _op_norm.
 
     mats is an (m, 2, 2) stack; U and out are entry-major (2, 2, m). Row i of
     a product is M_i0 * (row 0 of U) + M_i1 * (row 1 of U), elementwise with
     no BLAS, so its bits depend neither on the batch nor on the BLAS build.
-    mats as a view of entry-major memory is read in place; a C-order stack
-    is copied to that layout first.
+    mats is read in place in any layout: as a view of entry-major memory
+    (a whole evaluation or one step's slice of a stacked one) its nodes are
+    contiguous, and a C-order stack is read strided. Elementwise products
+    give the same bits either way. The second product goes to a scratch
+    array that then takes the norm's squares, so the step allocates one
+    (2, 2, m) temporary for both.
     """
-    M = np.ascontiguousarray(mats.transpose(1, 2, 0))
+    M = mats.transpose(1, 2, 0)
     np.multiply(M[:, 0, None], U[0], out=out)
-    out += M[:, 1, None] * U[1]
-    return op_norm_2x2(out[0, 0], out[0, 1], out[1, 0], out[1, 1])
+    second = M[:, 1, None] * U[1]
+    out += second
+    # a C-order stack gives the product its own strided layout
+    return _op_norm(out, second if second.flags.c_contiguous else None)
 
 
 def det_2x2(mats: np.ndarray) -> np.ndarray:

@@ -83,10 +83,10 @@ def _chain_terms(chains) -> List[tuple]:
     ns = np.array([m.shape[0] for m in stacks])
     starts = np.cumsum(ns) - ns
     allm = np.concatenate(stacks)
-    v = np.log(op_norm_2x2(*allm.reshape(-1, 4).T))  # entries a, b, c, d
+    v = np.log(op_norm_2x2(allm.transpose(1, 2, 0)))
     # pairs across a chain boundary are computed and never read
     pairs = np.empty((2, 2, len(allm) - 1), dtype=complex)
-    w = np.log(step_2x2(allm[1:], allm[:-1].transpose(1, 2, 0), pairs))
+    w = np.log(step_2x2(allm[1:], allm[:-1].transpose(1, 2, 0), pairs)[0])
     order = np.argsort(-ns, kind="stable")
     lengths, first = ns[order].tolist(), starts[order]
     logs = np.empty(len(allm))
@@ -99,7 +99,7 @@ def _chain_terms(chains) -> List[tuple]:
         while lengths[live - 1] <= j:
             live -= 1
         at = first[:live] + j
-        s = step_2x2(allm[at], U[:, :, :live], V[:, :, :live])
+        s, _ = step_2x2(allm[at], U[:, :, :live], V[:, :, :live])
         U, V = V, U
         # math.log, not np.log: the vectorised log differs in the last bit
         # for some inputs

@@ -24,12 +24,22 @@ reused from the heap rather than faulted in again every step; with several
 workers each takes one contiguous chunk. Every node's orbit is independent,
 so the split changes no bits.
 
+Evaluation looks ahead: a chunk of m nodes advances the orbit points of the
+next max(1, _util.LOOKAHEAD_ROWS // m) steps and evaluates them in one
+eval_many call, so a short batch (a 512-node grid, a single point) pays
+numpy's per-call cost of evaluation once per block of steps. Past 512 nodes
+the block is one step and the points are evaluated as they are. The budget
+of 1024 rows keeps a block's evaluation temporaries under glibc's mmap
+threshold, and one evaluation is dropped before the next is made. Every
+evaluator works node by node, so the look-ahead changes no bits.
+
 Evaluation is node-contiguous from end to end. The phase table of a trig
 polynomial is (n, m), one row per index k over all m nodes, and the matrix
 evaluators return A(X) as an (m, 2, 2) view of entry-major (2, 2, m) memory,
-the kernel's own layout, so a step copies nothing. An outside evaluator may
-return a C-order (m, 2, 2) stack; the step copies that to its layout. The
-step is _util.step_2x2, which avalanche's chains advance through as well.
+the kernel's own layout, so a step copies nothing: it reads its slice of a
+stacked evaluation in place. An outside evaluator may return a C-order
+(m, 2, 2) stack; the step reads that strided, with the same bits. The step
+is _util.step_2x2, which avalanche's chains advance through as well.
 
 Every k.x in this module comes from _dot, a fixed-order elementwise sum with
 no BLAS, so a node has the same bits alone as in any batch and under any
@@ -45,7 +55,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import UNDERFLOW_FLOOR, PairwiseSum, det_2x2, grid, map_chunked, step_2x2
+from ._util import (LOOKAHEAD_ROWS, UNDERFLOW_FLOOR, PairwiseSum, det_2x2, grid,
+                    map_chunked, step_2x2)
 from .errors import IdenticallySingular, OutsideStrip, Singular
 from .torus import Automorphism, Frequency
 
@@ -470,53 +481,81 @@ class LogNormResult:
     underflowed: bool
 
 
-def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray):
-    """The orbit-product kernel: (avg, steps) for a batch of m starting points.
+def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray,
+                   avg: np.ndarray, steps: np.ndarray) -> None:
+    """The orbit-product kernel for a batch of m starting points X (m, d).
 
-    The running products live in one (2, 2, m) array, entry-major with the
-    nodes contiguous, so a step (_util.step_2x2) is a few elementwise
-    operations on length-m arrays. reads is an increasing list of step
-    counts; the orbit runs to the last one, and avg[r] is the average
-    log-norm after reads[r] steps. Nothing before step n depends on how far
-    the orbit goes, so avg[r] is bit-identical to that of a reads[r]-step
-    orbit. steps[i] is the number of steps node i completed before its
-    product underflowed (the orbit length if it never did); from then on the
-    node carries the identity and adds 0 to its log sum.
+    It writes avg (len(reads), m) and steps (m,) in place. The running
+    products live in one (2, 2, m) array, entry-major with the nodes
+    contiguous, so a step (_util.step_2x2) is a few elementwise operations
+    on length-m arrays. reads is an increasing list of step counts; the
+    orbit runs to the last one, and avg[r] is the average log-norm after
+    reads[r] steps. Nothing before step n depends on how far the orbit goes,
+    so avg[r] is bit-identical to that of a reads[r]-step orbit. steps[i]
+    is the number of steps node i completed before its product underflowed
+    (it must hold the orbit length on entry, and keeps it if the node never
+    underflows); from then on the node carries the identity and adds 0 to
+    its log sum.
+
+    Evaluation looks ahead: the orbit points of the next
+    B = max(1, LOOKAHEAD_ROWS // m) steps are advanced first, by the same
+    x -> frac(x + omega) sequence, and A is evaluated on all B*m of them in
+    one eval_many call; step j then reads its m matrices as a slice of that
+    entry-major evaluation. Every evaluator works node by node, so stacking
+    changes no bits, and a small chunk pays numpy's per-call cost of
+    evaluation once per B steps instead of every step. From m = 513 on B is
+    1: the points are evaluated as they are, with no stacking copy. Each
+    evaluation is dropped before the next is made, so a step never holds
+    two. LOOKAHEAD_ROWS keeps a stacked evaluation's temporaries under
+    glibc's mmap threshold.
 
     Each step allocates a few (m,) and (2, 2, m) temporaries; map_chunked
     keeps m at most BLOCK_ROWS on one worker, which is what keeps them
     cache-sized and off the allocator's trim path.
     """
-    m = X.shape[0]
+    m, d = X.shape
     N = reads[-1]
+    B = max(1, LOOKAHEAD_ROWS // max(m, 1))
     U = np.zeros((2, 2, m), dtype=complex)
     U[0, 0] = U[1, 1] = 1.0
     V = np.empty_like(U)
-    steps = np.full(m, N)
-    alive = None  # None while every node is alive, so no masking is needed
+    # None until a norm is rescaled or a node dies: no masking is needed
+    alive = None
     acc = PairwiseSum()
-    avg = np.empty((len(reads), m))
     r = 0
-    pts = X.copy()
-    for j in range(N):
-        s = step_2x2(A.eval_many(pts), U, V)
-        U, V = V, U
-        ok = np.isfinite(s) & (s > UNDERFLOW_FLOOR)
-        if alive is not None or not ok.all():
-            alive = ok if alive is None else alive & ok
-            steps[~alive & (steps == N)] = j
-            s = np.where(alive, s, 1.0)
-            U[:, :, ~alive] = np.eye(2)[:, :, None]
-        # U / s would promote s to complex, and numpy's complex division with
-        # a zero imaginary part multiplies by 1/s: same bits, lower cost.
-        U *= 1.0 / s
-        acc.add(np.log(s))
-        if reads[r] == j + 1:
-            # total() leaves the levels as they are, so the orbit goes on
-            avg[r] = acc.total() / (j + 1)
-            r += 1
-        pts = _frac(pts + omega_vec)
-    return avg, steps
+    pts = X
+    for j0 in range(0, N, B):
+        b = min(B, N - j0)
+        block = [pts]
+        for _ in range(1, b):
+            pts = pts + omega_vec
+            pts -= np.floor(pts)
+            block.append(pts)
+        mats = A.eval_many(np.concatenate(block) if b > 1 else pts)
+        for k in range(b):
+            j = j0 + k
+            s, closed = step_2x2(mats[k * m:(k + 1) * m], U, V)
+            U, V = V, U
+            # a closed-form norm is finite and above UNDERFLOW_FLOOR, so
+            # only a rescaled one can mark a node dead
+            if alive is not None or not closed:
+                ok = np.isfinite(s) & (s > UNDERFLOW_FLOOR)
+                alive = ok if alive is None else alive & ok
+                steps[~alive & (steps == N)] = j
+                s = np.where(alive, s, 1.0)
+                U[:, :, ~alive] = np.eye(2)[:, :, None]
+            # U / s would promote s to complex, and numpy's complex division
+            # with a zero imaginary part multiplies by 1/s: same bits, lower
+            # cost.
+            U *= 1.0 / s
+            acc.add(np.log(s))
+            if reads[r] == j + 1:
+                # total() leaves the levels as they are, so the orbit goes on
+                avg[r] = acc.total() / (j + 1)
+                r += 1
+        mats = block = None  # dropped before the next evaluation is made
+        pts = pts + omega_vec
+        pts -= np.floor(pts)
 
 
 def iterate_log_norm_many(C: Cocycle, N: int, X: np.ndarray,
@@ -551,9 +590,11 @@ def iterate_log_norm_many(C: Cocycle, N: int, X: np.ndarray,
         raise ValueError(f"nodes of shape {given} are not points of T^{C.d}: "
                          f"expected shape (m, {C.d})")
     w = C.omega.as_array()
-    parts = map_chunked(lambda chunk: _iterate_chunk(C.A, w, reads, chunk), X)
-    avg = np.concatenate([p[0] for p in parts], axis=1)
-    steps = np.concatenate([p[1] for p in parts])
+    # each block or chunk writes its own columns of one batch-wide output
+    avg = np.empty((len(reads), X.shape[0]))
+    steps = np.full(X.shape[0], N)
+    map_chunked(lambda rows: _iterate_chunk(C.A, w, reads, X[rows], avg[:, rows],
+                                            steps[rows]), X.shape[0])
     if at is None:
         return avg[0], steps < N
     rows = np.searchsorted(reads, want)

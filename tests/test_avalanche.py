@@ -243,7 +243,7 @@ class TestConsequence:
 # ---------------------------------------------------------------------------
 
 def _ref_norms(mats):
-    return op_norm_2x2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
+    return op_norm_2x2(mats.transpose(1, 2, 0))
 
 
 def reference_chain_terms(matrices):

@@ -23,6 +23,7 @@ from cocyclelab._util import (
     map_chunked,
     op_norm_2x2,
     set_max_workers,
+    step_2x2,
 )
 from cocyclelab.cocycle import (
     Cocycle,
@@ -367,7 +368,7 @@ def test_map_chunked_caps_workers_at_core_count(monkeypatch, far_above):
     arr = np.arange(65536.0).reshape(-1, 1)
     try:
         set_max_workers(30000 if far_above else 5)
-        parts = map_chunked(lambda c: c.sum(), arr)
+        parts = map_chunked(lambda rows: arr[rows].sum(), len(arr))
     finally:
         set_max_workers(1)
     assert _RecordingExecutor.seen == [4]
@@ -384,7 +385,7 @@ def test_map_chunked_needs_min_rows_per_worker(monkeypatch, rows, seen):
     arr = np.arange(float(rows)).reshape(-1, 1)
     try:
         set_max_workers(2)
-        parts = map_chunked(lambda c: c.shape[0], arr)
+        parts = map_chunked(lambda rows: arr[rows].shape[0], len(arr))
     finally:
         set_max_workers(1)
     assert _RecordingExecutor.seen == seen
@@ -405,7 +406,7 @@ def test_one_worker_walks_blocks_in_order(monkeypatch, block, rows, sizes):
     monkeypatch.setattr(_util, "ThreadPoolExecutor", _RecordingExecutor)
     _RecordingExecutor.seen = []
     arr = np.arange(float(rows)).reshape(-1, 1)
-    parts = map_chunked(lambda c: c[:, 0].copy(), arr)
+    parts = map_chunked(lambda rows: arr[rows, 0].copy(), len(arr))
     assert _RecordingExecutor.seen == []
     assert [p.size for p in parts] == sizes
     assert np.array_equal(np.concatenate(parts), arr[:, 0])
@@ -429,6 +430,129 @@ def test_blocked_walk_matches_rows_run_alone(monkeypatch, workers):
         assert avg[:, i].tobytes() == alone[:, 0].tobytes()
 
 
+# ---------------------------------------------------------------------------
+# The look-ahead kernel against the one-step-at-a-time kernel
+# ---------------------------------------------------------------------------
+
+def ref_iterate_chunk(A, omega_vec, reads, X):
+    """The orbit kernel as it was before evaluation looked ahead, verbatim
+    apart from its name and the unpacking of step_2x2's result: one
+    eval_many call per step on the current points."""
+    m = X.shape[0]
+    N = reads[-1]
+    U = np.zeros((2, 2, m), dtype=complex)
+    U[0, 0] = U[1, 1] = 1.0
+    V = np.empty_like(U)
+    steps = np.full(m, N)
+    alive = None  # None while every node is alive, so no masking is needed
+    acc = PairwiseSum()
+    avg = np.empty((len(reads), m))
+    r = 0
+    pts = X.copy()
+    for j in range(N):
+        s, _ = step_2x2(A.eval_many(pts), U, V)
+        U, V = V, U
+        ok = np.isfinite(s) & (s > UNDERFLOW_FLOOR)
+        if alive is not None or not ok.all():
+            alive = ok if alive is None else alive & ok
+            steps[~alive & (steps == N)] = j
+            s = np.where(alive, s, 1.0)
+            U[:, :, ~alive] = np.eye(2)[:, :, None]
+        # U / s would promote s to complex, and numpy's complex division with
+        # a zero imaginary part multiplies by 1/s: same bits, lower cost.
+        U *= 1.0 / s
+        acc.add(np.log(s))
+        if reads[r] == j + 1:
+            # total() leaves the levels as they are, so the orbit goes on
+            avg[r] = acc.total() / (j + 1)
+            r += 1
+        pts = _frac(pts + omega_vec)
+    return avg, steps
+
+
+class _COrderEvaluator:
+    """An outside evaluator: the values of base, copied to C order."""
+
+    def __init__(self, base):
+        self.base, self.d = base, base.d
+
+    def eval_many(self, X):
+        return np.ascontiguousarray(self.base.eval_many(X))
+
+
+# Every node dies at its first step (norm 1e-305 < UNDERFLOW_FLOOR), or
+# lives with every norm rescaled (1e-200).
+def _tiny(scale=1e-305):
+    return Cocycle(TrigPolyMatrix.constant(1, np.diag([scale, scale])), G1)
+
+
+LOOKAHEAD = {
+    "amo": lambda: Cocycle(amo(3.0, 0.3), G1),
+    "excising": lambda: _excising(G1, floor=0.05),
+    "c-order": lambda: Cocycle(_COrderEvaluator(amo(3.0, 0.3)), G1),
+    "schrodinger-2d": BITWISE["schrodinger-2d"],
+    "jacobi-renorm": CLOSE["jacobi-renorm"],
+    "tiny": _tiny,
+    "tiny-alive": lambda: _tiny(1e-200),
+    "discontinuity-resonant": BITWISE["discontinuity-omega0"],
+}
+# the cocycles run at every m; the others at a few
+LOOKAHEAD_EVERY_M = ("amo", "excising", "c-order")
+LOOKAHEAD_M = (1, 3, 341, 512, 1023, 1024, 1025)
+
+
+def _lookahead_cases():
+    for name in sorted(LOOKAHEAD):
+        for m in LOOKAHEAD_M if name in LOOKAHEAD_EVERY_M else (1, 341, 1025):
+            yield name, m
+
+
+def _block_reads(m):
+    """An orbit length that is not a multiple of the look-ahead B for m
+    nodes, and reads on both sides of the first block edge, inside the
+    second block and at the end (unsorted, one repeated)."""
+    B = max(1, _util.LOOKAHEAD_ROWS // m)
+    N = 2 * B + 1 if B > 1 else 5
+    return N, [N, 1, B, B + 1, max(1, B - 1), B + 2 if B + 2 <= N else N, 1]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+@pytest.mark.parametrize("name, m", list(_lookahead_cases()))
+def test_lookahead_matches_one_step_kernel(name, m, workers):
+    C = LOOKAHEAD[name]()
+    N, at = _block_reads(m)
+    X = _nodes(C.d, m=m)
+    reads = sorted(set(at))
+    want_avg, want_steps = ref_iterate_chunk(C.A, C.omega.as_array(), reads, X)
+    avg, under = iterate_log_norm_many(C, N, X, at=at)
+    rows = np.searchsorted(reads, at)
+    assert np.array_equal(under, want_steps < np.array(at)[:, None])
+    assert avg.tobytes() == want_avg[rows].tobytes()
+    if name == "excising" and m >= 341:
+        # nodes die inside a look-ahead block, not only at its edges
+        died = want_steps[want_steps < N]
+        B = max(1, _util.LOOKAHEAD_ROWS // m)
+        assert B == 1 or (died % B != 0).any()
+    if name == "tiny":
+        assert under.all()
+    if name == "tiny-alive":
+        assert not under.any()
+
+
+# 300 nodes step three at a time (B = 3); one node alone steps 1024 at a time.
+def test_lookahead_batch_matches_each_node_alone():
+    C = _excising(G1, floor=0.05)
+    N, at = 40, [1, 3, 4, 20, 40]
+    X = np.linspace(0.0, 1.0, 300, endpoint=False).reshape(-1, 1)
+    assert _util.LOOKAHEAD_ROWS // X.shape[0] == 3
+    avg, under = iterate_log_norm_many(C, N, X, at=at)
+    assert under[-1].any() and not under[-1].all()
+    for i in range(X.shape[0]):
+        alone, alone_under = iterate_log_norm_many(C, N, X[i:i + 1], at=at)
+        assert np.array_equal(under[:, i], alone_under[:, 0])
+        assert avg[:, i].tobytes() == alone[:, 0].tobytes()
+
+
 # Matrices far beyond the range where the closed form's f^2 is finite.
 def test_op_norm_matches_svd_on_huge_matrices():
     rng = np.random.default_rng(5)
@@ -436,7 +560,7 @@ def test_op_norm_matches_svd_on_huge_matrices():
     mats *= (10.0 ** rng.uniform(80, 150, 400))[:, None, None]
     mats[:5, 1] = 0.0          # singular: det = 0
     mats[5:10, 1] = mats[5:10, 0] * 1e-20  # nearly singular
-    got = op_norm_2x2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
+    got = op_norm_2x2(mats.transpose(1, 2, 0))
     want = np.linalg.svd(mats, compute_uv=False)[:, 0]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -453,7 +577,7 @@ def test_op_norm_matches_svd_on_tiny_matrices():
     mats[12] = np.diag([1e-160, 1e-160])
     mats[13] = np.diag([1e-200, 1e-200])
     mats[14] = np.diag([3e-320, 1e-320])
-    got = op_norm_2x2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
+    got = op_norm_2x2(mats.transpose(1, 2, 0))
     want = np.linalg.svd(mats, compute_uv=False)[:, 0]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -467,12 +591,21 @@ def test_tiny_constant_cocycle_is_not_excised():
     np.testing.assert_allclose(avg, math.log(1e-200), rtol=1e-15)
 
 
+# The closed form keeps its bits wherever f*f stays normal. Below
+# f = 2^-511 it underflows and the norm is rescaled, so there the reference
+# is SVD: [[2, 0.3], [0.1, 1]] * 1e-100 read 1.5969e-100 unscaled, against
+# 2.0418e-100.
 def test_op_norm_keeps_bits_of_ordinary_matrices():
     rng = np.random.default_rng(6)
     mats = rng.standard_normal((4000, 2, 2)) + 1j * rng.standard_normal((4000, 2, 2))
     mats *= (10.0 ** rng.uniform(-150, 70, 4000))[:, None, None]
-    got = op_norm_2x2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
-    assert np.array_equal(got, ref_op_norm(mats))
+    mats[0] = np.array([[2, 0.3], [0.1, 1]]) * 1e-100
+    got = op_norm_2x2(mats.transpose(1, 2, 0))
+    small = (np.abs(mats) ** 2).sum(axis=(1, 2)) < 2.0**-511
+    assert 1000 < small.sum() < 3000 and small[0]
+    assert np.array_equal(got[~small], ref_op_norm(mats[~small]))
+    want = np.linalg.svd(mats[small], compute_uv=False)[:, 0]
+    np.testing.assert_allclose(got[small], want, rtol=1e-14, atol=0.0)
 
 
 def test_op_norm_of_non_finite_entries_is_non_finite():
@@ -481,7 +614,7 @@ def test_op_norm_of_non_finite_entries_is_non_finite():
     mats[1, 1, 0] = np.inf
     mats[2, 0, 1] = complex(1e200, np.nan)
     mats[3, 1, 1] = complex(-np.inf, 1e200)
-    got = op_norm_2x2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1])
+    got = op_norm_2x2(mats.transpose(1, 2, 0))
     assert not np.isfinite(got).any()
 
 
