@@ -6,6 +6,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 
 import numpy as np
 
@@ -308,39 +309,62 @@ def fmt17(x: float) -> str:
 
 _INT_TYPES = (int, np.integer)
 
-# Rows the CSV writers handle at a time: csv_text joins this many lines into
-# one string, and coeffs_to_csv converts this many rows to Python numbers.
+# Rows the CSV writer formats at a time. Each block becomes one flat list of
+# its cells, one tuple of them and one string, made by a single % of the row
+# template repeated for every row, so no per-row tuple or string is built.
 # Holding every line of a large table as its own object until the end left
 # the allocator's memory fragmented for the rest of the run.
 CSV_BLOCK = 4096
 
 
-def csv_text(header, rows) -> str:
+def _cell_format(t: type) -> str:
+    return "%d" if issubclass(t, _INT_TYPES) else "%.17g"
+
+
+def _block_text(columns) -> str:
+    """The newline-terminated lines of one block of rows, given as equally
+    long columns (sequences or numpy arrays), formatted by one %."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c
+               for c in columns]
+    width, n = len(columns), len(columns[0])
+    cells = [None] * (width * n)
+    formats = []
+    for j, col in enumerate(columns):
+        cells[j::width] = col
+        kinds = set(map(_cell_format, set(map(type, col))))
+        formats.append(kinds.pop() if len(kinds) == 1 else None)
+    if None in formats:
+        # a column mixes integer and other cells: every row gets the
+        # formats of its own cells
+        template = "".join(
+            ",".join(map(_cell_format, map(type, cells[i:i + width]))) + "\n"
+            for i in range(0, width * n, width))
+    else:
+        template = (",".join(formats) + "\n") * n
+    return template % tuple(cells)
+
+
+def csv_text(header, rows=(), *, blocks=None) -> str:
     """CSV text: the header line, then one line per row, newline-terminated.
 
-    Integer cells (int, np.integer) are written as integers, "%d" as
-    str(int(v)), and every other cell as "%.17g", which is fmt17 for any
-    number. Each row is formatted by one %-template, built once for each
-    sequence of cell types met, so a float in an integer column is never
-    truncated. rows may be a generator, so a large table is never held as
-    per-column lists.
+    The table comes as rows (an iterable of equally long rows, a generator
+    included) or as blocks (an iterable of blocks, each a list of equally
+    long columns: sequences or numpy arrays, converted with tolist()). Rows
+    are cut into blocks of CSV_BLOCK rows, so both forms go through one
+    block formatter. Integer cells (int, np.integer) are written as
+    integers, "%d" as str(int(v)), and every other cell as "%.17g", which is
+    fmt17 for any number. A block is formatted by one %-template: the row
+    template of its columns' formats, repeated for every row. A column that
+    mixes integer and other cells makes each row's template from its own
+    cells, so a float in an integer column is never truncated.
     """
-    templates: dict = {}
-    parts: list = []
+    if blocks is None:
+        it = iter(rows)
+        blocks = (list(zip(*block))
+                  for block in iter(lambda: list(islice(it, CSV_BLOCK)), []))
     # every line carries its newline, so the text is one join of the blocks
-    lines = [",".join(header) + "\n"]
-    for row in rows:
-        row = tuple(row)
-        types = tuple(map(type, row))
-        template = templates.get(types)
-        if template is None:
-            template = templates[types] = ",".join(
-                "%d" if issubclass(t, _INT_TYPES) else "%.17g" for t in types) + "\n"
-        lines.append(template % row)
-        if len(lines) == CSV_BLOCK:
-            parts.append("".join(lines))
-            lines.clear()
-    parts.append("".join(lines))
+    parts = [",".join(header) + "\n"]
+    parts.extend(map(_block_text, blocks))
     return "".join(parts)
 
 

@@ -19,8 +19,10 @@ dataclass (or named tuple) as an object of its fields in declaration order,
 without the fields declared repr=False. run writes the outputs to --out
 as <experiment>.json (always), <experiment>.csv for tabular results, and
 <experiment>.svg when "plot: true" and a CSV exists. Every CSV goes through
-_util.csv_text, which formats each row with one %-template: %d for integer
-cells, %.17g (fmt17) for the rest.
+_util.csv_text, which formats a block of CSV_BLOCK rows with one % of its
+row template: %d for integer cells, %.17g (fmt17) for the rest. A q-site
+jacobi_periodic block's le and le-limit payloads carry "sites_per_block": q
+(q >= 2), the unit of their exponents.
 Every output embeds the sha256 of the config file and the library version;
 identical config + seed yields identical bytes regardless of --threads.
 --threads N splits each node batch of the orbit-product kernel into N chunks
@@ -247,17 +249,22 @@ class Inputs:
     omega: Optional[Frequency]
     C: Optional[Cocycle]
     quad: Optional[QuadratureSpec]
+    sites: int  # lattice sites one step of C spans: q for jacobi_periodic
 
 
 def build(cfg: dict, seed: int) -> Inputs:
     """Build stage: turn every block present into its library object."""
     omega = _frequency(cfg.get("frequency"))
-    C = (build_cocycle(cfg["cocycle"], omega)
-         if "cocycle" in cfg and omega is not None else None)
+    spec = cfg.get("cocycle")
+    C, sites = None, 1
+    if spec is not None and omega is not None:
+        C = build_cocycle(spec, omega)
+        if spec["kind"] == "jacobi_periodic":
+            sites = len(spec["v_per"])
     q = cfg.get("quadrature")
     quad = None if q is None else QuadratureSpec(
         **{"kind": "uniform-grid", **q}, seed=seed)
-    return Inputs(cfg.get("params", {}), seed, omega, C, quad)
+    return Inputs(cfg.get("params", {}), seed, omega, C, quad, sites)
 
 
 # ---------------------------------------------------------------------------
@@ -269,18 +276,25 @@ def _fractions_csv(estimates) -> str:
                     ((e.threshold, e.measured_fraction) for e in estimates))
 
 
+def _block_unit(inp: Inputs) -> dict:
+    """A q-site block's exponent is q times the per-site one; the payload
+    says so when q >= 2."""
+    return {"sites_per_block": inp.sites} if inp.sites >= 2 else {}
+
+
 def _run_le(inp: Inputs):
     renormalized = bool(inp.p.get("renormalized", False))
     table = le_table(inp.C, [int(N) for N in inp.p["N_list"]], inp.quad,
                      renormalized=renormalized)
-    payload = {"renormalized": renormalized, "rows": table}
+    payload = {"renormalized": renormalized, **_block_unit(inp),
+               "rows": table}
     return payload, le_table_to_csv(table)
 
 
 def _run_le_limit(inp: Inputs):
     res = le_extrapolate(inp.C, inp.p["schedule"], inp.quad)
-    payload = {"limit": res.limit, "increments": list(res.increments),
-               "rows": res.table}
+    payload = {**_block_unit(inp), "limit": res.limit,
+               "increments": list(res.increments), "rows": res.table}
     return payload, le_table_to_csv(res.table)
 
 

@@ -302,25 +302,38 @@ def l2_uniform_check(C: Cocycle, N_list: Sequence[int], M: int,
 # CSV emitters
 # ---------------------------------------------------------------------------
 
+def _abs_or_inf(c: complex) -> float:
+    try:
+        return abs(c)
+    except OverflowError:
+        return math.inf
+
+
 def coeffs_to_csv(report: FourierReport) -> str:
+    """CSV of the coefficients in k order: k1..kd, re, im, abs.
+
+    The rows go to csv_text a CSV_BLOCK at a time, as columns: the block's k
+    columns and real and imaginary parts as numpy arrays, and abs as Python's
+    abs mapped over the block's complex cells (tolist()), so no per-row tuple
+    is built. Python's abs and numpy's vectorised np.abs both call hypot but
+    can differ in the last bit; whether np.hypot matches Python's abs
+    depends on the libm and the numpy build, so neither is used. Python
+    raises OverflowError where numpy overflows to inf; only a block that
+    raises is redone cell by cell, with inf for the cells that overflow.
+    """
     ks = report.ks.reshape(-1, report.d)
     cs = report.coeffs.reshape(-1)
     order = np.lexsort(ks.T[::-1])
 
-    def rows():
-        # Python numbers, converted a block at a time: whole columns at once
-        # would hold every row's objects until the end.
-        # abs of each complex scalar: the vectorised np.abs(cs) can differ
-        # from it in the last bit. Both call hypot; Python raises where numpy
-        # overflows to inf.
+    def blocks():
         for start in range(0, order.size, CSV_BLOCK):
             idx = order[start:start + CSV_BLOCK]
-            for k, c in zip(ks[idx].tolist(), cs[idx].tolist()):
-                try:
-                    mag = abs(c)
-                except OverflowError:
-                    mag = math.inf
-                yield (*k, c.real, c.imag, mag)
+            c = cs[idx]
+            try:
+                mags = list(map(abs, c.tolist()))
+            except OverflowError:
+                mags = list(map(_abs_or_inf, c.tolist()))
+            yield [*ks[idx].T, c.real, c.imag, mags]
 
     return csv_text([f"k{i + 1}" for i in range(report.d)]
-                    + ["re", "im", "abs"], rows())
+                    + ["re", "im", "abs"], blocks=blocks())

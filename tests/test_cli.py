@@ -742,6 +742,35 @@ def test_jacobi_periodic_constant_background_is_jacobi_at_twice_the_length():
     assert np.max(np.abs(a_block - 2.0 * a_site)) < 1e-10
 
 
+def jp_payload(tmp_path, cocycle, N_list, name, experiment="le"):
+    cfg = {"experiment": experiment, "cocycle": cocycle,
+           "frequency": [GOLDEN],
+           "quadrature": {"kind": "uniform-grid", "points_per_dim": 64},
+           "params": ({"N_list": N_list} if experiment == "le"
+                      else {"schedule": N_list})}
+    (tmp_path / name).mkdir()
+    rc, out = run_cli(tmp_path / name, cfg)
+    assert rc == 0
+    return json.loads((out / f"{experiment}.json").read_text())
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_le_of_a_q_site_block_names_its_unit(tmp_path, q):
+    # on a constant background N blocks are qN sites of jacobi at E - 0.4,
+    # so the block value at N is q times the site value at qN
+    periodic = {"kind": "jacobi_periodic", "v": JP_V, "a": 1.0,
+                "v_per": [0.4] * q, "E": 0.3}
+    block = jp_payload(tmp_path, periodic, [50, 100], "block")
+    site = jp_payload(tmp_path, {"kind": "jacobi", "v": JP_V, "a": 1.0,
+                                 "E": 0.3 - 0.4}, [50 * q, 100 * q], "site")
+    one = jp_payload(tmp_path, dict(periodic, v_per=[0.4]), [50], "one")
+    limit = jp_payload(tmp_path, periodic, [1, 2], "limit", "le-limit")
+    assert block["sites_per_block"] == limit["sites_per_block"] == q
+    assert "sites_per_block" not in site and "sites_per_block" not in one
+    for b, s in zip(block["rows"], site["rows"]):
+        assert abs(b["value"] - q * s["value"]) < 1e-10
+
+
 def site_by_site_log_norm(v, a, v_per, E, w, x, n_sites):
     """ln ||J_{n-1}(x + (n-1) w) ... J_0(x)|| by a matmul loop over sites,
     J_k(t) = [[E - v_per[k mod q] - v(t), -conj(a(t - w))], [a(t), 0]]."""
@@ -907,6 +936,56 @@ class TestCsvTextBytes:
                 for i, f, s in zip(ints, floats, singles)]
         header = ("a", "b", "c", "d", "e")
         assert csv_text(header, rows) == csv_text_per_cell(header, rows)
+
+
+class TestCsvTextColumnBlocks:
+    """csv_text's column-block form against the per-cell writer."""
+
+    def test_every_cell_kind_in_column_form(self):
+        rows = [tuple(CSV_CELLS), tuple(reversed(CSV_CELLS))]
+        header = [f"c{i}" for i in range(len(CSV_CELLS))]
+        columns = [list(col) for col in zip(*rows)]
+        assert csv_text(header, blocks=[columns]) == csv_text_per_cell(
+            header, rows)
+
+    def test_an_integer_column_holding_one_float(self):
+        ints = [1, 2, 2.75, 4]
+        floats = [0.5, 1.5, 3.0, 2.5]
+        text = csv_text(("n", "x"), blocks=[[ints, floats]])
+        assert text == csv_text_per_cell(("n", "x"), list(zip(ints, floats)))
+        assert text.splitlines()[3] == "2.75,3"
+
+    def test_numpy_arrays_as_columns(self):
+        rng = np.random.default_rng(11)
+        columns = [rng.integers(-2**62, 2**62, 300),
+                   rng.integers(-9, 9, 300).astype(np.int32),
+                   rng.integers(0, 2**63, 300, dtype=np.uint64) * 2,
+                   rng.standard_normal(300) * 10.0 ** rng.integers(-300, 300,
+                                                                   300),
+                   rng.standard_normal(300).astype(np.float32)]
+        columns[3][:3] = [math.inf, -math.inf, math.nan]
+        header = ("a", "b", "c", "d", "e")
+        rows = list(zip(*columns))
+        assert csv_text(header, blocks=[columns]) == csv_text_per_cell(
+            header, rows)
+
+    @pytest.mark.parametrize("n", [CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
+    def test_blocks_around_the_block_size(self, n):
+        i = np.arange(n)
+        x = i / 7.0
+        rows = list(zip(i.tolist(), x.tolist()))
+        want = csv_text_per_cell(("i", "x"), rows)
+        assert csv_text(("i", "x"), blocks=[[i, x]]) == want
+        # the same table as several blocks, and as rows
+        cuts = [0, 5, CSV_BLOCK - 3, n]
+        blocks = [[i[a:b], x[a:b].tolist()] for a, b in zip(cuts, cuts[1:])]
+        assert csv_text(("i", "x"), blocks=blocks) == want
+        assert csv_text(("i", "x"), iter(rows)) == want
+
+    def test_an_empty_table_is_the_header(self):
+        assert csv_text(("a", "b"), blocks=[]) == "a,b\n"
+        assert csv_text(("a", "b"), blocks=[[[], np.zeros(0)]]) == "a,b\n"
+        assert csv_text(("a", "b"), iter([])) == "a,b\n"
 
 
 @dataclasses.dataclass(frozen=True)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cocyclelab._util import dyadic_grid, fmt17, to_json_text
+from cocyclelab._util import CSV_BLOCK, dyadic_grid, fmt17, to_json_text
 from cocyclelab.cocycle import (
     Cocycle,
     DiscontinuityExample,
@@ -316,19 +316,47 @@ class TestCSV:
         report = fourier_coeffs(Profile.from_values(values), 4)
         assert coeffs_to_csv(report) == coeffs_csv_row_loop(report)
 
+    @pytest.mark.parametrize("shape", [(96, 96), (CSV_BLOCK,), (20, 20, 20)],
+                             ids=["d2-9216-rows", "one-full-block", "d3"])
+    def test_coeffs_csv_bytes_match_row_loop_in_blocks(self, shape):
+        values = np.random.default_rng(3).standard_normal(shape)
+        report = fourier_coeffs(Profile.from_values(values), 4)
+        assert report.coeffs.size == math.prod(shape)
+        assert coeffs_to_csv(report) == coeffs_csv_row_loop(report)
+
+    SPECIAL = [complex(math.inf, 0.0), complex(-math.inf, math.nan),
+               complex(math.nan, 1.0), complex(0.5, -math.inf),
+               complex(-0.0, -0.0), complex(1.7e308, 1.7e308),
+               complex(5e-324, -5e-324)]
+
     def test_coeffs_csv_non_finite_parts_match_row_loop(self):
         values = np.random.default_rng(2).standard_normal((16, 16))
         report = fourier_coeffs(Profile.from_values(values), 4)
-        special = [complex(math.inf, 0.0), complex(-math.inf, math.nan),
-                   complex(math.nan, 1.0), complex(0.5, -math.inf),
-                   complex(-0.0, -0.0), complex(1.7e308, 1.7e308),
-                   complex(5e-324, -5e-324)]
         coeffs = report.coeffs.copy()
-        coeffs.reshape(-1)[:len(special)] = special
+        coeffs.reshape(-1)[:len(self.SPECIAL)] = self.SPECIAL
         report = dataclasses.replace(report, coeffs=coeffs)
         text = coeffs_to_csv(report)
         assert text == coeffs_csv_row_loop(report)
         assert ",inf,nan,inf\n" not in text and ",-inf,nan,inf\n" in text
+
+    def test_coeffs_csv_overflow_in_a_later_block_only(self):
+        # the special values sit in the second block of k order, so the
+        # first block is formatted without the cell-by-cell abs fallback
+        values = np.random.default_rng(4).standard_normal(3 * CSV_BLOCK + 5)
+        report = fourier_coeffs(Profile.from_values(values), 4)
+        ks = report.ks.reshape(-1, report.d)
+        order = np.lexsort(ks.T[::-1])
+        at = order[CSV_BLOCK + 10:CSV_BLOCK + 10 + len(self.SPECIAL)]
+        coeffs = report.coeffs.copy()
+        coeffs.reshape(-1)[at] = self.SPECIAL
+        report = dataclasses.replace(report, coeffs=coeffs)
+        text = coeffs_to_csv(report)
+        assert text == coeffs_csv_row_loop(report)
+        lines = text.splitlines()
+        assert lines[1 + CSV_BLOCK + 15].endswith(
+            ",1.6999999999999999e+308,1.6999999999999999e+308,inf")
+        assert all(not line.endswith(",inf")
+                   for line in lines[1:CSV_BLOCK + 1])
 
     def test_coeffs_csv_sorted_by_k(self):
         p = Profile.from_values(np.cos(2 * np.pi * np.arange(16) / 16))
