@@ -28,6 +28,10 @@ from .cocycle import Cocycle, iterate_log_norm, iterate_log_norm_many
 from .errors import ChainTooShort, NotDivisible, NotUnimodular
 
 DET_TOL = 1e-9
+# The default constants of the two checks: C of the interior bound C n / mu,
+# and the window exponent C of mu < ||A_j|| < mu^C, which random chains fill.
+INTERIOR_C = 10.0
+WINDOW_EXPONENT = 101.0 / 99.0
 # ap_ensemble hands _chain_terms blocks of at most AP_BLOCK chains, closed
 # early once they hold AP_BLOCK_MATRICES matrices. A block shares the step
 # loop's numpy dispatch among its chains, and its memory grows with it (a
@@ -120,7 +124,7 @@ def _residual_parts(v: np.ndarray, w: np.ndarray, logs: np.ndarray) -> tuple:
     return gaps, chain_minus_self - gap_sum
 
 
-def ap_check(matrices, C_assumed: float = 10.0) -> APReport:
+def ap_check(matrices, C_assumed: float = INTERIOR_C) -> APReport:
     """Interior-sum avalanche check with bound C_assumed * n / mu.
 
     mu is min_j ||A_j||; hypothesis flags record mu > n and
@@ -142,7 +146,8 @@ def _interior_report(terms: tuple, C_assumed: float) -> APReport:
         max_gap=max_gap, residual=abs(signed), bound=C_assumed * n / mu)
 
 
-def ap_variant_check(matrices, C_exponent: float = 101.0 / 99.0) -> APReport:
+def ap_variant_check(matrices,
+                     C_exponent: float = WINDOW_EXPONENT) -> APReport:
     """All-j-sum avalanche check with bound n/mu^{1/3} + 4*C_exponent*ln(mu).
 
     The middle sum runs over every j = 1..n, which shifts the residual by the
@@ -255,15 +260,15 @@ class EnsembleResult:
     all_within: bool
 
 
-def random_hyperbolic_chain(rng: np.random.Generator, n: int, mu: float,
-                            window_exponent: float = 101.0 / 99.0) -> np.ndarray:
+def random_hyperbolic_chain(rng: np.random.Generator, n: int,
+                            mu: float) -> np.ndarray:
     """n rotated diagonal SL(2,R) matrices R_theta diag(s, 1/s).
 
-    Norms land in (mu, mu^window_exponent); rotation angles stay in
+    Norms land in (mu, mu^WINDOW_EXPONENT); rotation angles stay in
     [-1.2, 1.2] so consecutive products keep ln||A_{j+1}A_j|| within the gap
     hypothesis (cos 1.2 is comfortably above mu^{-1/2}).
     """
-    lo, hi = math.log(mu), window_exponent * math.log(mu)
+    lo, hi = math.log(mu), WINDOW_EXPONENT * math.log(mu)
     margin = 1e-6 * (hi - lo)
     s = np.exp(rng.uniform(lo + margin, hi - margin, size=n))
     theta = rng.uniform(-1.2, 1.2, size=n)
@@ -280,8 +285,8 @@ def ap_ensemble(chains: int, seed: int = 0, mu: float = 1e3,
                 n_max: int = 100, variant: bool = False) -> EnsembleResult:
     """Random hyperbolic chains through ap_check or ap_variant_check.
 
-    Deterministic per seed. Bounds use C=10 for the interior form and the
-    norm-window exponent for the all-j form. Chains are drawn one at a time
+    Deterministic per seed. Bounds use INTERIOR_C for the interior form and
+    WINDOW_EXPONENT for the all-j form. Chains are drawn one at a time
     (length, then matrices) and checked in blocks of up to AP_BLOCK chains.
     """
     rng = np.random.default_rng(seed)
@@ -295,8 +300,9 @@ def ap_ensemble(chains: int, seed: int = 0, mu: float = 1e3,
         if len(block) == AP_BLOCK or held >= AP_BLOCK_MATRICES \
                 or i == chains - 1:
             for terms in _chain_terms(block):
-                reports.append(_variant_report(terms, 101.0 / 99.0) if variant
-                               else _interior_report(terms, 10.0))
+                reports.append(_variant_report(terms, WINDOW_EXPONENT)
+                               if variant
+                               else _interior_report(terms, INTERIOR_C))
             block, held = [], 0
     ratios = [r.residual / r.bound for r in reports if r.bound > 0]
     worst = max(ratios) if ratios else 0.0

@@ -20,9 +20,10 @@ without the fields declared repr=False. run writes the outputs to --out
 as <experiment>.json (always), <experiment>.csv for tabular results, and
 <experiment>.svg when "plot: true" and a CSV exists. Every CSV goes through
 _util.csv_text, which formats a block of CSV_BLOCK rows with one % of its
-row template: %d for integer cells, %.17g (fmt17) for the rest. A q-site
-jacobi_periodic block's le and le-limit payloads carry "sites_per_block": q
-(q >= 2), the unit of their exponents.
+row template: %d for integer cells, %.17g (fmt17) for the rest. Every
+output of a q-site jacobi_periodic block (q >= 2) names the unit of its
+exponents: "sites_per_block": q in the JSON meta and sites_per_block=q at
+the end of the stamp that heads the CSV and comments the SVG.
 Every output embeds the sha256 of the config file and the library version;
 identical config + seed yields identical bytes regardless of --threads.
 --threads N splits each node batch of the orbit-product kernel into N chunks
@@ -58,7 +59,6 @@ from .cocycle import (
     TrigPoly,
     TrigPolyMatrix,
     amo,
-    jacobi,
     jacobi_periodic,
     schrodinger,
 )
@@ -217,12 +217,10 @@ def build_cocycle(spec: dict, omega: Frequency) -> Cocycle:
                         rho=rho, d=d)
     elif kind == "amo":
         A = amo(float(spec["lam"]), float(spec["E"]), rho=rho)
-    elif kind == "jacobi":
-        A = jacobi(build_trigpoly(spec.get("v", 0.0), d),
-                   build_trigpoly(spec["a"], d), float(spec["E"]), omega,
-                   rho=rho)
-    elif kind == "jacobi_periodic":
-        v_per = [float(v) for v in spec["v_per"]]
+    elif kind in ("jacobi", "jacobi_periodic"):
+        # jacobi is one site on a zero background; its v_per is ignored
+        v_per = ([0.0] if kind == "jacobi"
+                 else [float(v) for v in spec["v_per"]])
         A = jacobi_periodic(build_trigpoly(spec.get("v", 0.0), d),
                             build_trigpoly(spec["a"], d), v_per,
                             float(spec["E"]), omega, rho=rho)
@@ -276,25 +274,18 @@ def _fractions_csv(estimates) -> str:
                     ((e.threshold, e.measured_fraction) for e in estimates))
 
 
-def _block_unit(inp: Inputs) -> dict:
-    """A q-site block's exponent is q times the per-site one; the payload
-    says so when q >= 2."""
-    return {"sites_per_block": inp.sites} if inp.sites >= 2 else {}
-
-
 def _run_le(inp: Inputs):
     renormalized = bool(inp.p.get("renormalized", False))
     table = le_table(inp.C, [int(N) for N in inp.p["N_list"]], inp.quad,
                      renormalized=renormalized)
-    payload = {"renormalized": renormalized, **_block_unit(inp),
-               "rows": table}
+    payload = {"renormalized": renormalized, "rows": table}
     return payload, le_table_to_csv(table)
 
 
 def _run_le_limit(inp: Inputs):
     res = le_extrapolate(inp.C, inp.p["schedule"], inp.quad)
-    payload = {**_block_unit(inp), "limit": res.limit,
-               "increments": list(res.increments), "rows": res.table}
+    payload = {"limit": res.limit, "increments": list(res.increments),
+               "rows": res.table}
     return payload, le_table_to_csv(res.table)
 
 
@@ -608,11 +599,16 @@ def run(name: str, cfg: dict, digest: str, out_dir: str, seed: int) -> None:
     """
     meta = {"cocyclelab": __version__, "config_sha256": digest,
             "experiment": name, "seed": seed}
+    stamp = f"cocyclelab={__version__} config_sha256={digest}"
     try:
-        payload, csv_body = _TABLE[name].run(build(cfg, seed))
+        inp = build(cfg, seed)
+        if inp.sites >= 2:
+            # a q-site block's exponents are q times the per-site ones
+            meta["sites_per_block"] = inp.sites
+            stamp += f" sites_per_block={inp.sites}"
+        payload, csv_body = _TABLE[name].run(inp)
         texts = {".json": (to_json_text({**meta, **payload}),)}
         if csv_body is not None:
-            stamp = f"cocyclelab={__version__} config_sha256={digest}"
             texts[".csv"] = (f"# {stamp}\n", csv_body)
             if cfg.get("plot", False):
                 texts[".svg"] = (plot_csv_text(csv_body, title=name,

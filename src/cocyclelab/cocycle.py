@@ -11,9 +11,10 @@ determinant-renormalized cocycle, the diagonal exponential example and the
 composition with a torus automorphism, whose entries are not trig
 polynomials). A matrix trig polynomial is its four TrigPoly entries, so every
 coefficient operation (products, sums, scalings) is TrigPoly's, entry by entry;
-the only matrix-shaped data is its evaluation table. Anything with ``d``,
-``eval`` and ``eval_many`` can be iterated. Everything evaluates on the real
-torus; strip_norm is the one evaluator at complex points.
+the only matrix-shaped data is its evaluation table. Anything with ``d`` and
+``eval_many`` can be iterated: the kernel calls nothing else. Everything
+evaluates on the real torus; strip_norm is the one evaluator at complex
+points.
 
 Every orbit product runs through one kernel, _iterate_chunk, entered only
 through iterate_log_norm_many: a batch of starting points, read at one or
@@ -417,12 +418,9 @@ class DiscontinuityExample:
         self.scale = math.exp(exponent)
         self._ks = np.array([kt], dtype=float)
 
-    def lam_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.exp(TWO_PI_I * _dot(X, self._ks)[0]) * self.scale
-
     def eval_many(self, X: np.ndarray) -> np.ndarray:
-        lam = self.lam_many(X)
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        lam = np.exp(TWO_PI_I * _dot(X, self._ks)[0]) * self.scale
         out = np.zeros((2, 2, lam.shape[0]), dtype=complex)
         out[0, 0] = np.exp(lam)
         out[1, 1] = np.exp(-lam)

@@ -177,9 +177,6 @@ class DetLogIntegral:
     clipped_mass: float
     nodes: int
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def clipped_log_det(A, X: np.ndarray, floor: float) -> Tuple[np.ndarray, int]:
     """ln|det A(x)| at the nodes X, clipped below at ln(floor), and the number

@@ -62,14 +62,6 @@ class Frequency:
     def as_array(self) -> np.ndarray:
         return np.array(self.components, dtype=float)
 
-    def split(self, d1: int) -> tuple["Frequency | None", "Frequency | None"]:
-        """View as (omega_1, omega_2) over index ranges [0, d1) and [d1, d)."""
-        if not 0 <= d1 <= self.d:
-            raise ValueError(f"bad split index {d1} for d={self.d}")
-        first = Frequency(self.components[:d1]) if d1 > 0 else None
-        second = Frequency(self.components[d1:]) if d1 < self.d else None
-        return first, second
-
 
 def freq_norm(omega: Frequency, q: int) -> float:
     """Sum over components of dist_to_Z(q * omega_j)."""

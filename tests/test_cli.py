@@ -771,6 +771,75 @@ def test_le_of_a_q_site_block_names_its_unit(tmp_path, q):
         assert abs(b["value"] - q * s["value"]) < 1e-10
 
 
+# Every cocycle experiment, small (M = 64, N <= 16), on a cocycle block;
+# the ladder is the liouville ladder (scales 16 to 128) at omega = 0.5 with
+# a verification.
+BLOCK_PARAMS = {
+    "le": {"N_list": [4, 16]},
+    "le-limit": {"schedule": [2, 4]},
+    "continuity": {"N": 8, "amplitudes": [0.1, 0.01]},
+    "ldt": {"N": 8, "M": 64, "kappas": [0.1]},
+    "cdt": {"N": 8, "M": 64, "kappa": 0.1, "shifts": [[0.1]]},
+    "drift": {"N": 8, "M": 64, "a_exponent": 0.5},
+    "l2": {"N_list": [2, 4], "M": 64},
+    "fourier": {"N": 8, "M": 64, "K0": 4},
+    "ladder": {**LIOUVILLE, "verify": {}},
+    "cov": {"B": [[1]], "N": 8, "M": 64},
+}
+BLOCK_CSVS = {"le", "le-limit", "continuity", "ldt", "cdt", "l2", "fourier"}
+JP2 = {"kind": "jacobi_periodic", "v": JP_V, "a": 1.0, "v_per": [0.4, 0.4],
+       "E": 0.3}
+JACOBI = {"kind": "jacobi", "v": JP_V, "a": 1.0, "E": 0.3}
+
+
+def block_run(tmp_path, name, cocycle, plot=False):
+    """Run one BLOCK_PARAMS experiment on cocycle in its own directory:
+    (JSON text, CSV lines or None, SVG text or None)."""
+    cfg = {"experiment": name, "plot": plot, "cocycle": cocycle,
+           "frequency": [0.5 if name == "ladder" else GOLDEN],
+           "quadrature": {"kind": "uniform-grid", "points_per_dim": 64},
+           "params": BLOCK_PARAMS[name]}
+    (tmp_path / name).mkdir(parents=True)
+    rc, out = run_cli(tmp_path / name, cfg)
+    assert rc == 0
+    csv, svg = out / f"{name}.csv", out / f"{name}.svg"
+    return ((out / f"{name}.json").read_text(),
+            csv.read_text().splitlines() if csv.exists() else None,
+            svg.read_text() if svg.exists() else None)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_PARAMS))
+def test_every_output_of_a_q_site_block_names_its_unit(tmp_path, name):
+    text, csv, svg = block_run(tmp_path, name, JP2, plot=name == "le")
+    data = json.loads(text)
+    assert text.count('"sites_per_block"') == 1
+    assert list(data)[:5] == ["cocyclelab", "config_sha256", "experiment",
+                              "seed", "sites_per_block"]
+    assert data["sites_per_block"] == 2
+    assert (csv is not None) == (name in BLOCK_CSVS)
+    if csv is not None:
+        assert csv[0].startswith("# cocyclelab=")
+        assert csv[0].endswith(" sites_per_block=2")
+    if name == "le":
+        assert f"<!-- {csv[0][2:]} -->" in svg
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_PARAMS))
+def test_a_one_site_cocycle_names_no_unit(tmp_path, name):
+    for i, cocycle in enumerate((JACOBI, dict(JP2, v_per=[0.0]))):
+        text, csv, _ = block_run(tmp_path / str(i), name, cocycle)
+        assert "sites_per_block" not in text
+        assert csv is None or "sites_per_block" not in csv[0]
+
+
+def test_jacobi_is_jacobi_periodic_with_one_zero_site(tmp_path):
+    site = json.loads(block_run(tmp_path / "site", "le", JACOBI)[0])
+    one = json.loads(block_run(tmp_path / "one", "le",
+                               dict(JP2, v_per=[0.0]))[0])
+    assert site["rows"] == one["rows"]
+    assert all(r["value"] > 0 for r in site["rows"])
+
+
 def site_by_site_log_norm(v, a, v_per, E, w, x, n_sites):
     """ln ||J_{n-1}(x + (n-1) w) ... J_0(x)|| by a matmul loop over sites,
     J_k(t) = [[E - v_per[k mod q] - v(t), -conj(a(t - w))], [a(t), 0]]."""
@@ -902,16 +971,17 @@ CSV_CELLS = [0, -7, 2**53 + 1, 2**70, True, np.int64(-3), np.int32(5),
 
 
 class TestCsvTextBytes:
-    def test_every_cell_kind_matches_per_cell_writer(self):
+    def test_every_cell_kind_matches_per_cell_writer(self, same_text):
         rows = [tuple(CSV_CELLS), tuple(reversed(CSV_CELLS))]
         header = [f"c{i}" for i in range(len(CSV_CELLS))]
-        assert csv_text(header, iter(rows)) == csv_text_per_cell(header, rows)
+        same_text(csv_text(header, iter(rows)),
+                  csv_text_per_cell(header, rows))
 
-    def test_a_float_in_an_integer_column_is_not_truncated(self):
+    def test_a_float_in_an_integer_column_is_not_truncated(self, same_text):
         rows = [(1, 2.5), (2.75, 3), (np.float32(4.5), np.int64(2**62 + 1)),
                 (5, 6.0)]
         text = csv_text(("n", "x"), (r for r in rows))
-        assert text == csv_text_per_cell(("n", "x"), rows)
+        same_text(text, csv_text_per_cell(("n", "x"), rows))
         assert text.splitlines()[2] == "2.75,3"
 
     def test_list_rows_and_generator_rows_agree(self):
@@ -921,13 +991,13 @@ class TestCsvTextBytes:
 
     @pytest.mark.parametrize("n", [CSV_BLOCK - 2, CSV_BLOCK - 1, CSV_BLOCK,
                                    2 * CSV_BLOCK + 1])
-    def test_tables_across_join_blocks(self, n):
+    def test_tables_across_join_blocks(self, n, same_text):
         rows = [(i, i / 7.0) for i in range(n)]
         text = csv_text(("i", "x"), iter(rows))
-        assert text == csv_text_per_cell(("i", "x"), rows)
+        same_text(text, csv_text_per_cell(("i", "x"), rows))
         assert text.count("\n") == n + 1
 
-    def test_random_columns_match_per_cell_writer(self):
+    def test_random_columns_match_per_cell_writer(self, same_text):
         rng = np.random.default_rng(7)
         ints = rng.integers(-2**62, 2**62, 500)
         floats = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
@@ -935,27 +1005,28 @@ class TestCsvTextBytes:
         rows = [(int(i), np.int64(i), float(f), np.float64(f), s)
                 for i, f, s in zip(ints, floats, singles)]
         header = ("a", "b", "c", "d", "e")
-        assert csv_text(header, rows) == csv_text_per_cell(header, rows)
+        same_text(csv_text(header, rows), csv_text_per_cell(header, rows))
 
 
 class TestCsvTextColumnBlocks:
     """csv_text's column-block form against the per-cell writer."""
 
-    def test_every_cell_kind_in_column_form(self):
+    def test_every_cell_kind_in_column_form(self, same_text):
         rows = [tuple(CSV_CELLS), tuple(reversed(CSV_CELLS))]
         header = [f"c{i}" for i in range(len(CSV_CELLS))]
         columns = [list(col) for col in zip(*rows)]
-        assert csv_text(header, blocks=[columns]) == csv_text_per_cell(
-            header, rows)
+        same_text(csv_text(header, blocks=[columns]),
+                  csv_text_per_cell(header, rows))
 
-    def test_an_integer_column_holding_one_float(self):
+    def test_an_integer_column_holding_one_float(self, same_text):
         ints = [1, 2, 2.75, 4]
         floats = [0.5, 1.5, 3.0, 2.5]
         text = csv_text(("n", "x"), blocks=[[ints, floats]])
-        assert text == csv_text_per_cell(("n", "x"), list(zip(ints, floats)))
+        same_text(text,
+                  csv_text_per_cell(("n", "x"), list(zip(ints, floats))))
         assert text.splitlines()[3] == "2.75,3"
 
-    def test_numpy_arrays_as_columns(self):
+    def test_numpy_arrays_as_columns(self, same_text):
         rng = np.random.default_rng(11)
         columns = [rng.integers(-2**62, 2**62, 300),
                    rng.integers(-9, 9, 300).astype(np.int32),
@@ -966,21 +1037,21 @@ class TestCsvTextColumnBlocks:
         columns[3][:3] = [math.inf, -math.inf, math.nan]
         header = ("a", "b", "c", "d", "e")
         rows = list(zip(*columns))
-        assert csv_text(header, blocks=[columns]) == csv_text_per_cell(
-            header, rows)
+        same_text(csv_text(header, blocks=[columns]),
+                  csv_text_per_cell(header, rows))
 
     @pytest.mark.parametrize("n", [CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
-    def test_blocks_around_the_block_size(self, n):
+    def test_blocks_around_the_block_size(self, n, same_text):
         i = np.arange(n)
         x = i / 7.0
         rows = list(zip(i.tolist(), x.tolist()))
         want = csv_text_per_cell(("i", "x"), rows)
-        assert csv_text(("i", "x"), blocks=[[i, x]]) == want
+        same_text(csv_text(("i", "x"), blocks=[[i, x]]), want)
         # the same table as several blocks, and as rows
         cuts = [0, 5, CSV_BLOCK - 3, n]
         blocks = [[i[a:b], x[a:b].tolist()] for a, b in zip(cuts, cuts[1:])]
-        assert csv_text(("i", "x"), blocks=blocks) == want
-        assert csv_text(("i", "x"), iter(rows)) == want
+        same_text(csv_text(("i", "x"), blocks=blocks), want)
+        same_text(csv_text(("i", "x"), iter(rows)), want)
 
     def test_an_empty_table_is_the_header(self):
         assert csv_text(("a", "b"), blocks=[]) == "a,b\n"

@@ -303,43 +303,43 @@ def coeffs_csv_row_loop(report) -> str:
 
 class TestCSV:
     @pytest.mark.parametrize("shape", [(256,), (16, 16)])
-    def test_coeffs_csv_bytes_match_row_loop(self, shape):
+    def test_coeffs_csv_bytes_match_row_loop(self, shape, same_text):
         # random values make np.abs(coeffs) differ from the scalar abs in the
         # last bit on some entries, so a vectorised abs column fails here
         values = np.random.default_rng(0).standard_normal(shape)
         report = fourier_coeffs(Profile.from_values(values), 4)
-        assert coeffs_to_csv(report) == coeffs_csv_row_loop(report)
+        same_text(coeffs_to_csv(report), coeffs_csv_row_loop(report))
 
-    def test_coeffs_csv_bytes_match_row_loop_over_blocks(self):
+    def test_coeffs_csv_bytes_match_row_loop_over_blocks(self, same_text):
         # more rows than coeffs_to_csv converts at once, in shuffled k order
         values = np.random.default_rng(1).standard_normal(3 * 4096 + 5)
         report = fourier_coeffs(Profile.from_values(values), 4)
-        assert coeffs_to_csv(report) == coeffs_csv_row_loop(report)
+        same_text(coeffs_to_csv(report), coeffs_csv_row_loop(report))
 
     @pytest.mark.parametrize("shape", [(96, 96), (CSV_BLOCK,), (20, 20, 20)],
                              ids=["d2-9216-rows", "one-full-block", "d3"])
-    def test_coeffs_csv_bytes_match_row_loop_in_blocks(self, shape):
+    def test_coeffs_csv_bytes_match_row_loop_in_blocks(self, shape, same_text):
         values = np.random.default_rng(3).standard_normal(shape)
         report = fourier_coeffs(Profile.from_values(values), 4)
         assert report.coeffs.size == math.prod(shape)
-        assert coeffs_to_csv(report) == coeffs_csv_row_loop(report)
+        same_text(coeffs_to_csv(report), coeffs_csv_row_loop(report))
 
     SPECIAL = [complex(math.inf, 0.0), complex(-math.inf, math.nan),
                complex(math.nan, 1.0), complex(0.5, -math.inf),
                complex(-0.0, -0.0), complex(1.7e308, 1.7e308),
                complex(5e-324, -5e-324)]
 
-    def test_coeffs_csv_non_finite_parts_match_row_loop(self):
+    def test_coeffs_csv_non_finite_parts_match_row_loop(self, same_text):
         values = np.random.default_rng(2).standard_normal((16, 16))
         report = fourier_coeffs(Profile.from_values(values), 4)
         coeffs = report.coeffs.copy()
         coeffs.reshape(-1)[:len(self.SPECIAL)] = self.SPECIAL
         report = dataclasses.replace(report, coeffs=coeffs)
         text = coeffs_to_csv(report)
-        assert text == coeffs_csv_row_loop(report)
+        same_text(text, coeffs_csv_row_loop(report))
         assert ",inf,nan,inf\n" not in text and ",-inf,nan,inf\n" in text
 
-    def test_coeffs_csv_overflow_in_a_later_block_only(self):
+    def test_coeffs_csv_overflow_in_a_later_block_only(self, same_text):
         # the special values sit in the second block of k order, so the
         # first block is formatted without the cell-by-cell abs fallback
         values = np.random.default_rng(4).standard_normal(3 * CSV_BLOCK + 5)
@@ -351,7 +351,7 @@ class TestCSV:
         coeffs.reshape(-1)[at] = self.SPECIAL
         report = dataclasses.replace(report, coeffs=coeffs)
         text = coeffs_to_csv(report)
-        assert text == coeffs_csv_row_loop(report)
+        same_text(text, coeffs_csv_row_loop(report))
         lines = text.splitlines()
         assert lines[1 + CSV_BLOCK + 15].endswith(
             ",1.6999999999999999e+308,1.6999999999999999e+308,inf")
