@@ -127,19 +127,28 @@ def dyadic_grid(d: int, M: int) -> np.ndarray:
 def _disc_2x2(E, scratch=None):
     """(f, disc) of the closed form in op_norm_2x2; either may overflow.
 
-    One call squares the float view of all four entries, real and imaginary
-    parts interleaved, into scratch when one is given (a C-order complex
-    array of E's shape, whose values are then lost); f adds the eight
-    squares left to right. np.add.reduce would pair them (for m = 1 its
-    order differs), so the sum is spelled out.
+    E is float64 or complex128. One call squares the float view of all four
+    entries (for complex E, real and imaginary parts interleaved) into
+    scratch when one is given (a C-order array of E's shape and dtype,
+    whose values are then lost); f adds the squares left to right, eight
+    for complex E and four for real E, and |det|^2 is det.real^2 +
+    det.imag^2 or det * det. np.add.reduce would pair them (for m = 1 its
+    order differs), so the sum is spelled out. For complex E whose
+    imaginary parts are all zero, every added square is +0 and each
+    product's real part is the float64 one, so both give the same bits.
     """
     E = np.ascontiguousarray(E)
     sq = np.square(E.view(float),
                    out=None if scratch is None else scratch.view(float))
-    f = (sq[0, 0, 0::2] + sq[0, 0, 1::2] + sq[0, 1, 0::2] + sq[0, 1, 1::2]
-         + sq[1, 0, 0::2] + sq[1, 0, 1::2] + sq[1, 1, 0::2] + sq[1, 1, 1::2])
     det = E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0]
-    det2 = det.real**2 + det.imag**2
+    if np.iscomplexobj(E):
+        f = (sq[0, 0, 0::2] + sq[0, 0, 1::2] + sq[0, 1, 0::2] + sq[0, 1, 1::2]
+             + sq[1, 0, 0::2] + sq[1, 0, 1::2] + sq[1, 1, 0::2]
+             + sq[1, 1, 1::2])
+        det2 = det.real**2 + det.imag**2
+    else:
+        f = sq[0, 0] + sq[0, 1] + sq[1, 0] + sq[1, 1]
+        det2 = det * det
     return f, f * f - 4.0 * det2
 
 
@@ -155,9 +164,9 @@ _F_MIN = 2.0**-511
 
 
 def op_norm_2x2(E) -> np.ndarray:
-    """Operator 2-norm (largest singular value) of the 2x2 complex matrices
+    """Operator 2-norm (largest singular value) of the 2x2 matrices
     [[a, b], [c, d]] = [[E[0, 0], E[0, 1]], [E[1, 0], E[1, 1]]], given as an
-    entry-major (2, 2, m) stack.
+    entry-major (2, 2, m) stack, float64 or complex128.
 
     Closed form from the Frobenius norm and |det|:
     sigma_max^2 = (f + sqrt(f^2 - 4|det|^2)) / 2 with f = ||M||_F^2.
@@ -184,13 +193,14 @@ def _op_norm(E, scratch=None):
         tail = ~np.isfinite(disc) | (f < _F_MIN)
         tail &= np.isfinite(E).all(axis=(0, 1))
         ents = E[:, :, tail]
-        # numpy divides a complex v by a real scale as v * (1 / scale), and
-        # 1 / scale overflows for a subnormal scale; lifting the tiny side
-        # by 2^600 is exact, so a normal scale's quotients keep their bits
+        # numpy divides a complex v by a real scale as v * (1 / scale), so
+        # either dtype is multiplied by that reciprocal; 1 / scale overflows
+        # for a subnormal scale, and lifting the tiny side by 2^600 is
+        # exact, so a normal scale's quotients keep their bits
         lift = np.where(f[tail] < _F_MIN, 2.0**600, 1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             scale = np.abs(ents).max(axis=(0, 1))
-            unit = _sigma_max(*_disc_2x2(ents * lift / (scale * lift)))
+            unit = _sigma_max(*_disc_2x2(ents * lift * (1.0 / (scale * lift))))
             out[tail] = np.where(scale > 0, scale * unit, 0.0)
     return out, closed
 
@@ -199,9 +209,14 @@ def step_2x2(mats: np.ndarray, U: np.ndarray, out: np.ndarray):
     """One step of m 2x2 running products: out <- mats @ U. Returns their
     norms and whether every one came from the closed form, as _op_norm.
 
-    mats is an (m, 2, 2) stack; U and out are entry-major (2, 2, m). Row i of
+    mats is an (m, 2, 2) stack; U and out are entry-major (2, 2, m). Each is
+    float64 or complex128, and out has U's dtype: real matrices step real
+    products in real arithmetic, and complex products in complex. Row i of
     a product is M_i0 * (row 0 of U) + M_i1 * (row 1 of U), elementwise with
     no BLAS, so its bits depend neither on the batch nor on the BLAS build.
+    Where every imaginary part is zero, a complex product's real part is
+    a*b - 0 and rounds once, with or without a fused multiply-add, so real
+    and complex products have the same real bits.
     mats is read in place in any layout: as a view of entry-major memory
     (a whole evaluation or one step's slice of a stacked one) its nodes are
     contiguous, and a C-order stack is read strided. Elementwise products

@@ -1,6 +1,7 @@
 """Matrix-valued trigonometric polynomials on T^d and cocycle iteration.
 
-A cocycle is a pair (A, omega): A maps the torus into 2x2 complex matrices and
+A cocycle is a pair (A, omega): A maps the torus into 2x2 complex matrices
+(real ones for Schrodinger and Jacobi cocycles with real potentials) and
 omega drives the shift x -> x + omega. Iterates multiply A along the orbit,
 A_N(x) = A(x + (N-1) omega) ... A(x + omega) A(x), and the central quantity is
 the averaged log-norm (1/N) ln ||A_N(x)||.
@@ -42,10 +43,22 @@ stacked evaluation in place. An outside evaluator may return a C-order
 (m, 2, 2) stack; the step reads that strided, with the same bits. The step
 is _util.step_2x2, which avalanche's chains advance through as well.
 
+Real cocycles run in real arithmetic. A matrix whose every entry has at
+most one harmonic k, with c_{-k} = conj(c_k) exactly and c_0 real (almost
+Mathieu, Schrodinger with one harmonic, Jacobi with one-harmonic v and a),
+is real by construction: _real_entries decides so once, beside _tables, and
+eval_many then returns float64 with the bits of the complex evaluation's
+real part, whose imaginary part is exactly 0. The renormalized and composed
+evaluators pass their base's dtype through, and the kernel's running
+products take the dtype of the first evaluation. With every imaginary part
+zero, a complex product's real part is the float64 one, so a real cocycle
+gives the same bits in either arithmetic; entries with several harmonics
+leave imaginary residue of rounding and stay complex.
+
 Every k.x in this module comes from _dot, a fixed-order elementwise sum with
 no BLAS, so a node has the same bits alone as in any batch and under any
-BLAS build; every trig-polynomial evaluation is the one reduction of
-_evaluate.
+BLAS build; every complex trig-polynomial evaluation is the one reduction
+of _evaluate, and every real one its real part.
 """
 from __future__ import annotations
 
@@ -120,12 +133,19 @@ def _phases(X: np.ndarray, ks: np.ndarray, h: Optional[int]) -> np.ndarray:
     n = ks.shape[0]
     out = np.empty((n, X.shape[0]), dtype=complex)
     upper, lower = out[n - h:], out[:h][::-1]
-    np.multiply(TWO_PI_I, _dot(X, ks[n - h:]), out=upper)
-    np.exp(upper, out=upper)
+    _upper_phases(X, ks, h, out=upper)
     out[h:n - h] = 1.0
     lower.real = upper.real
     np.subtract(0.0, upper.imag, out=lower.imag)
     return out
+
+
+def _upper_phases(X: np.ndarray, ks: np.ndarray, h: int,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """e^{2 pi i k.x} over the h indices k > 0 of a symmetric table (its
+    last h rows): (h, m), written into out when one is given."""
+    out = np.multiply(TWO_PI_I, _dot(X, ks[ks.shape[0] - h:]), out=out)
+    return np.exp(out, out=out)
 
 
 def _evaluate(X: np.ndarray, ks: np.ndarray, cs: np.ndarray,
@@ -136,6 +156,58 @@ def _evaluate(X: np.ndarray, ks: np.ndarray, cs: np.ndarray,
     the matrix table (entry-major, the kernel's layout) and the strip faces.
     """
     return np.einsum("nm,n...->...m", _phases(X, ks, h), cs)
+
+
+def _real_entries(coeffs: Sequence[dict], ks: np.ndarray, h: Optional[int]):
+    """How to evaluate a table in float64 when every entry is real by
+    construction, else None: for each entry (coefficient dict), a triple
+    (u, c_k, c_0) with u the row of its index k among the h indices k > 0
+    (None for a constant entry).
+
+    The rule: the entry's nonzero coefficients sit only at 0, k and -k for
+    one index k, with c_0 real and c_{-k} = conj(c_k) exactly. Then
+    _evaluate's sum over the sorted table runs -k, 0, k (any other row
+    adds a zero product), and as _phases writes the row of -k as the exact
+    conjugate of that of k, the terms at -k and k have equal real parts
+    t = Re p Re c_k - Im p Im c_k and opposite imaginary parts, bit for
+    bit. So the sum's imaginary part is exactly 0 and its real part is
+    (t + c_0) + t, which _evaluate_real computes in float64. Entries with
+    several harmonics leave imaginary rounding residue, and stay complex.
+    """
+    if h is None:
+        return None
+    upper = {tuple(k): u for u, k in enumerate(ks[ks.shape[0] - h:].tolist())}
+    plan = []
+    for c in coeffs:
+        c0 = c.get((0,) * ks.shape[1], 0j)
+        harmonics = [k for k in c if any(k)]
+        if c0.imag != 0 or len(harmonics) not in (0, 2):
+            return None
+        if not harmonics:
+            plan.append((None, 0j, c0.real))
+            continue
+        k = max(harmonics)
+        if c.get(tuple(-v for v in k)) != c[k].conjugate():
+            return None
+        plan.append((upper[k], c[k], c0.real))
+    return plan
+
+
+def _evaluate_real(X: np.ndarray, ks: np.ndarray, h: int,
+                   plan: list) -> np.ndarray:
+    """_evaluate's real part for a plan from _real_entries, in float64 and
+    bit for bit: shape (len(plan), m)."""
+    out = np.empty((len(plan), X.shape[0]))
+    P = _upper_phases(X, ks, h) if h else None
+    for row, (u, ck, c0) in zip(out, plan):
+        if u is None:
+            row.fill(c0)
+            continue
+        t = P[u].real * ck.real
+        t -= P[u].imag * ck.imag
+        np.add(t, c0, out=row)
+        row += t
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +337,9 @@ class TrigPolyMatrix:
         if any(e.d != self.d for e in self.entries):
             raise ValueError("entries live on tori of different dimensions")
         self.rho = float(rho)
-        self._ks, self._cs, self._half = _tables(
-            self.d, [e.coeffs for e in self.entries], (2, 2))
+        coeffs = [e.coeffs for e in self.entries]
+        self._ks, self._cs, self._half = _tables(self.d, coeffs, (2, 2))
+        self._real = _real_entries(coeffs, self._ks, self._half)
 
     @classmethod
     def constant(cls, d: int, matrix, rho: float = 0.5) -> "TrigPolyMatrix":
@@ -283,11 +356,21 @@ class TrigPolyMatrix:
         return self.entries[2 * i + j]
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
+        """A at the m nodes X (m, d): an (m, 2, 2) view of entry-major
+        (2, 2, m) memory. float64 when every entry is real by the rule of
+        _real_entries (Schrodinger and Jacobi matrices with one harmonic,
+        constant real matrices), with the bits of the complex evaluation's
+        real part; complex128 otherwise."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return _evaluate(X, self._ks, self._cs, self._half).transpose(2, 0, 1)
+        if self._real is None:
+            vals = _evaluate(X, self._ks, self._cs, self._half)
+        else:
+            vals = _evaluate_real(X, self._ks, self._half,
+                                  self._real).reshape(2, 2, -1)
+        return vals.transpose(2, 0, 1)
 
     def eval(self, x) -> np.ndarray:
-        """A(x) for a real point x of T^d."""
+        """A(x) for a real point x of T^d, with eval_many's dtype."""
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.shape[0] != self.d:
             raise ValueError(f"point has dimension {x.shape[0]}, expected {self.d}")
@@ -388,10 +471,41 @@ class RenormalizedMatrix:
         return out
 
 
-def renormalize(A, floor: float = UNDERFLOW_FLOOR) -> RenormalizedMatrix:
-    """Divide A pointwise by |det A|^{1/2}; result has |det| = 1 off zeros."""
-    if isinstance(A, TrigPolyMatrix) and det_scalar(A).is_zero():
-        raise IdenticallySingular("det A is identically zero")
+def _computes_unit_det(A: TrigPolyMatrix, det: TrigPoly) -> bool:
+    """Whether RenormalizedMatrix computes det A(x) as exactly 1 at every x.
+
+    det (det_scalar(A)) must be the constant 1, and each of e11 e22 and
+    e12 e21 must have a zero factor or two real constant factors: a zero
+    entry evaluates to 0, and a real constant entry to its coefficient, so
+    the computed products and their difference round as det_scalar's own.
+    Non-constant factors (a rotation's cos^2 + sin^2) need not give 1.
+    """
+    if det.coeffs != {(0,) * A.d: 1}:
+        return False
+
+    def real_constant(e: TrigPoly) -> bool:
+        return all(not any(k) and c.imag == 0 for k, c in e.coeffs.items())
+
+    return all(p.is_zero() or q.is_zero()
+               or (real_constant(p) and real_constant(q))
+               for p, q in ((A.entries[0], A.entries[3]),
+                            (A.entries[1], A.entries[2])))
+
+
+def renormalize(A, floor: float = UNDERFLOW_FLOOR):
+    """Divide A pointwise by |det A|^{1/2}; result has |det| = 1 off zeros.
+
+    A trig polynomial whose determinant computes to exactly 1 everywhere
+    (every Schrodinger matrix) is returned as it is when floor <= 1: the
+    division would change no bit. Anything else is wrapped in a
+    RenormalizedMatrix.
+    """
+    if isinstance(A, TrigPolyMatrix):
+        det = det_scalar(A)
+        if det.is_zero():
+            raise IdenticallySingular("det A is identically zero")
+        if floor <= 1.0 and _computes_unit_det(A, det):
+            return A
     return RenormalizedMatrix(A, floor=floor)
 
 
@@ -486,8 +600,14 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
     It writes avg (len(reads), m) and steps (m,) in place. The running
     products live in one (2, 2, m) array, entry-major with the nodes
     contiguous, so a step (_util.step_2x2) is a few elementwise operations
-    on length-m arrays. reads is an increasing list of step counts; the
-    orbit runs to the last one, and avg[r] is the average log-norm after
+    on length-m arrays. They take the dtype of the first evaluation (at
+    least float64), so a real cocycle (a float64 evaluation) runs in real
+    arithmetic and any other in complex; an evaluator returns one dtype
+    throughout. Where every imaginary part is zero, each complex product
+    has the real part that float64 gives, so both run to the same bits.
+
+    reads is an increasing list of step counts; the orbit runs to the last
+    one, and avg[r] is the average log-norm after
     reads[r] steps. Nothing before step n depends on how far the orbit goes,
     so avg[r] is bit-identical to that of a reads[r]-step orbit. steps[i]
     is the number of steps node i completed before its product underflowed
@@ -514,9 +634,7 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
     m, d = X.shape
     N = reads[-1]
     B = max(1, LOOKAHEAD_ROWS // max(m, 1))
-    U = np.zeros((2, 2, m), dtype=complex)
-    U[0, 0] = U[1, 1] = 1.0
-    V = np.empty_like(U)
+    U = V = None  # made at the first evaluation, in its dtype
     # None until a norm is rescaled or a node dies: no masking is needed
     alive = None
     acc = PairwiseSum()
@@ -530,6 +648,10 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
             pts -= np.floor(pts)
             block.append(pts)
         mats = A.eval_many(np.concatenate(block) if b > 1 else pts)
+        if U is None:
+            U = np.zeros((2, 2, m), dtype=np.result_type(mats, float))
+            U[0, 0] = U[1, 1] = 1.0
+            V = np.empty_like(U)
         for k in range(b):
             j = j0 + k
             s, closed = step_2x2(mats[k * m:(k + 1) * m], U, V)
@@ -542,9 +664,8 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
                 steps[~alive & (steps == N)] = j
                 s = np.where(alive, s, 1.0)
                 U[:, :, ~alive] = np.eye(2)[:, :, None]
-            # U / s would promote s to complex, and numpy's complex division
-            # with a zero imaginary part multiplies by 1/s: same bits, lower
-            # cost.
+            # numpy divides a complex U by a real s as U * (1/s), so a
+            # real U takes that product too
             U *= 1.0 / s
             acc.add(np.log(s))
             if reads[r] == j + 1:

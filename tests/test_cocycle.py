@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocyclelab import _util
-from cocyclelab._util import set_max_workers
+from cocyclelab._util import det_2x2, set_max_workers
 from cocyclelab.cocycle import (
     TWO_PI_I,
     ComposedMatrix,
+    RenormalizedMatrix,
     _dot,
     _phases,
     Cocycle,
@@ -197,6 +198,129 @@ class TestHalfTablePhases:
             assert A._half is not None
             ref = np.einsum("nm,nij->mij", _all_exp(pts, A._ks), A._cs)
             assert same_bits(A.eval_many(pts), ref)
+
+
+def harmonic(d, k, ck, c0=0.0):
+    """c0 + ck e^{2 pi i k.x} + conj(ck) e^{-2 pi i k.x}: real by
+    construction, with the one harmonic k (none when k is 0)."""
+    coeffs = {(0,) * d: c0}
+    if any(k):
+        coeffs[tuple(k)] = ck
+        coeffs[tuple(-v for v in k)] = ck.conjugate()
+    return TrigPoly(d, coeffs)
+
+
+@st.composite
+def real_matrix_and_nodes(draw):
+    """A matrix whose entries each have at most one harmonic, their own,
+    with complex c_k and real c_0 (some of them constants or zero), and
+    nodes X with exact zeros of k.x among them."""
+    d = draw(st.integers(1, 3))
+    entries = [harmonic(d, draw(st.tuples(*[st.integers(-3, 3)] * d)),
+                        draw(coefficient),
+                        draw(st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-2, 2)))
+               for _ in range(4)]
+    m = draw(st.sampled_from([1, 7, 512]))
+    X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
+        -1.0, 2.0, (m, d))
+    X[:min(m, 3)] = [[0.0] * d, [-0.0] * d, [0.25] * d][:min(m, 3)]
+    return TrigPolyMatrix(*entries, rho=0.5), X
+
+
+def _einsum_ref(A, X):
+    """A(X) by the complex einsum over the full phase table."""
+    return np.einsum("nm,nij->mij", _all_exp(X, A._ks), A._cs)
+
+
+def _jacobi_one_harmonic():
+    a = harmonic(1, (2,), 0.3 - 0.4j, 0.5)   # vanishes on the torus
+    return jacobi(TrigPoly.cosine((1,), 4.0), a, 0.3, Frequency((GOLDEN,)))
+
+
+# Matrices whose entries each have one harmonic k with c_{-k} = conj(c_k)
+# exactly and a real c_0, so their evaluation is float64, and matrices
+# where that fails.
+REAL_BY_CONSTRUCTION = {
+    "amo": lambda: amo(3.0, 0.3),
+    "amo-huge": lambda: amo(1e150, 0.3),
+    "amo-tiny": lambda: amo(1e-200, 0.0),
+    "schrodinger-1d-phase": lambda: schrodinger(
+        harmonic(1, (3,), 0.7 + 1.1j), 0.2),
+    "schrodinger-2d": lambda: schrodinger(TrigPoly.cosine((1, -2), 2.0), 0.3, d=2),
+    "schrodinger-3d": lambda: schrodinger(
+        harmonic(3, (0, 1, 2), -0.4 + 0.9j, 0.25), 0.3, d=3),
+    "jacobi": _jacobi_one_harmonic,
+    "constant": lambda: TrigPolyMatrix.constant(1, [[2.0, 0.0], [1.0, 0.5]]),
+}
+NOT_REAL = {
+    "schrodinger-2-harmonics": lambda: schrodinger(
+        TrigPoly.cosine((1, 0), 2.0) + TrigPoly.cosine((0, 1)), 0.3, d=2),
+    "jacobi-periodic-q2": lambda: jacobi_periodic(
+        TrigPoly.cosine((1,), 4.0), harmonic(1, (1,), 0.25, 1.0), (0.0, 1.0),
+        0.3, Frequency((GOLDEN,))),
+    "non-conjugate": lambda: TrigPolyMatrix(
+        TrigPoly(1, {(1,): 1.0, (-1,): 1.0 + 1e-16j}), TrigPoly.constant(1, -1.0),
+        TrigPoly.constant(1, 1.0), TrigPoly(1, {}), rho=0.5),
+    "one-sided": lambda: TrigPolyMatrix(
+        TrigPoly(1, {(1,): 1.0}), TrigPoly.constant(1, -1.0),
+        TrigPoly.constant(1, 1.0), TrigPoly(1, {}), rho=0.5),
+    "complex-constant": lambda: TrigPolyMatrix.constant(1, [[1j, 0], [0, -1j]]),
+}
+
+
+class TestRealEvaluation:
+    """A matrix whose entries are real by construction evaluates in
+    float64, with the bits of the complex einsum's real part; that einsum's
+    imaginary part is exactly 0."""
+
+    @given(real_matrix_and_nodes())
+    @settings(max_examples=150, deadline=None)
+    def test_real_arithmetic_evaluation_is_einsum_real_part(self, case):
+        A, X = case
+        got, ref = A.eval_many(X), _einsum_ref(A, X)
+        assert got.dtype == np.float64
+        assert got.transpose(1, 2, 0).flags.c_contiguous
+        assert np.all(ref.imag == 0)
+        assert same_bits(got, ref.real)
+        for i in range(0, X.shape[0], 97):
+            assert same_bits(A.eval(X[i]), got[i])
+
+    @pytest.mark.parametrize("name", sorted(REAL_BY_CONSTRUCTION))
+    def test_real_arithmetic_named_matrices(self, name):
+        A = REAL_BY_CONSTRUCTION[name]()
+        X = np.random.default_rng(3).random((512, A.d))
+        got, ref = A.eval_many(X), _einsum_ref(A, X)
+        assert got.dtype == np.float64
+        assert np.all(ref.imag == 0)
+        assert same_bits(got, ref.real)
+
+    @pytest.mark.parametrize("name", sorted(NOT_REAL))
+    def test_other_matrices_stay_complex(self, name):
+        A = NOT_REAL[name]()
+        X = np.random.default_rng(4).random((512, A.d))
+        got = A.eval_many(X)
+        assert got.dtype == np.complex128
+        assert same_bits(got, _einsum_ref(A, X))
+
+    def test_multi_harmonic_real_entry_leaves_imaginary_residue(self):
+        # why two harmonics stay complex: the einsum's imaginary part is
+        # not exactly 0, so a float64 evaluation would change the bits
+        A = NOT_REAL["schrodinger-2-harmonics"]()
+        X = np.random.default_rng(4).random((512, 2))
+        assert np.any(_einsum_ref(A, X).imag != 0)
+
+    def test_discontinuity_stays_complex(self):
+        X = np.random.default_rng(5).random((64, 1))
+        assert DiscontinuityExample((1,)).eval_many(X).dtype == np.complex128
+
+    def test_wrappers_pass_the_dtype_through(self):
+        X = np.random.default_rng(6).random((64, 2))
+        real = schrodinger(TrigPoly.cosine((1, 1), 2.0), 0.3, d=2)
+        other = NOT_REAL["schrodinger-2-harmonics"]()
+        B = Automorphism.from_entries([[2, 3], [1, 2]])
+        for A, dtype in ((real, np.float64), (other, np.complex128)):
+            assert RenormalizedMatrix(A).eval_many(X).dtype == dtype
+            assert ComposedMatrix(A, B).eval_many(X).dtype == dtype
 
 
 def _c_order_stack(A, X):
@@ -452,6 +576,31 @@ class TestRenormalize:
         vals = r.eval_many(X)
         dets = vals[:, 0, 0] * vals[:, 1, 1] - vals[:, 0, 1] * vals[:, 1, 0]
         assert np.allclose(np.abs(dets), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("A", [
+        amo(3.0, 0.3), schrodinger(TrigPoly.cosine((1, 0), 2.0)
+                                   + TrigPoly.cosine((0, 1)), 0.3, d=2),
+        TrigPolyMatrix.constant(1, [[0.0, 4.0], [-0.25, 0.0]]),
+        TrigPolyMatrix.constant(1, [[2.0, 3.0], [1.0, 2.0]])])
+    def test_computed_unit_determinant_is_not_wrapped(self, A):
+        # each of e11 e22 and e12 e21 has a zero factor or two real
+        # constants, so the computed det is exactly 1 and the wrapper
+        # would change no bit
+        assert renormalize(A) is A
+        X = np.random.default_rng(8).random((512, A.d))
+        assert same_bits(RenormalizedMatrix(A).eval_many(X), A.eval_many(X))
+        assert np.all(det_2x2(A.eval_many(X)) == 1.0)
+        # a floor above 1 marks every node singular, so the wrapper stays
+        assert isinstance(renormalize(A, floor=2.0), RenormalizedMatrix)
+
+    def test_rotation_keeps_its_wrapper(self):
+        # det_scalar is exactly 1, but cos^2 + sin^2 does not compute to 1
+        c, s = TrigPoly.cosine((1,)), TrigPoly.sine((1,))
+        rot = TrigPolyMatrix(c, -s, s, c, rho=0.5)
+        assert det_scalar(rot).coeffs == {(0,): 1.0}
+        assert isinstance(renormalize(rot), RenormalizedMatrix)
+        X = np.random.default_rng(9).random((512, 1))
+        assert np.any(det_2x2(rot.eval_many(X)) != 1.0)
 
     def test_identically_singular_rejected(self):
         m = TrigPolyMatrix.constant(1, [[1.0, 0], [0, 0]])

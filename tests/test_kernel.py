@@ -12,6 +12,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocyclelab import _util
 from cocyclelab._util import (
@@ -28,6 +30,7 @@ from cocyclelab._util import (
 from cocyclelab.cocycle import (
     Cocycle,
     DiscontinuityExample,
+    RenormalizedMatrix,
     TrigPoly,
     TrigPolyMatrix,
     amo,
@@ -616,6 +619,132 @@ def test_op_norm_of_non_finite_entries_is_non_finite():
     mats[3, 1, 1] = complex(-np.inf, 1e200)
     got = op_norm_2x2(mats.transpose(1, 2, 0))
     assert not np.isfinite(got).any()
+
+
+# ---------------------------------------------------------------------------
+# Real arithmetic against the complex kernel
+# ---------------------------------------------------------------------------
+
+class _AsComplex:
+    """An evaluator that returns the values of base as complex128, so the
+    kernel runs it in complex arithmetic."""
+
+    def __init__(self, base):
+        self.base, self.d = base, base.d
+
+    def eval_many(self, X):
+        return self.base.eval_many(X).astype(complex)
+
+
+def _harmonic(d, k, ck, c0=0.0):
+    """c0 + ck e^{2 pi i k.x} + conj(ck) e^{-2 pi i k.x} (c0 alone when k
+    is 0): real by construction."""
+    coeffs = {(0,) * d: c0}
+    if any(k):
+        coeffs[tuple(k)] = ck
+        coeffs[tuple(-v for v in k)] = ck.conjugate()
+    return TrigPoly(d, coeffs)
+
+
+_phase = st.complex_numbers(min_magnitude=0.05, max_magnitude=3.0,
+                            allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def real_cocycles(draw):
+    """A cocycle whose matrix evaluates in float64: a Schrodinger matrix
+    with one harmonic and a complex c_k, a Jacobi matrix (q = 1) whose a
+    has zeros, or a matrix of four single-harmonic entries, each with its
+    own k and scaled to either tail of the closed-form norm; raw or
+    renormalized, with nodes, an orbit length and reads."""
+    d = draw(st.integers(1, 3))
+    index = st.tuples(*[st.integers(-3, 3)] * d).filter(any)
+    kind = draw(st.sampled_from(["schrodinger", "jacobi", "matrix"]))
+    omega = Frequency(tuple(draw(st.sampled_from([0.0, 0.5, GOLDEN, SILVER]))
+                            for _ in range(d)))
+    E = draw(st.floats(-3, 3))
+    if kind == "schrodinger":
+        A = schrodinger(_harmonic(d, draw(index), draw(_phase),
+                                  draw(st.floats(-2, 2))), E, d=d)
+    elif kind == "jacobi":
+        c = draw(_phase)
+        # |a0| <= 2|c|: a vanishes on a hypersurface of the torus
+        a = _harmonic(d, draw(index), c, draw(st.floats(-2, 2)) * abs(c))
+        A = jacobi(_harmonic(d, draw(index), draw(_phase)), a, E, omega)
+    else:
+        entries = [_harmonic(d, draw(st.tuples(*[st.integers(-3, 3)] * d)),
+                             draw(_phase), draw(st.floats(-2, 2)))
+                   for _ in range(4)]
+        A = TrigPolyMatrix(*entries, rho=0.5).scaled(
+            draw(st.sampled_from([1.0, 1e150, 1e-160])))
+    if draw(st.booleans()):
+        A = RenormalizedMatrix(A)
+    m = draw(st.sampled_from([1, 2, 7, 300]))
+    X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((m, d))
+    N = draw(st.integers(1, 40))
+    at = draw(st.lists(st.integers(1, N), min_size=1, max_size=4))
+    return Cocycle(A, omega), N, X, at
+
+
+def _run_at_workers(C, N, X, at, workers):
+    """iterate_log_norm_many at the given worker count, every batch split
+    however small, as the workers fixture does."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "cpu_count", lambda: 8)
+        mp.setattr(_util, "MIN_ROWS_PER_WORKER", 1)
+        set_max_workers(workers)
+        try:
+            return iterate_log_norm_many(C, N, X, at=at)
+        finally:
+            set_max_workers(1)
+
+
+def _assert_real_run_matches_complex(C, N, X, at):
+    assert C.A.eval_many(X[:1]).dtype == np.float64
+    want, want_under = iterate_log_norm_many(Cocycle(_AsComplex(C.A), C.omega),
+                                             N, X, at=at)
+    for workers in (1, 2, 3):
+        got, under = _run_at_workers(C, N, X, at, workers)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(under, want_under)
+
+
+@given(real_cocycles())
+@settings(max_examples=60, deadline=None)
+def test_real_arithmetic_matches_complex_run(case):
+    """The float64 kernel gives the complex kernel's bits, for avg,
+    underflowed and reads at, at 1, 2 and 3 workers."""
+    _assert_real_run_matches_complex(*case)
+
+
+@pytest.mark.parametrize("renorm", [False, True])
+@pytest.mark.parametrize("lam", [1e150, 1e-200])
+def test_real_arithmetic_tails(lam, renorm):
+    # 1e150: every product passes the closed form's range and is rescaled
+    A = amo(lam, 0.0)
+    C = Cocycle(RenormalizedMatrix(A) if renorm else A, G1)
+    _assert_real_run_matches_complex(C, 64, _nodes(1, m=300), [1, 7, 64])
+
+
+def test_real_arithmetic_op_norm_matches_complex():
+    # ordinary matrices, both tails, zero matrices and non-finite entries
+    rng = np.random.default_rng(12)
+    mats = rng.standard_normal((4000, 2, 2))
+    mats *= (10.0 ** rng.uniform(-200, 200, 4000))[:, None, None]
+    mats[:4] = 0.0
+    mats[1, 0, 0], mats[2, 1, 1], mats[3, 0, 1] = np.nan, np.inf, -np.inf
+    E = mats.transpose(1, 2, 0)
+    got = op_norm_2x2(E)
+    assert got.dtype == np.float64
+    assert got.tobytes() == op_norm_2x2(E.astype(complex)).tobytes()
+    U = np.ascontiguousarray(rng.standard_normal((4000, 2, 2)).transpose(1, 2, 0))
+    real_out, complex_out = np.empty_like(U), np.empty_like(U, dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, inf - inf
+        s, _ = step_2x2(mats, U, real_out)
+        s_c, _ = step_2x2(mats.astype(complex), U.astype(complex), complex_out)
+    assert s.tobytes() == s_c.tobytes()
+    assert np.array_equal(real_out, complex_out.real, equal_nan=True)
+    assert np.all(complex_out.imag[np.isfinite(complex_out.imag)] == 0)
 
 
 # ---------------------------------------------------------------------------
