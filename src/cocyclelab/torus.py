@@ -6,9 +6,11 @@ pure function of its inputs; scans are deterministic regardless of chunking.
 
 The scans read each omega_j as the dyadic rational its double holds and
 compare integer residues of k . omega mod 1, so their minima are exact:
-continued-fraction convergents for d=1, a blocked residue scan of the
-canonical half-space for d >= 2. freq_norm and dist_to_Z stay in floating
-point.
+continued-fraction convergents for d=1 (O(log K)), and for d >= 2 a scan of
+the canonical half-space that binary-searches the sorted residues of the
+last coordinate, about K^(d-1) log K work instead of K^d. The tie rules and
+the guard on K**d are those of a visit to every lattice point. freq_norm
+and dist_to_Z stay in floating point.
 """
 from __future__ import annotations
 
@@ -156,6 +158,12 @@ def _plus(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     return total if total.dtype == np.uint64 else total % modulus
 
 
+def _minus(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
+    """a - b mod modulus for residue arrays of one kind (broadcasting)."""
+    diff = a - b
+    return diff if diff.dtype == np.uint64 else diff % modulus
+
+
 def _fold(r: np.ndarray, modulus: int) -> np.ndarray:
     """min(r, modulus - r) elementwise: modulus times the distance to Z."""
     neg = -r if r.dtype == np.uint64 else (modulus - r) % modulus
@@ -175,48 +183,83 @@ def _box_residues(ms: Sequence[int], K: int, modulus: int) -> tuple:
 
 
 def _lattice_scan(ms: Sequence[int], modulus: int, K: int, floor: int,
-                  max_rows: int = 1 << 19) -> tuple:
+                  max_rows: int = 1 << 16) -> tuple:
     """Smallest (max(dist, floor), max-norm, k) over the canonical half-space.
 
     dist is modulus times dist_to_Z(k . omega). The half-space holds the
     nonzero k in [-K, K]^d whose first nonzero component is positive;
     dist is even in k, so it is exhaustive, and ordering ties by
     (max-norm, lex) within it fixes the result. The lead-zero part recurses
-    one dimension down. For lead v >= 1 the inner box [-K, K]^(d-1) is
-    split into chunks (a prefix over its leading axes, the full box over
-    its trailing axes); a block of lead residues is added to a chunk's
-    residues, and no block exceeds max_rows elements.
+    one dimension down, to the convergent walk at d = 1.
+
+    For lead v >= 1, k = (v, c, u) is an outer prefix (v, c) and a last
+    coordinate u. The residues u m_d for u in [-K, K] are sorted once; they
+    are closed under negation, so the smallest fold of o + u m_d over all u
+    is the circular distance from the outer residue o to its nearer
+    neighbour among them, which a binary search finds. A chunk of outers is
+    skipped when its key, max(smallest such fold, floor), exceeds the best
+    so far. Otherwise only its outers whose nearest fold is at most the key
+    (and, on a tie with the best key, whose max-norm could still win) are
+    expanded against every u, and the first minimum of the max-norm in lex
+    order is taken. That is about K (2K+1)^(d-2) log K work instead of the
+    K (2K+1)^(d-1) of a visit to every point, with the same result; the
+    guard on K**d is unchanged.
+
+    The middle box of c is split into a prefix over its leading axes and
+    the full box over its trailing axes. A chunk is a block of leads times
+    that tail box, an expansion a block of outers times the 2K+1 values of
+    u, and no array holds more than max(max_rows, 2K+1) elements.
     """
     if len(ms) == 1:
         return _convergent_scan(ms[0], modulus, K, floor)
     dist, norm, k = _lattice_scan(ms[1:], modulus, K, floor, max_rows)
     best = (dist, norm, (0,) + k)
-    inner = len(ms) - 1
-    tail = inner
+    side = np.arange(-K, K + 1, dtype=np.int64)
+    last = _times(side, ms[-1], modulus)
+    ring = np.sort(last)
+    # extended by one wrapped element at either end, so that searchsorted
+    # slot j of the sorted residues lies between ring[j] and ring[j + 1]
+    ring = np.concatenate([ring[-1:], ring, ring[:1]])
+    mid = ms[1:-1]
+    tail = len(mid)
     while tail > 1 and (2 * K + 1)**tail > max_rows:
         tail -= 1
-    pre_res, pre_norm = _box_residues(ms[1:1 + inner - tail], K, modulus)
-    tail_res, tail_norm = _box_residues(ms[1 + inner - tail:], K, modulus)
+    pre_res, pre_norm = _box_residues(mid[:len(mid) - tail], K, modulus)
+    tail_res, tail_norm = _box_residues(mid[len(mid) - tail:], K, modulus)
     n = tail_res.size
     step = max(1, max_rows // n)
+    group = max(1, max_rows // side.size)
     for i in range(pre_res.size):
         chunk_res = _plus(tail_res, pre_res[i], modulus)
         chunk_norm = np.maximum(tail_norm, pre_norm[i])
         for v0 in range(1, K + 1, step):
             leads = np.arange(v0, min(K + 1, v0 + step), dtype=np.int64)
-            r = _plus(_times(leads, ms[0], modulus)[:, None], chunk_res, modulus)
-            lo, hi = int(r.min()), int(r.max())
-            cmin = max(min(lo, (modulus - hi) % modulus), floor)
-            if cmin > best[0]:
+            outer = _plus(_times(leads, ms[0], modulus)[:, None], chunk_res,
+                          modulus).ravel()
+            j = np.searchsorted(ring[1:-1], outer, side="right")
+            near = np.minimum(_minus(outer, ring[j], modulus),
+                              _minus(ring[j + 1], outer, modulus))
+            key = max(int(near.min()), floor)
+            if key > best[0]:
                 continue
-            iv, iu = np.divmod(np.flatnonzero(_fold(r, modulus) <= cmin), n)
-            norms = np.maximum(leads[iv], chunk_norm[iu])
-            j = int(np.argmin(norms))  # first minimum: lex order within block
-            rest = np.unravel_index(i * n + int(iu[j]), (2 * K + 1,) * inner)
-            cand = (cmin, int(norms[j]),
-                    (int(leads[iv[j]]),) + tuple(int(t) - K for t in rest))
-            if cand < best:
-                best = cand
+            hit = near <= key
+            if key == best[0]:
+                hit &= np.maximum(leads[:, None], chunk_norm).ravel() <= best[1]
+            hits = np.flatnonzero(hit)
+            for g in range(0, hits.size, group):
+                sel = hits[g:g + group]
+                r = _plus(outer[sel][:, None], last, modulus)
+                io, iu = np.divmod(np.flatnonzero(_fold(r, modulus) <= key),
+                                   side.size)
+                o = sel[io]
+                norms = np.maximum(np.maximum(leads[o // n], chunk_norm[o % n]),
+                                   np.abs(side[iu]))
+                h = int(np.argmin(norms))  # first minimum: lex order in group
+                v, t = divmod(int(o[h]), n)
+                c = np.unravel_index(i * n + t, (2 * K + 1,) * len(mid))
+                best = min(best, (key, int(norms[h]),
+                                  (int(leads[v]),) + tuple(int(x) - K for x in c)
+                                  + (int(side[iu[h]]),)))
     return best
 
 

@@ -151,6 +151,17 @@ class TestExitCodes:
                    "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_yaml_syntax_error_exits_2_with_its_position(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("experiment: le\nfrequency: [0.5\n")
+        rc = main(["le", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith("config is not valid YAML")
+        assert "line 2, column 12" in record["message"]
+
     def test_missing_cocycle_block_exits_2(self, tmp_path):
         cfg = {"experiment": "le", "frequency": [0.5],
                "params": {"N_list": [1]}}

@@ -1,5 +1,8 @@
+import inspect
 import itertools
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +13,13 @@ from hypothesis import strategies as st
 from cocyclelab.errors import NotCoprime, NotUnimodular, ScanTooLarge
 from cocyclelab.torus import (
     Automorphism,
+    _box_residues,
+    _convergent_scan,
     _dyadic,
+    _fold,
     _lattice_scan,
+    _plus,
+    _times,
     Frequency,
     build_automorphism,
     dist_to_Z,
@@ -23,6 +31,7 @@ from cocyclelab.torus import (
 )
 
 GOLDEN = 0.6180339887
+MAX_ROWS = inspect.signature(_lattice_scan).parameters["max_rows"].default
 
 
 def brute_min_dot(omega, K, tol=None):
@@ -62,6 +71,52 @@ def brute_min_dot_1d(w, K):
     return Fraction(int(dist[i]), den), i + 1
 
 
+def blocked_scan(ms, modulus, K, floor, max_rows=1 << 19):
+    """Smallest (max(dist, floor), max-norm, k) over the canonical half-space.
+
+    Reference for _lattice_scan: it visits every lattice point. dist is
+    modulus times dist_to_Z(k . omega). The half-space holds the
+    nonzero k in [-K, K]^d whose first nonzero component is positive;
+    dist is even in k, so it is exhaustive, and ordering ties by
+    (max-norm, lex) within it fixes the result. The lead-zero part recurses
+    one dimension down. For lead v >= 1 the inner box [-K, K]^(d-1) is
+    split into chunks (a prefix over its leading axes, the full box over
+    its trailing axes); a block of lead residues is added to a chunk's
+    residues, and no block exceeds max_rows elements.
+    """
+    if len(ms) == 1:
+        return _convergent_scan(ms[0], modulus, K, floor)
+    dist, norm, k = blocked_scan(ms[1:], modulus, K, floor, max_rows)
+    best = (dist, norm, (0,) + k)
+    inner = len(ms) - 1
+    tail = inner
+    while tail > 1 and (2 * K + 1)**tail > max_rows:
+        tail -= 1
+    pre_res, pre_norm = _box_residues(ms[1:1 + inner - tail], K, modulus)
+    tail_res, tail_norm = _box_residues(ms[1 + inner - tail:], K, modulus)
+    n = tail_res.size
+    step = max(1, max_rows // n)
+    for i in range(pre_res.size):
+        chunk_res = _plus(tail_res, pre_res[i], modulus)
+        chunk_norm = np.maximum(tail_norm, pre_norm[i])
+        for v0 in range(1, K + 1, step):
+            leads = np.arange(v0, min(K + 1, v0 + step), dtype=np.int64)
+            r = _plus(_times(leads, ms[0], modulus)[:, None], chunk_res, modulus)
+            lo, hi = int(r.min()), int(r.max())
+            cmin = max(min(lo, (modulus - hi) % modulus), floor)
+            if cmin > best[0]:
+                continue
+            iv, iu = np.divmod(np.flatnonzero(_fold(r, modulus) <= cmin), n)
+            norms = np.maximum(leads[iv], chunk_norm[iu])
+            j = int(np.argmin(norms))  # first minimum: lex order within block
+            rest = np.unravel_index(i * n + int(iu[j]), (2 * K + 1,) * inner)
+            cand = (cmin, int(norms[j]),
+                    (int(leads[iv[j]]),) + tuple(int(t) - K for t in rest))
+            if cand < best:
+                best = cand
+    return best
+
+
 # Components of omega for the exact-scan properties: any double in [0, 1),
 # dyadic p/2^j, decimal rationals p/q, and doubles below 2^-12 (whose
 # denominators exceed 2^64 and take the Python-int path).
@@ -81,6 +136,28 @@ def scan_cases(draw):
     d = draw(st.integers(1, 3))
     comps = draw(st.lists(COMPONENTS, min_size=d, max_size=d))
     return comps, draw(st.integers(1, MAX_K[d]))
+
+
+@st.composite
+def blocked_cases(draw):
+    """(components, K, max_rows) past the reach of brute_min_dot; components
+    include 0, 1/2, 1/4 and 2^-70 (residues mod 2^b with b > 64). At d=4 a
+    small max_rows splits the middle box into a prefix and a tail."""
+    d = draw(st.integers(2, 4))
+    comp = st.one_of(COMPONENTS, st.sampled_from([0.0, 0.5, 0.25, 2.0**-70]))
+    comps = draw(st.lists(comp, min_size=d, max_size=d))
+    K = draw(st.integers(1, {2: 60, 3: 15, 4: 4}[d]))
+    return comps, K, draw(st.sampled_from([1, 7, 2 * K + 1, MAX_ROWS]))
+
+
+@st.composite
+def scan_floors(draw, ms, modulus, K):
+    """0, tiny, the fold of some lattice point (so that points tie on the
+    key), modulus/2 and modulus."""
+    k = draw(st.lists(st.integers(-K, K), min_size=len(ms), max_size=len(ms)))
+    r = sum(kj * m for kj, m in zip(k, ms)) % modulus
+    return draw(st.sampled_from([0, modulus >> 40, min(r, modulus - r),
+                                 modulus // 2, modulus]))
 
 
 class TestDistToZ:
@@ -214,6 +291,65 @@ class TestMinDotNorm:
         for rows in (1, 3, 9, 80):
             assert _lattice_scan(ms, modulus, 4, 0, max_rows=rows) == ref
 
+    def test_ties_across_middle_box_prefixes_go_by_lex_order(self):
+        # below (2K+1)^2 rows the d=4 scan takes the middle box one prefix at
+        # a time, so it meets (2, -1, 2, -2) before (1, 0, -2, 1): both fold
+        # within the floor and have max-norm 2, and the second is lex first
+        omega = Frequency([0.7637009951314895, 0.9391670189485866,
+                           0.5528595762929651, 0.34570041470875246])
+        ms, modulus = _dyadic(omega)
+        r = sum(kj * m for kj, m in zip((1, 0, -2, 1), ms)) % modulus
+        floor = min(r, modulus - r)
+        want = blocked_scan(ms, modulus, 2, floor)
+        assert want == (floor, 2, (1, 0, -2, 1))
+        for rows in (1, 7, MAX_ROWS):
+            assert _lattice_scan(ms, modulus, 2, floor, max_rows=rows) == want
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(blocked_cases(), st.data())
+    def test_equals_blocked_scan(self, case, data):
+        comps, K, rows = case
+        ms, modulus = _dyadic(Frequency(comps))
+        floor = data.draw(scan_floors(ms, modulus, K))
+        assert (_lattice_scan(ms, modulus, K, floor, max_rows=rows)
+                == blocked_scan(ms, modulus, K, floor))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(blocked_cases(), st.sampled_from([0.0, 1e-9, 1e-3, 0.5]))
+    def test_public_scans_equal_blocked_scan(self, case, tol):
+        comps, K, _ = case
+        omega = Frequency(comps)
+        ms, modulus = _dyadic(omega)
+        dist, _, k = blocked_scan(ms, modulus, K, 0)
+        rep = min_dot_norm(omega, K)
+        assert (rep.delta, rep.argmin_k) == (dist / modulus, k)
+        floor = modulus // 2 if tol >= 0.5 else math.floor(Fraction(tol) * modulus)
+        dist, _, k = blocked_scan(ms, modulus, K, floor)
+        assert rational_dependence(omega, K, tol) == (k if dist <= floor else None)
+
+    @pytest.mark.parametrize("comps, K, argmin", [
+        ((math.sqrt(2) - 1, (math.sqrt(5) - 1) / 2), 31622, None),  # the guard
+        # the blocked scan's argmin, found in 8 s and 12.1 MiB
+        ((math.sqrt(2) - 1, (math.sqrt(5) - 1) / 2, (math.sqrt(13) - 3) / 2),
+         1000, (781, 890, -811)),
+        ((1e-5, (math.sqrt(5) - 1) / 2), 1000, None),  # b = 69: Python ints
+    ])
+    def test_runtime_and_memory_budget(self, comps, K, argmin):
+        # no array holds more than max(max_rows, 2K+1) elements, and few are
+        # alive at once
+        omega = Frequency(comps)
+        t0 = time.perf_counter()
+        rep = min_dot_norm(omega, K)
+        assert time.perf_counter() - t0 < 2.0
+        tracemalloc.start()
+        try:
+            assert min_dot_norm(omega, K) == rep
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * max(MAX_ROWS, 2 * K + 1) * 8
+        assert argmin in (None, rep.argmin_k)
+
 
 class TestRationalDependence:
     def test_half_in_two_dim(self):
@@ -244,6 +380,21 @@ class TestRationalDependence:
     def test_tol_half_admits_every_k(self):
         assert rational_dependence(Frequency([GOLDEN]), 3, 0.5) == (1,)
         assert rational_dependence(Frequency([GOLDEN, 0.1]), 3, math.inf) == (0, 1)
+
+    @pytest.mark.parametrize("comps, K", [((GOLDEN, 0.3), 2000),
+                                          ((GOLDEN, 0.3, 0.7), 60)])
+    def test_every_k_tying_stays_within_memory_bound(self, comps, K):
+        omega = Frequency(comps)
+        ms, modulus = _dyadic(omega)
+        want = blocked_scan(ms, modulus, K, modulus // 2)[2]
+        tracemalloc.start()
+        try:
+            got = rational_dependence(omega, K, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= 10 * max(MAX_ROWS, 2 * K + 1) * 8
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(scan_cases(), st.sampled_from([0.0, 1e-3, 0.05, 0.2, 0.5]))
