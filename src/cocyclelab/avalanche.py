@@ -59,7 +59,8 @@ class APReport:
 
 
 def _validated(matrices) -> np.ndarray:
-    mats = np.asarray(matrices, dtype=complex)
+    mats = np.asarray(matrices)
+    mats = mats.astype(np.result_type(mats, float), copy=False)
     if mats.ndim != 3 or mats.shape[1:] != (2, 2):
         raise ValueError("expected a stack of 2x2 matrices")
     n = mats.shape[0]
@@ -69,7 +70,8 @@ def _validated(matrices) -> np.ndarray:
     bad = ~(np.abs(det - 1.0) <= DET_TOL)  # a NaN determinant is bad too
     if bad.any():
         j = int(np.argmax(bad))
-        raise NotUnimodular(f"matrix {j} has det {det[j]}, not 1 within {DET_TOL}")
+        d = det_2x2(mats[j].astype(complex))  # complex for either dtype
+        raise NotUnimodular(f"matrix {j} has det {d}, not 1 within {DET_TOL}")
     return mats
 
 
@@ -82,6 +84,8 @@ def _chain_terms(chains) -> List[tuple]:
     orbit kernel's step _util.step_2x2 (which also gives w) on the chains
     longer than j: sorted longest first, they are a prefix of the (2, 2, k)
     products. Every value is bit-identical to running each chain alone.
+    A block steps in its chains' dtype (complex128 if any chain is complex),
+    and a real chain's values have the same bits either way.
     """
     stacks = [_validated(m) for m in chains]
     ns = np.array([m.shape[0] for m in stacks])
@@ -89,14 +93,14 @@ def _chain_terms(chains) -> List[tuple]:
     allm = np.concatenate(stacks)
     v = np.log(op_norm_2x2(allm.transpose(1, 2, 0)))
     # pairs across a chain boundary are computed and never read
-    pairs = np.empty((2, 2, len(allm) - 1), dtype=complex)
+    pairs = np.empty((2, 2, len(allm) - 1), dtype=allm.dtype)
     w = np.log(step_2x2(allm[1:], allm[:-1].transpose(1, 2, 0), pairs)[0])
     order = np.argsort(-ns, kind="stable")
     lengths, first = ns[order].tolist(), starts[order]
     logs = np.empty(len(allm))
     # Running products with per-step renormalization; SL(2) norms are >= 1
     # so the accumulated factors cannot underflow.
-    U = np.eye(2, dtype=complex)[:, :, None].repeat(len(stacks), axis=2)
+    U = np.eye(2, dtype=allm.dtype)[:, :, None].repeat(len(stacks), axis=2)
     V = np.empty_like(U)
     live = len(stacks)
     for j in range(lengths[0]):
@@ -113,15 +117,31 @@ def _chain_terms(chains) -> List[tuple]:
             for n, a in zip(ns.tolist(), starts.tolist())]
 
 
-def _residual_parts(v: np.ndarray, w: np.ndarray, logs: np.ndarray) -> tuple:
+def _report(terms: tuple, variant: bool, C: float) -> APReport:
+    """One chain's report: the all-j form if variant, else the interior."""
+    n, v, w, logs = terms
+    mu = float(np.exp(np.min(v)))
     # The telescoped grouping [chain - sum ln||A_j||] - [sum of gaps] equals
     # ln||P|| + (middle sums) - (pair sums) exactly in real arithmetic, and
     # cancels bitwise for identical chains where the naive three-term sum
     # leaves rounding residue.
     gaps = w - v[:-1] - v[1:]
-    chain_minus_self = pairwise_total(logs) - pairwise_total(v)
-    gap_sum = pairwise_total(gaps)
-    return gaps, chain_minus_self - gap_sum
+    signed = (pairwise_total(logs) - pairwise_total(v)) - pairwise_total(gaps)
+    max_gap = float(np.max(np.abs(gaps)))
+    gap_ok = bool(max_gap <= 0.5 * math.log(mu))
+    if not variant:
+        return APReport(
+            kind="interior", n=n, mu=mu, C=C,
+            hypothesis_min_norm_ok=bool(mu > n), hypothesis_gap_ok=gap_ok,
+            max_gap=max_gap, residual=abs(signed), bound=C * n / mu)
+    # all-j middle sum = interior grouping + the two boundary terms
+    signed = signed + v[0] + v[n - 1]
+    window_ok = bool(mu > math.e and float(np.max(v)) < C * math.log(mu))
+    return APReport(
+        kind="all-j", n=n, mu=mu, C=C,
+        hypothesis_min_norm_ok=window_ok, hypothesis_gap_ok=gap_ok,
+        max_gap=max_gap, residual=abs(signed),
+        bound=n / mu ** (1.0 / 3.0) + 4.0 * C * math.log(mu))
 
 
 def ap_check(matrices, C_assumed: float = INTERIOR_C) -> APReport:
@@ -131,19 +151,7 @@ def ap_check(matrices, C_assumed: float = INTERIOR_C) -> APReport:
     max gap <= (1/2) ln mu. The residual is always reported, hypotheses or
     not.
     """
-    return _interior_report(_chain_terms([matrices])[0], C_assumed)
-
-
-def _interior_report(terms: tuple, C_assumed: float) -> APReport:
-    n, v, w, logs = terms
-    mu = float(np.exp(np.min(v)))
-    gaps, signed = _residual_parts(v, w, logs)
-    max_gap = float(np.max(np.abs(gaps)))
-    return APReport(
-        kind="interior", n=n, mu=mu, C=C_assumed,
-        hypothesis_min_norm_ok=bool(mu > n),
-        hypothesis_gap_ok=bool(max_gap <= 0.5 * math.log(mu)),
-        max_gap=max_gap, residual=abs(signed), bound=C_assumed * n / mu)
+    return _report(_chain_terms([matrices])[0], False, C_assumed)
 
 
 def ap_variant_check(matrices,
@@ -155,23 +163,7 @@ def ap_variant_check(matrices,
     mu < ||A_j|| < mu^C_exponent with mu = min_j ||A_j|| (so only the upper
     edge is informative) plus mu > e as a largeness proxy.
     """
-    return _variant_report(_chain_terms([matrices])[0], C_exponent)
-
-
-def _variant_report(terms: tuple, C_exponent: float) -> APReport:
-    n, v, w, logs = terms
-    mu = float(np.exp(np.min(v)))
-    gaps, signed = _residual_parts(v, w, logs)
-    # all-j middle sum = interior grouping + the two boundary terms
-    signed = signed + v[0] + v[n - 1]
-    max_gap = float(np.max(np.abs(gaps)))
-    window_ok = bool(mu > math.e and float(np.max(v)) < C_exponent * math.log(mu))
-    return APReport(
-        kind="all-j", n=n, mu=mu, C=C_exponent,
-        hypothesis_min_norm_ok=window_ok,
-        hypothesis_gap_ok=bool(max_gap <= 0.5 * math.log(mu)),
-        max_gap=max_gap, residual=abs(signed),
-        bound=n / mu ** (1.0 / 3.0) + 4.0 * C_exponent * math.log(mu))
+    return _report(_chain_terms([matrices])[0], True, C_exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +254,8 @@ class EnsembleResult:
 
 def random_hyperbolic_chain(rng: np.random.Generator, n: int,
                             mu: float) -> np.ndarray:
-    """n rotated diagonal SL(2,R) matrices R_theta diag(s, 1/s).
+    """n rotated diagonal SL(2,R) matrices R_theta diag(s, 1/s), as a
+    float64 (n, 2, 2) stack.
 
     Norms land in (mu, mu^WINDOW_EXPONENT); rotation angles stay in
     [-1.2, 1.2] so consecutive products keep ln||A_{j+1}A_j|| within the gap
@@ -273,7 +266,7 @@ def random_hyperbolic_chain(rng: np.random.Generator, n: int,
     s = np.exp(rng.uniform(lo + margin, hi - margin, size=n))
     theta = rng.uniform(-1.2, 1.2, size=n)
     ct, st = np.cos(theta), np.sin(theta)
-    out = np.zeros((n, 2, 2), dtype=complex)
+    out = np.empty((n, 2, 2))
     out[:, 0, 0] = ct * s
     out[:, 0, 1] = -st / s
     out[:, 1, 0] = st * s
@@ -290,6 +283,7 @@ def ap_ensemble(chains: int, seed: int = 0, mu: float = 1e3,
     (length, then matrices) and checked in blocks of up to AP_BLOCK chains.
     """
     rng = np.random.default_rng(seed)
+    C = WINDOW_EXPONENT if variant else INTERIOR_C
     reports: List[APReport] = []
     block: List[np.ndarray] = []
     held = 0
@@ -299,10 +293,8 @@ def ap_ensemble(chains: int, seed: int = 0, mu: float = 1e3,
         held += n
         if len(block) == AP_BLOCK or held >= AP_BLOCK_MATRICES \
                 or i == chains - 1:
-            for terms in _chain_terms(block):
-                reports.append(_variant_report(terms, WINDOW_EXPONENT)
-                               if variant
-                               else _interior_report(terms, INTERIOR_C))
+            reports.extend(_report(terms, variant, C)
+                           for terms in _chain_terms(block))
             block, held = [], 0
     ratios = [r.residual / r.bound for r in reports if r.bound > 0]
     worst = max(ratios) if ratios else 0.0

@@ -41,7 +41,8 @@ evaluators return A(X) as an (m, 2, 2) view of entry-major (2, 2, m) memory,
 the kernel's own layout, so a step copies nothing: it reads its slice of a
 stacked evaluation in place. An outside evaluator may return a C-order
 (m, 2, 2) stack; the step reads that strided, with the same bits. The step
-is _util.step_2x2, which avalanche's chains advance through as well.
+is _util.step_2x2, which avalanche's chains advance through as well, each
+block of chains in its own dtype by the same arithmetic rule.
 
 Real cocycles run in real arithmetic. A matrix whose every entry has at
 most one harmonic k, with c_{-k} = conj(c_k) exactly and c_0 real (almost

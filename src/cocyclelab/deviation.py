@@ -34,14 +34,15 @@ def _shift_diffs(C: Cocycle, N: int, M: int, a: np.ndarray,
     """|L_N(x) - L_N(x + a)| over the grid nodes x where neither orbit
     underflowed; raises AllSamplesSingular when there is no such node."""
     X = dyadic_grid(C.d, M)
-    (base,), (under0,) = sample_log_norms(C, [N], X, renormalize_first)
-    (shifted,), (under1,) = sample_log_norms(C, [N], (X + a) % 1.0,
-                                             renormalize_first)
-    keep = ~(under0 | under1)
+    m = X.shape[0]
+    # one batch of both grids: each node's orbit is independent of the rest
+    # of the batch, so its bits are those of two separate calls
+    (L,), (under,) = sample_log_norms(
+        C, [N], np.concatenate([X, (X + a) % 1.0]), renormalize_first)
+    keep = ~(under[:m] | under[m:])
     if not keep.any():
-        raise AllSamplesSingular(
-            f"all {X.shape[0]} node pairs underflowed at N={N}")
-    return np.abs(base[keep] - shifted[keep])
+        raise AllSamplesSingular(f"all {m} node pairs underflowed at N={N}")
+    return np.abs(L[:m][keep] - L[m:][keep])
 
 
 @dataclass
@@ -312,28 +313,30 @@ def _abs_or_inf(c: complex) -> float:
 def coeffs_to_csv(report: FourierReport) -> str:
     """CSV of the coefficients in k order: k1..kd, re, im, abs.
 
-    The rows go to csv_text a CSV_BLOCK at a time, as columns: the block's k
-    columns and real and imaginary parts as numpy arrays, and abs as Python's
-    abs mapped over the block's complex cells (tolist()), so no per-row tuple
-    is built. Python's abs and numpy's vectorised np.abs both call hypot but
-    can differ in the last bit; whether np.hypot matches Python's abs
-    depends on the libm and the numpy build, so neither is used. Python
-    raises OverflowError where numpy overflows to inf; only a block that
-    raises is redone cell by cell, with inf for the cells that overflow.
+    np.fft.fftshift over the grid axes puts each axis's k in ascending
+    order, for even and odd M, so k order is row-major order. The rows go to
+    csv_text a CSV_BLOCK at a time, as columns: the block's k columns and
+    real and imaginary parts as numpy arrays, and abs as Python's abs mapped
+    over the block's complex cells (tolist()), so no per-row tuple is built.
+    Python's abs and numpy's vectorised np.abs both call hypot but can
+    differ in the last bit; whether np.hypot matches Python's abs depends on
+    the libm and the numpy build, so neither is used. Python raises
+    OverflowError where numpy overflows to inf; only a block that raises is
+    redone cell by cell, with inf for the cells that overflow.
     """
-    ks = report.ks.reshape(-1, report.d)
-    cs = report.coeffs.reshape(-1)
-    order = np.lexsort(ks.T[::-1])
+    axes = tuple(range(report.d))
+    ks = np.fft.fftshift(report.ks, axes=axes).reshape(-1, report.d)
+    cs = np.fft.fftshift(report.coeffs).reshape(-1)
 
     def blocks():
-        for start in range(0, order.size, CSV_BLOCK):
-            idx = order[start:start + CSV_BLOCK]
-            c = cs[idx]
+        for start in range(0, cs.size, CSV_BLOCK):
+            rows = slice(start, start + CSV_BLOCK)
+            c = cs[rows]
             try:
                 mags = list(map(abs, c.tolist()))
             except OverflowError:
                 mags = list(map(_abs_or_inf, c.tolist()))
-            yield [*ks[idx].T, c.real, c.imag, mags]
+            yield [*ks[rows].T, c.real, c.imag, mags]
 
     return csv_text([f"k{i + 1}" for i in range(report.d)]
                     + ["re", "im", "abs"], blocks=blocks())

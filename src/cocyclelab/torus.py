@@ -52,7 +52,9 @@ class Frequency:
             vals = [math.inf]
         if not all(math.isfinite(v) for v in vals):
             raise ValueError(f"frequency components must be finite: {list(components)}")
-        comps = tuple(v - math.floor(v) for v in vals)
+        # a tiny negative v rounds up to 1.0, which is 0.0 on the circle
+        comps = tuple(r if r < 1.0 else 0.0
+                      for r in (v - math.floor(v) for v in vals))
         if len(comps) == 0:
             raise ValueError("Frequency needs dimension d >= 1")
         object.__setattr__(self, "components", comps)

@@ -7,8 +7,8 @@ from cocyclelab import avalanche
 from cocyclelab.avalanche import (
     AP_BLOCK,
     _chain_terms,
-    _interior_report,
-    _variant_report,
+    _report,
+    _validated,
     ap_check,
     ap_consequence_check,
     ap_ensemble,
@@ -268,8 +268,8 @@ def reference_ensemble(chains, seed, mu=1e3, n_max=100, variant=False):
     for _ in range(chains):
         n = int(rng.integers(3, n_max + 1))
         terms = reference_chain_terms(random_hyperbolic_chain(rng, n, mu))
-        reports.append(_variant_report(terms, 101.0 / 99.0) if variant
-                       else _interior_report(terms, 10.0))
+        reports.append(_report(terms, variant,
+                               101.0 / 99.0 if variant else 10.0))
     ratios = [r.residual / r.bound for r in reports if r.bound > 0]
     worst = max(ratios) if ratios else 0.0
     return reports, worst, bool(worst <= 1.0)
@@ -391,3 +391,71 @@ class TestBatchedChainTerms:
             ap_check(np.ones((4, 3, 3)))
         with pytest.raises(ValueError, match="stack of 2x2"):
             ap_variant_check(np.ones((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# Real chains step in float64 with the bits of the complex run
+# ---------------------------------------------------------------------------
+
+def _as_complex(chains):
+    return [m.astype(complex) for m in chains]
+
+
+def _assert_terms_bitwise_equal(got, want):
+    assert len(got) == len(want)
+    for (n, v, w, logs), (rn, rv, rw, rlogs) in zip(got, want):
+        assert n == rn
+        assert v.tobytes() == rv.tobytes()
+        assert w.tobytes() == rw.tobytes()
+        assert logs.tobytes() == rlogs.tobytes()
+
+
+class TestRealArithmetic:
+    @pytest.mark.parametrize("count", [1, 64, 65, 130])
+    @pytest.mark.parametrize("lengths", [(3, 100), (3, 3), (100, 100)],
+                             ids=["mixed", "all-3", "all-100"])
+    def test_real_arithmetic_chain_terms_equal_complex_cast(self, count,
+                                                            lengths):
+        chains = _chains(count, lengths, seed=200 + count)
+        assert all(m.dtype == np.float64 for m in chains)
+        _assert_terms_bitwise_equal(_chain_terms(chains),
+                                    _chain_terms(_as_complex(chains)))
+
+    @pytest.mark.parametrize("mu", [1e3, 1e40, 1e78])
+    def test_real_arithmetic_reports_equal_complex_cast(self, mu):
+        # at mu = 1e78 every norm leaves the closed form's range
+        rng = np.random.default_rng(7)
+        for n in (3, 4, 17, 100):
+            mats = random_hyperbolic_chain(rng, n, mu)
+            cast = mats.astype(complex)
+            assert to_json_text(ap_check(mats)) == \
+                to_json_text(ap_check(cast))
+            assert to_json_text(ap_variant_check(mats)) == \
+                to_json_text(ap_variant_check(cast))
+
+    def test_real_arithmetic_mixed_block_equals_all_complex(self):
+        real = _chains(9, (3, 100), seed=5)
+        cplx = complex_sl2_chains(7, seed=6)
+        mixed = [m for pair in zip(real, cplx) for m in pair] + real[7:]
+        _assert_terms_bitwise_equal(
+            _chain_terms(mixed),
+            _chain_terms([m.astype(complex) for m in mixed]))
+
+    def test_real_arithmetic_dtypes(self):
+        rng = np.random.default_rng(0)
+        assert random_hyperbolic_chain(rng, 5, 1e3).dtype == np.float64
+        eye = np.eye(2)[None].repeat(3, axis=0)
+        assert _validated(eye.astype(complex)).dtype == np.complex128
+        assert _validated(eye.astype(np.complex64)).dtype == np.complex128
+        assert _validated(eye).dtype == np.float64
+        assert _validated(eye.astype(np.float32)).dtype == np.float64
+        assert _validated(eye.astype(int)).dtype == np.float64
+        assert _validated(eye.tolist()).dtype == np.float64
+
+    def test_real_arithmetic_keeps_the_determinant_message(self):
+        mats = diag_chain(10.0, 5)
+        mats[2] *= 2.0
+        for m in (mats.real.copy(), mats):
+            with pytest.raises(NotUnimodular,
+                               match=r"^matrix 2 has det \(4\+0j\), not 1"):
+                ap_check(m)

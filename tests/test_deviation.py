@@ -19,6 +19,7 @@ from cocyclelab.deviation import (
     FourierReport,
     MeasureEstimate,
     Profile,
+    _shift_diffs,
     cdt_empirical,
     coeffs_to_csv,
     fourier_coeffs,
@@ -29,6 +30,7 @@ from cocyclelab.deviation import (
     shift_drift_empirical,
 )
 from cocyclelab.errors import AllSamplesSingular, IdenticallyZero, ScanTooLarge
+from cocyclelab.lyapunov import sample_log_norms
 from cocyclelab.torus import Frequency
 
 GOLDEN = 0.6180339887
@@ -215,6 +217,39 @@ class TestShiftDrift:
     def test_exponent_validated(self):
         with pytest.raises(ValueError):
             shift_drift_empirical(amo_cocycle(), 10, 1.5, 64)
+
+
+# det A(x) = cos(2 pi x) + 0.3, so renormalize(A, floor) kills the nodes
+# whose orbit meets |det| < floor.
+def _excising(omega, floor=0.5):
+    a = TrigPoly.cosine((1,), 1.0) + TrigPoly.constant(1, 0.3)
+    e11 = TrigPoly.constant(1, 0.4) - TrigPoly.cosine((1,), 3.0)
+    A = TrigPolyMatrix(e11, TrigPoly.constant(1, -1.0), a,
+                       TrigPoly(1, {}), rho=0.5)
+    return Cocycle(renormalize(A, floor=floor), omega)
+
+
+class TestShiftDiffs:
+    @pytest.mark.parametrize("M, N, a", [(64, 3, 0.1), (512, 4, 0.37),
+                                         (1024, 2, 0.01)])
+    def test_one_batch_equals_two_separate_calls(self, M, N, a):
+        C = _excising(Frequency((0.05,)), floor=0.2)
+        X = dyadic_grid(1, M)
+        a = np.array([a])
+        (base,), (u0,) = sample_log_norms(C, [N], X)
+        (shifted,), (u1,) = sample_log_norms(C, [N], (X + a) % 1.0)
+        keep = ~(u0 | u1)
+        # some pairs survive, and some are dropped by one orbit only
+        assert keep.any() and (u0 != u1).any()
+        want = np.abs(base[keep] - shifted[keep])
+        assert _shift_diffs(C, N, M, a, False).tobytes() == want.tobytes()
+
+    def test_every_node_underflowed(self):
+        tiny = TrigPolyMatrix.constant(1, [[1e-305, 0], [0, 1e-305]])
+        C = Cocycle(tiny, Frequency((GOLDEN,)))
+        with pytest.raises(AllSamplesSingular,
+                           match="^all 16 nodes underflowed at N=2$"):
+            _shift_diffs(C, 2, 8, np.array([0.1]), False)
 
 
 class TestLojasiewicz:

@@ -198,6 +198,18 @@ class TestFrequency:
         with pytest.raises(ValueError, match="must be finite"):
             Frequency([0.5, c])
 
+    @pytest.mark.parametrize("comps, want", [
+        ([-1e-20], (0.0,)),
+        ([-1e-300, 0.5], (0.0, 0.5)),
+        ([-5e-324], (0.0,)),
+        ([-2.0**-54], (0.0,)),           # 1 - 2^-54 ties to even, 1.0
+        ([-2.0**-53], (1.0 - 2.0**-53,)),
+    ])
+    def test_a_residue_that_rounds_to_one_is_zero(self, comps, want):
+        got = Frequency(comps).components
+        assert got == want
+        assert all(0.0 <= c < 1.0 for c in got)
+
 
 class TestFreqNorm:
     def test_both_components_integral(self):
