@@ -78,6 +78,7 @@ from .deviation import (
     MeasureEstimate,
     Profile,
     cdt_empirical,
+    cdt_empirical_many,
     fourier_coeffs,
     l2_uniform_check,
     ldt_empirical,

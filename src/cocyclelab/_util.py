@@ -60,7 +60,8 @@ BLOCK_ROWS = 4096
 # 2-core host, the orbit-long benchmark experiments run in a fresh process
 # (seeds 1-3, ru_maxrss after each) ended at 40.2-40.3 MB with 1024, as
 # with no look-ahead (a budget of 1), but at 40.3-40.4 MB with 2048 and
-# 40.7-40.9 MB with 4096.
+# 40.7-40.9 MB with 4096. The avalanche blocks take their norms and logs
+# this many matrices at a time, for the same small temporaries.
 LOOKAHEAD_ROWS = 1024
 
 
@@ -273,25 +274,50 @@ class PairwiseSum:
 
 
 def pairwise_total(values) -> float:
-    """Sum a 1-D array by strict binary trees over power-of-two blocks.
+    """Sum a 1-D array by strict binary trees over power-of-two blocks: the
+    one-segment case of pairwise_totals.
 
     Equal inputs of length 2^k sum to exactly 2^k times the element, so means
     of constant arrays are exact whenever the length is a power of two. The
     reduction order is fixed, independent of any threading above it.
     """
     a = np.asarray(values, dtype=np.float64).ravel()
-    total = None
-    i = 0
-    n = a.size
-    while i < n:
-        k = 1 << ((n - i).bit_length() - 1)
-        block = a[i:i + k]
-        while block.size > 1:
-            block = block[0::2] + block[1::2]
-        part = float(block[0])
-        total = part if total is None else total + part
-        i += k
-    return 0.0 if total is None else total
+    return float(pairwise_totals(a, [0], [a.size])[0])
+
+
+def pairwise_totals(values, starts, lengths) -> np.ndarray:
+    """The pairwise total of each segment values[s:s + n], for s, n in
+    zip(starts, lengths), as a float64 array; an empty segment totals 0.
+
+    A segment of length n is cut, left to right, into power-of-two blocks
+    by the binary digits of n from the highest down. Each block is summed
+    by a strict binary tree (pairs of neighbours, then pairs of those), and
+    the block sums are joined left to right. The blocks of one size are
+    summed together for every segment that has one, so the numpy calls
+    grow with the bits of the longest segment, not with the segments.
+    """
+    a = np.asarray(values, dtype=np.float64).ravel()
+    starts = np.asarray(starts, dtype=np.intp)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    total = np.zeros(lengths.size)
+    sizes = int(np.bitwise_or.reduce(lengths, initial=0))
+    for k in range(sizes.bit_length() - 1, -1, -1):
+        size = 1 << k
+        if not sizes & size:
+            continue
+        seg = np.flatnonzero(lengths & size)
+        ahead = lengths[seg] >> (k + 1) << (k + 1)   # the larger blocks
+        at = starts[seg] + ahead
+        if seg.size == 1:
+            block = a[at[0]:at[0] + size][None]
+        else:
+            block = np.lib.stride_tricks.sliding_window_view(a, size)[at]
+        while block.shape[1] > 1:
+            block = block[:, 0::2] + block[:, 1::2]
+        # where(...), not 0 + part: a first part of -0.0 keeps its sign
+        total[seg] = np.where(ahead == 0, block[:, 0],
+                              total[seg] + block[:, 0])
+    return total
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -63,7 +63,7 @@ from .cocycle import (
     schrodinger,
 )
 from .deviation import (
-    cdt_empirical,
+    cdt_empirical_many,
     fourier_coeffs,
     l2_uniform_check,
     ldt_empirical,
@@ -340,12 +340,12 @@ def _run_ldt(inp: Inputs):
 def _run_cdt(inp: Inputs):
     p = inp.p
     M = int(p["M"])
-    ests = [cdt_empirical(inp.C, int(p["N"]), [float(v) for v in a],
-                          float(p["kappa"]), M,
-                          C_const=float(p.get("C", 1.0)),
-                          renormalize_first=bool(
-                              p.get("renormalize_first", True)))
-            for a in p["shifts"]]
+    ests = cdt_empirical_many(inp.C, int(p["N"]),
+                              [[float(v) for v in a] for a in p["shifts"]],
+                              float(p["kappa"]), M,
+                              C_const=float(p.get("C", 1.0)),
+                              renormalize_first=bool(
+                                  p.get("renormalize_first", True)))
     rows = ((e.parameters["a_norm"], e.measured_fraction, e.threshold,
              e.predicted_bound) for e in ests)
     payload = {"N": int(p["N"]), "M": M, "kappa": float(p["kappa"]),

@@ -12,6 +12,7 @@ that the statistics concern the unit-determinant representative.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -29,20 +30,36 @@ from .torus import dist_to_Z
 SENTINEL = -math.inf
 
 
-def _shift_diffs(C: Cocycle, N: int, M: int, a: np.ndarray,
-                 renormalize_first: bool) -> np.ndarray:
-    """|L_N(x) - L_N(x + a)| over the grid nodes x where neither orbit
-    underflowed; raises AllSamplesSingular when there is no such node."""
+def _shift_diffs(C: Cocycle, N: int, M: int, shifts,
+                 renormalize_first: bool) -> List[np.ndarray]:
+    """|L_N(x) - L_N(x + a)| for each shift a, over the grid nodes x where
+    neither orbit underflowed; raises AllSamplesSingular for the first
+    shift, in order, with no such node.
+
+    The grid and each shifted grid run one orbit per node, two grids (2m
+    rows) per batch: the grid with the first shift, then the other shifts
+    in pairs. Each node's orbit is independent of the rest of its batch, so
+    its bits are those of separate calls. A batch whose 2m orbits all
+    underflowed raises sample_log_norms's "all 2m nodes" message.
+    """
     X = dyadic_grid(C.d, M)
     m = X.shape[0]
-    # one batch of both grids: each node's orbit is independent of the rest
-    # of the batch, so its bits are those of two separate calls
-    (L,), (under,) = sample_log_norms(
-        C, [N], np.concatenate([X, (X + a) % 1.0]), renormalize_first)
-    keep = ~(under[:m] | under[m:])
-    if not keep.any():
-        raise AllSamplesSingular(f"all {m} node pairs underflowed at N={N}")
-    return np.abs(L[:m][keep] - L[m:][keep])
+    grids = itertools.chain([X], ((X + a) % 1.0 for a in shifts))
+    base = None
+    diffs = []
+    while batch := list(itertools.islice(grids, 2)):
+        (L,), (under,) = sample_log_norms(C, [N], np.concatenate(batch),
+                                          renormalize_first)
+        for i in range(0, len(L), m):
+            if base is None:
+                base = L[:m], under[:m]
+                continue
+            keep = ~(base[1] | under[i:i + m])
+            if not keep.any():
+                raise AllSamplesSingular(
+                    f"all {m} node pairs underflowed at N={N}")
+            diffs.append(np.abs(base[0][keep] - L[i:i + m][keep]))
+    return diffs
 
 
 @dataclass
@@ -193,15 +210,28 @@ def cdt_empirical(C: Cocycle, N: int, a, kappa: float, M: int,
     functional form of the bound is reported with the caller's constant; when
     it exceeds 1 the estimate is flagged vacuous but still computed.
     """
-    a = np.asarray(a, dtype=float).reshape(-1)
-    diffs = _shift_diffs(C, N, M, a, renormalize_first)
-    frac = float(np.count_nonzero(diffs > kappa)) / diffs.size
-    a_norm = float(np.sum(dist_to_Z(a)))
-    bound = C_const * kappa ** (-3.0) * a_norm if kappa > 0 else math.inf
-    return MeasureEstimate(
-        threshold=kappa, measured_fraction=frac, predicted_bound=bound,
-        parameters={"N": N, "M": M, "a_norm": a_norm, "C": C_const,
-                    "vacuous": float(bound >= 1.0)})
+    return cdt_empirical_many(C, N, [a], kappa, M, C_const,
+                              renormalize_first)[0]
+
+
+def cdt_empirical_many(C: Cocycle, N: int, shifts, kappa: float, M: int,
+                       C_const: float = 1.0,
+                       renormalize_first: bool = True) -> List[MeasureEstimate]:
+    """cdt_empirical for each shift a in shifts, in order, with the grid's
+    orbits run once for all of them: (1 + len(shifts)) m orbits on m nodes.
+    Each estimate is bit for bit the one cdt_empirical gives."""
+    shifts = [np.asarray(a, dtype=float).reshape(-1) for a in shifts]
+    out = []
+    for a, diffs in zip(shifts, _shift_diffs(C, N, M, shifts,
+                                              renormalize_first)):
+        frac = float(np.count_nonzero(diffs > kappa)) / diffs.size
+        a_norm = float(np.sum(dist_to_Z(a)))
+        bound = C_const * kappa ** (-3.0) * a_norm if kappa > 0 else math.inf
+        out.append(MeasureEstimate(
+            threshold=kappa, measured_fraction=frac, predicted_bound=bound,
+            parameters={"N": N, "M": M, "a_norm": a_norm, "C": C_const,
+                        "vacuous": float(bound >= 1.0)}))
+    return out
 
 
 def shift_drift_empirical(C: Cocycle, N: int, a_exponent: float, M: int,
@@ -213,7 +243,8 @@ def shift_drift_empirical(C: Cocycle, N: int, a_exponent: float, M: int,
     """
     if not (0.0 < a_exponent < 1.0):
         raise ValueError("a_exponent must lie in (0, 1)")
-    diffs = _shift_diffs(C, N, M, C.omega.as_array(), renormalize_first)
+    (diffs,) = _shift_diffs(C, N, M, [C.omega.as_array()],
+                            renormalize_first)
     thresh = C_const * N ** (-a_exponent)
     frac = float(np.count_nonzero(diffs > thresh)) / diffs.size
     return MeasureEstimate(

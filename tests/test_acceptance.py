@@ -22,7 +22,7 @@ from cocyclelab.cocycle import (
     schrodinger,
 )
 from cocyclelab.deviation import (
-    cdt_empirical,
+    cdt_empirical_many,
     fourier_coeffs,
     l2_uniform_check,
     ldt_empirical,
@@ -176,8 +176,9 @@ def test_criterion_7_deviation_suite():
     ok_ldt = all(a <= b for a, b in zip(fr, fr[1:]))
 
     shifts = [5e-4 / 2 ** j for j in range(4)]
-    cf = [cdt_empirical(ca, 500, [a], 0.005, 4096).measured_fraction
-          for a in shifts]
+    cf = [e.measured_fraction
+          for e in cdt_empirical_many(ca, 500, [[a] for a in shifts], 0.005,
+                                      4096)]
     ratios = [b / a for a, b in zip(cf, cf[1:])]
     ok_cdt = all(0.25 <= r <= 0.75 for r in ratios)
 

@@ -6,8 +6,12 @@ import pytest
 from cocyclelab import avalanche
 from cocyclelab.avalanche import (
     AP_BLOCK,
-    _chain_terms,
-    _report,
+    AP_BLOCK_MATRICES,
+    APReport,
+    _block,
+    _block_reports,
+    _norm_terms,
+    _product_logs,
     _validated,
     ap_check,
     ap_consequence_check,
@@ -16,7 +20,7 @@ from cocyclelab.avalanche import (
     ensemble_to_csv,
     random_hyperbolic_chain,
 )
-from cocyclelab._util import op_norm_2x2, to_json_text
+from cocyclelab._util import op_norm_2x2, pairwise_total, to_json_text
 from cocyclelab.cocycle import (
     Cocycle,
     TrigPolyMatrix,
@@ -262,6 +266,47 @@ def reference_chain_terms(matrices):
     return n, v, w, logs
 
 
+def _report(terms: tuple, variant: bool, C: float) -> APReport:
+    """One chain's report: the all-j form if variant, else the interior.
+
+    The per-chain report builder that the block reports replaced, kept
+    verbatim as the reference."""
+    n, v, w, logs = terms
+    mu = float(np.exp(np.min(v)))
+    # The telescoped grouping [chain - sum ln||A_j||] - [sum of gaps] equals
+    # ln||P|| + (middle sums) - (pair sums) exactly in real arithmetic, and
+    # cancels bitwise for identical chains where the naive three-term sum
+    # leaves rounding residue.
+    gaps = w - v[:-1] - v[1:]
+    signed = (pairwise_total(logs) - pairwise_total(v)) - pairwise_total(gaps)
+    max_gap = float(np.max(np.abs(gaps)))
+    gap_ok = bool(max_gap <= 0.5 * math.log(mu))
+    if not variant:
+        return APReport(
+            kind="interior", n=n, mu=mu, C=C,
+            hypothesis_min_norm_ok=bool(mu > n), hypothesis_gap_ok=gap_ok,
+            max_gap=max_gap, residual=abs(signed), bound=C * n / mu)
+    # all-j middle sum = interior grouping + the two boundary terms
+    signed = signed + v[0] + v[n - 1]
+    window_ok = bool(mu > math.e and float(np.max(v)) < C * math.log(mu))
+    return APReport(
+        kind="all-j", n=n, mu=mu, C=C,
+        hypothesis_min_norm_ok=window_ok, hypothesis_gap_ok=gap_ok,
+        max_gap=max_gap, residual=abs(signed),
+        bound=n / mu ** (1.0 / 3.0) + 4.0 * C * math.log(mu))
+
+
+def _chain_terms(chains):
+    """(n, v, w, logs) for each chain, in input order, from one block of
+    all of them."""
+    ns, E = _block(chains)
+    starts = np.cumsum(ns) - ns
+    v, w = _norm_terms(E, int(ns.sum()))
+    logs = _product_logs(ns, starts, E)
+    return [(n, v[a:a + n], w[a:a + n - 1], logs[a:a + n])
+            for n, a in zip(ns.tolist(), starts.tolist())]
+
+
 def reference_ensemble(chains, seed, mu=1e3, n_max=100, variant=False):
     rng = np.random.default_rng(seed)
     reports = []
@@ -366,16 +411,20 @@ class TestBatchedChainTerms:
     def test_matrix_cap_closes_blocks_early(self, monkeypatch):
         blocks = []
 
-        def recording(chains):
-            blocks.append([len(m) for m in chains])
-            return _chain_terms(chains)
+        def recording(ns, E, variant, C):
+            blocks.append(ns.tolist())
+            return _block_reports(ns, E, variant, C)
 
         monkeypatch.setattr(avalanche, "AP_BLOCK_MATRICES", 300)
-        monkeypatch.setattr(avalanche, "_chain_terms", recording)
+        monkeypatch.setattr(avalanche, "_block_reports", recording)
         res = ap_ensemble(40, seed=2, variant=True)
-        assert sum(len(b) for b in blocks) == 40 and len(blocks) > 2
-        for b in blocks[:-1]:
-            assert sum(b) >= 300 > sum(b[:-1])
+        lengths = [n for b in blocks for n in b]
+        assert len(lengths) == 40 and len(blocks) > 2
+        # a block holds at most 300 matrices: the chain that would overflow
+        # it starts the next one
+        for b, after in zip(blocks, blocks[1:]):
+            assert sum(b) <= 300 < sum(b) + after[0]
+        assert sum(blocks[-1]) <= 300
         reports, _, _ = reference_ensemble(40, 2, variant=True)
         assert [to_json_text(r) for r in res.reports] == \
             [to_json_text(r) for r in reports]
@@ -459,3 +508,132 @@ class TestRealArithmetic:
             with pytest.raises(NotUnimodular,
                                match=r"^matrix 2 has det \(4\+0j\), not 1"):
                 ap_check(m)
+
+
+# ---------------------------------------------------------------------------
+# Block reports: one pass per block, whatever the blocks
+# ---------------------------------------------------------------------------
+
+# (AP_BLOCK, AP_BLOCK_MATRICES): blocks of at most n_max matrices (one
+# chain at n_max 3), of at most max(7, n_max), the caps before block
+# reports, the current caps, and one block for the whole ensemble
+CAPS = {"tight": (1, 1), "seven-matrices": (AP_BLOCK, 7),
+        "previous": (64, 1 << 16), "current": (AP_BLOCK, AP_BLOCK_MATRICES),
+        "unbounded": (10**9, 10**9)}
+CHAINS_AT = {3: 200, 100: 120, 1000: 12}
+
+
+def _ensemble_bytes(chains, seed, n_max, variant):
+    res = ap_ensemble(chains, seed=seed, n_max=n_max, variant=variant)
+    return ([to_json_text(r) for r in res.reports],
+            np.float64(res.worst_ratio).tobytes(), res.all_within)
+
+
+@pytest.mark.parametrize("n_max", sorted(CHAINS_AT))
+@pytest.mark.parametrize("seed", [0, 1, 11])
+@pytest.mark.parametrize("variant", [False, True], ids=["interior", "all-j"])
+def test_real_arithmetic_ensemble_does_not_depend_on_the_blocks(
+        variant, seed, n_max, monkeypatch):
+    chains = CHAINS_AT[n_max]
+    results = {}
+    for name, (block, matrices) in CAPS.items():
+        monkeypatch.setattr(avalanche, "AP_BLOCK", block)
+        monkeypatch.setattr(avalanche, "AP_BLOCK_MATRICES", matrices)
+        results[name] = _ensemble_bytes(chains, seed, n_max, variant)
+    first = results.pop("tight")
+    for name, got in results.items():
+        assert got == first, name
+
+
+WINDOW = 101.0 / 99.0
+
+
+def _reference_reports(chains, reference, variant):
+    C = WINDOW if variant else 10.0
+    return [to_json_text(_report(reference(m), variant, C)) for m in chains]
+
+
+@pytest.mark.parametrize("variant", [False, True], ids=["interior", "all-j"])
+@pytest.mark.parametrize("count", [1, 2, 65])
+def test_real_arithmetic_block_reports_equal_chain_reports(count, variant):
+    C = WINDOW if variant else 10.0
+    for mu in (1e3, 1e40):
+        rng = np.random.default_rng(count)
+        chains = [random_hyperbolic_chain(rng, int(rng.integers(3, 101)), mu)
+                  for _ in range(count)]
+        got = [to_json_text(r)
+               for r in _block_reports(*_block(chains), variant, C)]
+        assert got == _reference_reports(chains, reference_chain_terms,
+                                         variant)
+
+
+@pytest.mark.parametrize("variant", [False, True], ids=["interior", "all-j"])
+@pytest.mark.parametrize("count", [1, 2, 65])
+def test_real_arithmetic_complex_block_reports_equal_chain_reports(count,
+                                                                   variant):
+    C = WINDOW if variant else 10.0
+    chains = complex_sl2_chains(count, seed=300 + count)
+    got = [to_json_text(r)
+           for r in _block_reports(*_block(chains), variant, C)]
+    assert got == _reference_reports(chains, kernel_order_chain_terms,
+                                     variant)
+    # one chain at a time through the public checks, too
+    check = ap_variant_check if variant else ap_check
+    assert [to_json_text(check(m)) for m in chains] == got
+
+
+def test_block_names_the_bad_matrix_within_its_chain():
+    chains = [diag_chain(10.0, 5), diag_chain(10.0, 6), diag_chain(10.0, 4)]
+    chains[1][4] *= 1.5
+    chains[2][0] *= 2.0
+    with pytest.raises(NotUnimodular, match="^matrix 4 has det"):
+        _block_reports(*_block(chains), False, 10.0)
+
+
+# ---------------------------------------------------------------------------
+# Memory: tracemalloc peaks of the benchmark's ensembles and a long one
+# ---------------------------------------------------------------------------
+
+def _traced_peak(fn):
+    import tracemalloc
+    fn()   # lazy imports and caches first
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_budget_of_the_benchmark_ensembles():
+    def run():
+        ap_ensemble(600, seed=1, n_max=100)
+        ap_ensemble(300, seed=1, n_max=100, variant=True)
+    # MiB; 0.82 with blocks of 64 chains, which took 15 blocks, not 3
+    assert _traced_peak(run) <= 1.35
+
+
+def test_memory_budget_of_a_long_ensemble():
+    # 6.7 MiB with blocks of 64 chains
+    assert _traced_peak(lambda: ap_ensemble(300, seed=1, n_max=1000)) <= 5.5
+
+
+# ---------------------------------------------------------------------------
+# Named guards
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"chains": 0}, "^chains must be at least 1, got 0$"),
+    ({"chains": -3}, "^chains must be at least 1, got -3$"),
+    ({"chains": 5, "n_max": 2}, "^n_max must be at least 3, got 2$"),
+    ({"chains": 5, "mu": 1.0}, "^mu must exceed 1, got 1.0$"),
+    ({"chains": 5, "mu": 0.5}, "^mu must exceed 1, got 0.5$"),
+    ({"chains": 5, "mu": math.nan}, "^mu must exceed 1, got nan$"),
+])
+def test_ensemble_guards_name_the_parameter(kwargs, message, monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("drew before the guard")
+
+    monkeypatch.setattr(avalanche.np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=message):
+        ap_ensemble(**kwargs)

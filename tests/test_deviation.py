@@ -21,6 +21,7 @@ from cocyclelab.deviation import (
     Profile,
     _shift_diffs,
     cdt_empirical,
+    cdt_empirical_many,
     coeffs_to_csv,
     fourier_coeffs,
     l2_uniform_check,
@@ -242,14 +243,23 @@ class TestShiftDiffs:
         # some pairs survive, and some are dropped by one orbit only
         assert keep.any() and (u0 != u1).any()
         want = np.abs(base[keep] - shifted[keep])
-        assert _shift_diffs(C, N, M, a, False).tobytes() == want.tobytes()
+        assert _shift_diffs(C, N, M, [a], False)[0].tobytes() == \
+            want.tobytes()
 
     def test_every_node_underflowed(self):
         tiny = TrigPolyMatrix.constant(1, [[1e-305, 0], [0, 1e-305]])
         C = Cocycle(tiny, Frequency((GOLDEN,)))
         with pytest.raises(AllSamplesSingular,
                            match="^all 16 nodes underflowed at N=2$"):
-            _shift_diffs(C, 2, 8, np.array([0.1]), False)
+            _shift_diffs(C, 2, 8, [np.array([0.1])], False)
+
+    def test_many_shifts_report_the_first_failing_shift(self):
+        tiny = TrigPolyMatrix.constant(1, [[1e-305, 0], [0, 1e-305]])
+        C = Cocycle(tiny, Frequency((GOLDEN,)))
+        with pytest.raises(AllSamplesSingular,
+                           match="^all 16 nodes underflowed at N=2$"):
+            cdt_empirical_many(C, 2, [[0.1], [0.2], [0.3]], 0.1, 8,
+                               renormalize_first=False)
 
 
 class TestLojasiewicz:

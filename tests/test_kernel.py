@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cocyclelab import _util
+from cocyclelab import _util, deviation, lyapunov
 from cocyclelab._util import (
     MAX_NODES,
     UNDERFLOW_FLOOR,
@@ -803,3 +803,91 @@ def test_grid_guard_messages():
     with pytest.raises(ScanTooLarge,
                        match=f"^{M ** 2} quadrature nodes exceeds guard {MAX_NODES}$"):
         QuadratureSpec(points_per_dim=M).nodes(2)
+
+
+# ---------------------------------------------------------------------------
+# Segmented pairwise sums
+# ---------------------------------------------------------------------------
+
+def ref_pairwise_total(values) -> float:
+    """pairwise_total as it was before the segmented form, kept verbatim
+    apart from its name as the byte reference."""
+    a = np.asarray(values, dtype=np.float64).ravel()
+    total = None
+    i = 0
+    n = a.size
+    while i < n:
+        k = 1 << ((n - i).bit_length() - 1)
+        block = a[i:i + k]
+        while block.size > 1:
+            block = block[0::2] + block[1::2]
+        part = float(block[0])
+        total = part if total is None else total + part
+        i += k
+    return 0.0 if total is None else total
+
+
+_SEGMENT_LENGTHS = sorted({0, 1, 2, 3, 5, 7}
+                          | {(1 << k) + e for k in range(2, 8)
+                             for e in (-1, 0, 1)})
+
+
+@given(st.lists(st.sampled_from(_SEGMENT_LENGTHS), min_size=1, max_size=12),
+       st.integers(0, 2**32 - 1), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_real_arithmetic_pairwise_totals_per_segment(lengths, seed, pad):
+    """Adjacent segments, with pad unused values on either side, sum as
+    each segment alone does, bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = sum(lengths)
+    a = rng.standard_normal(n + 2 * pad) * 10.0 ** rng.integers(-8, 9, n + 2 * pad)
+    starts = pad + np.cumsum(lengths) - lengths
+    got = _util.pairwise_totals(a, starts, lengths)
+    assert got.dtype == np.float64 and got.shape == (len(lengths),)
+    for s, k, total in zip(starts.tolist(), lengths, got.tolist()):
+        seg = a[s:s + k]
+        want = ref_pairwise_total(seg)
+        assert np.float64(total).tobytes() == np.float64(want).tobytes()
+        assert np.float64(_util.pairwise_total(seg)).tobytes() == \
+            np.float64(want).tobytes()
+
+
+def test_real_arithmetic_pairwise_totals_keep_a_negative_zero():
+    a = np.array([-0.0, 1.0, -0.0, -0.0, -0.0])
+    got = _util.pairwise_totals(a, [0, 2, 4], [1, 2, 1])
+    assert got.tobytes() == np.array([-0.0, -0.0, -0.0]).tobytes()
+    assert _util.pairwise_totals(a, [1], [0]).tolist() == [0.0]
+
+
+# ---------------------------------------------------------------------------
+# cdt: one run of the base grid serves every shift
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_real_arithmetic_cdt_many_shifts_equal_separate_calls(count,
+                                                             monkeypatch):
+    C = _excising(Frequency((0.05,)), floor=0.2)
+    M, N = 512, 4
+    # 0.5 maps the grid onto itself; the others move every orbit off it
+    shifts = [[0.1], [0.5], [0.01], [0.37]][:count]
+    rows = []
+
+    def counting(C, N, X, at):
+        rows.append(X.shape[0])
+        return iterate_log_norm_many(C, N, X, at=at)
+
+    monkeypatch.setattr(lyapunov, "iterate_log_norm_many", counting)
+    many = deviation.cdt_empirical_many(C, N, shifts, 0.01, M,
+                                        renormalize_first=False)
+    # the grid and each shifted grid once, at most two grids a batch
+    assert sum(rows) == (1 + count) * M and max(rows) <= 2 * M
+    monkeypatch.undo()
+    X = dyadic_grid(1, M)
+    (_, u0) = iterate_log_norm_many(C, N, X)
+    for a, est in zip(shifts, many):
+        (_, u1) = iterate_log_norm_many(C, N, (X + a) % 1.0)
+        # some node pairs are dropped, by one orbit or by both
+        assert (u0 | u1).any() and not (u0 | u1).all()
+        alone = deviation.cdt_empirical(C, N, a, 0.01, M,
+                                        renormalize_first=False)
+        assert _util.to_json_text(est) == _util.to_json_text(alone)
