@@ -15,7 +15,8 @@ from .errors import ScanTooLarge
 # Norm floor below which a running product counts as underflowed.
 UNDERFLOW_FLOOR = 1e-300
 
-# Memory guard for explicit node sets.
+# Memory guard for explicit node sets and for the matrices of an avalanche
+# ensemble.
 MAX_NODES = 1 << 22
 
 _max_workers = 1

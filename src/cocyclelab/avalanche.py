@@ -23,10 +23,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ._util import (LOOKAHEAD_ROWS, csv_text, det_2x2, op_norm_2x2,
-                    pairwise_totals, step_2x2)
+from ._util import (LOOKAHEAD_ROWS, MAX_NODES, csv_text, det_2x2,
+                    op_norm_2x2, pairwise_totals, step_2x2)
 from .cocycle import Cocycle, iterate_log_norm, iterate_log_norm_many
-from .errors import ChainTooShort, NotDivisible, NotUnimodular
+from .errors import ChainTooShort, NotDivisible, NotUnimodular, ScanTooLarge
 
 DET_TOL = 1e-9
 # The default constants of the two checks: C of the interior bound C n / mu,
@@ -399,7 +399,10 @@ def ap_ensemble(chains: int, seed: int = 0, mu: float = 1e3,
     with room for min(AP_BLOCK * n_max, AP_BLOCK_MATRICES) matrices (at
     least n_max, and no more than the chains need); a chain that would
     overflow it starts the next block. Each block's reports come from one
-    _block_reports pass. chains, n_max and mu are checked before any draw.
+    _block_reports pass. chains, n_max and mu are checked before any draw:
+    mu must exceed 1 and keep 2 mu^(2 WINDOW_EXPONENT), the scale of a pair
+    product's norm terms, finite (mu below about 8.47e150), and
+    chains * n_max may not exceed _util.MAX_NODES matrices (ScanTooLarge).
     """
     if chains < 1:
         raise ValueError(f"chains must be at least 1, got {chains}")
@@ -407,6 +410,14 @@ def ap_ensemble(chains: int, seed: int = 0, mu: float = 1e3,
         raise ValueError(f"n_max must be at least 3, got {n_max}")
     if not mu > 1.0:
         raise ValueError(f"mu must exceed 1, got {mu}")
+    with np.errstate(over="ignore"):
+        top = 2.0 * np.float64(mu) ** (2 * WINDOW_EXPONENT)
+    if not np.isfinite(top):
+        raise ValueError(f"mu must keep 2 mu^(2 WINDOW_EXPONENT) finite "
+                         f"(mu below about 8.47e150), got {mu}")
+    if chains * n_max > MAX_NODES:
+        raise ScanTooLarge(f"{chains} chains of up to {n_max} matrices exceed "
+                           f"the guard of {MAX_NODES} matrices")
     rng = np.random.default_rng(seed)
     C = WINDOW_EXPONENT if variant else INTERIOR_C
     cap = min(chains * n_max,

@@ -6,7 +6,9 @@ class CocycleLabError(Exception):
 
 
 class ScanTooLarge(CocycleLabError):
-    """A lattice scan would exceed the scan guard (K**d > 1e9)."""
+    """A computation would exceed its size guard: a lattice scan with
+    K**d > 1e9, or a quadrature grid or avalanche ensemble past
+    _util.MAX_NODES nodes or matrices."""
 
 
 class NotCoprime(CocycleLabError):

@@ -6,11 +6,14 @@ pure function of its inputs; scans are deterministic regardless of chunking.
 
 The scans read each omega_j as the dyadic rational its double holds and
 compare integer residues of k . omega mod 1, so their minima are exact:
-continued-fraction convergents for d=1 (O(log K)), and for d >= 2 a scan of
-the canonical half-space that binary-searches the sorted residues of the
-last coordinate, about K^(d-1) log K work instead of K^d. The tie rules and
-the guard on K**d are those of a visit to every lattice point. freq_norm
-and dist_to_Z stay in floating point.
+continued-fraction convergents for d=1 (O(log K)), and for d >= 2 one walk
+over the canonical half-space, its outer coordinates (all but the last) in
+lexicographic order a fixed number at a time, that binary-searches the
+sorted residues of the last coordinate: about K^(d-1) log K work instead of
+K^d. Residues are uint64 or, past 64 bits, Python ints; the modulus is a
+power of two, so masking reduces both kinds alike. The tie rules and the
+guard on K**d are those of a visit to every lattice point. freq_norm and
+dist_to_Z stay in floating point.
 """
 from __future__ import annotations
 
@@ -146,46 +149,33 @@ def _convergent_scan(m: int, modulus: int, K: int, floor: int) -> tuple:
     return best
 
 
-def _times(v: np.ndarray, m: int, modulus: int) -> np.ndarray:
-    """v * m mod modulus for an int64 array v: uint64 when modulus is 2^64
-    (the product wraps mod 2^64 by itself), Python ints otherwise."""
+def _residues(values: np.ndarray, m: int, modulus: int) -> np.ndarray:
+    """values * m mod modulus for an int64 array: uint64 when modulus is 2^64
+    (the product wraps mod 2^64 by itself), Python ints otherwise.
+
+    Every later sum, difference or negation of residues is reduced with
+    & (modulus - 1), which is exact for both kinds since modulus is a power
+    of two.
+    """
     if modulus == 1 << WORD:
-        return v.astype(np.uint64) * np.uint64(m)
-    return np.array([int(x) * m % modulus for x in v], dtype=object)
+        return values.astype(np.uint64) * np.uint64(m)
+    return np.array([int(v) * m % modulus for v in values], dtype=object)
 
 
-def _plus(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
-    """a + b mod modulus for residue arrays of one kind (broadcasting)."""
-    total = a + b
-    return total if total.dtype == np.uint64 else total % modulus
-
-
-def _minus(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
-    """a - b mod modulus for residue arrays of one kind (broadcasting)."""
-    diff = a - b
-    return diff if diff.dtype == np.uint64 else diff % modulus
-
-
-def _fold(r: np.ndarray, modulus: int) -> np.ndarray:
-    """min(r, modulus - r) elementwise: modulus times the distance to Z."""
-    neg = -r if r.dtype == np.uint64 else (modulus - r) % modulus
-    return np.minimum(r, neg)
-
-
-def _box_residues(ms: Sequence[int], K: int, modulus: int) -> tuple:
-    """Residues k . m mod modulus and max-norms over the box [-K, K]^len(ms),
-    flattened in lexicographic order."""
-    side = np.arange(-K, K + 1, dtype=np.int64)
-    res = _times(np.zeros(1, dtype=np.int64), 0, modulus)
-    norm = np.zeros(1, dtype=np.int64)
-    for m in ms:
-        res = _plus(res[:, None], _times(side, m, modulus), modulus).ravel()
-        norm = np.maximum.outer(norm, np.abs(side)).ravel()
-    return res, norm
+def _points(flat: np.ndarray, shape: tuple, K: int) -> tuple:
+    """(coordinates, max-norms) of the points at flat positions of the box
+    with lead 1..K and every later axis in [-K, K], in lexicographic order."""
+    lead, *rest = np.unravel_index(flat, shape)
+    lead += 1
+    norm = lead
+    for c in rest:
+        c -= K
+        norm = np.maximum(norm, np.abs(c))
+    return [lead] + rest, norm
 
 
 def _lattice_scan(ms: Sequence[int], modulus: int, K: int, floor: int,
-                  max_rows: int = 1 << 16) -> tuple:
+                  max_rows: int = 1 << 13) -> tuple:
     """Smallest (max(dist, floor), max-norm, k) over the canonical half-space.
 
     dist is modulus times dist_to_Z(k . omega). The half-space holds the
@@ -194,74 +184,70 @@ def _lattice_scan(ms: Sequence[int], modulus: int, K: int, floor: int,
     (max-norm, lex) within it fixes the result. The lead-zero part recurses
     one dimension down, to the convergent walk at d = 1.
 
-    For lead v >= 1, k = (v, c, u) is an outer prefix (v, c) and a last
+    For lead v >= 1, k = (o, u) is an outer point o = (v, c) and a last
     coordinate u. The residues u m_d for u in [-K, K] are sorted once; they
-    are closed under negation, so the smallest fold of o + u m_d over all u
-    is the circular distance from the outer residue o to its nearer
-    neighbour among them, which a binary search finds. A chunk of outers is
-    skipped when its key, max(smallest such fold, floor), exceeds the best
-    so far. Otherwise only its outers whose nearest fold is at most the key
-    (and, on a tie with the best key, whose max-norm could still win) are
-    expanded against every u, and the first minimum of the max-norm in lex
-    order is taken. That is about K (2K+1)^(d-2) log K work instead of the
-    K (2K+1)^(d-1) of a visit to every point, with the same result; the
-    guard on K**d is unchanged.
+    are closed under negation, so the smallest fold of o . m + u m_d over
+    all u is the circular distance from the outer residue to its nearer
+    neighbour among them, which a binary search finds. The outer points are
+    walked in lexicographic order, max_rows at a time, by their flat
+    position in the box 1..K times [-K, K]^(d-2). A chunk is skipped when its
+    key, max(smallest such fold, floor), exceeds the best so far. Otherwise
+    only its outers whose nearest fold is at most the key (and, on a tie
+    with the best key, whose max-norm could still win) are expanded against
+    every u, and the first minimum of the max-norm by flat position, which
+    is lex order, is taken. That is about K (2K+1)^(d-2) log K work instead
+    of the K (2K+1)^(d-1) of a visit to every point, with the same result;
+    the guard on K**d is unchanged.
 
-    The middle box of c is split into a prefix over its leading axes and
-    the full box over its trailing axes. A chunk is a block of leads times
-    that tail box, an expansion a block of outers times the 2K+1 values of
-    u, and no array holds more than max(max_rows, 2K+1) elements.
+    An expansion takes max(1, max_rows // (2K+1)) outers at a time, so no
+    array holds more than max(max_rows, 2K+1) elements. The default keeps
+    each chunk array at 64 KiB, under glibc's 128 KiB mmap threshold, so the
+    scan's memory is reused rather than mapped afresh for every chunk.
     """
     if len(ms) == 1:
         return _convergent_scan(ms[0], modulus, K, floor)
     dist, norm, k = _lattice_scan(ms[1:], modulus, K, floor, max_rows)
     best = (dist, norm, (0,) + k)
+    mask = modulus - 1
     side = np.arange(-K, K + 1, dtype=np.int64)
-    last = _times(side, ms[-1], modulus)
+    last = _residues(side, ms[-1], modulus)
     ring = np.sort(last)
     # extended by one wrapped element at either end, so that searchsorted
     # slot j of the sorted residues lies between ring[j] and ring[j + 1]
     ring = np.concatenate([ring[-1:], ring, ring[:1]])
-    mid = ms[1:-1]
-    tail = len(mid)
-    while tail > 1 and (2 * K + 1)**tail > max_rows:
-        tail -= 1
-    pre_res, pre_norm = _box_residues(mid[:len(mid) - tail], K, modulus)
-    tail_res, tail_norm = _box_residues(mid[len(mid) - tail:], K, modulus)
-    n = tail_res.size
-    step = max(1, max_rows // n)
+    shape = (K,) + (side.size,) * (len(ms) - 2)
+    axes = [_residues(side[K + 1:], ms[0], modulus)]
+    axes += [_residues(side, m, modulus) for m in ms[1:-1]]
     group = max(1, max_rows // side.size)
-    for i in range(pre_res.size):
-        chunk_res = _plus(tail_res, pre_res[i], modulus)
-        chunk_norm = np.maximum(tail_norm, pre_norm[i])
-        for v0 in range(1, K + 1, step):
-            leads = np.arange(v0, min(K + 1, v0 + step), dtype=np.int64)
-            outer = _plus(_times(leads, ms[0], modulus)[:, None], chunk_res,
-                          modulus).ravel()
-            j = np.searchsorted(ring[1:-1], outer, side="right")
-            near = np.minimum(_minus(outer, ring[j], modulus),
-                              _minus(ring[j + 1], outer, modulus))
-            key = max(int(near.min()), floor)
-            if key > best[0]:
-                continue
-            hit = near <= key
-            if key == best[0]:
-                hit &= np.maximum(leads[:, None], chunk_norm).ravel() <= best[1]
-            hits = np.flatnonzero(hit)
-            for g in range(0, hits.size, group):
-                sel = hits[g:g + group]
-                r = _plus(outer[sel][:, None], last, modulus)
-                io, iu = np.divmod(np.flatnonzero(_fold(r, modulus) <= key),
-                                   side.size)
-                o = sel[io]
-                norms = np.maximum(np.maximum(leads[o // n], chunk_norm[o % n]),
-                                   np.abs(side[iu]))
-                h = int(np.argmin(norms))  # first minimum: lex order in group
-                v, t = divmod(int(o[h]), n)
-                c = np.unravel_index(i * n + t, (2 * K + 1,) * len(mid))
-                best = min(best, (key, int(norms[h]),
-                                  (int(leads[v]),) + tuple(int(x) - K for x in c)
-                                  + (int(side[iu[h]]),)))
+    total = math.prod(shape)
+    for start in range(0, total, max_rows):
+        idx = list(np.unravel_index(
+            np.arange(start, min(total, start + max_rows)), shape))
+        outer = axes[0][idx.pop(0)]
+        for res in axes[1:]:
+            outer = (outer + res[idx.pop(0)]) & mask
+        j = np.searchsorted(ring[1:-1], outer, side="right")
+        near = (outer - ring[j]) & mask
+        near = np.minimum(near, (ring[j + 1] - outer) & mask)
+        del j
+        key = max(int(near.min()), floor)
+        if key > best[0]:
+            continue
+        hits = np.flatnonzero(near <= key) + start
+        del near
+        if key == best[0]:
+            hits = hits[_points(hits, shape, K)[1] <= best[1]]
+        for g in range(0, hits.size, group):
+            sel = hits[g:g + group]
+            r = (outer[sel - start][:, None] + last) & mask
+            io, iu = np.divmod(np.flatnonzero(np.minimum(r, -r & mask) <= key),
+                               side.size)
+            del r
+            coords, norms = _points(sel[io] * side.size + iu,
+                                    shape + (side.size,), K)
+            h = int(np.argmin(norms))  # first minimum: lex order
+            best = min(best, (key, int(norms[h]),
+                              tuple(int(c[h]) for c in coords)))
     return best
 
 
@@ -301,27 +287,31 @@ def rational_dependence(omega: Frequency, K: int, tol: float) -> Optional[tuple]
 # Integer unimodular automorphisms
 # ---------------------------------------------------------------------------
 
-def _int_det(rows: list) -> int:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _int_det(minor)
-    return total
+def _det_inverse(rows: list) -> tuple:
+    """(det, inverse) of a square integer matrix B, the inverse as Fractions.
 
-
-def _adjugate(rows: list) -> list:
-    n = len(rows)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
-            adj[j][i] = (-1) ** (i + j) * _int_det(minor) if n > 1 else 1
-    return adj
+    One exact Gauss-Jordan elimination over Fraction on [B | I], O(d^3)
+    operations; the inverse is None when B is singular.
+    """
+    d = len(rows)
+    aug = [[Fraction(v) for v in r] + [Fraction(int(i == j)) for j in range(d)]
+           for i, r in enumerate(rows)]
+    det = Fraction(1)
+    for c in range(d):
+        p = next((i for i in range(c, d) if aug[i][c] != 0), None)
+        if p is None:
+            return 0, None
+        if p != c:
+            aug[c], aug[p] = aug[p], aug[c]
+            det = -det
+        pivot = aug[c][c]
+        det *= pivot
+        aug[c] = [v / pivot for v in aug[c]]
+        for i in range(d):
+            f = aug[i][c]
+            if i != c and f != 0:
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return int(det), [r[d:] for r in aug]
 
 
 @dataclass(frozen=True)
@@ -335,12 +325,12 @@ class Automorphism:
     def from_entries(cls, entries: Sequence[Sequence[int]]) -> "Automorphism":
         rows = [[int(v) for v in r] for r in entries]
         d = len(rows)
-        if any(len(r) != d for r in rows):
-            raise ValueError("entries must be a square matrix")
-        det = _int_det(rows)
+        if d == 0 or any(len(r) != d for r in rows):
+            raise ValueError("entries must be a nonempty square matrix")
+        det, inv = _det_inverse(rows)
         if det != 1:
             raise NotUnimodular(f"determinant is {det}, need +1")
-        inv = _adjugate(rows)  # det == 1, so the adjugate is the inverse
+        inv = [[int(v) for v in r] for r in inv]  # det == 1: integer entries
         ident = [[sum(rows[i][k] * inv[k][j] for k in range(d)) for j in range(d)]
                  for i in range(d)]
         assert ident == [[int(i == j) for j in range(d)] for i in range(d)]
@@ -419,7 +409,7 @@ def _complete_first_row(k: tuple) -> list:
     if g == 0:
         # prefix all zero, so kd = +-1; basis rows complete it
         rows = [list(k)] + [[int(i == j) for j in range(d)] for i in range(d - 1)]
-        if _int_det(rows) == -1:
+        if _det_inverse(rows)[0] == -1:
             rows[-1] = [-v for v in rows[-1]]
         return rows
     kp = tuple(v // g for v in prefix)
@@ -458,6 +448,6 @@ def build_automorphism(k: Sequence[int]) -> Automorphism:
     rows = _complete_first_row(kt)
     m = max(abs(v) for v in kt)
     assert all(abs(v) <= m for r in rows for v in r), "entry bound violated"
-    det = _int_det(rows)
+    det = _det_inverse(rows)[0]
     assert det == 1, f"internal completion error: det = {det}"
     return Automorphism.from_entries(rows)

@@ -28,7 +28,9 @@ from cocyclelab.cocycle import (
     iterate_log_norm,
     iterate_log_norm_many,
 )
-from cocyclelab.errors import ChainTooShort, NotDivisible, NotUnimodular
+from cocyclelab._util import MAX_NODES
+from cocyclelab.errors import (ChainTooShort, NotDivisible, NotUnimodular,
+                               ScanTooLarge)
 from cocyclelab.torus import Frequency
 
 GOLDEN = 0.6180339887
@@ -637,3 +639,55 @@ def test_ensemble_guards_name_the_parameter(kwargs, message, monkeypatch):
     monkeypatch.setattr(avalanche.np.random, "default_rng", no_draws)
     with pytest.raises(ValueError, match=message):
         ap_ensemble(**kwargs)
+
+
+def _no_draws(monkeypatch):
+    def fail(*args):
+        raise AssertionError("drew before the guard")
+
+    monkeypatch.setattr(avalanche, "_draw_chain", fail)
+    monkeypatch.setattr(avalanche.np.random, "default_rng", fail)
+
+
+@pytest.mark.parametrize("mu", [1e152, 1e155, 1e160, math.inf])
+def test_ensemble_mu_past_the_norm_range_is_named(mu, monkeypatch):
+    # at mu = 1e152 the pair products' norm terms overflowed to inf and nan
+    _no_draws(monkeypatch)
+    with pytest.raises(ValueError, match=r"^mu must keep 2 mu\^\(2 WINDOW_EXPONENT\) "
+                                         r"finite .*, got (1e\+1\d\d|inf)$"):
+        ap_ensemble(300, seed=1, mu=mu, n_max=20)
+
+
+def test_ensemble_at_the_largest_admitted_mu_is_finite():
+    def admitted(mu):
+        try:
+            ap_ensemble(1, mu=mu, n_max=3)
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = 1e150, 1e152
+    assert admitted(lo) and not admitted(hi)
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+    assert 8.4e150 < lo < 8.5e150
+    # warnings are errors under pytest: no overflow warning either
+    for variant in (False, True):
+        res = ap_ensemble(300, seed=1, mu=lo, n_max=20, variant=variant)
+        assert all(math.isfinite(v) for r in res.reports
+                   for v in (r.max_gap, r.residual, r.bound))
+        assert math.isfinite(res.worst_ratio)
+
+
+@pytest.mark.parametrize("chains, n_max", [(1, 10**9), (MAX_NODES // 100 + 1, 100)])
+def test_ensemble_past_the_matrix_guard_raises_before_allocating(
+        chains, n_max, monkeypatch):
+    _no_draws(monkeypatch)
+
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("allocated before the guard")
+
+    monkeypatch.setattr(avalanche.np, "empty", no_blocks)
+    with pytest.raises(ScanTooLarge, match=f"exceed the guard of {MAX_NODES} "):
+        ap_ensemble(chains, n_max=n_max)

@@ -668,6 +668,33 @@ def test_discontinuity_scale_within_the_exp_range_runs(tmp_path):
     assert all(math.isfinite(r["value"]) and r["value"] > 0 for r in rows)
 
 
+@pytest.mark.parametrize("mu", [1.0e160, math.inf])
+def test_ap_with_mu_past_the_norm_range_exits_2(tmp_path, capsys, mu):
+    cfg = {"experiment": "ap", "params": {"chains": 3, "n_max": 5, "mu": mu}}
+    rc, out = run_cli(tmp_path, cfg)
+    assert rc == 2
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("mu must keep 2 mu^(2 WINDOW_EXPONENT) finite")
+
+
+def test_ap_past_the_matrix_guard_exits_3(tmp_path, capsys):
+    # four blocks of 10^9 doubles would be 32 GB: the guard refuses first
+    cfg = {"experiment": "ap", "params": {"chains": 3, "n_max": 1000000000}}
+    tracemalloc.start()
+    try:
+        rc, out = run_cli(tmp_path, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert peak < 1 << 24
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ScanTooLarge"
+    assert json.loads((out / "error.json").read_text()) == record
+
+
 @pytest.mark.parametrize("out_name", ["notadir/sub", "notadir"])
 def test_unwritable_out_exits_2_with_record(tmp_path, capsys, out_name):
     (tmp_path / "notadir").write_text("a file, not a directory\n")

@@ -4,22 +4,21 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cocyclelab.errors import NotCoprime, NotUnimodular, ScanTooLarge
 from cocyclelab.torus import (
+    WORD,
     Automorphism,
-    _box_residues,
     _convergent_scan,
+    _det_inverse,
     _dyadic,
-    _fold,
     _lattice_scan,
-    _plus,
-    _times,
     Frequency,
     build_automorphism,
     dist_to_Z,
@@ -69,6 +68,41 @@ def brute_min_dot_1d(w, K):
     dist = np.minimum(r, den - r)
     i = int(np.argmin(dist))  # first minimum: smallest k
     return Fraction(int(dist[i]), den), i + 1
+
+
+# Residue helpers of the reference scan, kept apart from the module so that
+# the reference shares no residue code with the scan it checks.
+
+def _times(v: np.ndarray, m: int, modulus: int) -> np.ndarray:
+    """v * m mod modulus for an int64 array v: uint64 when modulus is 2^64
+    (the product wraps mod 2^64 by itself), Python ints otherwise."""
+    if modulus == 1 << WORD:
+        return v.astype(np.uint64) * np.uint64(m)
+    return np.array([int(x) * m % modulus for x in v], dtype=object)
+
+
+def _plus(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
+    """a + b mod modulus for residue arrays of one kind (broadcasting)."""
+    total = a + b
+    return total if total.dtype == np.uint64 else total % modulus
+
+
+def _fold(r: np.ndarray, modulus: int) -> np.ndarray:
+    """min(r, modulus - r) elementwise: modulus times the distance to Z."""
+    neg = -r if r.dtype == np.uint64 else (modulus - r) % modulus
+    return np.minimum(r, neg)
+
+
+def _box_residues(ms: Sequence[int], K: int, modulus: int) -> tuple:
+    """Residues k . m mod modulus and max-norms over the box [-K, K]^len(ms),
+    flattened in lexicographic order."""
+    side = np.arange(-K, K + 1, dtype=np.int64)
+    res = _times(np.zeros(1, dtype=np.int64), 0, modulus)
+    norm = np.zeros(1, dtype=np.int64)
+    for m in ms:
+        res = _plus(res[:, None], _times(side, m, modulus), modulus).ravel()
+        norm = np.maximum.outer(norm, np.abs(side)).ravel()
+    return res, norm
 
 
 def blocked_scan(ms, modulus, K, floor, max_rows=1 << 19):
@@ -232,9 +266,12 @@ class TestFreqNorm:
 class TestFrequencyMultiple:
     @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3),
            st.integers(1, 50))
+    # 3 fl(1/3) = 1 - 2^-54 exactly, which rounds to 1.0: 0.0 on the circle
+    @example(comps=[1 / 3], q=3)
     def test_exact_and_rounded_once(self, comps, q):
         got = frequency_multiple(Frequency(comps), q).components
-        assert got == tuple(float(q * Fraction(c) % 1) for c in comps)
+        want = (float(q * Fraction(c) % 1) for c in comps)
+        assert got == tuple(r if r < 1.0 else 0.0 for r in want)
 
     def test_differs_from_float_multiplication(self):
         # 3 * w rounds before the reduction mod 1
@@ -304,9 +341,10 @@ class TestMinDotNorm:
             assert _lattice_scan(ms, modulus, 4, 0, max_rows=rows) == ref
 
     def test_ties_across_middle_box_prefixes_go_by_lex_order(self):
-        # below (2K+1)^2 rows the d=4 scan takes the middle box one prefix at
-        # a time, so it meets (2, -1, 2, -2) before (1, 0, -2, 1): both fold
-        # within the floor and have max-norm 2, and the second is lex first
+        # (1, 0, -2, 1) and (2, -1, 2, -2) both fold within the floor and have
+        # max-norm 2; their outers sit at flat positions 10 and 34 of the
+        # lex walk, so below 25 rows they fall in different chunks, and the
+        # first is lex first
         omega = Frequency([0.7637009951314895, 0.9391670189485866,
                            0.5528595762929651, 0.34570041470875246])
         ms, modulus = _dyadic(omega)
@@ -316,6 +354,46 @@ class TestMinDotNorm:
         assert want == (floor, 2, (1, 0, -2, 1))
         for rows in (1, 7, MAX_ROWS):
             assert _lattice_scan(ms, modulus, 2, floor, max_rows=rows) == want
+
+    def test_a_smaller_norm_in_a_later_chunk_wins_a_tie(self):
+        # (1, -1, -3) and (1, 0, 1) are the only points within the floor;
+        # their outers sit at flat positions 2 and 3 of the lex walk, and
+        # the later one wins on max-norm
+        omega = Frequency([0.9625883321438885, 0.860941226768837,
+                           0.03429938509981023])
+        ms, modulus = _dyadic(omega)
+        r = sum(kj * m for kj, m in zip((1, 0, 1), ms)) % modulus
+        floor = min(r, modulus - r)
+        want = blocked_scan(ms, modulus, 3, floor)
+        assert want == (floor, 1, (1, 0, 1))
+        for rows in (1, 2, 3, MAX_ROWS):
+            assert _lattice_scan(ms, modulus, 3, floor, max_rows=rows) == want
+
+    @pytest.mark.parametrize("d, K", [(3, 4), (4, 2)])
+    def test_chunks_that_split_a_row_of_middle_outers(self, d, K):
+        # a lead's outers are (2K+1)^(d-2) consecutive flat positions; these
+        # chunk sizes cut such rows at varying offsets
+        rng = np.random.default_rng(d)
+        for _ in range(4):
+            omega = Frequency(rng.random(d))
+            ms, modulus = _dyadic(omega)
+            k = rng.integers(-K, K + 1, size=d)
+            r = sum(int(kj) * m for kj, m in zip(k, ms)) % modulus
+            for floor in (0, min(r, modulus - r)):
+                want = blocked_scan(ms, modulus, K, floor)
+                for rows in (1, 2 * K, 2 * K + 2, 13):
+                    assert _lattice_scan(ms, modulus, K, floor, max_rows=rows) == want
+
+    @pytest.mark.parametrize("comps", [(2.0**-70 * 3, GOLDEN, 0.3),
+                                       (GOLDEN, 2.0**-70 * 3, 0.3),
+                                       (GOLDEN, 0.3, 2.0**-70 * 3)])
+    def test_python_int_residues_in_small_chunks(self, comps):
+        ms, modulus = _dyadic(Frequency(comps))
+        assert modulus > 1 << WORD
+        for floor in (0, modulus >> 12):
+            want = blocked_scan(ms, modulus, 6, floor)
+            for rows in (1, 5, 13, MAX_ROWS):
+                assert _lattice_scan(ms, modulus, 6, floor, max_rows=rows) == want
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(blocked_cases(), st.data())
@@ -417,6 +495,32 @@ class TestRationalDependence:
         assert rational_dependence(Frequency(comps), K, tol) == want
 
 
+# Cofactor determinant and adjugate: the reference for _det_inverse, exact
+# but exponential in d.
+
+def _int_det(rows: list) -> int:
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        if rows[0][j] == 0:
+            continue
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        total += (-1) ** j * rows[0][j] * _int_det(minor)
+    return total
+
+
+def _adjugate(rows: list) -> list:
+    n = len(rows)
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
+            adj[j][i] = (-1) ** (i + j) * _int_det(minor) if n > 1 else 1
+    return adj
+
+
 class TestAutomorphism:
     def test_identity_from_unit_vector(self):
         B = build_automorphism([1, 0])
@@ -451,6 +555,57 @@ class TestAutomorphism:
     def test_det_minus_one_rejected(self):
         with pytest.raises(NotUnimodular):
             Automorphism.from_entries([[0, 1], [1, 0]])
+
+    def test_det_minus_one_and_singular_name_the_determinant(self):
+        with pytest.raises(NotUnimodular, match="determinant is -1, need"):
+            Automorphism.from_entries([[1, 2, 0], [0, 1, 0], [0, 0, -1]])
+        with pytest.raises(NotUnimodular, match="determinant is 0, need"):
+            Automorphism.from_entries([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+        with pytest.raises(NotUnimodular, match="determinant is 0, need"):
+            Automorphism.from_entries([[0, 0], [0, 0]])
+        assert _det_inverse([[2, 4], [1, 2]]) == (0, None)
+
+    def test_dense_12x12_in_polynomial_time(self):
+        # cofactor expansion took 0.58 s at d = 8 and grows about x9 per d
+        rng = np.random.default_rng(12)
+        d = 12
+        rows = [[int(i == j) for j in range(d)] for i in range(d)]
+        for _ in range(200):
+            i, j = rng.choice(d, 2, replace=False)
+            c = int(rng.integers(-1, 2))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        assert all(v != 0 for r in rows for v in r)
+        t0 = time.perf_counter()
+        B = Automorphism.from_entries(rows)
+        assert time.perf_counter() - t0 < 0.5
+        prod = np.array(B.entries, dtype=object) @ np.array(B.inverse, dtype=object)
+        assert (prod == np.eye(d, dtype=object)).all()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 6).flatmap(lambda d: st.lists(
+        st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+        min_size=d, max_size=d)))
+    def test_det_inverse_equals_cofactor_reference(self, rows):
+        det, inv = _det_inverse(rows)
+        assert det == _int_det(rows)
+        if det == 0:
+            assert inv is None
+        else:
+            adj = _adjugate(rows)
+            assert inv == [[Fraction(a, det) for a in r] for r in adj]
+
+    def test_unimodular_inverse_equals_adjugate(self):
+        rng = np.random.default_rng(6)
+        for d in range(1, 7):
+            rows = [[int(i == j) for j in range(d)] for i in range(d)]
+            for _ in range(4 * d):
+                if d > 1:
+                    i, j = rng.choice(d, 2, replace=False)
+                    c = int(rng.integers(-2, 3))
+                    rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            B = Automorphism.from_entries(rows)
+            assert _int_det(rows) == 1
+            assert [list(r) for r in B.inverse] == _adjugate(rows)
 
     def test_frequency_maps(self):
         B = build_automorphism([2, 3])
