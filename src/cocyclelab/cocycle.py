@@ -14,8 +14,8 @@ polynomials). A matrix trig polynomial is its four TrigPoly entries, so every
 coefficient operation (products, sums, scalings) is TrigPoly's, entry by entry;
 the only matrix-shaped data is its evaluation table. Anything with ``d`` and
 ``eval_many`` can be iterated: the kernel calls nothing else. Everything
-evaluates on the real torus; strip_norm is the one evaluator at complex
-points.
+evaluates on the real torus, strip_norm's faces included: on Im z = y a
+trig polynomial is the one with coefficients c_k e^{-2 pi k.y}.
 
 Every orbit product runs through one kernel, _iterate_chunk, entered only
 through iterate_log_norm_many: a batch of starting points, read at one or
@@ -44,17 +44,19 @@ stacked evaluation in place. An outside evaluator may return a C-order
 is _util.step_2x2, which avalanche's chains advance through as well, each
 block of chains in its own dtype by the same arithmetic rule.
 
-Real cocycles run in real arithmetic. A matrix whose every entry has at
-most one harmonic k, with c_{-k} = conj(c_k) exactly and c_0 real (almost
-Mathieu, Schrodinger with one harmonic, Jacobi with one-harmonic v and a),
-is real by construction: _real_entries decides so once, beside _tables, and
+Real cocycles run in real arithmetic. A matrix whose every entry has
+c_{-k} = conj(c_k) exactly for every k, c_0 included (almost Mathieu,
+Schrodinger and Jacobi with real v and a, any number of harmonics), is real
+by construction: _real_entries decides so once, beside _tables, and
 eval_many then returns float64 with the bits of the complex evaluation's
-real part, whose imaginary part is exactly 0. The renormalized and composed
-evaluators pass their base's dtype through, and the kernel's running
-products take the dtype of the first evaluation. With every imaginary part
-zero, a complex product's real part is the float64 one, so a real cocycle
-gives the same bits in either arithmetic; entries with several harmonics
-leave imaginary residue of rounding and stay complex.
+real part, whose imaginary part is 0 for one harmonic and rounding residue
+for several. What stays complex: a non-conjugate pair or a complex c_0,
+DiscontinuityExample, and jacobi_periodic blocks whose expansion rounds some
+c_{-k} away from conj(c_k). The renormalized and composed evaluators pass
+their base's dtype through, and the kernel's running products take the
+dtype of the first evaluation. With every imaginary part zero, a complex
+product's real part is the float64 one, so where the complex evaluation has
+no residue both arithmetics give the same bits.
 
 Every k.x in this module comes from _dot, a fixed-order elementwise sum with
 no BLAS, so a node has the same bits alone as in any batch and under any
@@ -88,19 +90,17 @@ def _frac(x: np.ndarray) -> np.ndarray:
 
 def _tables(d: int, coeffs: Sequence[dict], shape: tuple):
     """Evaluation table of one or more coefficient dicts over the union of
-    their indices: the sorted index table ks (n, d), the coefficient table
-    cs (n,) + shape (dict e in entry e, 0 where it lacks the index), and the
-    number h of indices k > 0 when the table is symmetric (k in it exactly
-    when -k is), else None. Built once per object, as the kernel evaluates A
-    at every step. The indices are small integers, stored as float64 (exact)
-    so that no step casts them."""
+    their indices and its negatives: the sorted index table ks (n, d), the
+    coefficient table cs (n,) + shape (dict e in entry e, 0 where it lacks
+    the index) and the number h of indices k > 0. Built once per object, as
+    the kernel evaluates A at every step; the indices are small integers,
+    stored as float64 (exact) so that no step casts them."""
     index = set().union(*coeffs)
-    keys = sorted(index)
+    keys = sorted(index | {tuple(-v for v in k) for k in index})
     ks = np.array(keys, dtype=float).reshape(-1, d)
     cs = np.array([[c.get(k, 0j) for c in coeffs] for k in keys],
                   dtype=complex).reshape((-1,) + shape)
-    sym = all(tuple(-v for v in k) in index for k in keys)
-    return ks, cs, (len(keys) // 2 if sym else None)
+    return ks, cs, len(keys) // 2
 
 
 def _dot(X: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -116,21 +116,17 @@ def _dot(X: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _phases(X: np.ndarray, ks: np.ndarray, h: Optional[int]) -> np.ndarray:
+def _phases(X: np.ndarray, ks: np.ndarray, h: int) -> np.ndarray:
     """e^{2 pi i k.x} for every index k in ks and node x in X: (n, m).
 
     Index-major, so that each row is one index over all m nodes and the
     evaluators reduce over the rows straight into the kernel's entry-major
-    layout. On a symmetric table (h from _tables) the sorted indices pair up
-    as ks[n-1-j] = -ks[j], so k.x and exp run only over the h indices k > 0:
-    as _dot negates exactly, the row of -k is the conjugate of that of k,
-    and the row of k = 0 is 1. Every bit matches exp over the whole table.
-    The conjugate's imaginary part is taken as 0 - im, which is +0 where exp
-    at -k.x gives +0.
+    layout. The sorted table from _tables pairs up as ks[n-1-j] = -ks[j],
+    so k.x and exp run only over the h indices k > 0: as _dot negates
+    exactly, the row of -k is the conjugate of that of k (imaginary part
+    0 - im, +0 where exp at -k.x gives +0), and the row of k = 0 is 1.
+    Every bit matches exp over the whole table.
     """
-    if h is None:
-        out = TWO_PI_I * _dot(X, ks)
-        return np.exp(out, out=out)
     n = ks.shape[0]
     out = np.empty((n, X.shape[0]), dtype=complex)
     upper, lower = out[n - h:], out[:h][::-1]
@@ -143,71 +139,71 @@ def _phases(X: np.ndarray, ks: np.ndarray, h: Optional[int]) -> np.ndarray:
 
 def _upper_phases(X: np.ndarray, ks: np.ndarray, h: int,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
-    """e^{2 pi i k.x} over the h indices k > 0 of a symmetric table (its
+    """e^{2 pi i k.x} over the h indices k > 0 of a table from _tables (its
     last h rows): (h, m), written into out when one is given."""
     out = np.multiply(TWO_PI_I, _dot(X, ks[ks.shape[0] - h:]), out=out)
     return np.exp(out, out=out)
 
 
 def _evaluate(X: np.ndarray, ks: np.ndarray, cs: np.ndarray,
-              h: Optional[int]) -> np.ndarray:
+              h: int) -> np.ndarray:
     """sum_k c_k e^{2 pi i k.x} at every node x in X: shape cs.shape[1:] + (m,).
 
-    One reduction over the index rows for every evaluator: the scalar table,
-    the matrix table (entry-major, the kernel's layout) and the strip faces.
+    One reduction over the index rows for every complex evaluator: the scalar
+    table, the matrix table (entry-major, the kernel's layout), strip faces.
     """
     return np.einsum("nm,n...->...m", _phases(X, ks, h), cs)
 
 
-def _real_entries(coeffs: Sequence[dict], ks: np.ndarray, h: Optional[int]):
-    """How to evaluate a table in float64 when every entry is real by
-    construction, else None: for each entry (coefficient dict), a triple
-    (u, c_k, c_0) with u the row of its index k among the h indices k > 0
-    (None for a constant entry).
+def _real_entries(coeffs: Sequence[dict], ks: np.ndarray, h: int):
+    """How to evaluate a table in float64, or None: for each entry
+    (coefficient dict), its terms (u, Re c_k, Im c_k) for its indices k > 0
+    in ascending order, u the row of k among the table's h, and its c_0.
 
-    The rule: the entry's nonzero coefficients sit only at 0, k and -k for
-    one index k, with c_0 real and c_{-k} = conj(c_k) exactly. Then
-    _evaluate's sum over the sorted table runs -k, 0, k (any other row
-    adds a zero product), and as _phases writes the row of -k as the exact
-    conjugate of that of k, the terms at -k and k have equal real parts
-    t = Re p Re c_k - Im p Im c_k and opposite imaginary parts, bit for
-    bit. So the sum's imaginary part is exactly 0 and its real part is
-    (t + c_0) + t, which _evaluate_real computes in float64. Entries with
-    several harmonics leave imaginary rounding residue, and stay complex.
+    The rule: c_{-k} = conj(c_k) exactly for every k of every entry, c_0
+    included. As _phases writes the row of -k as the exact conjugate of that
+    of k, the terms at -k and k then have the same real part
+    t_k = Re p_k Re c_k - Im p_k Im c_k, and the real part of _evaluate's sum
+    over the sorted table is the t_k and c_0 added in the table's order (a
+    zero coefficient adds a zero, which changes no sum that starts at +0).
     """
-    if h is None:
-        return None
     upper = {tuple(k): u for u, k in enumerate(ks[ks.shape[0] - h:].tolist())}
     plan = []
     for c in coeffs:
-        c0 = c.get((0,) * ks.shape[1], 0j)
-        harmonics = [k for k in c if any(k)]
-        if c0.imag != 0 or len(harmonics) not in (0, 2):
+        if any(c.get(tuple(-v for v in k), 0j) != ck.conjugate()
+               for k, ck in c.items()):
             return None
-        if not harmonics:
-            plan.append((None, 0j, c0.real))
-            continue
-        k = max(harmonics)
-        if c.get(tuple(-v for v in k)) != c[k].conjugate():
-            return None
-        plan.append((upper[k], c[k], c0.real))
+        terms = sorted((upper[k], ck.real, ck.imag)
+                       for k, ck in c.items() if k in upper)
+        plan.append((terms, c.get((0,) * ks.shape[1], 0j).real))
     return plan
 
 
 def _evaluate_real(X: np.ndarray, ks: np.ndarray, h: int,
                    plan: list) -> np.ndarray:
     """_evaluate's real part for a plan from _real_entries, in float64 and
-    bit for bit: shape (len(plan), m)."""
+    bit for bit: shape (len(plan), m). The terms are added as _evaluate
+    visits them, -k for k descending, c_0, k ascending, so one harmonic is
+    np.add(t, c_0) then += t. Where Re c_k or Im c_k is 0, its product in t_k
+    is a zero, which changes no value, so it is left out; c_0 (+0 when
+    absent, never -0) is always added, so the sign of a zero cannot show."""
     out = np.empty((len(plan), X.shape[0]))
-    P = _upper_phases(X, ks, h) if h else None
-    for row, (u, ck, c0) in zip(out, plan):
-        if u is None:
+    P = _upper_phases(X, ks, h)
+    re, im = P.real, P.imag
+    for row, (terms, c0) in zip(out, plan):
+        if not terms:
             row.fill(c0)
             continue
-        t = P[u].real * ck.real
-        t -= P[u].imag * ck.imag
-        np.add(t, c0, out=row)
-        row += t
+        t = []
+        for u, cr, ci in terms:
+            tk = re[u] * cr if cr else im[u] * -ci
+            if cr and ci:
+                tk -= im[u] * ci
+            t.append(tk)
+        seq = t[::-1] + [c0] + t
+        np.add(seq[0], seq[1], out=row)
+        for tk in seq[2:]:
+            row += tk
     return out
 
 
@@ -359,9 +355,11 @@ class TrigPolyMatrix:
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         """A at the m nodes X (m, d): an (m, 2, 2) view of entry-major
         (2, 2, m) memory. float64 when every entry is real by the rule of
-        _real_entries (Schrodinger and Jacobi matrices with one harmonic,
-        constant real matrices), with the bits of the complex evaluation's
-        real part; complex128 otherwise."""
+        _real_entries, c_{-k} = conj(c_k) exactly (Schrodinger and Jacobi
+        matrices with any number of harmonics, real constants), with the
+        bits of the complex evaluation's real part; complex128 for a
+        non-conjugate pair or a complex c_0, as in a jacobi_periodic block
+        whose expansion rounds some c_{-k} away from conj(c_k)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self._real is None:
             vals = _evaluate(X, self._ks, self._cs, self._half)
@@ -412,8 +410,9 @@ def strip_norm(A: TrigPolyMatrix, B: TrigPolyMatrix, rho: float,
     """sup over the strip |Im z_j| <= rho of the entrywise max of |A(z) - B(z)|.
 
     By the per-variable maximum principle the sup sits on the 2^d corner faces
-    Im z_j = +-rho; those faces are sampled on a uniform grid, plus the real
-    torus as a degenerate face. The sample count is reported alongside.
+    Im z = y with y_j = +-rho; those faces are sampled on a uniform grid,
+    plus the real torus as a degenerate face, each evaluated as a
+    polynomial on the real torus. The sample count is reported alongside.
     Each face is a points_per_dim^d grid, so past MAX_NODES nodes this raises
     ScanTooLarge before sampling. By default points_per_dim is 256, or the
     largest p with p^d <= STRIP_FACE_NODES when 256^d is more (40 at d = 3).
@@ -428,15 +427,15 @@ def strip_norm(A: TrigPolyMatrix, B: TrigPolyMatrix, rho: float,
             points_per_dim -= 1
     X = grid(d, points_per_dim)
     best = 0.0
-    ims = [np.zeros(d)]
-    for signs in np.ndindex(*(2,) * d):
-        ims.append(rho * (2.0 * np.array(signs) - 1.0))
-    for im in ims:
-        # off the real torus the row of -k is not the conjugate of that of
-        # k, so exp runs over the whole table
-        vals = _evaluate(X + 1j * im, D._ks, D._cs, None)
+    ys = [np.zeros(d)] + [rho * (2.0 * np.array(signs) - 1.0)
+                          for signs in np.ndindex(*(2,) * d)]
+    for y in ys:
+        # e^{2 pi i k.(x + iy)} = e^{-2 pi k.y} e^{2 pi i k.x}: the face is a
+        # polynomial on the real torus with coefficients c_k e^{-2 pi k.y}
+        scale = np.exp(-2.0 * math.pi * _dot(y.reshape(1, -1), D._ks))
+        vals = _evaluate(X, D._ks, D._cs * scale[:, :, None], D._half)
         best = max(best, float(np.max(np.abs(vals))))
-    return StripNormResult(value=best, samples=len(ims) * X.shape[0])
+    return StripNormResult(value=best, samples=len(ys) * X.shape[0])
 
 
 # ---------------------------------------------------------------------------

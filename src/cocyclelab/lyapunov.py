@@ -114,6 +114,16 @@ def kept_mean(kept: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class LEEstimate:
+    """One scale of le_table: the average log-norm value at N over the kept
+    nodes and the node mass excised by underflow.
+
+    stderr is the i.i.d. spread sqrt(var/m) of the m kept values. Grid and
+    Halton nodes are not random, so it is no error bar for them. Against
+    2^17- or 3*2^16-node references, almost Mathieu on 1024- and 4096-node
+    midpoint grids had errors of at most 2.2e-16 where L_N is analytic in x,
+    while stderr read 1.3e-5 to 4.6e-4; on or near the spectrum stderr
+    overstated the error 15x to 280x.
+    """
     N: int
     value: float
     excised_mass: float

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocyclelab import _util
-from cocyclelab._util import det_2x2, set_max_workers
+from cocyclelab._util import det_2x2, grid, set_max_workers
 from cocyclelab.cocycle import (
     TWO_PI_I,
     ComposedMatrix,
@@ -143,8 +143,15 @@ def _all_exp(X, ks):
     return np.exp(TWO_PI_I * _dot(X, ks))
 
 
+def _closed(ks):
+    """Whether the index table holds -k for every k in it."""
+    rows = {tuple(k) for k in ks.tolist()}
+    return rows == {tuple(-v for v in k) for k in rows}
+
+
 class TestHalfTablePhases:
-    """On a symmetric index table eval_many runs exp over the indices k > 0
+    """Every index table is closed under k -> -k, with zero coefficients
+    where an index is missing, and eval_many runs exp over the indices k > 0
     only; every bit must match exp over the whole table."""
 
     @given(support_and_nodes(), st.data())
@@ -152,7 +159,7 @@ class TestHalfTablePhases:
     def test_trig_poly_matches_all_exp(self, case, data):
         d, keys, symmetric, X = case
         p = TrigPoly(d, {k: data.draw(coefficient) for k in keys})
-        assert symmetric <= (p._half is not None)
+        assert _closed(p._ks)
         phases = _all_exp(X, p._ks)
         assert same_bits(_phases(X, p._ks, p._half), phases)
         assert same_bits(p.eval_many(X), np.einsum("nm,n->m", phases, p._cs))
@@ -163,7 +170,7 @@ class TestHalfTablePhases:
         d, keys, symmetric, X = case
         A = from_blocks(d, {k: [[data.draw(coefficient) for _ in range(2)]
                                 for _ in range(2)] for k in keys})
-        assert symmetric <= (A._half is not None)
+        assert _closed(A._ks)
         ref = np.einsum("nm,nij->mij", _all_exp(X, A._ks), A._cs)
         assert same_bits(A.eval_many(X), ref)
 
@@ -195,31 +202,52 @@ class TestHalfTablePhases:
         v2 = TrigPoly.cosine((1, 0), 2.0) + TrigPoly.cosine((0, 1))
         for A, pts in ((amo(3.0, 0.3), X), (jacobi(v, a, 0.3, omega), X),
                        (schrodinger(v2, 0.3, d=2), X2)):
-            assert A._half is not None
             ref = np.einsum("nm,nij->mij", _all_exp(pts, A._ks), A._cs)
-            assert same_bits(A.eval_many(pts), ref)
+            got = A.eval_many(pts)
+            assert got.dtype == np.float64
+            assert same_bits(got, ref.real)
 
 
-def harmonic(d, k, ck, c0=0.0):
-    """c0 + ck e^{2 pi i k.x} + conj(ck) e^{-2 pi i k.x}: real by
-    construction, with the one harmonic k (none when k is 0)."""
+def harmonics(d, terms, c0=0.0):
+    """c0 + sum of ck e^{2 pi i k.x} + conj(ck) e^{-2 pi i k.x} over the
+    pairs (k, ck) in terms, distinct up to sign and none of them 0: real by
+    construction."""
     coeffs = {(0,) * d: c0}
-    if any(k):
+    for k, ck in terms:
         coeffs[tuple(k)] = ck
         coeffs[tuple(-v for v in k)] = ck.conjugate()
     return TrigPoly(d, coeffs)
 
 
+def harmonic(d, k, ck, c0=0.0):
+    """harmonics with the one harmonic k (none when k is 0)."""
+    return harmonics(d, [(k, ck)] if any(k) else [], c0)
+
+
+@st.composite
+def real_entry(draw, d):
+    """A real-by-construction entry: up to four harmonics, their indices
+    distinct up to sign, with complex c_k and a real c_0 (some entries
+    constants or zero)."""
+    ks = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d).filter(any),
+                       max_size=4,
+                       unique_by=lambda k: max(k, tuple(-v for v in k))))
+    return harmonics(d, [(k, draw(coefficient)) for k in ks],
+                     draw(st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-2, 2)))
+
+
+def _one_harmonic(A):
+    """Whether every entry of A has at most one harmonic k (with -k)."""
+    return all(sum(map(any, e.coeffs)) <= 2 for e in A.entries)
+
+
 @st.composite
 def real_matrix_and_nodes(draw):
-    """A matrix whose entries each have at most one harmonic, their own,
-    with complex c_k and real c_0 (some of them constants or zero), and
-    nodes X with exact zeros of k.x among them."""
+    """A matrix whose entries are each a sum of conjugate-symmetric
+    harmonics of their own (some of them constants or zero), and nodes X
+    with exact zeros of k.x among them."""
     d = draw(st.integers(1, 3))
-    entries = [harmonic(d, draw(st.tuples(*[st.integers(-3, 3)] * d)),
-                        draw(coefficient),
-                        draw(st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-2, 2)))
-               for _ in range(4)]
+    entries = [draw(real_entry(d)) for _ in range(4)]
     m = draw(st.sampled_from([1, 7, 512]))
     X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
         -1.0, 2.0, (m, d))
@@ -237,9 +265,8 @@ def _jacobi_one_harmonic():
     return jacobi(TrigPoly.cosine((1,), 4.0), a, 0.3, Frequency((GOLDEN,)))
 
 
-# Matrices whose entries each have one harmonic k with c_{-k} = conj(c_k)
-# exactly and a real c_0, so their evaluation is float64, and matrices
-# where that fails.
+# Matrices whose entries have c_{-k} = conj(c_k) exactly for every k, so
+# their evaluation is float64, and matrices where that fails.
 REAL_BY_CONSTRUCTION = {
     "amo": lambda: amo(3.0, 0.3),
     "amo-huge": lambda: amo(1e150, 0.3),
@@ -251,13 +278,13 @@ REAL_BY_CONSTRUCTION = {
         harmonic(3, (0, 1, 2), -0.4 + 0.9j, 0.25), 0.3, d=3),
     "jacobi": _jacobi_one_harmonic,
     "constant": lambda: TrigPolyMatrix.constant(1, [[2.0, 0.0], [1.0, 0.5]]),
-}
-NOT_REAL = {
     "schrodinger-2-harmonics": lambda: schrodinger(
         TrigPoly.cosine((1, 0), 2.0) + TrigPoly.cosine((0, 1)), 0.3, d=2),
     "jacobi-periodic-q2": lambda: jacobi_periodic(
         TrigPoly.cosine((1,), 4.0), harmonic(1, (1,), 0.25, 1.0), (0.0, 1.0),
         0.3, Frequency((GOLDEN,))),
+}
+NOT_REAL = {
     "non-conjugate": lambda: TrigPolyMatrix(
         TrigPoly(1, {(1,): 1.0, (-1,): 1.0 + 1e-16j}), TrigPoly.constant(1, -1.0),
         TrigPoly.constant(1, 1.0), TrigPoly(1, {}), rho=0.5),
@@ -271,7 +298,8 @@ NOT_REAL = {
 class TestRealEvaluation:
     """A matrix whose entries are real by construction evaluates in
     float64, with the bits of the complex einsum's real part; that einsum's
-    imaginary part is exactly 0."""
+    imaginary part is exactly 0 when every entry has at most one
+    harmonic."""
 
     @given(real_matrix_and_nodes())
     @settings(max_examples=150, deadline=None)
@@ -280,7 +308,7 @@ class TestRealEvaluation:
         got, ref = A.eval_many(X), _einsum_ref(A, X)
         assert got.dtype == np.float64
         assert got.transpose(1, 2, 0).flags.c_contiguous
-        assert np.all(ref.imag == 0)
+        assert not _one_harmonic(A) or np.all(ref.imag == 0)
         assert same_bits(got, ref.real)
         for i in range(0, X.shape[0], 97):
             assert same_bits(A.eval(X[i]), got[i])
@@ -291,7 +319,7 @@ class TestRealEvaluation:
         X = np.random.default_rng(3).random((512, A.d))
         got, ref = A.eval_many(X), _einsum_ref(A, X)
         assert got.dtype == np.float64
-        assert np.all(ref.imag == 0)
+        assert not _one_harmonic(A) or np.all(ref.imag == 0)
         assert same_bits(got, ref.real)
 
     @pytest.mark.parametrize("name", sorted(NOT_REAL))
@@ -302,13 +330,6 @@ class TestRealEvaluation:
         assert got.dtype == np.complex128
         assert same_bits(got, _einsum_ref(A, X))
 
-    def test_multi_harmonic_real_entry_leaves_imaginary_residue(self):
-        # why two harmonics stay complex: the einsum's imaginary part is
-        # not exactly 0, so a float64 evaluation would change the bits
-        A = NOT_REAL["schrodinger-2-harmonics"]()
-        X = np.random.default_rng(4).random((512, 2))
-        assert np.any(_einsum_ref(A, X).imag != 0)
-
     def test_discontinuity_stays_complex(self):
         X = np.random.default_rng(5).random((64, 1))
         assert DiscontinuityExample((1,)).eval_many(X).dtype == np.complex128
@@ -316,9 +337,10 @@ class TestRealEvaluation:
     def test_wrappers_pass_the_dtype_through(self):
         X = np.random.default_rng(6).random((64, 2))
         real = schrodinger(TrigPoly.cosine((1, 1), 2.0), 0.3, d=2)
-        other = NOT_REAL["schrodinger-2-harmonics"]()
+        several = REAL_BY_CONSTRUCTION["schrodinger-2-harmonics"]()
         B = Automorphism.from_entries([[2, 3], [1, 2]])
-        for A, dtype in ((real, np.float64), (other, np.complex128)):
+        for A, dtype in ((real, np.float64), (several, np.float64),
+                         (several.scaled(1j), np.complex128)):
             assert RenormalizedMatrix(A).eval_many(X).dtype == dtype
             assert ComposedMatrix(A, B).eval_many(X).dtype == dtype
 
@@ -382,7 +404,9 @@ class TestEntryMajorLayout:
         X = np.random.default_rng(6).random((512, 2))
         Y = _dot(X, B.as_array().astype(float)).T
         ref = _c_order_stack(A, Y - np.floor(Y))
-        self._check(ComposedMatrix(A, B).eval_many(X), ref)
+        vals = ComposedMatrix(A, B).eval_many(X)
+        assert vals.dtype == np.float64
+        self._check(vals, ref.real)
 
     @pytest.mark.parametrize("k", [(1,), (2, -1), (1, 0, 3)])
     def test_discontinuity(self, k):
@@ -487,6 +511,31 @@ class TestStripNorm:
         a = from_blocks(1, {(1,): np.eye(2)}, rho=0.1)
         with pytest.raises(OutsideStrip):
             strip_norm(a, a, rho=0.2)
+
+    @staticmethod
+    def _ref_strip_norm(A, B, rho, points_per_dim):
+        """strip_norm by exp over the whole table at the complex points
+        X + i y of each face."""
+        D, d = A - B, A.d
+        X = grid(d, points_per_dim)
+        faces = [np.zeros(d)] + [rho * (2.0 * np.array(s) - 1.0)
+                                 for s in np.ndindex(*(2,) * d)]
+        return max(float(np.max(np.abs(np.einsum(
+            "nm,nij->mij", np.exp(TWO_PI_I * _dot(X + 1j * y, D._ks)),
+            D._cs)))) for y in faces)
+
+    @pytest.mark.parametrize("d, per_axis", [(1, 64), (2, 16), (3, 6)])
+    def test_matches_complex_points(self, d, per_axis):
+        rng = np.random.default_rng(20 + d)
+        for _ in range(20):
+            A, B = (from_blocks(d, {
+                tuple(int(v) for v in rng.integers(-3, 4, d)):
+                    rng.uniform(-2, 2, (2, 2)) + 1j * rng.uniform(-2, 2, (2, 2))
+                for _ in range(int(rng.integers(1, 6)))}) for _ in range(2))
+            rho = float(rng.uniform(0.05, 0.5))
+            got = strip_norm(A, B, rho, points_per_dim=per_axis).value
+            ref = self._ref_strip_norm(A, B, rho, per_axis)
+            assert got == pytest.approx(ref, rel=1e-14)
 
     # 256 points per axis while a face has at most 2^16 nodes, then the
     # largest count that keeps it there; 2^d corner faces plus the real torus

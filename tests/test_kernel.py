@@ -40,10 +40,11 @@ from cocyclelab.cocycle import (
     jacobi_periodic,
     renormalize,
     schrodinger,
+    _phases,
 )
 from cocyclelab.errors import ScanTooLarge
 from cocyclelab.lyapunov import QuadratureSpec
-from cocyclelab.torus import Frequency
+from cocyclelab.torus import Frequency, frequency_multiple
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SILVER = math.sqrt(2.0) - 1.0
@@ -636,14 +637,20 @@ class _AsComplex:
         return self.base.eval_many(X).astype(complex)
 
 
-def _harmonic(d, k, ck, c0=0.0):
-    """c0 + ck e^{2 pi i k.x} + conj(ck) e^{-2 pi i k.x} (c0 alone when k
-    is 0): real by construction."""
+def _harmonics(d, terms, c0=0.0):
+    """c0 + sum of ck e^{2 pi i k.x} + conj(ck) e^{-2 pi i k.x} over the
+    pairs (k, ck) in terms, distinct up to sign and none of them 0: real by
+    construction."""
     coeffs = {(0,) * d: c0}
-    if any(k):
+    for k, ck in terms:
         coeffs[tuple(k)] = ck
         coeffs[tuple(-v for v in k)] = ck.conjugate()
     return TrigPoly(d, coeffs)
+
+
+def _harmonic(d, k, ck, c0=0.0):
+    """_harmonics with the one harmonic k (c0 alone when k is 0)."""
+    return _harmonics(d, [(k, ck)] if any(k) else [], c0)
 
 
 _phase = st.complex_numbers(min_magnitude=0.05, max_magnitude=3.0,
@@ -651,12 +658,24 @@ _phase = st.complex_numbers(min_magnitude=0.05, max_magnitude=3.0,
 
 
 @st.composite
+def _real_poly(draw, d, min_size=0):
+    """A real-by-construction trig polynomial: c0 and up to three
+    harmonics, their indices distinct up to sign, with complex c_k."""
+    ks = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d).filter(any),
+                       min_size=min_size, max_size=3,
+                       unique_by=lambda k: max(k, tuple(-v for v in k))))
+    return _harmonics(d, [(k, draw(_phase)) for k in ks],
+                      draw(st.floats(-2, 2)))
+
+
+@st.composite
 def real_cocycles(draw):
     """A cocycle whose matrix evaluates in float64: a Schrodinger matrix
-    with one harmonic and a complex c_k, a Jacobi matrix (q = 1) whose a
-    has zeros, or a matrix of four single-harmonic entries, each with its
-    own k and scaled to either tail of the closed-form norm; raw or
-    renormalized, with nodes, an orbit length and reads."""
+    whose potential has one to three harmonics with complex c_k, a Jacobi
+    matrix (q = 1) whose a has zeros, or a matrix of four entries of up to
+    three harmonics each, with their own k, scaled to either tail of the
+    closed-form norm; raw or renormalized, with nodes, an orbit length and
+    reads."""
     d = draw(st.integers(1, 3))
     index = st.tuples(*[st.integers(-3, 3)] * d).filter(any)
     kind = draw(st.sampled_from(["schrodinger", "jacobi", "matrix"]))
@@ -664,17 +683,14 @@ def real_cocycles(draw):
                             for _ in range(d)))
     E = draw(st.floats(-3, 3))
     if kind == "schrodinger":
-        A = schrodinger(_harmonic(d, draw(index), draw(_phase),
-                                  draw(st.floats(-2, 2))), E, d=d)
+        A = schrodinger(draw(_real_poly(d, min_size=1)), E, d=d)
     elif kind == "jacobi":
         c = draw(_phase)
         # |a0| <= 2|c|: a vanishes on a hypersurface of the torus
         a = _harmonic(d, draw(index), c, draw(st.floats(-2, 2)) * abs(c))
         A = jacobi(_harmonic(d, draw(index), draw(_phase)), a, E, omega)
     else:
-        entries = [_harmonic(d, draw(st.tuples(*[st.integers(-3, 3)] * d)),
-                             draw(_phase), draw(st.floats(-2, 2)))
-                   for _ in range(4)]
+        entries = [draw(_real_poly(d)) for _ in range(4)]
         A = TrigPolyMatrix(*entries, rho=0.5).scaled(
             draw(st.sampled_from([1.0, 1e150, 1e-160])))
     if draw(st.booleans()):
@@ -724,6 +740,54 @@ def test_real_arithmetic_tails(lam, renorm):
     A = amo(lam, 0.0)
     C = Cocycle(RenormalizedMatrix(A) if renorm else A, G1)
     _assert_real_run_matches_complex(C, 64, _nodes(1, m=300), [1, 7, 64])
+
+
+class _FullComplex:
+    """The complex einsum over a trig-polynomial matrix's whole phase
+    table, imaginary rounding residue included, as a C-order stack."""
+
+    def __init__(self, base):
+        self.base, self.d = base, base.d
+
+    def eval_many(self, X):
+        A = self.base
+        return np.einsum("nm,nij->mij", _phases(X, A._ks, A._half), A._cs)
+
+
+# the orbit-wide benchmark's ldt cocycle at seed 3, a 1-d Schrodinger
+# matrix with three harmonics and a two-site Jacobi block: several
+# harmonics per entry, so the complex einsum leaves imaginary residue
+SEVERAL_HARMONICS = {
+    "ldt-schrodinger-2d": lambda: (
+        schrodinger(_v2(), -0.5240707458162173, d=2),
+        Frequency(((math.sqrt(13.0) - 3.0) / 2.0, math.sqrt(10.0) - 3.0)),
+        grid(2, 96, 0.5), 16),
+    "schrodinger-3-harmonics": lambda: (
+        schrodinger(TrigPoly.cosine((1,), 2.0) + TrigPoly.cosine((2,), 0.7)
+                    + TrigPoly.sine((3,), 0.4), 0.3),
+        G1, grid(1, 512, 0.5), 200),
+    "jacobi-periodic-q2": lambda: (
+        jacobi_periodic(TrigPoly.cosine((1,), 4.0),
+                        _harmonic(1, (1,), 0.25, 1.0), (0.0, 1.0), 0.3, G1),
+        frequency_multiple(G1, 2), grid(1, 512, 0.5), 200),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEVERAL_HARMONICS))
+def test_real_arithmetic_matches_full_complex_evaluation(name):
+    """The float64 kernel on a matrix with several harmonics per entry
+    gives the bytes of the complex kernel on the full complex evaluation,
+    whose imaginary residue it drops, at 1 and 2 workers."""
+    A, omega, X, N = SEVERAL_HARMONICS[name]()
+    assert A.eval_many(X[:1]).dtype == np.float64
+    assert np.any(_FullComplex(A).eval_many(X).imag != 0)
+    at = [1, N // 2, N]
+    want, want_under = iterate_log_norm_many(Cocycle(_FullComplex(A), omega),
+                                             N, X, at=at)
+    for workers in (1, 2):
+        got, under = _run_at_workers(Cocycle(A, omega), N, X, at, workers)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(under, want_under)
 
 
 def test_real_arithmetic_op_norm_matches_complex():
