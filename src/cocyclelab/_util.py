@@ -12,7 +12,8 @@ import numpy as np
 
 from .errors import ScanTooLarge
 
-# Norm floor below which a running product counts as underflowed.
+# A running product whose largest entry modulus falls below this floor
+# counts as underflowed; also the default determinant floor of renormalize.
 UNDERFLOW_FLOOR = 1e-300
 
 # Memory guard for explicit node sets and for the matrices of an avalanche
@@ -126,22 +127,20 @@ def dyadic_grid(d: int, M: int) -> np.ndarray:
     return grid(d, M)
 
 
-def _disc_2x2(E, scratch=None):
+def _disc_2x2(E):
     """(f, disc) of the closed form in op_norm_2x2; either may overflow.
 
     E is float64 or complex128. One call squares the float view of all four
-    entries (for complex E, real and imaginary parts interleaved) into
-    scratch when one is given (a C-order array of E's shape and dtype,
-    whose values are then lost); f adds the squares left to right, eight
-    for complex E and four for real E, and |det|^2 is det.real^2 +
-    det.imag^2 or det * det. np.add.reduce would pair them (for m = 1 its
-    order differs), so the sum is spelled out. For complex E whose
-    imaginary parts are all zero, every added square is +0 and each
-    product's real part is the float64 one, so both give the same bits.
+    entries (for complex E, real and imaginary parts interleaved); f adds
+    the squares left to right, eight for complex E and four for real E, and
+    |det|^2 is det.real^2 + det.imag^2 or det * det. np.add.reduce would
+    pair them (for m = 1 its order differs), so the sum is spelled out. For
+    complex E whose imaginary parts are all zero, every added square is +0
+    and each product's real part is the float64 one, so both give the same
+    bits.
     """
     E = np.ascontiguousarray(E)
-    sq = np.square(E.view(float),
-                   out=None if scratch is None else scratch.view(float))
+    sq = np.square(E.view(float))
     det = E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0]
     if np.iscomplexobj(E):
         f = (sq[0, 0, 0::2] + sq[0, 0, 1::2] + sq[0, 1, 0::2] + sq[0, 1, 1::2]
@@ -178,38 +177,31 @@ def op_norm_2x2(E) -> np.ndarray:
     largest entry modulus first and its norm multiplied back; a zero matrix
     keeps norm 0. A NaN or infinite entry still gives a non-finite norm.
     """
-    return _op_norm(E)[0]
-
-
-def _op_norm(E, scratch=None):
-    """(op_norm_2x2(E), closed): closed is True when no matrix was on a
-    tail, and then every norm is finite and at least sqrt(2^-512) = 2^-256.
-    scratch is as in _disc_2x2."""
     with np.errstate(over="ignore", invalid="ignore"):
-        f, disc = _disc_2x2(E, scratch)
+        f, disc = _disc_2x2(E)
     out = _sigma_max(f, disc)
     # one reduction per tail; max and min propagate a NaN
-    closed = (disc.max(initial=-np.inf) < np.inf
-              and f.min(initial=np.inf) >= _F_MIN)
-    if not closed:
-        tail = ~np.isfinite(disc) | (f < _F_MIN)
-        tail &= np.isfinite(E).all(axis=(0, 1))
-        ents = E[:, :, tail]
-        # numpy divides a complex v by a real scale as v * (1 / scale), so
-        # either dtype is multiplied by that reciprocal; 1 / scale overflows
-        # for a subnormal scale, and lifting the tiny side by 2^600 is
-        # exact, so a normal scale's quotients keep their bits
-        lift = np.where(f[tail] < _F_MIN, 2.0**600, 1.0)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            scale = np.abs(ents).max(axis=(0, 1))
-            unit = _sigma_max(*_disc_2x2(ents * lift * (1.0 / (scale * lift))))
-            out[tail] = np.where(scale > 0, scale * unit, 0.0)
-    return out, closed
+    if (disc.max(initial=-np.inf) < np.inf
+            and f.min(initial=np.inf) >= _F_MIN):
+        return out
+    tail = ~np.isfinite(disc) | (f < _F_MIN)
+    tail &= np.isfinite(E).all(axis=(0, 1))
+    ents = E[:, :, tail]
+    # numpy divides a complex v by a real scale as v * (1 / scale), so
+    # either dtype is multiplied by that reciprocal; 1 / scale overflows
+    # for a subnormal scale, and lifting the tiny side by 2^600 is exact, so
+    # a normal scale's quotients keep their bits
+    lift = np.where(f[tail] < _F_MIN, 2.0**600, 1.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scale = np.abs(ents).max(axis=(0, 1))
+        unit = _sigma_max(*_disc_2x2(ents * lift * (1.0 / (scale * lift))))
+        out[tail] = np.where(scale > 0, scale * unit, 0.0)
+    return out
 
 
-def step_2x2(mats: np.ndarray, U: np.ndarray, out: np.ndarray):
-    """One step of m 2x2 running products: out <- mats @ U. Returns their
-    norms and whether every one came from the closed form, as _op_norm.
+def step_2x2(mats: np.ndarray, U: np.ndarray, out: np.ndarray,
+             scratch: np.ndarray | None = None) -> None:
+    """One step of m 2x2 running products: out <- mats @ U.
 
     mats is an (m, 2, 2) stack; U and out are entry-major (2, 2, m). Each is
     float64 or complex128, and out has U's dtype: real matrices step real
@@ -222,56 +214,32 @@ def step_2x2(mats: np.ndarray, U: np.ndarray, out: np.ndarray):
     mats is read in place in any layout: as a view of entry-major memory
     (a whole evaluation or one step's slice of a stacked one) its nodes are
     contiguous, and a C-order stack is read strided. Elementwise products
-    give the same bits either way. The second product goes to a scratch
-    array that then takes the norm's squares, so the step allocates one
-    (2, 2, m) temporary for both.
+    give the same bits either way. The second product goes to scratch when
+    one is given (an array of U's shape and dtype, whose values are then
+    lost), else to a temporary.
     """
     M = mats.transpose(1, 2, 0)
     np.multiply(M[:, 0, None], U[0], out=out)
-    second = M[:, 1, None] * U[1]
-    out += second
-    # a C-order stack gives the product its own strided layout
-    return _op_norm(out, second if second.flags.c_contiguous else None)
+    out += np.multiply(M[:, 1, None], U[1], out=scratch)
+
+
+def log_in_place(a: np.ndarray) -> np.ndarray:
+    """Replace every value of the float64 array a by its math.log and return
+    a, LOOKAHEAD_ROWS values at a time, so the Python floats stay few.
+
+    math.log, not np.log: numpy picks a SIMD log for the CPU it runs on, and
+    some of them differ in the last bit for some inputs, so logs taken here
+    do not depend on the CPU.
+    """
+    for i in range(0, a.size, LOOKAHEAD_ROWS):
+        part = a[i:i + LOOKAHEAD_ROWS]
+        part[:] = list(map(math.log, part.tolist()))
+    return a
 
 
 def det_2x2(mats: np.ndarray) -> np.ndarray:
     m = np.asarray(mats)
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-
-
-class PairwiseSum:
-    """Binary-counter pairwise accumulator for a stream of equal-shape arrays.
-
-    Adding 2^j * n terms of a constant stream yields exactly 2^j times the sum
-    of n terms (every intermediate operation scales by a power of two), which
-    makes averages of constant streams independent of the stream length. Plain
-    sequential accumulation does not have that property.
-    """
-
-    def __init__(self):
-        self._levels: list[np.ndarray | None] = []
-
-    def add(self, x: np.ndarray) -> None:
-        carry = x
-        for i in range(len(self._levels)):
-            held = self._levels[i]
-            if held is None:
-                self._levels[i] = carry
-                return
-            carry = held + carry
-            self._levels[i] = None
-        self._levels.append(carry)
-
-    def total(self) -> np.ndarray:
-        # Combine leftovers smallest-first so the partial sizes stay sorted.
-        acc = None
-        for held in self._levels:
-            if held is None:
-                continue
-            acc = held if acc is None else acc + held
-        if acc is None:
-            raise ValueError("empty accumulator")
-        return acc
 
 
 def pairwise_total(values) -> float:
@@ -280,10 +248,25 @@ def pairwise_total(values) -> float:
 
     Equal inputs of length 2^k sum to exactly 2^k times the element, so means
     of constant arrays are exact whenever the length is a power of two. The
-    reduction order is fixed, independent of any threading above it.
+    reduction order is fixed, independent of any threading above it. One
+    segment needs none of pairwise_totals' bookkeeping, so its blocks are
+    plain slices, summed by the same trees and joined in the same order
+    (the first block's sum as it is, so a -0.0 keeps its sign).
     """
     a = np.asarray(values, dtype=np.float64).ravel()
-    return float(pairwise_totals(a, [0], [a.size])[0])
+    total = None
+    i = 0
+    for k in range(a.size.bit_length() - 1, -1, -1):
+        size = 1 << k
+        if not a.size & size:
+            continue
+        block = a[i:i + size]
+        while block.size > 1:
+            block = block[0::2] + block[1::2]
+        part = float(block[0])
+        total = part if total is None else total + part
+        i += size
+    return 0.0 if total is None else total
 
 
 def pairwise_totals(values, starts, lengths) -> np.ndarray:

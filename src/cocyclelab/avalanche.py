@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ._util import (LOOKAHEAD_ROWS, MAX_NODES, csv_text, det_2x2,
-                    op_norm_2x2, pairwise_totals, step_2x2)
+                    log_in_place, op_norm_2x2, pairwise_totals, step_2x2)
 from .cocycle import Cocycle, iterate_log_norm, iterate_log_norm_many
 from .errors import ChainTooShort, NotDivisible, NotUnimodular, ScanTooLarge
 
@@ -133,7 +133,8 @@ def _norm_terms(E: tuple, T: int) -> tuple:
 
     They are computed LOOKAHEAD_ROWS matrices at a time, so every
     temporary stays small; each value has the bits of a whole-block call.
-    The pairs step by the orbit kernel's _util.step_2x2, in E's dtype.
+    The pairs are multiplied by the orbit kernel's _util.step_2x2, in E's
+    dtype, and their norms taken by op_norm_2x2.
     """
     v = np.empty(T)
     w = np.empty(T - 1)
@@ -147,9 +148,9 @@ def _norm_terms(E: tuple, T: int) -> tuple:
         for e, x in zip(E, X.reshape(4, -1)):
             x[:pairs + 1] = e[i:i + pairs + 1]
         np.log(op_norm_2x2(X[:, :, :k]), out=v[i:i + k])
-        s, _ = step_2x2(X[:, :, 1:pairs + 1].transpose(2, 0, 1),
-                        X[:, :, :pairs], P[:, :, :pairs])
-        np.log(s, out=w[i:i + pairs])
+        step_2x2(X[:, :, 1:pairs + 1].transpose(2, 0, 1), X[:, :, :pairs],
+                 P[:, :, :pairs])
+        np.log(op_norm_2x2(P[:, :, :pairs]), out=w[i:i + pairs])
     return v, w
 
 
@@ -159,7 +160,8 @@ def _product_logs(ns: np.ndarray, starts: np.ndarray, E: tuple) -> np.ndarray:
     the entry arrays E.
 
     The running products of all chains advance together, one step j per
-    loop iteration, by the orbit kernel's step _util.step_2x2. Sorted
+    loop iteration, by the orbit kernel's step _util.step_2x2, and are
+    divided by their op_norm_2x2 norms, which are kept. Sorted
     longest first, the chains longer than j are a prefix of the (2, 2, B)
     products. The chains past their end keep stepping by their last
     matrix, unread, so every step's arrays have the block's width: numpy
@@ -186,16 +188,12 @@ def _product_logs(ns: np.ndarray, starts: np.ndarray, E: tuple) -> np.ndarray:
         np.minimum(first + j, last, out=at)
         for e, g in zip(E, G.reshape(4, B)):
             np.take(e, at, out=g)
-        s, _ = step_2x2(G.transpose(2, 0, 1), U, V)
+        step_2x2(G.transpose(2, 0, 1), U, V)
         U, V = V, U
+        s = op_norm_2x2(U)
         logs[at[:live]] = s[:live]
         U *= 1.0 / s
-    # math.log, not np.log: the vectorised log differs in the last bit for
-    # some inputs
-    for i in range(0, len(logs), LOOKAHEAD_ROWS):
-        part = logs[i:i + LOOKAHEAD_ROWS]
-        part[:] = list(map(math.log, part.tolist()))
-    return logs
+    return log_in_place(logs)
 
 
 def _block_reports(ns: np.ndarray, E: tuple, variant: bool,

@@ -41,8 +41,18 @@ evaluators return A(X) as an (m, 2, 2) view of entry-major (2, 2, m) memory,
 the kernel's own layout, so a step copies nothing: it reads its slice of a
 stacked evaluation in place. An outside evaluator may return a C-order
 (m, 2, 2) stack; the step reads that strided, with the same bits. The step
-is _util.step_2x2, which avalanche's chains advance through as well, each
-block of chains in its own dtype by the same arithmetic rule.
+is _util.step_2x2, the product alone, which avalanche's chains advance
+through as well, each block of chains in its own dtype by the same
+arithmetic rule.
+
+The kernel renormalizes by powers of two: after each product it scales a
+node's running matrix U by 2^(1 - e), e the binary exponent of its largest
+entry modulus, and adds e - 1 to an integer sum s per node; the scaling is
+exact unless an entry falls into the subnormal range. No norm and no log
+is taken between reads; a read at n takes one closed-form norm and one
+math.log per node, ln ||U||/n + (s/n) ln 2. Apart from the product's own
+roundings every step is exact, so a real cocycle's bytes do not depend on
+which SIMD kernels numpy dispatches to; complex products still can.
 
 Real cocycles run in real arithmetic. A matrix whose every entry has
 c_{-k} = conj(c_k) exactly for every k, c_0 included (almost Mathieu,
@@ -50,9 +60,10 @@ Schrodinger and Jacobi with real v and a, any number of harmonics), is real
 by construction: _real_entries decides so once, beside _tables, and
 eval_many then returns float64 with the bits of the complex evaluation's
 real part, whose imaginary part is 0 for one harmonic and rounding residue
-for several. What stays complex: a non-conjugate pair or a complex c_0,
-DiscontinuityExample, and jacobi_periodic blocks whose expansion rounds some
-c_{-k} away from conj(c_k). The renormalized and composed evaluators pass
+for several. TrigPoly's product adds mirrored terms in mirrored order, so
+products of real polynomials (jacobi_periodic blocks) stay exactly real.
+What stays complex: a non-conjugate pair or a complex c_0 and
+DiscontinuityExample. The renormalized and composed evaluators pass
 their base's dtype through, and the kernel's running products take the
 dtype of the first evaluation. With every imaginary part zero, a complex
 product's real part is the float64 one, so where the complex evaluation has
@@ -72,14 +83,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import (LOOKAHEAD_ROWS, UNDERFLOW_FLOOR, PairwiseSum, det_2x2, grid,
-                    map_chunked, step_2x2)
+from ._util import (LOOKAHEAD_ROWS, UNDERFLOW_FLOOR, det_2x2, grid,
+                    log_in_place, map_chunked, op_norm_2x2, step_2x2)
 from .errors import IdenticallySingular, OutsideStrip, Singular
 from .torus import Automorphism, Frequency
 
 TWO_PI_I = 2j * math.pi
 # the largest x with e^x finite in double precision, about 709.78
 LN_DBL_MAX = math.log(sys.float_info.max)
+LN2 = math.log(2.0)
 # most nodes per strip face when strip_norm picks the grid (256^2)
 STRIP_FACE_NODES = 1 << 16
 
@@ -211,6 +223,17 @@ def _evaluate_real(X: np.ndarray, ks: np.ndarray, h: int,
 # Scalar trigonometric polynomials
 # ---------------------------------------------------------------------------
 
+def _mirror_key(k: tuple, k1: tuple):
+    """Where the term c1_{k1} c2_{k - k1} goes among the terms of index k:
+    k1 itself when k is the larger of +-k, -k1 when it is the smaller, and
+    for k = 0 the pair of +-k1, so the order is the same under
+    (k, k1) -> (-k, -k1) and the two terms of a pair at 0 are adjacent."""
+    neg1 = tuple(-v for v in k1)
+    if not any(k):
+        return max(k1, neg1), k1
+    return neg1 if k < tuple(-v for v in k) else k1
+
+
 class TrigPoly:
     """A finite Fourier sum f(x) = sum_k c_k e^{2 pi i k.x} on T^d."""
 
@@ -294,11 +317,28 @@ class TrigPoly:
         return self + (-other)
 
     def __mul__(self, other: "TrigPoly") -> "TrigPoly":
-        out: dict = {}
+        """The coefficient convolution, each output index's terms added in
+        an order that mirrors under k -> -k.
+
+        The terms c1_{k1} c2_{k - k1} of an index k are added by ascending
+        k1, those of -k by ascending -k1, so the two sums visit mirrored
+        terms in step; those of 0 go in adjacent pairs k1, -k1. Where both
+        factors have c_{-k} = conj(c_k) exactly, each mirrored term is the
+        exact conjugate of its partner (conj(a) conj(b) rounds as conj(ab)),
+        so the product has c_{-k} = conj(c_k) exactly too and evaluates in
+        float64 (_real_entries).
+        """
+        terms: dict = {}
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
                 k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, 0j) + c1 * c2
+                terms.setdefault(k, []).append((k1, c1 * c2))
+        out = {}
+        for k, ts in terms.items():
+            total = 0j
+            for _, c in sorted(ts, key=lambda t: _mirror_key(k, t[0])):
+                total += c
+            out[k] = total
         return TrigPoly(self.d, out)
 
     def scaled(self, s: complex) -> "TrigPoly":
@@ -357,9 +397,9 @@ class TrigPolyMatrix:
         (2, 2, m) memory. float64 when every entry is real by the rule of
         _real_entries, c_{-k} = conj(c_k) exactly (Schrodinger and Jacobi
         matrices with any number of harmonics, real constants), with the
-        bits of the complex evaluation's real part; complex128 for a
-        non-conjugate pair or a complex c_0, as in a jacobi_periodic block
-        whose expansion rounds some c_{-k} away from conj(c_k)."""
+        bits of the complex evaluation's real part (jacobi_periodic blocks
+        of real v and a too); complex128 for a non-conjugate pair or a
+        complex c_0."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self._real is None:
             vals = _evaluate(X, self._ks, self._cs, self._half)
@@ -593,6 +633,18 @@ class LogNormResult:
     underflowed: bool
 
 
+def _read_avg(U: np.ndarray, esum: np.ndarray, n: int) -> np.ndarray:
+    """(1/n) ln ||A_n|| of every node from its running product 2^-esum A_n:
+    ln ||U||/n + (esum/n) ln 2, one closed-form norm and one log per node.
+
+    The logs are math.log's (_util.log_in_place), so no SIMD log of
+    numpy's enters the bits. A power-of-two constant reads exactly:
+    diag(2, 1/2) keeps U = diag(1, 4^-n), whose norm computes to 1, and
+    esum = n, so every n reads 0 + 1.0 * ln 2.
+    """
+    return log_in_place(op_norm_2x2(U)) / n + esum / n * LN2
+
+
 def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray,
                    avg: np.ndarray, steps: np.ndarray) -> None:
     """The orbit-product kernel for a batch of m starting points X (m, d).
@@ -606,14 +658,22 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
     throughout. Where every imaginary part is zero, each complex product
     has the real part that float64 gives, so both run to the same bits.
 
+    Renormalization is by powers of two. After each step, mx is a node's
+    largest entry modulus (max(|re|, |im|) over the entries of a complex
+    product) and e its binary exponent (np.frexp); the product is scaled by
+    2^(1 - e), which puts mx in [1, 2), and e - 1 is added to the node's
+    integer esum. No norm and no log is taken between reads: at a read n,
+    avg is ln ||U||/n + (esum/n) ln 2 (_read_avg).
+
     reads is an increasing list of step counts; the orbit runs to the last
     one, and avg[r] is the average log-norm after
     reads[r] steps. Nothing before step n depends on how far the orbit goes,
     so avg[r] is bit-identical to that of a reads[r]-step orbit. steps[i]
     is the number of steps node i completed before its product underflowed
     (it must hold the orbit length on entry, and keeps it if the node never
-    underflows); from then on the node carries the identity and adds 0 to
-    its log sum.
+    underflows): a product whose mx is below UNDERFLOW_FLOOR or not finite
+    (an exactly zero product, a NaN from a singular evaluation). From then
+    on the node carries the identity and adds 0 to its esum.
 
     Evaluation looks ahead: the orbit points of the next
     B = max(1, LOOKAHEAD_ROWS // m) steps are advanced first, by the same
@@ -627,17 +687,17 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
     two. LOOKAHEAD_ROWS keeps a stacked evaluation's temporaries under
     glibc's mmap threshold.
 
-    Each step allocates a few (m,) and (2, 2, m) temporaries; map_chunked
-    keeps m at most BLOCK_ROWS on one worker, which is what keeps them
-    cache-sized and off the allocator's trim path.
+    A step writes its product into the spare of two (2, 2, m) arrays and
+    its second half-product and entry moduli into a third, and allocates
+    only (m,) arrays; map_chunked keeps m at most BLOCK_ROWS on one worker.
     """
     m, d = X.shape
     N = reads[-1]
     B = max(1, LOOKAHEAD_ROWS // max(m, 1))
-    U = V = None  # made at the first evaluation, in its dtype
-    # None until a norm is rescaled or a node dies: no masking is needed
+    U = None  # made at the first evaluation, in its dtype
+    # None until a node dies: no masking is needed
     alive = None
-    acc = PairwiseSum()
+    esum = np.zeros(m, dtype=np.int64)
     r = 0
     pts = X
     for j0 in range(0, N, B):
@@ -651,26 +711,40 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
         if U is None:
             U = np.zeros((2, 2, m), dtype=np.result_type(mats, float))
             U[0, 0] = U[1, 1] = 1.0
-            V = np.empty_like(U)
+            V, W = np.empty_like(U), np.empty_like(U)
+            # the float views: a complex node's real and imaginary parts
+            # sit side by side, and W's rows are the four entries
+            cplx = U.dtype.kind == "c"
+            Uf, Vf, Wf = (a.view(float) for a in (U, V, W))
+            W4 = Wf.reshape(4, -1)
         for k in range(b):
             j = j0 + k
-            s, closed = step_2x2(mats[k * m:(k + 1) * m], U, V)
-            U, V = V, U
-            # a closed-form norm is finite and above UNDERFLOW_FLOOR, so
-            # only a rescaled one can mark a node dead
-            if alive is not None or not closed:
-                ok = np.isfinite(s) & (s > UNDERFLOW_FLOOR)
+            step_2x2(mats[k * m:(k + 1) * m], U, V, W)
+            U, V, Uf, Vf = V, U, Vf, Uf
+            np.abs(Uf, out=Wf)
+            mx = np.maximum.reduce(W4, axis=0)
+            if cplx:
+                mx = np.maximum(mx[0::2], mx[1::2])
+            # min and max propagate a NaN
+            if alive is not None or not (
+                    np.minimum.reduce(mx, initial=math.inf) >= UNDERFLOW_FLOOR
+                    and np.maximum.reduce(mx, initial=0.0) < math.inf):
+                ok = (mx >= UNDERFLOW_FLOOR) & (mx < math.inf)
                 alive = ok if alive is None else alive & ok
                 steps[~alive & (steps == N)] = j
-                s = np.where(alive, s, 1.0)
                 U[:, :, ~alive] = np.eye(2)[:, :, None]
-            # numpy divides a complex U by a real s as U * (1/s), so a
-            # real U takes that product too
-            U *= 1.0 / s
-            acc.add(np.log(s))
+                mx[~alive] = 1.0  # the identity: shift 0
+            shift = np.frexp(mx)[1]
+            np.subtract(1, shift, out=shift)
+            if cplx:
+                # ldexp has no complex loop, and a product with the power
+                # of two is just as exact
+                U *= np.ldexp(1.0, shift)
+            else:
+                np.ldexp(U, shift, out=U)
+            esum -= shift
             if reads[r] == j + 1:
-                # total() leaves the levels as they are, so the orbit goes on
-                avg[r] = acc.total() / (j + 1)
+                avg[r] = _read_avg(U, esum, j + 1)
                 r += 1
         mats = block = None  # dropped before the next evaluation is made
         pts = pts + omega_vec
@@ -682,8 +756,9 @@ def iterate_log_norm_many(C: Cocycle, N: int, X: np.ndarray,
     """Averaged log-norms over a batch of starting points.
 
     Returns (avg, underflowed): avg[i] = (1/N) ln ||A_N(X[i])||, and
-    underflowed[i] marks nodes whose running product degenerated (norm below
-    1e-300 or non-finite); their avg entry is meaningless. X holds m nodes
+    underflowed[i] marks nodes whose running product degenerated (largest
+    entry modulus below 1e-300 or non-finite); their avg entry is
+    meaningless. X holds m nodes
     of T^d as an (m, d) array, or one node as its d coordinates; any other
     shape raises ValueError.
 
@@ -692,10 +767,12 @@ def iterate_log_norm_many(C: Cocycle, N: int, X: np.ndarray,
     have one row per entry: row r is bit for bit what N = at[r] returns.
     The orbit runs all N steps even when every n is smaller.
 
-    Per-step renormalization keeps a unit-norm running matrix and accumulates
-    the log factors with a power-of-two pairwise scheme, so the raw product is
-    never formed and averages at N and 2^j N subtract exactly for constant
-    inputs.
+    The raw product is never formed: each step scales the running product
+    by a power of two, exactly, and keeps the exponents as an integer sum
+    per node, and a read takes one norm and one log per node (_iterate_chunk).
+    So the bytes of a real cocycle's averages do not depend on numpy's SIMD
+    dispatch, and a power-of-two constant such as diag(2, 1/2) reads exactly
+    ln 2 at every N; other constants (3 I) agree across N to about an ulp.
     """
     want = [N] if at is None else [int(n) for n in at]
     if N < 1 or any(n < 1 for n in want):

@@ -330,6 +330,35 @@ class TestRealEvaluation:
         assert got.dtype == np.complex128
         assert same_bits(got, _einsum_ref(A, X))
 
+    @given(st.integers(1, 2).flatmap(
+        lambda d: st.lists(real_entry(d), min_size=2, max_size=4)))
+    @settings(max_examples=100, deadline=None)
+    def test_real_arithmetic_products_stay_conjugate_symmetric(self, polys):
+        """A product of real-by-construction polynomials has
+        c_{-k} = conj(c_k) exactly, c_0 real, in every grouping."""
+        for p in (polys[0] * polys[1], polys[-1] * polys[0] * polys[1],
+                  (polys[0] + polys[-1]) * (polys[1] * polys[-1])):
+            for k, c in p.coeffs.items():
+                neg = p.coeffs.get(tuple(-v for v in k), 0j)
+                assert neg == c.conjugate() and (any(k) or c.imag == 0)
+
+    # v = 4 cos, v_per = (0, 1, -0.5, 0.3, 0.2, 0.1)[:q]: blocks from q = 3
+    # on ran complex while the product added the terms of k and -k in dict
+    # order, one ulp apart
+    @pytest.mark.parametrize("a", ["1+0.5cos", "0.7+0.4sin"])
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_real_arithmetic_jacobi_periodic_blocks(self, q, a):
+        a = TrigPoly.constant(1, 1.0) + TrigPoly.cosine((1,), 0.5) \
+            if a == "1+0.5cos" else \
+            TrigPoly.constant(1, 0.7) + TrigPoly.sine((1,), 0.4)
+        A = jacobi_periodic(TrigPoly.cosine((1,), 4.0), a,
+                            (0.0, 1.0, -0.5, 0.3, 0.2, 0.1)[:q], 0.3,
+                            Frequency((GOLDEN,)))
+        X = np.random.default_rng(q).random((512, 1))
+        got = A.eval_many(X)
+        assert got.dtype == np.float64
+        assert same_bits(got, _einsum_ref(A, X).real)
+
     def test_discontinuity_stays_complex(self):
         X = np.random.default_rng(5).random((64, 1))
         assert DiscontinuityExample((1,)).eval_many(X).dtype == np.complex128
@@ -728,11 +757,18 @@ class TestIteration:
             assert got == pytest.approx(brute_average(m, c.omega, N, (0.11,)), abs=1e-10)
 
     def test_constant_diagonal_exact_all_scales(self):
+        # a power-of-two constant reads ln 2 exactly at every N; any other
+        # constant keeps a fraction of a power of two in its running
+        # product, so its reads agree to an ulp
+        c = Cocycle(TrigPolyMatrix.constant(1, [[2.0, 0], [0, 0.5]]),
+                    Frequency((GOLDEN,)))
+        for N in (1, 2, 3, 4, 8, 16, 47, 64):
+            assert iterate_log_norm(c, N, (0.0,)).log_norm_avg == math.log(2.0)
         m = TrigPolyMatrix.constant(1, [[3.0, 0], [0, 1 / 3]])
         c = Cocycle(m, Frequency((GOLDEN,)))
-        base = iterate_log_norm(c, 1, (0.0,)).log_norm_avg
-        for N in (2, 4, 8, 16, 64):
-            assert iterate_log_norm(c, N, (0.0,)).log_norm_avg == base
+        for N in (1, 2, 4, 8, 16, 64):
+            got = iterate_log_norm(c, N, (0.0,)).log_norm_avg
+            assert abs(got - math.log(3.0)) <= math.ulp(math.log(3.0))
 
     def test_cocycle_law_subadditive(self):
         m = amo(2.0, 0.0)

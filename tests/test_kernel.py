@@ -1,11 +1,16 @@
-"""The orbit-product kernel against the matmul loop it replaced.
+"""The orbit-product kernel against plain matmul loops.
 
-The reference below is the earlier kernel, kept verbatim apart from names:
-it carries the running products as an (m, 2, 2) stack and multiplies it with
-`mats @ U`. For Schrodinger-form and diagonal cocycles the kernel must agree
-with it bit for bit. For general complex entries the stacked matmul goes
-through BLAS, whose fused multiply-adds elementwise numpy cannot reproduce,
-so those cocycles agree to a relative 1e-12 instead.
+The references below carry the running products as an (m, 2, 2) complex
+stack, multiply with `mats @ U`, and renormalize by the kernel's rule: after
+each product, a node's largest entry modulus mx (max(|re|, |im|) over the
+four entries) has binary exponent e, the product is multiplied by 2^(1 - e)
+and e - 1 is added to an integer sum, and a read at n is
+ln ||U||/n + (sum/n) ln 2 with math.log. For Schrodinger-form and diagonal
+cocycles the kernel must agree with them bit for bit. For general complex
+entries the stacked matmul goes through BLAS, whose fused multiply-adds
+elementwise numpy cannot reproduce, so those cocycles agree to a relative
+1e-12 instead; where the kernel is checked bit for bit on them, the
+reference writes the product out as the kernel's elementwise rows.
 """
 import math
 import os
@@ -19,7 +24,6 @@ from cocyclelab import _util, deviation, lyapunov
 from cocyclelab._util import (
     MAX_NODES,
     UNDERFLOW_FLOOR,
-    PairwiseSum,
     dyadic_grid,
     grid,
     map_chunked,
@@ -66,41 +70,67 @@ def ref_op_norm(mats):
     return np.sqrt(0.5 * (f + np.sqrt(disc)))
 
 
-def ref_iterate(A, omega_vec, N, X):
-    """(avg, underflowed) by the (m, 2, 2) matmul loop."""
+def rows_product(mats, U):
+    """mats @ U written out as the kernel's rows, M_i0 (row 0 of U) +
+    M_i1 (row 1 of U), elementwise."""
+    return mats[:, :, :1] * U[:, :1, :] + mats[:, :, 1:] * U[:, 1:, :]
+
+
+def ref_read(U, esum, n):
+    """(1/n) ln ||A_n|| from U = 2^-esum A_n, one math.log per node."""
+    logs = np.array([math.log(s) for s in ref_op_norm(U).tolist()])
+    return logs / n + esum / n * math.log(2.0)
+
+
+def ref_iterate(A, omega_vec, reads, X, product=np.matmul):
+    """(avg, steps) of the orbits from the m nodes X by the (m, 2, 2)
+    matmul loop, one eval_many call per step: avg[r] is the read after
+    reads[r] steps (reads increasing), and steps[i] the steps node i
+    completed before its product's mx fell below UNDERFLOW_FLOOR or left
+    the finite numbers (the orbit length if never); from then on it
+    carries the identity and adds nothing to its sum."""
     m = X.shape[0]
+    N = reads[-1]
     U = np.broadcast_to(np.eye(2, dtype=complex), (m, 2, 2)).copy()
-    alive = np.ones(m, dtype=bool)
-    acc = PairwiseSum()
+    esum = np.zeros(m, dtype=np.int64)
+    steps = np.full(m, N)
+    avg = np.empty((len(reads), m))
     pts = X.copy()
-    for _ in range(N):
-        mats = A.eval_many(pts)
-        U = mats @ U
-        s = ref_op_norm(U)
-        ok = np.isfinite(s) & (s > UNDERFLOW_FLOOR)
-        alive &= ok
-        safe = np.where(alive, s, 1.0)
-        U = np.where(alive[:, None, None], U / safe[:, None, None],
-                     np.broadcast_to(np.eye(2, dtype=complex), (m, 2, 2)))
-        acc.add(np.where(alive, np.log(safe), 0.0))
+    for j in range(N):
+        U = product(A.eval_many(pts), U)
+        mx = np.maximum(np.abs(U.real), np.abs(U.imag)).max(axis=(1, 2))
+        died = ~(np.isfinite(mx) & (mx >= UNDERFLOW_FLOOR)) & (steps == N)
+        steps[died] = j
+        dead = steps < N
+        U[dead] = np.eye(2)
+        mx[dead] = 1.0
+        e = np.frexp(mx)[1]
+        U = U * np.ldexp(1.0, 1 - e)[:, None, None]
+        esum += e - 1
+        if j + 1 in reads:
+            avg[reads.index(j + 1)] = ref_read(U, esum, j + 1)
         pts = _frac(pts + omega_vec)
-    return acc.total() / N, ~alive
+    return avg, steps
 
 
-def ref_partial_logs(A, omega_vec, N, x):
-    """Per-step log factors of one orbit by the scalar loop; stops at underflow."""
+def ref_partial_sums(A, omega_vec, N, x):
+    """ln ||A_n(x)|| for n = 1, 2, ... by the scalar 2x2 loop, as
+    ln ||U|| + e ln 2 with U = 2^-e A_n; stops at underflow."""
     pts = np.asarray(x, dtype=float).reshape(1, -1)
     U = np.eye(2, dtype=complex)
-    logs = []
+    e = 0
+    sums = []
     for _ in range(N):
         U = A.eval_many(pts)[0] @ U
-        s = float(ref_op_norm(U[None])[0])
-        if not math.isfinite(s) or s <= UNDERFLOW_FLOOR:
-            return logs, True
-        U = U / s
-        logs.append(math.log(s))
+        mx = float(np.max(np.maximum(np.abs(U.real), np.abs(U.imag))))
+        if not math.isfinite(mx) or mx < UNDERFLOW_FLOOR:
+            return sums, True
+        shift = 1 - math.frexp(mx)[1]
+        U = U * math.ldexp(1.0, shift)
+        e -= shift
+        sums.append(math.log(float(ref_op_norm(U[None])[0])) + e * math.log(2.0))
         pts = _frac(pts + omega_vec)
-    return logs, False
+    return sums, False
 
 
 @pytest.fixture
@@ -152,10 +182,10 @@ def _nodes(d, m=97):
 def test_kernel_matches_matmul_loop_bitwise(name, workers):
     C = BITWISE[name]()
     X = _nodes(C.d)
-    want, want_under = ref_iterate(C.A, C.omega.as_array(), 64, X)
+    want, steps = ref_iterate(C.A, C.omega.as_array(), [64], X)
     got, under = iterate_log_norm_many(C, 64, X)
-    assert np.array_equal(under, want_under)
-    assert np.array_equal(got, want)
+    assert np.array_equal(under, steps < 64)
+    assert np.array_equal(got, want[0])
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
@@ -163,10 +193,10 @@ def test_kernel_matches_matmul_loop_bitwise(name, workers):
 def test_kernel_matches_matmul_loop_closely(name, workers):
     C = CLOSE[name]()
     X = _nodes(C.d)
-    want, want_under = ref_iterate(C.A, C.omega.as_array(), 64, X)
+    want, steps = ref_iterate(C.A, C.omega.as_array(), [64], X)
     got, under = iterate_log_norm_many(C, 64, X)
-    assert np.array_equal(under, want_under)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.array_equal(under, steps < 64)
+    np.testing.assert_allclose(got, want[0], rtol=1e-12, atol=0.0)
 
 
 # det A(x) = a(x) = cos(2 pi x) + 0.3, so renormalize(A, floor) kills the
@@ -208,12 +238,13 @@ def test_excision_midway_keeps_healthy_nodes_bitwise(workers):
     # path runs for many steps while the healthy nodes keep iterating.
     C = _excising(G1, floor=0.05)
     X = np.linspace(0.0, 1.0, 64, endpoint=False).reshape(-1, 1)
-    want_avg, want_under = ref_iterate(C.A, C.omega.as_array(), 40, X)
+    want_avg, steps = ref_iterate(C.A, C.omega.as_array(), [40], X)
+    want_under = steps < 40
     assert want_under.any() and not want_under.all()
     avg, under = iterate_log_norm_many(C, 40, X)
     assert np.array_equal(under, want_under)
     keep = ~under
-    np.testing.assert_allclose(avg[keep], want_avg[keep], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(avg[keep], want_avg[0, keep], rtol=1e-12, atol=0.0)
     alone, alone_under = iterate_log_norm_many(C, 40, X[keep])
     assert not alone_under.any()
     assert np.array_equal(avg[keep], alone)
@@ -279,6 +310,14 @@ def test_reads_before_N_still_run_N_steps():
         assert np.array_equal(under[row], want_under)
 
 
+def test_empty_batch_reads_nothing():
+    C = Cocycle(amo(3.0, 0.3), G1)
+    avg, under = iterate_log_norm_many(C, 5, np.zeros((0, 1)))
+    assert avg.shape == under.shape == (0,)
+    avg, under = iterate_log_norm_many(C, 5, np.zeros((0, 1)), at=(2, 5))
+    assert avg.shape == under.shape == (2, 0)
+
+
 def test_reads_at_are_checked():
     C = Cocycle(amo(3.0, 0.3), G1)
     X = _nodes(1, m=4)
@@ -304,21 +343,35 @@ def test_node_shape_is_checked(d, X, given):
 
 
 # Starting points whose orbit survives 40 steps (None) or underflows at the
-# given step, so the partial logs are the whole orbit, empty, or cut short.
+# given step, so the partial sums are the whole orbit, empty, or cut short.
 # Reading one orbit at every step count n gives the partial sums n * avg[n].
 @pytest.mark.parametrize("x, dies_at", [(0.15, None), (0.3, 0), (0.4, 28)])
 def test_collect_partial_matches_scalar_loop(x, dies_at):
     C = _excising(G1, floor=0.05)
-    want_logs, want_under = ref_partial_logs(C.A, C.omega.as_array(), 40, (x,))
+    want_sums, want_under = ref_partial_sums(C.A, C.omega.as_array(), 40, (x,))
     assert want_under == (dies_at is not None)
-    assert len(want_logs) == (40 if dies_at is None else dies_at)
+    assert len(want_sums) == (40 if dies_at is None else dies_at)
     avg, under = iterate_log_norm_many(C, 40, np.array([[x]]), at=range(1, 41))
     ns = np.arange(1, 41)
-    assert np.array_equal(under[:, 0], ns > len(want_logs))
+    assert np.array_equal(under[:, 0], ns > len(want_sums))
     alive = ns[~under[:, 0]]
     got = alive * avg[alive - 1, 0]
-    want = np.cumsum(want_logs)[alive - 1]
+    want = np.array(want_sums)[alive - 1]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+# A power-of-two constant reads ln 2 exactly at every N, not only at powers
+# of two: diag(2, 1/2) keeps U = diag(1, 4^-n), whose computed norm is 1, and
+# the exponent sum n, so a read is 0/n + (n/n) ln 2. In complex arithmetic
+# too (i diag(2, 1/2)), and with nodes split across workers.
+@pytest.mark.parametrize("workers", [1, 2], indirect=True)
+@pytest.mark.parametrize("unit", [1.0, 1j])
+def test_power_of_two_constant_reads_log_two_at_every_N(unit, workers):
+    C = Cocycle(TrigPolyMatrix.constant(1, np.diag([2.0, 0.5]) * unit), G1)
+    N = 1100  # past n = 537, where 4^-n leaves the normal range
+    avg, under = iterate_log_norm_many(C, N, _nodes(1, m=5), at=range(1, N + 1))
+    assert not under.any()
+    assert np.all(avg == math.log(2.0))
 
 
 # iterate_log_norm is a one-row iterate_log_norm_many; an underflowed orbit
@@ -435,44 +488,8 @@ def test_blocked_walk_matches_rows_run_alone(monkeypatch, workers):
 
 
 # ---------------------------------------------------------------------------
-# The look-ahead kernel against the one-step-at-a-time kernel
+# The look-ahead kernel against one evaluation per step
 # ---------------------------------------------------------------------------
-
-def ref_iterate_chunk(A, omega_vec, reads, X):
-    """The orbit kernel as it was before evaluation looked ahead, verbatim
-    apart from its name and the unpacking of step_2x2's result: one
-    eval_many call per step on the current points."""
-    m = X.shape[0]
-    N = reads[-1]
-    U = np.zeros((2, 2, m), dtype=complex)
-    U[0, 0] = U[1, 1] = 1.0
-    V = np.empty_like(U)
-    steps = np.full(m, N)
-    alive = None  # None while every node is alive, so no masking is needed
-    acc = PairwiseSum()
-    avg = np.empty((len(reads), m))
-    r = 0
-    pts = X.copy()
-    for j in range(N):
-        s, _ = step_2x2(A.eval_many(pts), U, V)
-        U, V = V, U
-        ok = np.isfinite(s) & (s > UNDERFLOW_FLOOR)
-        if alive is not None or not ok.all():
-            alive = ok if alive is None else alive & ok
-            steps[~alive & (steps == N)] = j
-            s = np.where(alive, s, 1.0)
-            U[:, :, ~alive] = np.eye(2)[:, :, None]
-        # U / s would promote s to complex, and numpy's complex division with
-        # a zero imaginary part multiplies by 1/s: same bits, lower cost.
-        U *= 1.0 / s
-        acc.add(np.log(s))
-        if reads[r] == j + 1:
-            # total() leaves the levels as they are, so the orbit goes on
-            avg[r] = acc.total() / (j + 1)
-            r += 1
-        pts = _frac(pts + omega_vec)
-    return avg, steps
-
 
 class _COrderEvaluator:
     """An outside evaluator: the values of base, copied to C order."""
@@ -527,7 +544,8 @@ def test_lookahead_matches_one_step_kernel(name, m, workers):
     N, at = _block_reads(m)
     X = _nodes(C.d, m=m)
     reads = sorted(set(at))
-    want_avg, want_steps = ref_iterate_chunk(C.A, C.omega.as_array(), reads, X)
+    want_avg, want_steps = ref_iterate(C.A, C.omega.as_array(), reads, X,
+                                       product=rows_product)
     avg, under = iterate_log_norm_many(C, N, X, at=at)
     rows = np.searchsorted(reads, at)
     assert np.array_equal(under, want_steps < np.array(at)[:, None])
@@ -804,8 +822,9 @@ def test_real_arithmetic_op_norm_matches_complex():
     U = np.ascontiguousarray(rng.standard_normal((4000, 2, 2)).transpose(1, 2, 0))
     real_out, complex_out = np.empty_like(U), np.empty_like(U, dtype=complex)
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, inf - inf
-        s, _ = step_2x2(mats, U, real_out)
-        s_c, _ = step_2x2(mats.astype(complex), U.astype(complex), complex_out)
+        step_2x2(mats, U, real_out)
+        step_2x2(mats.astype(complex), U.astype(complex), complex_out)
+    s, s_c = op_norm_2x2(real_out), op_norm_2x2(complex_out)
     assert s.tobytes() == s_c.tobytes()
     assert np.array_equal(real_out, complex_out.real, equal_nan=True)
     assert np.all(complex_out.imag[np.isfinite(complex_out.imag)] == 0)
@@ -921,6 +940,33 @@ def test_real_arithmetic_pairwise_totals_keep_a_negative_zero():
     got = _util.pairwise_totals(a, [0, 2, 4], [1, 2, 1])
     assert got.tobytes() == np.array([-0.0, -0.0, -0.0]).tobytes()
     assert _util.pairwise_totals(a, [1], [0]).tolist() == [0.0]
+    for n in (1, 2, 3, 5):
+        assert math.copysign(1.0, _util.pairwise_total(np.full(n, -0.0))) == -1.0
+    assert math.copysign(1.0, _util.pairwise_total(a[:0])) == 1.0
+
+
+def _one_segment(a):
+    return float(_util.pairwise_totals(a, [0], [a.size])[0])
+
+
+@pytest.mark.parametrize("n", range(71))
+def test_real_arithmetic_pairwise_total_is_one_segment(n):
+    """pairwise_total's own path gives the one-segment pairwise_totals bit
+    for bit, for every length up to 70 and on values of mixed scales."""
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    assert np.float64(_util.pairwise_total(a)).tobytes() == \
+        np.float64(_one_segment(a)).tobytes()
+
+
+@given(st.integers(0, 5000), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_real_arithmetic_pairwise_total_random_lengths(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    got = _util.pairwise_total(a)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(_one_segment(a)).tobytes()
 
 
 # ---------------------------------------------------------------------------
