@@ -248,25 +248,10 @@ def pairwise_total(values) -> float:
 
     Equal inputs of length 2^k sum to exactly 2^k times the element, so means
     of constant arrays are exact whenever the length is a power of two. The
-    reduction order is fixed, independent of any threading above it. One
-    segment needs none of pairwise_totals' bookkeeping, so its blocks are
-    plain slices, summed by the same trees and joined in the same order
-    (the first block's sum as it is, so a -0.0 keeps its sign).
+    reduction order is fixed, independent of any threading above it.
     """
     a = np.asarray(values, dtype=np.float64).ravel()
-    total = None
-    i = 0
-    for k in range(a.size.bit_length() - 1, -1, -1):
-        size = 1 << k
-        if not a.size & size:
-            continue
-        block = a[i:i + size]
-        while block.size > 1:
-            block = block[0::2] + block[1::2]
-        part = float(block[0])
-        total = part if total is None else total + part
-        i += size
-    return 0.0 if total is None else total
+    return float(pairwise_totals(a, [0], [a.size])[0])
 
 
 def pairwise_totals(values, starts, lengths) -> np.ndarray:

@@ -501,8 +501,9 @@ class _COrderEvaluator:
         return np.ascontiguousarray(self.base.eval_many(X))
 
 
-# Every node dies at its first step (norm 1e-305 < UNDERFLOW_FLOOR), or
-# lives with every norm rescaled (1e-200).
+# Every node dies at its first step (largest entry modulus 1e-305 <
+# UNDERFLOW_FLOOR), or lives (1e-200 stays above the floor, so no node is
+# excised).
 def _tiny(scale=1e-305):
     return Cocycle(TrigPolyMatrix.constant(1, np.diag([scale, scale])), G1)
 
@@ -754,7 +755,8 @@ def test_real_arithmetic_matches_complex_run(case):
 @pytest.mark.parametrize("renorm", [False, True])
 @pytest.mark.parametrize("lam", [1e150, 1e-200])
 def test_real_arithmetic_tails(lam, renorm):
-    # 1e150: every product passes the closed form's range and is rescaled
+    # 1e150: a step shifts the exponent by up to about 500 (|v| <= 2e150),
+    # and every read still lands in [1, 2)
     A = amo(lam, 0.0)
     C = Cocycle(RenormalizedMatrix(A) if renorm else A, G1)
     _assert_real_run_matches_complex(C, 64, _nodes(1, m=300), [1, 7, 64])
@@ -943,30 +945,6 @@ def test_real_arithmetic_pairwise_totals_keep_a_negative_zero():
     for n in (1, 2, 3, 5):
         assert math.copysign(1.0, _util.pairwise_total(np.full(n, -0.0))) == -1.0
     assert math.copysign(1.0, _util.pairwise_total(a[:0])) == 1.0
-
-
-def _one_segment(a):
-    return float(_util.pairwise_totals(a, [0], [a.size])[0])
-
-
-@pytest.mark.parametrize("n", range(71))
-def test_real_arithmetic_pairwise_total_is_one_segment(n):
-    """pairwise_total's own path gives the one-segment pairwise_totals bit
-    for bit, for every length up to 70 and on values of mixed scales."""
-    rng = np.random.default_rng(n)
-    a = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
-    assert np.float64(_util.pairwise_total(a)).tobytes() == \
-        np.float64(_one_segment(a)).tobytes()
-
-
-@given(st.integers(0, 5000), st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_real_arithmetic_pairwise_total_random_lengths(n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
-    got = _util.pairwise_total(a)
-    assert type(got) is float
-    assert np.float64(got).tobytes() == np.float64(_one_segment(a)).tobytes()
 
 
 # ---------------------------------------------------------------------------
