@@ -32,7 +32,6 @@ from .torus import (
     freq_norm,
     frequency_multiple,
     min_dot_norm,
-    rational_dependence,
     torus_distance,
 )
 from .cocycle import (

@@ -22,19 +22,16 @@ MAX_NODES = 1 << 22
 
 _max_workers = 1
 
-# A thread pays only above this many rows per worker. On a 2-core host the
-# orbit kernel on amo (about 4e5 node-steps a run, 15 to 21 pairs of 1 and 2
-# workers) ran 1.6x slower at 2 workers with 512 rows and 1.2-1.5x with
-# 1024, but 0.55x with 2048, 0.76-0.90x with 3072 and 0.75-0.85x with 4096,
-# faster in every pair. 1536 rows read 1.09x in one set and 0.72x in
-# another, so the crossover lies between 1024 and 2048 rows. With one
-# worker walking BLOCK_ROWS blocks, 2 against 1 worker (fresh processes,
-# about 1e6 node-steps a run, alternating; median time ratio, pairs where 2
-# workers won) read 0.92 (9/12) and 0.93 (10/12) at 2048 rows, 1.02 (5/12)
-# twice at 4096, 0.58 (11/12) at 16384 and 0.85 (10/12) at 65536: two
-# workers still win from 2048 rows, so the crossover has not moved. At 4096
-# rows the split is even; one worker there runs one block, as before blocks.
-MIN_ROWS_PER_WORKER = 1024
+# A thread pays only above this many rows per worker. Since the orbit kernel
+# renormalizes by powers of two, a step is about 10 short numpy calls, and two
+# workers pass the interpreter lock back and forth between them. On a 2-core
+# host, amo iterate_log_norm_many at about 4.2e6 node-steps a run, the split
+# forced, 7 alternating pairs of 1 and 2 workers (median time ratio, pairs
+# where 2 workers won) read 2.43 (0/7) at 2048 rows and 1.81 (0/7) at 4096,
+# but 0.81 (6/7) at 8192, 0.66 (7/7) at 16384 and 0.58 (7/7) at 65536. An
+# earlier sweep on the same host read 1.27, 1.40, 0.85, 0.60 and 0.58 at
+# those sizes. So a second worker starts at 8192 rows.
+MIN_ROWS_PER_WORKER = 4096
 
 # One worker hands fn blocks of at most this many rows. The orbit kernel's
 # per-step temporaries are then 64-256 KiB, inside the 2 MiB L2 and below

@@ -60,7 +60,7 @@ class ScaleLadder:
     generation round each.
     """
 
-    kind: str                   # "liouville" | "mixed" | "induction"
+    kind: str                   # "liouville" | "induction"
     scales: Tuple[int, ...]
     params: Dict[str, Optional[float]]
     step_flags: Tuple[dict, ...]
@@ -358,7 +358,7 @@ def induction_schedule(omega1: Optional[Frequency], omega2: Optional[Frequency],
 
 def _pair_budgets(ladder: ScaleLadder, C_prime: float) -> Tuple[List[float], float]:
     """Per-consecutive-pair budgets plus the base-to-top budget."""
-    if ladder.kind in ("liouville", "mixed"):
+    if ladder.kind == "liouville":
         unit = C_prime * float(ladder.params["kappa"]) ** (1.0 / 6.0)
         return [unit] * (len(ladder.scales) - 1), unit
     if ladder.kind == "induction":

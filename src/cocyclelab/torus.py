@@ -1,8 +1,9 @@
 """Frequency arithmetic on the d-torus.
 
-Distance-to-integer norms, exact Diophantine scans, rational-dependence
-detection, and integer unimodular changes of variables. Everything here is a
-pure function of its inputs; scans are deterministic regardless of chunking.
+Distance-to-integer norms, exact Diophantine scans (which also detect exact
+rational relations k . omega in Z), and integer unimodular changes of
+variables. Everything here is a pure function of its inputs; scans are
+deterministic regardless of chunking.
 
 The scans read each omega_j as the dyadic rational its double holds and
 compare integer residues of k . omega mod 1, so their minima are exact:
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -124,8 +125,8 @@ def _dyadic(omega: Frequency) -> tuple:
     return ms, modulus
 
 
-def _convergent_scan(m: int, modulus: int, K: int, floor: int) -> tuple:
-    """Smallest (max(dist, floor), k, (k,)) over 1 <= k <= K in one dimension.
+def _convergent_scan(m: int, modulus: int, K: int) -> tuple:
+    """Smallest (dist, k, (k,)) over 1 <= k <= K in one dimension.
 
     dist is min(r, modulus - r) with r = k m mod modulus. The smallest k that
     minimizes the key is a best approximation of the second kind of
@@ -138,7 +139,7 @@ def _convergent_scan(m: int, modulus: int, K: int, floor: int) -> tuple:
     num, den = modulus, m  # continued fraction of modulus / m = 1 / alpha
     while q <= K:
         r = q * m % modulus
-        cand = (max(min(r, modulus - r), floor), q, (q,))
+        cand = (min(r, modulus - r), q, (q,))
         if best is None or cand < best:
             best = cand
         if den == 0:
@@ -174,9 +175,9 @@ def _points(flat: np.ndarray, shape: tuple, K: int) -> tuple:
     return [lead] + rest, norm
 
 
-def _lattice_scan(ms: Sequence[int], modulus: int, K: int, floor: int,
+def _lattice_scan(ms: Sequence[int], modulus: int, K: int,
                   max_rows: int = 1 << 13) -> tuple:
-    """Smallest (max(dist, floor), max-norm, k) over the canonical half-space.
+    """Smallest (dist, max-norm, k) over the canonical half-space.
 
     dist is modulus times dist_to_Z(k . omega). The half-space holds the
     nonzero k in [-K, K]^d whose first nonzero component is positive;
@@ -191,7 +192,7 @@ def _lattice_scan(ms: Sequence[int], modulus: int, K: int, floor: int,
     neighbour among them, which a binary search finds. The outer points are
     walked in lexicographic order, max_rows at a time, by their flat
     position in the box 1..K times [-K, K]^(d-2). A chunk is skipped when its
-    key, max(smallest such fold, floor), exceeds the best so far. Otherwise
+    key, the smallest such fold, exceeds the best so far. Otherwise
     only its outers whose nearest fold is at most the key (and, on a tie
     with the best key, whose max-norm could still win) are expanded against
     every u, and the first minimum of the max-norm by flat position, which
@@ -205,8 +206,8 @@ def _lattice_scan(ms: Sequence[int], modulus: int, K: int, floor: int,
     scan's memory is reused rather than mapped afresh for every chunk.
     """
     if len(ms) == 1:
-        return _convergent_scan(ms[0], modulus, K, floor)
-    dist, norm, k = _lattice_scan(ms[1:], modulus, K, floor, max_rows)
+        return _convergent_scan(ms[0], modulus, K)
+    dist, norm, k = _lattice_scan(ms[1:], modulus, K, max_rows)
     best = (dist, norm, (0,) + k)
     mask = modulus - 1
     side = np.arange(-K, K + 1, dtype=np.int64)
@@ -230,7 +231,7 @@ def _lattice_scan(ms: Sequence[int], modulus: int, K: int, floor: int,
         near = (outer - ring[j]) & mask
         near = np.minimum(near, (ring[j + 1] - outer) & mask)
         del j
-        key = max(int(near.min()), floor)
+        key = int(near.min())
         if key > best[0]:
             continue
         hits = np.flatnonzero(near <= key) + start
@@ -259,28 +260,17 @@ def min_dot_norm(omega: Frequency, K: int) -> DiophantineReport:
     exact minimum. |k| is the max-norm. Ties: smallest |k| first, then
     lexicographic over the canonical half-space. Raises ScanTooLarge when
     K**d > 1e9.
+
+    delta == 0 marks an exact relation k . omega in Z (no nonzero residue
+    rounds to 0.0, since b <= 1074), and argmin_k is then its smallest
+    witness by (max-norm, lex): the scan takes the first (distance,
+    max-norm, lex) minimum, so exact rational dependence up to K needs no
+    separate query.
     """
     _check_guard(omega.d, K)
     ms, modulus = _dyadic(omega)
-    r, _, k = _lattice_scan(ms, modulus, K, 0)
+    r, _, k = _lattice_scan(ms, modulus, K)
     return DiophantineReport(K=K, delta=r / modulus, argmin_k=k)
-
-
-def rational_dependence(omega: Frequency, K: int, tol: float) -> Optional[tuple]:
-    """Some k with 0 < |k| <= K and dist_to_Z(k . omega) <= tol, or None.
-
-    Returns the smallest such k by (max-norm, lex). The distance is exact
-    (see min_dot_norm), so tol=0 detects an exact integer k . omega.
-    """
-    if not tol >= 0:
-        raise ValueError("tol must be >= 0")
-    _check_guard(omega.d, K)
-    ms, modulus = _dyadic(omega)
-    # dist <= tol exactly iff the residue distance is <= floor(tol * 2^b);
-    # no distance exceeds 1/2
-    floor = modulus // 2 if tol >= 0.5 else math.floor(Fraction(tol) * modulus)
-    r, _, k = _lattice_scan(ms, modulus, K, floor)
-    return k if r <= floor else None
 
 
 # ---------------------------------------------------------------------------

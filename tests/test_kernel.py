@@ -432,9 +432,11 @@ def test_map_chunked_caps_workers_at_core_count(monkeypatch, far_above):
     assert len(parts) == 4 and sum(parts) == arr.sum()
 
 
-@pytest.mark.parametrize("rows, seen", [(512, []), (2 * _util.MIN_ROWS_PER_WORKER - 1, []),
-                                        (2 * _util.MIN_ROWS_PER_WORKER, [2]),
-                                        (65536, [2])])
+# Batches of about 2048 rows stay on one worker: two ran slower there (see
+# MIN_ROWS_PER_WORKER).
+@pytest.mark.parametrize("rows, seen", [(512, []), (2047, []), (2048, []), (65536, [2]),
+                                        (2 * _util.MIN_ROWS_PER_WORKER - 1, []),
+                                        (2 * _util.MIN_ROWS_PER_WORKER, [2])])
 def test_map_chunked_needs_min_rows_per_worker(monkeypatch, rows, seen):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_util, "ThreadPoolExecutor", _RecordingExecutor)
@@ -447,7 +449,8 @@ def test_map_chunked_needs_min_rows_per_worker(monkeypatch, rows, seen):
         set_max_workers(1)
     assert _RecordingExecutor.seen == seen
     assert sum(parts) == rows
-    assert min(parts) >= min(rows, _util.MIN_ROWS_PER_WORKER)
+    if seen:  # one worker walks BLOCK_ROWS blocks, a short one last
+        assert min(parts) >= _util.MIN_ROWS_PER_WORKER
 
 
 # One worker walks a batch in BLOCK_ROWS blocks, a short one last; an empty

@@ -25,7 +25,6 @@ from cocyclelab.torus import (
     freq_norm,
     frequency_multiple,
     min_dot_norm,
-    rational_dependence,
     torus_distance,
 )
 
@@ -33,14 +32,13 @@ GOLDEN = 0.6180339887
 MAX_ROWS = inspect.signature(_lattice_scan).parameters["max_rows"].default
 
 
-def brute_min_dot(omega, K, tol=None):
+def brute_min_dot(omega, K):
     """Independent oracle: full-lattice scan in exact rational arithmetic.
 
     Each component is the exact rational its double holds. Returns
     (delta, argmin_k) with delta a Fraction; argmin_k is the smallest
     minimizer by (max-norm, lex) after flipping each k into the half-space
-    whose first nonzero component is positive. With tol, only k with
-    ||k . omega|| <= tol count and all of them tie (rational_dependence).
+    whose first nonzero component is positive.
     """
     w = [Fraction(c) for c in omega]
     best = None
@@ -49,16 +47,12 @@ def brute_min_dot(omega, K, tol=None):
             continue
         t = sum(kj * wj for kj, wj in zip(k, w))
         dist = abs(t - round(t))
-        if tol is not None:
-            if dist > Fraction(tol):
-                continue
-            dist = Fraction(0)
         sign = 1 if next(v for v in k if v) > 0 else -1
         canon = tuple(sign * v for v in k)
         key = (dist, max(abs(v) for v in k), canon)
         if best is None or key < best:
             best = key
-    return None if best is None else (best[0], best[2])
+    return best[0], best[2]
 
 
 def brute_min_dot_1d(w, K):
@@ -105,8 +99,8 @@ def _box_residues(ms: Sequence[int], K: int, modulus: int) -> tuple:
     return res, norm
 
 
-def blocked_scan(ms, modulus, K, floor, max_rows=1 << 19):
-    """Smallest (max(dist, floor), max-norm, k) over the canonical half-space.
+def blocked_scan(ms, modulus, K, max_rows=1 << 19):
+    """Smallest (dist, max-norm, k) over the canonical half-space.
 
     Reference for _lattice_scan: it visits every lattice point. dist is
     modulus times dist_to_Z(k . omega). The half-space holds the
@@ -119,8 +113,8 @@ def blocked_scan(ms, modulus, K, floor, max_rows=1 << 19):
     residues, and no block exceeds max_rows elements.
     """
     if len(ms) == 1:
-        return _convergent_scan(ms[0], modulus, K, floor)
-    dist, norm, k = blocked_scan(ms[1:], modulus, K, floor, max_rows)
+        return _convergent_scan(ms[0], modulus, K)
+    dist, norm, k = blocked_scan(ms[1:], modulus, K, max_rows)
     best = (dist, norm, (0,) + k)
     inner = len(ms) - 1
     tail = inner
@@ -137,7 +131,7 @@ def blocked_scan(ms, modulus, K, floor, max_rows=1 << 19):
             leads = np.arange(v0, min(K + 1, v0 + step), dtype=np.int64)
             r = _plus(_times(leads, ms[0], modulus)[:, None], chunk_res, modulus)
             lo, hi = int(r.min()), int(r.max())
-            cmin = max(min(lo, (modulus - hi) % modulus), floor)
+            cmin = min(lo, (modulus - hi) % modulus)
             if cmin > best[0]:
                 continue
             iv, iu = np.divmod(np.flatnonzero(_fold(r, modulus) <= cmin), n)
@@ -182,16 +176,6 @@ def blocked_cases(draw):
     comps = draw(st.lists(comp, min_size=d, max_size=d))
     K = draw(st.integers(1, {2: 60, 3: 15, 4: 4}[d]))
     return comps, K, draw(st.sampled_from([1, 7, 2 * K + 1, MAX_ROWS]))
-
-
-@st.composite
-def scan_floors(draw, ms, modulus, K):
-    """0, tiny, the fold of some lattice point (so that points tie on the
-    key), modulus/2 and modulus."""
-    k = draw(st.lists(st.integers(-K, K), min_size=len(ms), max_size=len(ms)))
-    r = sum(kj * m for kj, m in zip(k, ms)) % modulus
-    return draw(st.sampled_from([0, modulus >> 40, min(r, modulus - r),
-                                 modulus // 2, modulus]))
 
 
 class TestDistToZ:
@@ -336,86 +320,87 @@ class TestMinDotNorm:
     def test_block_size_does_not_change_the_result(self):
         omega = Frequency([GOLDEN, 3 / 8, 2.0**-30])
         ms, modulus = _dyadic(omega)
-        ref = _lattice_scan(ms, modulus, 4, 0)
+        ref = _lattice_scan(ms, modulus, 4)
         for rows in (1, 3, 9, 80):
-            assert _lattice_scan(ms, modulus, 4, 0, max_rows=rows) == ref
+            assert _lattice_scan(ms, modulus, 4, max_rows=rows) == ref
 
     def test_ties_across_middle_box_prefixes_go_by_lex_order(self):
-        # (1, 0, -2, 1) and (2, -1, 2, -2) both fold within the floor and have
-        # max-norm 2; their outers sit at flat positions 10 and 34 of the
+        # omega = (a, b, c, e) with c = ((4a - b) mod 1)/2 and e = 2c - a
+        # mod 1, for a and b odd multiples of 2^-20: for |k| far below 2^20,
+        # k . omega is an integer exactly when k1 + 2 k3 + 3 k4 = 0 and
+        # 2 k2 = k3 + 2 k4. In
+        # the box |k| <= 2 only (1, 0, -2, 1) and (2, -1, 2, -2) solve both,
+        # at max-norm 2; their outers sit at flat positions 10 and 34 of the
         # lex walk, so below 25 rows they fall in different chunks, and the
         # first is lex first
-        omega = Frequency([0.7637009951314895, 0.9391670189485866,
-                           0.5528595762929651, 0.34570041470875246])
+        a, b = Fraction(0x9E3B5, 2**20), Fraction(0x6A09F, 2**20)
+        c = (4 * a - b) % 1 / 2
+        omega = Frequency([float(v) for v in (a, b, c, (2 * c - a) % 1)])
         ms, modulus = _dyadic(omega)
-        r = sum(kj * m for kj, m in zip((1, 0, -2, 1), ms)) % modulus
-        floor = min(r, modulus - r)
-        want = blocked_scan(ms, modulus, 2, floor)
-        assert want == (floor, 2, (1, 0, -2, 1))
+        want = blocked_scan(ms, modulus, 2)
+        assert want == (0, 2, (1, 0, -2, 1))
         for rows in (1, 7, MAX_ROWS):
-            assert _lattice_scan(ms, modulus, 2, floor, max_rows=rows) == want
+            assert _lattice_scan(ms, modulus, 2, max_rows=rows) == want
 
     def test_a_smaller_norm_in_a_later_chunk_wins_a_tie(self):
-        # (1, -1, -3) and (1, 0, 1) are the only points within the floor;
-        # their outers sit at flat positions 2 and 3 of the lex walk, and
-        # the later one wins on max-norm
-        omega = Frequency([0.9625883321438885, 0.860941226768837,
-                           0.03429938509981023])
+        # omega = (a, 4a, -a) mod 1 resonates at k exactly when
+        # k1 + 4 k2 - k3 = 0. The first such k of the lex walk, (1, -1, -3),
+        # has its outer at flat position 2 and max-norm 3; the outer of
+        # (1, 0, 1), at position 3, ties it at distance 0 and wins on
+        # max-norm 1
+        a = 0.9625883321438885
+        omega = Frequency([a, 4 * a % 1, 1 - a])
         ms, modulus = _dyadic(omega)
-        r = sum(kj * m for kj, m in zip((1, 0, 1), ms)) % modulus
-        floor = min(r, modulus - r)
-        want = blocked_scan(ms, modulus, 3, floor)
-        assert want == (floor, 1, (1, 0, 1))
+        want = blocked_scan(ms, modulus, 3)
+        assert want == (0, 1, (1, 0, 1))
         for rows in (1, 2, 3, MAX_ROWS):
-            assert _lattice_scan(ms, modulus, 3, floor, max_rows=rows) == want
+            assert _lattice_scan(ms, modulus, 3, max_rows=rows) == want
 
     @pytest.mark.parametrize("d, K", [(3, 4), (4, 2)])
     def test_chunks_that_split_a_row_of_middle_outers(self, d, K):
         # a lead's outers are (2K+1)^(d-2) consecutive flat positions; these
-        # chunk sizes cut such rows at varying offsets
+        # chunk sizes cut such rows at varying offsets. Components p/8 make
+        # many k tie at distance 0 across the cuts.
         rng = np.random.default_rng(d)
         for _ in range(4):
-            omega = Frequency(rng.random(d))
-            ms, modulus = _dyadic(omega)
-            k = rng.integers(-K, K + 1, size=d)
-            r = sum(int(kj) * m for kj, m in zip(k, ms)) % modulus
-            for floor in (0, min(r, modulus - r)):
-                want = blocked_scan(ms, modulus, K, floor)
+            for comps in (rng.random(d), rng.integers(0, 8, size=d) / 8):
+                ms, modulus = _dyadic(Frequency(comps))
+                want = blocked_scan(ms, modulus, K)
                 for rows in (1, 2 * K, 2 * K + 2, 13):
-                    assert _lattice_scan(ms, modulus, K, floor, max_rows=rows) == want
+                    assert _lattice_scan(ms, modulus, K, max_rows=rows) == want
 
+    # the first three need b > 64 and have no exact relation; the last two
+    # tie at distance 0 (the first through (1, -2, 0) and (1, 2, 0), the
+    # second through its lead-zero part) and take Python ints all the same
     @pytest.mark.parametrize("comps", [(2.0**-70 * 3, GOLDEN, 0.3),
                                        (GOLDEN, 2.0**-70 * 3, 0.3),
-                                       (GOLDEN, 0.3, 2.0**-70 * 3)])
+                                       (GOLDEN, 0.3, 2.0**-70 * 3),
+                                       (0.5, 0.25, 2.0**-70 * 3),
+                                       (2.0**-70 * 3, 0.5, 0.25)])
     def test_python_int_residues_in_small_chunks(self, comps):
         ms, modulus = _dyadic(Frequency(comps))
         assert modulus > 1 << WORD
-        for floor in (0, modulus >> 12):
-            want = blocked_scan(ms, modulus, 6, floor)
-            for rows in (1, 5, 13, MAX_ROWS):
-                assert _lattice_scan(ms, modulus, 6, floor, max_rows=rows) == want
+        want = blocked_scan(ms, modulus, 6)
+        for rows in (1, 5, 13, MAX_ROWS):
+            assert _lattice_scan(ms, modulus, 6, max_rows=rows) == want
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(blocked_cases(), st.data())
-    def test_equals_blocked_scan(self, case, data):
+    @given(blocked_cases())
+    def test_equals_blocked_scan(self, case):
         comps, K, rows = case
         ms, modulus = _dyadic(Frequency(comps))
-        floor = data.draw(scan_floors(ms, modulus, K))
-        assert (_lattice_scan(ms, modulus, K, floor, max_rows=rows)
-                == blocked_scan(ms, modulus, K, floor))
+        assert (_lattice_scan(ms, modulus, K, max_rows=rows)
+                == blocked_scan(ms, modulus, K))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(blocked_cases(), st.sampled_from([0.0, 1e-9, 1e-3, 0.5]))
-    def test_public_scans_equal_blocked_scan(self, case, tol):
+    @given(blocked_cases())
+    def test_public_scans_equal_blocked_scan(self, case):
         comps, K, _ = case
         omega = Frequency(comps)
         ms, modulus = _dyadic(omega)
-        dist, _, k = blocked_scan(ms, modulus, K, 0)
+        dist, _, k = blocked_scan(ms, modulus, K)
         rep = min_dot_norm(omega, K)
         assert (rep.delta, rep.argmin_k) == (dist / modulus, k)
-        floor = modulus // 2 if tol >= 0.5 else math.floor(Fraction(tol) * modulus)
-        dist, _, k = blocked_scan(ms, modulus, K, floor)
-        assert rational_dependence(omega, K, tol) == (k if dist <= floor else None)
 
     @pytest.mark.parametrize("comps, K, argmin", [
         ((math.sqrt(2) - 1, (math.sqrt(5) - 1) / 2), 31622, None),  # the guard
@@ -423,6 +408,8 @@ class TestMinDotNorm:
         ((math.sqrt(2) - 1, (math.sqrt(5) - 1) / 2, (math.sqrt(13) - 3) / 2),
          1000, (781, 890, -811)),
         ((1e-5, (math.sqrt(5) - 1) / 2), 1000, None),  # b = 69: Python ints
+        # every even lead ties at distance 0: 1000 outers are expanded
+        ((0.5, GOLDEN), 2000, (2, 0)),
     ])
     def test_runtime_and_memory_budget(self, comps, K, argmin):
         # no array holds more than max(max_rows, 2K+1) elements, and few are
@@ -441,58 +428,47 @@ class TestMinDotNorm:
         assert argmin in (None, rep.argmin_k)
 
 
+# Exact rational relations k . omega in Z: min_dot_norm reports delta == 0
+# and its smallest witness by (max-norm, lex).
+
+# Components with small power-of-two denominators, so that many k reach
+# distance 0 at one max-norm.
+DYADIC = st.integers(0, 3).flatmap(
+    lambda j: st.integers(0, 2**j - 1).map(lambda p: p / 2**j))
+
+
 class TestRationalDependence:
     def test_half_in_two_dim(self):
-        assert rational_dependence(Frequency([0.5, 1 / 3]), 3, 0.0) == (2, 0)
+        rep = min_dot_norm(Frequency([0.5, 1 / 3]), 3)
+        assert (rep.delta, rep.argmin_k) == (0.0, (2, 0))
 
     def test_golden_has_no_small_resonance(self):
-        assert rational_dependence(Frequency([GOLDEN]), 10, 1e-12) is None
+        assert min_dot_norm(Frequency([GOLDEN]), 10).delta > 1e-12
 
     def test_complementary_pair(self):
+        # 1 - GOLDEN is exact, so GOLDEN + (1 - GOLDEN) is the integer 1
         a = GOLDEN
-        assert rational_dependence(Frequency([a, 1 - a]), 2, 1e-12) == (1, 1)
+        rep = min_dot_norm(Frequency([a, 1 - a]), 2)
+        assert (rep.delta, rep.argmin_k) == (0.0, (1, 1))
 
     def test_exactness_semantics_with_tol_zero(self):
         # 0.5 is a dyadic rational and 2 * 0.5 is the integer 1
-        assert rational_dependence(Frequency([0.5]), 4, 0.0) == (2,)
+        rep = min_dot_norm(Frequency([0.5]), 4)
+        assert (rep.delta, rep.argmin_k) == (0.0, (2,))
         # the double 0.3 has denominator 2^54, so no k <= 4 makes k * 0.3 an integer
-        assert rational_dependence(Frequency([0.3]), 4, 0.0) is None
+        assert min_dot_norm(Frequency([0.3]), 4).delta > 0
         # nor does 7 * fl(3/7), though it rounds to 3.0 in floating point
-        assert rational_dependence(Frequency([3 / 7]), 10, 0.0) is None
-        assert rational_dependence(Frequency([3 / 7]), 10, 2.0**-52) == (7,)
-
-    def test_tol_is_compared_exactly(self):
-        # ||2 * 0.375|| = 1/4 exactly: a tolerance one ulp below misses it
-        assert rational_dependence(Frequency([0.375]), 2, 0.25) == (2,)
-        assert rational_dependence(Frequency([0.375]), 2,
-                                   math.nextafter(0.25, 0.0)) is None
-
-    def test_tol_half_admits_every_k(self):
-        assert rational_dependence(Frequency([GOLDEN]), 3, 0.5) == (1,)
-        assert rational_dependence(Frequency([GOLDEN, 0.1]), 3, math.inf) == (0, 1)
-
-    @pytest.mark.parametrize("comps, K", [((GOLDEN, 0.3), 2000),
-                                          ((GOLDEN, 0.3, 0.7), 60)])
-    def test_every_k_tying_stays_within_memory_bound(self, comps, K):
-        omega = Frequency(comps)
-        ms, modulus = _dyadic(omega)
-        want = blocked_scan(ms, modulus, K, modulus // 2)[2]
-        tracemalloc.start()
-        try:
-            got = rational_dependence(omega, K, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got == want
-        assert peak <= 10 * max(MAX_ROWS, 2 * K + 1) * 8
+        rep = min_dot_norm(Frequency([3 / 7]), 10)
+        assert (rep.delta, rep.argmin_k) == (3 * 2.0**-54, (7,))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(scan_cases(), st.sampled_from([0.0, 1e-3, 0.05, 0.2, 0.5]))
-    def test_equals_exact_brute_force(self, case, tol):
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+        st.lists(DYADIC, min_size=d, max_size=d), st.integers(1, MAX_K[d]))))
+    def test_equals_exact_brute_force(self, case):
         comps, K = case
-        found = brute_min_dot(Frequency(comps).components, K, tol=tol)
-        want = None if found is None else found[1]
-        assert rational_dependence(Frequency(comps), K, tol) == want
+        rep = min_dot_norm(Frequency(comps), K)
+        delta, k = brute_min_dot(comps, K)
+        assert (rep.delta, rep.argmin_k) == (float(delta), k)
 
 
 # Cofactor determinant and adjugate: the reference for _det_inverse, exact
