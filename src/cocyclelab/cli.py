@@ -27,7 +27,9 @@ the end of the stamp that heads the CSV and comments the SVG.
 Every output embeds the sha256 of the config file and the library version;
 identical config + seed yields identical bytes regardless of --threads.
 --threads N splits each node batch of the orbit-product kernel into N chunks
-run on a thread pool, with N capped at the core count.
+run on a thread pool, with N capped at the core count and at one worker per
+_util.MIN_ROWS_PER_WORKER = 4096 rows: batches under 8192 nodes run on one
+thread, which walks them in 4096-node blocks.
 
 Exit codes: 0 success; 2 a config error, written to stderr: a ConfigError
 from loading or a handler check, an --out that cannot be written, or a
@@ -51,7 +53,7 @@ from jsonschema.validators import validator_for
 
 from . import __version__
 from ._svg import plot_csv_text
-from ._util import csv_text, set_max_workers, to_json_text
+from ._util import MIN_ROWS_PER_WORKER, csv_text, set_max_workers, to_json_text
 from .avalanche import ap_ensemble, ensemble_to_csv
 from .cocycle import (
     Cocycle,
@@ -640,7 +642,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=".")
-        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--threads", type=int, default=None, help=(
+            "worker threads per node batch (default: config threads, else 1), "
+            f"at most the core count and one per {MIN_ROWS_PER_WORKER} nodes"))
         sp.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 

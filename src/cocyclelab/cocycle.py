@@ -627,7 +627,7 @@ class Cocycle:
 
 @dataclass
 class LogNormResult:
-    """(1/N) ln ||A_N(x)|| plus underflow accounting."""
+    """(1/N) ln ||A_N(x)||, -inf when the orbit was excised, and that flag."""
 
     log_norm_avg: float
     underflowed: bool
@@ -646,17 +646,17 @@ def _read_avg(U: np.ndarray, esum: np.ndarray, n: int) -> np.ndarray:
 
 
 def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray,
-                   avg: np.ndarray, steps: np.ndarray) -> None:
+                   avg: np.ndarray) -> None:
     """The orbit-product kernel for a batch of m starting points X (m, d).
 
-    It writes avg (len(reads), m) and steps (m,) in place. The running
-    products live in one (2, 2, m) array, entry-major with the nodes
-    contiguous, so a step (_util.step_2x2) is a few elementwise operations
-    on length-m arrays. They take the dtype of the first evaluation (at
-    least float64), so a real cocycle (a float64 evaluation) runs in real
-    arithmetic and any other in complex; an evaluator returns one dtype
-    throughout. Where every imaginary part is zero, each complex product
-    has the real part that float64 gives, so both run to the same bits.
+    It writes avg (len(reads), m) in place. The running products live in
+    one (2, 2, m) array, entry-major with the nodes contiguous, so a step
+    (_util.step_2x2) is a few elementwise operations on length-m arrays.
+    They take the dtype of the first evaluation (at least float64), so a
+    real cocycle (a float64 evaluation) runs in real arithmetic and any
+    other in complex; an evaluator returns one dtype throughout. Where
+    every imaginary part is zero, each complex product has the real part
+    that float64 gives, so both run to the same bits.
 
     Renormalization is by powers of two. After each step, mx is a node's
     largest entry modulus (max(|re|, |im|) over the entries of a complex
@@ -666,14 +666,13 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
     avg is ln ||U||/n + (esum/n) ln 2 (_read_avg).
 
     reads is an increasing list of step counts; the orbit runs to the last
-    one, and avg[r] is the average log-norm after
-    reads[r] steps. Nothing before step n depends on how far the orbit goes,
-    so avg[r] is bit-identical to that of a reads[r]-step orbit. steps[i]
-    is the number of steps node i completed before its product underflowed
-    (it must hold the orbit length on entry, and keeps it if the node never
-    underflows): a product whose mx is below UNDERFLOW_FLOOR or not finite
-    (an exactly zero product, a NaN from a singular evaluation). From then
-    on the node carries the identity and adds 0 to its esum.
+    one, and avg[r] is the average log-norm after reads[r] steps. Nothing
+    before step n depends on how far the orbit goes, so avg[r] is
+    bit-identical to that of a reads[r]-step orbit. A node is excised at
+    the first step whose product has mx below UNDERFLOW_FLOOR or not finite
+    (an exactly zero product, a NaN from a singular evaluation): from then
+    on it carries the identity, adds 0 to its esum and reads -inf. A live
+    node's read is finite, since its U has norm at least 1.
 
     Evaluation looks ahead: the orbit points of the next
     B = max(1, LOOKAHEAD_ROWS // m) steps are advanced first, by the same
@@ -696,7 +695,7 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
     B = max(1, LOOKAHEAD_ROWS // max(m, 1))
     U = None  # made at the first evaluation, in its dtype
     # None until a node dies: no masking is needed
-    alive = None
+    dead = None
     esum = np.zeros(m, dtype=np.int64)
     r = 0
     pts = X
@@ -726,14 +725,13 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
             if cplx:
                 mx = np.maximum(mx[0::2], mx[1::2])
             # min and max propagate a NaN
-            if alive is not None or not (
+            if dead is not None or not (
                     np.minimum.reduce(mx, initial=math.inf) >= UNDERFLOW_FLOOR
                     and np.maximum.reduce(mx, initial=0.0) < math.inf):
                 ok = (mx >= UNDERFLOW_FLOOR) & (mx < math.inf)
-                alive = ok if alive is None else alive & ok
-                steps[~alive & (steps == N)] = j
-                U[:, :, ~alive] = np.eye(2)[:, :, None]
-                mx[~alive] = 1.0  # the identity: shift 0
+                dead = ~ok if dead is None else dead | ~ok
+                U[:, :, dead] = np.eye(2)[:, :, None]
+                mx[dead] = 1.0  # the identity: shift 0
             shift = np.frexp(mx)[1]
             np.subtract(1, shift, out=shift)
             if cplx:
@@ -745,6 +743,8 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
             esum -= shift
             if reads[r] == j + 1:
                 avg[r] = _read_avg(U, esum, j + 1)
+                if dead is not None:
+                    avg[r, dead] = -math.inf
                 r += 1
         mats = block = None  # dropped before the next evaluation is made
         pts = pts + omega_vec
@@ -755,16 +755,16 @@ def iterate_log_norm_many(C: Cocycle, N: int, X: np.ndarray,
                           at: Optional[Sequence[int]] = None):
     """Averaged log-norms over a batch of starting points.
 
-    Returns (avg, underflowed): avg[i] = (1/N) ln ||A_N(X[i])||, and
-    underflowed[i] marks nodes whose running product degenerated (largest
-    entry modulus below 1e-300 or non-finite); their avg entry is
-    meaningless. X holds m nodes
-    of T^d as an (m, d) array, or one node as its d coordinates; any other
-    shape raises ValueError.
+    Returns (avg, avg == -inf): avg[i] = (1/N) ln ||A_N(X[i])||, or -inf
+    for a node excised because its running product degenerated (largest
+    entry modulus below 1e-300 or non-finite). The package reads the -inf
+    record; the derived flags stay because perfbench/layers.py counts
+    excised nodes from them. X holds m nodes of T^d as an (m, d) array, or
+    one node as its d coordinates; any other shape raises ValueError.
 
     With at, the N-step orbit is read at each step count n in at (each
-    1 <= n <= N, in any order, repeats allowed), and avg and underflowed
-    have one row per entry: row r is bit for bit what N = at[r] returns.
+    1 <= n <= N, in any order, repeats allowed), and avg has one row per
+    entry: row r is bit for bit what N = at[r] returns.
     The orbit runs all N steps even when every n is smaller.
 
     The raw product is never formed: each step scales the running product
@@ -788,24 +788,21 @@ def iterate_log_norm_many(C: Cocycle, N: int, X: np.ndarray,
     w = C.omega.as_array()
     # each block or chunk writes its own columns of one batch-wide output
     avg = np.empty((len(reads), X.shape[0]))
-    steps = np.full(X.shape[0], N)
-    map_chunked(lambda rows: _iterate_chunk(C.A, w, reads, X[rows], avg[:, rows],
-                                            steps[rows]), X.shape[0])
-    if at is None:
-        return avg[0], steps < N
-    rows = np.searchsorted(reads, want)
-    return avg[rows], steps < np.array(want)[:, None]
+    map_chunked(lambda rows: _iterate_chunk(C.A, w, reads, X[rows], avg[:, rows]),
+                X.shape[0])
+    avg = avg[-1] if at is None else avg[np.searchsorted(reads, want)]
+    return avg, avg == -math.inf
 
 
 def iterate_log_norm(C: Cocycle, N: int, x) -> LogNormResult:
     """(1/N) ln ||A_N(x, omega)|| at one point x: iterate_log_norm_many on one row.
 
-    Underflow (zero or sub-1e-300 intermediate product) is reported via the
-    flag, not raised; the average is -inf in that case.
+    An excised orbit (zero or sub-1e-300 intermediate product) reads -inf;
+    underflowed is derived from it and stays because perfbench/layers.py
+    reads it.
     """
-    avg, under = iterate_log_norm_many(C, N, np.asarray(x, dtype=float).reshape(1, -1))
-    return LogNormResult(log_norm_avg=-math.inf if under[0] else float(avg[0]),
-                         underflowed=bool(under[0]))
+    avg = float(iterate_log_norm_many(C, N, np.reshape(x, (1, -1)))[0][0])
+    return LogNormResult(log_norm_avg=avg, underflowed=avg == -math.inf)
 
 
 # ---------------------------------------------------------------------------

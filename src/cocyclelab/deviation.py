@@ -27,14 +27,13 @@ from .lyapunov import (DEFAULT_CLIP_FLOOR, QuadratureSpec, clipped_log_det,
                        kept_mean, sample_log_norms)
 from .torus import dist_to_Z
 
-SENTINEL = -math.inf
-
 
 def _shift_diffs(C: Cocycle, N: int, M: int, shifts,
                  renormalize_first: bool) -> List[np.ndarray]:
     """|L_N(x) - L_N(x + a)| for each shift a, over the grid nodes x where
-    neither orbit underflowed; raises AllSamplesSingular for the first
-    shift, in order, with no such node.
+    the difference is finite, that is where neither orbit was excised (read
+    -inf); raises AllSamplesSingular for the first shift, in order, with no
+    such node.
 
     The grid and each shifted grid run one orbit per node, two grids (2m
     rows) per batch: the grid with the first shift, then the other shifts
@@ -48,17 +47,17 @@ def _shift_diffs(C: Cocycle, N: int, M: int, shifts,
     base = None
     diffs = []
     while batch := list(itertools.islice(grids, 2)):
-        (L,), (under,) = sample_log_norms(C, [N], np.concatenate(batch),
-                                          renormalize_first)
+        (L,) = sample_log_norms(C, [N], np.concatenate(batch), renormalize_first)
         for i in range(0, len(L), m):
             if base is None:
-                base = L[:m], under[:m]
+                base = L[:m]
                 continue
-            keep = ~(base[1] | under[i:i + m])
-            if not keep.any():
-                raise AllSamplesSingular(
-                    f"all {m} node pairs underflowed at N={N}")
-            diffs.append(np.abs(base[0][keep] - L[i:i + m][keep]))
+            with np.errstate(invalid="ignore"):  # -inf - -inf is nan
+                diff = np.abs(base - L[i:i + m])
+            diff = diff[np.isfinite(diff)]
+            if not diff.size:
+                raise AllSamplesSingular(f"all {m} node pairs underflowed at N={N}")
+            diffs.append(diff)
     return diffs
 
 
@@ -66,7 +65,7 @@ def _shift_diffs(C: Cocycle, N: int, M: int, shifts,
 class Profile:
     """L_N(x) on the integer grid (i1,...,id)/M, in grid shape.
 
-    Underflowed nodes hold the -inf sentinel; mean and rms are over the
+    An excised node reads -inf (sample_log_norms); mean and rms are over the
     retained (finite) nodes only, and a profile needs at least one.
     """
 
@@ -83,9 +82,9 @@ class Profile:
 
     @classmethod
     def from_values(cls, values: np.ndarray, N: int = 0) -> "Profile":
-        """Every non-finite value (nan, +-inf) becomes the -inf sentinel."""
+        """Every non-finite value (nan, +-inf) becomes -inf, an excised node."""
         values = np.asarray(values, dtype=float)
-        values = np.where(np.isfinite(values), values, SENTINEL)
+        values = np.where(np.isfinite(values), values, -math.inf)
         return cls(d=values.ndim, M=values.shape[0], N=N, values=values)
 
     @property
@@ -117,10 +116,9 @@ def _profiles(C: Cocycle, Ns: Sequence[int], M: int,
 
     Raises AllSamplesSingular when every node underflowed at some scale.
     """
-    avg, under = sample_log_norms(C, Ns, dyadic_grid(C.d, M), renormalize_first)
-    shape = (M,) * C.d
-    return [Profile(d=C.d, M=M, N=N, values=np.where(u, SENTINEL, a).reshape(shape))
-            for N, a, u in zip(Ns, avg, under)]
+    avg = sample_log_norms(C, Ns, dyadic_grid(C.d, M), renormalize_first)
+    return [Profile(d=C.d, M=M, N=N, values=a.reshape((M,) * C.d))
+            for N, a in zip(Ns, avg)]
 
 
 def profile(C: Cocycle, N: int, M: int, renormalize_first: bool = True) -> Profile:

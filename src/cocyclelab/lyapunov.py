@@ -11,9 +11,10 @@ routes plus the determinant integral) so the identity stays checkable instead
 of being true by construction.
 
 sample_log_norms takes every sample of x -> (1/N) ln ||A_N(x)|| in the
-package, for a list of scales from one orbit run to the largest; kept_mean
-averages its surviving nodes. L_prime_N and L_N_renormalized are the
-one-scale cases of le_table.
+package, for a list of scales from one orbit run to the largest. An excised
+node reads -inf, so a row's finite values are its surviving nodes, which
+kept_mean averages. L_prime_N and L_N_renormalized are the one-scale cases
+of le_table.
 """
 from __future__ import annotations
 
@@ -90,21 +91,21 @@ def default_quadrature(d: int) -> QuadratureSpec:
 
 
 def sample_log_norms(C: Cocycle, Ns: Sequence[int], X: np.ndarray,
-                     renormalized: bool = False) -> Tuple[np.ndarray, np.ndarray]:
-    """(avg, underflowed) of one orbit from the nodes X, read at each N in Ns
+                     renormalized: bool = False) -> np.ndarray:
+    """The averages of one orbit from the nodes X, read at each N in Ns
     (iterate_log_norm_many with at=Ns): row r is bit for bit what an
-    Ns[r]-step orbit gives.
+    Ns[r]-step orbit gives, and an excised node reads -inf.
 
     renormalized=True iterates A/|det A|^{1/2} (L_N instead of L'_N). Raises
-    AllSamplesSingular for the first N, in input order, with no survivor.
+    AllSamplesSingular for the first N, in input order, with no finite value.
     """
     if renormalized:
         C = Cocycle(renormalize(C.A), C.omega)
-    avg, under = iterate_log_norm_many(C, max(Ns), X, at=Ns)
-    for N, u in zip(Ns, under):
-        if u.all():
-            raise AllSamplesSingular(f"all {u.size} nodes underflowed at N={N}")
-    return avg, under
+    avg, _ = iterate_log_norm_many(C, max(Ns), X, at=Ns)
+    for N, a in zip(Ns, avg):
+        if not np.isfinite(a).any():
+            raise AllSamplesSingular(f"all {a.size} nodes underflowed at N={N}")
+    return avg
 
 
 def kept_mean(kept: np.ndarray) -> float:
@@ -144,21 +145,20 @@ def le_table(C: Cocycle, Ns: Sequence[int], quad: Optional[QuadratureSpec] = Non
     """One estimate per scale in Ns, in input order, from one sample_log_norms
     orbit. renormalized=True computes L_N instead of L'_N.
 
-    Underflowed nodes (the product degenerated below 1e-300) are excised at
-    every scale they died before, and the retained weights renormalized; the
-    dropped fraction is reported as excised_mass.
+    Underflowed nodes (the product degenerated below 1e-300) read -inf at
+    every scale they died before and are excised there, and the retained
+    weights renormalized; the dropped fraction is reported as excised_mass.
     """
     Ns = list(Ns)
     if not Ns:
         return []
     quad = default_quadrature(C.d) if quad is None else quad
     X = quad.nodes(C.d)
-    avg, under = sample_log_norms(C, Ns, X, renormalized)
     table = []
-    for N, a, u in zip(Ns, avg, under):
-        kept = a[~u]
-        value, stderr = _mean_and_stderr(kept)
-        table.append(LEEstimate(N=N, value=value, excised_mass=1.0 - kept.size / X.shape[0],
+    for N, a in zip(Ns, sample_log_norms(C, Ns, X, renormalized)):
+        vals = a[np.isfinite(a)]
+        value, stderr = _mean_and_stderr(vals)
+        table.append(LEEstimate(N=N, value=value, excised_mass=1.0 - vals.size / X.shape[0],
                                 stderr=stderr))
     return table
 

@@ -192,13 +192,14 @@ def _lattice_scan(ms: Sequence[int], modulus: int, K: int,
     neighbour among them, which a binary search finds. The outer points are
     walked in lexicographic order, max_rows at a time, by their flat
     position in the box 1..K times [-K, K]^(d-2). A chunk is skipped when its
-    key, the smallest such fold, exceeds the best so far. Otherwise
-    only its outers whose nearest fold is at most the key (and, on a tie
-    with the best key, whose max-norm could still win) are expanded against
-    every u, and the first minimum of the max-norm by flat position, which
-    is lex order, is taken. That is about K (2K+1)^(d-2) log K work instead
-    of the K (2K+1)^(d-1) of a visit to every point, with the same result;
-    the guard on K**d is unchanged.
+    key, the smallest such fold, exceeds the best so far. Otherwise only its
+    outers whose nearest fold is at most the key (and, on a tie with the
+    best key, whose max-norm is below the best's: one of equal max-norm
+    comes later in lex order) are expanded against every u, and the first
+    minimum of the max-norm by flat position, which is lex order, is taken.
+    That is about K (2K+1)^(d-2) log K work instead of the K (2K+1)^(d-1)
+    of a visit to every point, with the same result; the guard on K**d is
+    unchanged.
 
     An expansion takes max(1, max_rows // (2K+1)) outers at a time, so no
     array holds more than max(max_rows, 2K+1) elements. The default keeps
@@ -237,7 +238,7 @@ def _lattice_scan(ms: Sequence[int], modulus: int, K: int,
         hits = np.flatnonzero(near <= key) + start
         del near
         if key == best[0]:
-            hits = hits[_points(hits, shape, K)[1] <= best[1]]
+            hits = hits[_points(hits, shape, K)[1] < best[1]]
         for g in range(0, hits.size, group):
             sel = hits[g:g + group]
             r = (outer[sel - start][:, None] + last) & mask

@@ -20,6 +20,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
+from cocyclelab import _util
 from cocyclelab._svg import plot_csv_text
 from cocyclelab._util import CSV_BLOCK, csv_text, fmt17, to_json_text
 from cocyclelab.avalanche import ap_check, ap_consequence_check
@@ -245,6 +246,45 @@ class TestDeterminism:
         assert (a / "ladder.json").read_bytes() == (b / "ladder.json").read_bytes()
         data = json.loads((a / "ladder.json").read_text())
         assert data["ladder"]["halt"] == "ScanTooLarge"
+
+
+# diag(sin 2 pi x, sin 2 pi x) is exactly zero at x = 0 and nowhere else on
+# the grid i/8192 or its golden orbits: one node in 8192 is excised at every
+# N, renormalized (l2's default) or raw.
+SIN_DIAG = {"kind": "matrix", "entries": [{"sin": [1]}, 0, 0, {"sin": [1]}]}
+EXCISING_RUNS = {
+    "l2": {"experiment": "l2", "cocycle": SIN_DIAG, "frequency": [GOLDEN],
+           "params": {"N_list": [1, 4, 16], "M": 8192}},
+    "ldt": {"experiment": "ldt", "cocycle": SIN_DIAG, "frequency": [GOLDEN],
+            "params": {"N": 16, "M": 8192, "kappas": [0.1, 0.01],
+                       "renormalize_first": False}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXCISING_RUNS))
+def test_excised_node_is_reported_alike_at_one_and_two_workers(tmp_path, monkeypatch,
+                                                                name):
+    # the split forced at two workers; _max_workers is restored afterwards
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(_util, "MIN_ROWS_PER_WORKER", 1)
+    monkeypatch.setattr(_util, "_max_workers", _util._max_workers)
+    path = write_config(tmp_path, "cfg.yaml", EXCISING_RUNS[name])
+    outs = []
+    for threads in ("1", "2"):
+        outs.append(tmp_path / threads)
+        assert main([name, "--config", path, "--out", str(outs[-1]),
+                     "--threads", threads]) == 0
+    for suffix in (".json", ".csv"):
+        a, b = ((o / f"{name}{suffix}").read_bytes() for o in outs)
+        assert a == b
+    data = json.loads((outs[0] / f"{name}.json").read_text())
+    if name == "l2":
+        masses = [row["excised_mass"] for row in data["rows"]]
+        rows = (outs[0] / "l2.csv").read_text().splitlines()[2:]
+        assert [r.split(",")[2] for r in rows] == ["0.0001220703125"] * 3
+    else:
+        masses = [data["excised_mass"]]
+    assert masses == [0.0001220703125] * len(masses)
 
 
 class TestLadderSubcommand:

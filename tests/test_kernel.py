@@ -14,6 +14,7 @@ reference writes the product out as the kernel's elementwise rows.
 """
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ def ref_iterate(A, omega_vec, reads, X, product=np.matmul):
     reads[r] steps (reads increasing), and steps[i] the steps node i
     completed before its product's mx fell below UNDERFLOW_FLOOR or left
     the finite numbers (the orbit length if never); from then on it
-    carries the identity and adds nothing to its sum."""
+    carries the identity, adds nothing to its sum and reads -inf."""
     m = X.shape[0]
     N = reads[-1]
     U = np.broadcast_to(np.eye(2, dtype=complex), (m, 2, 2)).copy()
@@ -108,7 +109,7 @@ def ref_iterate(A, omega_vec, reads, X, product=np.matmul):
         U = U * np.ldexp(1.0, 1 - e)[:, None, None]
         esum += e - 1
         if j + 1 in reads:
-            avg[reads.index(j + 1)] = ref_read(U, esum, j + 1)
+            avg[reads.index(j + 1)] = np.where(dead, -np.inf, ref_read(U, esum, j + 1))
         pts = _frac(pts + omega_vec)
     return avg, steps
 
@@ -248,6 +249,25 @@ def test_excision_midway_keeps_healthy_nodes_bitwise(workers):
     alone, alone_under = iterate_log_norm_many(C, 40, X[keep])
     assert not alone_under.any()
     assert np.array_equal(avg[keep], alone)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+def test_excision_record_is_one_count_in_every_report(workers):
+    # An excised node reads -inf; the kernel's flags, le_table's
+    # excised_mass and a profile's excised nodes all count those values.
+    C = _excising(G1, floor=0.05)
+    M, Ns = 1024, [8, 1, 64, 32]
+    X = dyadic_grid(1, M)
+    avg, under = iterate_log_norm_many(C, max(Ns), X, at=Ns)
+    table = lyapunov.le_table(C, Ns, SimpleNamespace(nodes=lambda d: X))
+    profiles = deviation._profiles(C, Ns, M, renormalize_first=False)
+    counts = [int(np.count_nonzero(a == -np.inf)) for a in avg]
+    assert counts == [274, 34, 1012, 866]
+    for a, u, est, prof, n in zip(avg, under, table, profiles, counts):
+        assert np.array_equal(u, a == -np.inf)
+        assert est.excised_mass * M == n
+        assert prof.values.tobytes() == a.tobytes()
+        assert M - np.count_nonzero(prof.retained) == n
 
 
 # One orbit read at several step counts against one orbit per count. The

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cocyclelab import torus
 from cocyclelab.errors import NotCoprime, NotUnimodular, ScanTooLarge
 from cocyclelab.torus import (
     WORD,
@@ -355,6 +356,32 @@ class TestMinDotNorm:
         assert want == (0, 1, (1, 0, 1))
         for rows in (1, 2, 3, MAX_ROWS):
             assert _lattice_scan(ms, modulus, 3, max_rows=rows) == want
+
+    @pytest.mark.parametrize("comps, want, expanded", [
+        # every outer ties at distance 0. The lead-zero part holds (0, 2, 2)
+        # at max-norm 2; the first outer below it, (1, -1), wins at
+        # (1, -1, -1), and no later outer has max-norm below 1
+        ((1 / 2, 3 / 8, 1 / 8), (0, 1, (1, -1, -1)), 1),
+        # the lead-zero part holds (0, 1, 1) at max-norm 1: no outer is below
+        ((1 / 8, 3 / 8, 5 / 8), (0, 1, (0, 1, 1)), 0),
+    ])
+    def test_a_tie_expands_only_outers_that_can_win(self, comps, want,
+                                                     expanded, monkeypatch):
+        # an outer of the best's max-norm comes later in lex order than the
+        # best, so it cannot win a tie and is not expanded. One row a chunk
+        # expands one outer per _points call on the full box.
+        ms, modulus = _dyadic(Frequency(comps))
+        points, calls = torus._points, []
+
+        def counting(flat, shape, K):
+            calls.append(len(shape))
+            return points(flat, shape, K)
+
+        monkeypatch.setattr(torus, "_points", counting)
+        assert _lattice_scan(ms, modulus, 8, max_rows=1) == want
+        assert calls.count(len(comps)) == expanded
+        monkeypatch.undo()
+        assert blocked_scan(ms, modulus, 8) == want
 
     @pytest.mark.parametrize("d, K", [(3, 4), (4, 2)])
     def test_chunks_that_split_a_row_of_middle_outers(self, d, K):
