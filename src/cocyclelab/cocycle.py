@@ -633,23 +633,39 @@ class LogNormResult:
     underflowed: bool
 
 
-def _read_avg(U: np.ndarray, esum: np.ndarray, n: int) -> np.ndarray:
-    """(1/n) ln ||A_n|| of every node from its running product 2^-esum A_n:
-    ln ||U||/n + (esum/n) ln 2, one closed-form norm and one log per node.
-
-    The logs are math.log's (_util.log_in_place), so no SIMD log of
-    numpy's enters the bits. A power-of-two constant reads exactly:
-    diag(2, 1/2) keeps U = diag(1, 4^-n), whose norm computes to 1, and
-    esum = n, so every n reads 0 + 1.0 * ln 2.
+def _read(U: np.ndarray, esum: np.ndarray, n: int, norm: np.ndarray,
+          term: np.ndarray) -> None:
+    """The parts of (1/n) ln ||A_n|| of every node from its running product
+    2^-esum A_n: its closed-form norm ||U|| into norm and (esum/n) ln 2 into
+    term. The log is taken later, on the calling thread (_log_reads), so a
+    worker never holds the interpreter lock for a Python loop of logs.
     """
-    return log_in_place(op_norm_2x2(U)) / n + esum / n * LN2
+    norm[...] = op_norm_2x2(U)
+    np.multiply(esum / n, LN2, out=term)
+
+
+def _log_reads(norm: np.ndarray, term: np.ndarray,
+               reads: Sequence[int]) -> np.ndarray:
+    """ln ||U||/n + (esum/n) ln 2 from the parts written by _read, in place
+    of norm: one math.log per node (_util.log_in_place), so no SIMD log of
+    numpy's enters the bits. An excised node has norm 1 and term -inf, so it
+    reads -inf. A power-of-two constant reads exactly: diag(2, 1/2) keeps
+    U = diag(1, 4^-n), whose norm computes to 1, and esum = n, so every n
+    reads 0 + 1.0 * ln 2.
+    """
+    log_in_place(norm.reshape(-1))
+    norm /= np.array(reads, dtype=float)[:, None]
+    norm += term
+    return norm
 
 
 def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray,
-                   avg: np.ndarray) -> None:
+                   norm: np.ndarray, term: np.ndarray) -> None:
     """The orbit-product kernel for a batch of m starting points X (m, d).
 
-    It writes avg (len(reads), m) in place. The running products live in
+    It writes the parts of every read, norm and term (len(reads), m), in
+    place; iterate_log_norm_many takes their logs once every chunk is done
+    (_log_reads). The running products live in
     one (2, 2, m) array, entry-major with the nodes contiguous, so a step
     (_util.step_2x2) is a few elementwise operations on length-m arrays.
     They take the dtype of the first evaluation (at least float64), so a
@@ -663,16 +679,18 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
     product) and e its binary exponent (np.frexp); the product is scaled by
     2^(1 - e), which puts mx in [1, 2), and e - 1 is added to the node's
     integer esum. No norm and no log is taken between reads: at a read n,
-    avg is ln ||U||/n + (esum/n) ln 2 (_read_avg).
+    norm is ||U|| and term (esum/n) ln 2 (_read), and the average log-norm
+    is ln ||U||/n + term.
 
     reads is an increasing list of step counts; the orbit runs to the last
-    one, and avg[r] is the average log-norm after reads[r] steps. Nothing
-    before step n depends on how far the orbit goes, so avg[r] is
-    bit-identical to that of a reads[r]-step orbit. A node is excised at
-    the first step whose product has mx below UNDERFLOW_FLOOR or not finite
-    (an exactly zero product, a NaN from a singular evaluation): from then
-    on it carries the identity, adds 0 to its esum and reads -inf. A live
-    node's read is finite, since its U has norm at least 1.
+    one, and row r holds the read after reads[r] steps. Nothing before
+    step n depends on how far the orbit goes, so row r is bit-identical to
+    that of a reads[r]-step orbit. A node is excised at the first step
+    whose product has mx below UNDERFLOW_FLOOR or not finite (an exactly
+    zero product, a NaN from a singular evaluation): from then on it
+    carries the identity, adds 0 to its esum and its term is -inf, so it
+    reads -inf. A live node's read is finite, since its U has norm at
+    least 1.
 
     Evaluation looks ahead: the orbit points of the next
     B = max(1, LOOKAHEAD_ROWS // m) steps are advanced first, by the same
@@ -742,9 +760,9 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
                 np.ldexp(U, shift, out=U)
             esum -= shift
             if reads[r] == j + 1:
-                avg[r] = _read_avg(U, esum, j + 1)
+                _read(U, esum, j + 1, norm[r], term[r])
                 if dead is not None:
-                    avg[r, dead] = -math.inf
+                    term[r, dead] = -math.inf
                 r += 1
         mats = block = None  # dropped before the next evaluation is made
         pts = pts + omega_vec
@@ -786,10 +804,13 @@ def iterate_log_norm_many(C: Cocycle, N: int, X: np.ndarray,
         raise ValueError(f"nodes of shape {given} are not points of T^{C.d}: "
                          f"expected shape (m, {C.d})")
     w = C.omega.as_array()
-    # each block or chunk writes its own columns of one batch-wide output
-    avg = np.empty((len(reads), X.shape[0]))
-    map_chunked(lambda rows: _iterate_chunk(C.A, w, reads, X[rows], avg[:, rows]),
+    # each block or chunk writes its own columns of the batch-wide parts
+    norm = np.empty((len(reads), X.shape[0]))
+    term = np.empty_like(norm)
+    map_chunked(lambda rows: _iterate_chunk(C.A, w, reads, X[rows],
+                                            norm[:, rows], term[:, rows]),
                 X.shape[0])
+    avg = _log_reads(norm, term, reads)
     avg = avg[-1] if at is None else avg[np.searchsorted(reads, want)]
     return avg, avg == -math.inf
 
