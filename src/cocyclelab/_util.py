@@ -63,6 +63,14 @@ BLOCK_ROWS = 4096
 # this many matrices at a time, for the same small temporaries.
 LOOKAHEAD_ROWS = 1024
 
+# The orbit kernel takes a trig polynomial's phases e^{2 pi i k.x} exactly at
+# every global step j = 0 mod PHASE_STEPS and, at the steps between, as those
+# exact phases times twiddle factors e^{2 pi i k.(t omega)}, t = j mod
+# PHASE_STEPS (cocycle._upper_phases): one complex exp per node and index
+# every PHASE_STEPS steps instead of every step. A twiddled phase is within
+# 2 pi |k|_1 PHASE_STEPS 2^-52 + 2^-51 of the exact one.
+PHASE_STEPS = 16
+
 
 def set_max_workers(n: int) -> None:
     """Set the worker-count hint for node-batch evaluation.

@@ -13,7 +13,8 @@ composition with a torus automorphism, whose entries are not trig
 polynomials). A matrix trig polynomial is its four TrigPoly entries, so every
 coefficient operation (products, sums, scalings) is TrigPoly's, entry by entry;
 the only matrix-shaped data is its evaluation table. Anything with ``d`` and
-``eval_many`` can be iterated: the kernel calls nothing else. Everything
+``eval_many`` can be iterated: the kernel calls nothing else, and hands it
+an OrbitBlock, which numpy reads as the block's points. Everything
 evaluates on the real torus, strip_norm's faces included: on Im z = y a
 trig polynomial is the one with coefficients c_k e^{-2 pi k.y}.
 
@@ -32,8 +33,19 @@ eval_many call, so a short batch (a 512-node grid, a single point) pays
 numpy's per-call cost of evaluation once per block of steps. Past 512 nodes
 the block is one step and the points are evaluated as they are. The budget
 of 1024 rows keeps a block's evaluation temporaries under glibc's mmap
-threshold, and one evaluation is dropped before the next is made. Every
-evaluator works node by node, so the look-ahead changes no bits.
+threshold, and one evaluation is dropped before the next is made.
+
+Along an orbit a trig polynomial's phases come from the rotation itself:
+e^{2 pi i k.(x + t omega)} = e^{2 pi i k.x} e^{2 pi i k.(t omega)}. The
+kernel takes them exactly, one complex exp per node and index, only at the
+global steps j = 0 mod _util.PHASE_STEPS (R), and at the R - 1 steps after
+each as that exact phase times a twiddle factor, multiplied out in
+separate float64 ufuncs (_upper_phases). A twiddled phase is within
+2 pi |k|_1 R 2^-52 + 2^-51 of exp(2 pi i k.x_j) at the float orbit point,
+so kernel evaluations are not eval_many at the orbit points bit for bit;
+at omega = 0 they are. The rule goes by the global step, and every
+evaluator works node by node, so neither the look-ahead nor the split
+changes a bit.
 
 Evaluation is node-contiguous from end to end. The phase table of a trig
 polynomial is (n, m), one row per index k over all m nodes, and the matrix
@@ -49,10 +61,12 @@ The kernel renormalizes by powers of two: after each product it scales a
 node's running matrix U by 2^(1 - e), e the binary exponent of its largest
 entry modulus, and adds e - 1 to an integer sum s per node; the scaling is
 exact unless an entry falls into the subnormal range. No norm and no log
-is taken between reads; a read at n takes one closed-form norm and one
-math.log per node, ln ||U||/n + (s/n) ln 2. Apart from the product's own
-roundings every step is exact, so a real cocycle's bytes do not depend on
-which SIMD kernels numpy dispatches to; complex products still can.
+is taken between reads; a read at n takes one closed-form norm per node in
+the workers and, once they are done, one math.log per node on the calling
+thread: ln ||U||/n + (s/n) ln 2. Apart from the product's own roundings
+every step is exact, and the twiddled phases are real multiplies and adds,
+so a real cocycle's bytes do not depend on which SIMD kernels numpy
+dispatches to; complex products still can.
 
 Real cocycles run in real arithmetic. A matrix whose every entry has
 c_{-k} = conj(c_k) exactly for every k, c_0 included (almost Mathieu,
@@ -83,8 +97,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import (LOOKAHEAD_ROWS, UNDERFLOW_FLOOR, det_2x2, grid,
-                    log_in_place, map_chunked, op_norm_2x2, step_2x2)
+from ._util import (LOOKAHEAD_ROWS, PHASE_STEPS, UNDERFLOW_FLOOR, det_2x2,
+                    grid, log_in_place, map_chunked, op_norm_2x2, step_2x2)
 from .errors import IdenticallySingular, OutsideStrip, Singular
 from .torus import Automorphism, Frequency
 
@@ -128,16 +142,53 @@ def _dot(X: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _phases(X: np.ndarray, ks: np.ndarray, h: int) -> np.ndarray:
+class OrbitBlock:
+    """Consecutive steps of one kernel chunk's orbit, handed to eval_many.
+
+    points (steps * m, d) holds the float orbit points of the global steps
+    first, ..., first + steps - 1, step-major. numpy reads the block as
+    those points (__array__, and shape is theirs), so an evaluator that
+    knows nothing of orbits evaluates them as they are, and one that must
+    not follow the orbit (ComposedMatrix, whose base moves by B omega)
+    turns it into plain points. _upper_phases instead takes the block's
+    phases by the twiddle rule, from omega and state: a dict that the
+    chunk's kernel makes empty and hands to each of its blocks in order,
+    where each index table keeps its twiddle table and the exact phases of
+    its last anchor step.
+    """
+
+    __slots__ = ("points", "first", "steps", "omega", "state")
+
+    def __init__(self, points: np.ndarray, first: int, steps: int,
+                 omega: np.ndarray, state: dict):
+        self.points, self.first, self.steps = points, first, steps
+        self.omega, self.state = omega, state
+
+    @property
+    def shape(self) -> tuple:
+        return self.points.shape
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.points, dtype=dtype, copy=copy)
+
+
+def _as_points(X):
+    """X as an (m, d) float array, or the OrbitBlock it is."""
+    if isinstance(X, OrbitBlock):
+        return X
+    return np.atleast_2d(np.asarray(X, dtype=float))
+
+
+def _phases(X, ks: np.ndarray, h: int) -> np.ndarray:
     """e^{2 pi i k.x} for every index k in ks and node x in X: (n, m).
 
     Index-major, so that each row is one index over all m nodes and the
     evaluators reduce over the rows straight into the kernel's entry-major
     layout. The sorted table from _tables pairs up as ks[n-1-j] = -ks[j],
-    so k.x and exp run only over the h indices k > 0: as _dot negates
-    exactly, the row of -k is the conjugate of that of k (imaginary part
-    0 - im, +0 where exp at -k.x gives +0), and the row of k = 0 is 1.
-    Every bit matches exp over the whole table.
+    so phases are taken only for the h indices k > 0 (_upper_phases): as
+    _dot negates exactly, the row of -k is the conjugate of that of k
+    (imaginary part 0 - im, +0 where exp at -k.x gives +0), and the row of
+    k = 0 is 1. At plain points every bit matches exp over the whole table.
     """
     n = ks.shape[0]
     out = np.empty((n, X.shape[0]), dtype=complex)
@@ -149,12 +200,83 @@ def _phases(X: np.ndarray, ks: np.ndarray, h: int) -> np.ndarray:
     return out
 
 
-def _upper_phases(X: np.ndarray, ks: np.ndarray, h: int,
+def _upper_phases(X, ks: np.ndarray, h: int,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """e^{2 pi i k.x} over the h indices k > 0 of a table from _tables (its
-    last h rows): (h, m), written into out when one is given."""
+    last h rows): (h, m), written into out when one is given. The one place
+    where points become phases.
+
+    At plain points X (m, d) each phase is exp(2 pi i k.x), one complex exp
+    per index and node. On an OrbitBlock the phases follow the orbit: with
+    R = PHASE_STEPS, the phase at global step j is E_a W_t, where
+    a = j - t, t = j mod R, E_a = exp(2 pi i k.x_a) is the exact phase at
+    the float orbit point of the anchor step a, and W_t = exp(2 pi i
+    k.(t omega)) the phase of the point t omega, as e^{2 pi i k.(x + t
+    omega)} = e^{2 pi i k.x} e^{2 pi i k.(t omega)}. The product is formed
+    in separate float64 ufuncs, re = Er Wr - Ei Wi and im = Er Wi + Ei Wr,
+    never by a complex multiply, whose bits depend on numpy's SIMD
+    dispatch. W_0 = 1 exactly, so an anchor step keeps the exact phase's
+    bits, and at omega = 0 every W_t is 1 and every phase keeps them. As
+    the float orbit and t omega each carry at most t rounding errors of
+    2^-53 per coordinate, a twiddled phase is within
+    2 pi |k|_1 R 2^-52 + 2^-51 of exp(2 pi i k.x_j).
+
+    The anchors go by the global step, never by the block, so the phases,
+    and every evaluation made from them, do not depend on how the kernel
+    cuts the orbit into blocks or the nodes into chunks. One broadcast
+    over the block's (h, steps, m) phases applies the twiddles.
+    """
+    if isinstance(X, OrbitBlock):
+        return _orbit_phases(X, ks, h, out)
     out = np.multiply(TWO_PI_I, _dot(X, ks[ks.shape[0] - h:]), out=out)
     return np.exp(out, out=out)
+
+
+def _orbit_phases(block: OrbitBlock, ks: np.ndarray, h: int,
+                  out: Optional[np.ndarray]) -> np.ndarray:
+    """_upper_phases on an orbit block: exact phases at the anchor steps
+    in it, the carried phases of the anchor before it, the twiddles."""
+    R, b, j0 = PHASE_STEPS, block.steps, block.first
+    pts = block.points
+    m = pts.shape[0] // b if b else 0
+    tab = block.state.get(id(ks))
+    if tab is None:
+        W = _upper_phases(np.arange(R)[:, None] * block.omega, ks, h)
+        # the table's owner lives as long as the chunk, so its id is a key
+        tab = block.state[id(ks)] = [W.real[:, :, None], W.imag[:, :, None],
+                                     None, None]
+    Wr, Wi, Er, Ei = tab
+    t0 = j0 % R
+    # the anchor steps inside the block, by their offset in it
+    first = -t0 % R
+    if first < b:
+        at = pts.reshape(b, m, pts.shape[1])[first::R]
+        P = _upper_phases(at.reshape(-1, pts.shape[1]), ks, h)
+        # contiguous copies: every step until the next anchor reads them
+        Pr, Pi = (np.ascontiguousarray(a).reshape(h, at.shape[0], m)
+                  for a in (P.real, P.imag))
+        if t0:  # the first steps twiddle the carried anchor
+            Pr = np.concatenate((Er, Pr), axis=1)
+            Pi = np.concatenate((Ei, Pi), axis=1)
+        Er, Ei = Pr, Pi
+    if t0 + b <= R:  # one anchor for the whole block: a plain broadcast
+        Wr, Wi = Wr[:, t0:t0 + b], Wi[:, t0:t0 + b]
+    else:
+        s = np.arange(t0, t0 + b)
+        Wr, Wi = Wr[:, s % R], Wi[:, s % R]
+        Er, Ei = Er[:, s // R], Ei[:, s // R]
+    tab[2], tab[3] = Er[:, -1:], Ei[:, -1:]
+    if out is None:
+        out = np.empty((h, b * m), dtype=complex)
+    re = out.real.reshape(h, b, m)
+    im = out.imag.reshape(h, b, m)
+    tmp = np.multiply(Ei, Wi)
+    np.multiply(Er, Wr, out=re)
+    np.subtract(re, tmp, out=re)
+    np.multiply(Ei, Wr, out=tmp)
+    np.multiply(Er, Wi, out=im)
+    np.add(im, tmp, out=im)
+    return out
 
 
 def _evaluate(X: np.ndarray, ks: np.ndarray, cs: np.ndarray,
@@ -285,8 +407,7 @@ class TrigPoly:
         return True
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return _evaluate(X, self._ks, self._cs, self._half)
+        return _evaluate(_as_points(X), self._ks, self._cs, self._half)
 
     def eval(self, x) -> complex:
         return complex(self.eval_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
@@ -399,8 +520,8 @@ class TrigPolyMatrix:
         matrices with any number of harmonics, real constants), with the
         bits of the complex evaluation's real part (jacobi_periodic blocks
         of real v and a too); complex128 for a non-conjugate pair or a
-        complex c_0."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        complex c_0. X may be an OrbitBlock (see _upper_phases)."""
+        X = _as_points(X)
         if self._real is None:
             vals = _evaluate(X, self._ks, self._cs, self._half)
         else:
@@ -573,8 +694,7 @@ class DiscontinuityExample:
         self._ks = np.array([kt], dtype=float)
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        lam = np.exp(TWO_PI_I * _dot(X, self._ks)[0]) * self.scale
+        lam = _upper_phases(_as_points(X), self._ks, 1)[0] * self.scale
         out = np.zeros((2, 2, lam.shape[0]), dtype=complex)
         out[0, 0] = np.exp(lam)
         out[1, 1] = np.exp(-lam)
@@ -596,9 +716,20 @@ class ComposedMatrix:
         self._rows = B.as_array().astype(float)
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """A(Bx) at the points X, or along an OrbitBlock: the base then
+        gets a block of its own, the points Bx_j and the frequency
+        B omega, as Bx_j moves by B omega, not omega (the block's own
+        twiddles would be wrong for it); the error of its phases grows
+        like that of _upper_phases, with |kB|_1 in place of |k|_1.
+        B = identity evaluates with A's own bits."""
+        pts = np.atleast_2d(np.asarray(X, dtype=float))
         # coordinate i of Bx is (row i of B).x
-        return self.base.eval_many(_frac(_dot(X, self._rows).T))
+        Y = _frac(_dot(pts, self._rows).T)
+        if isinstance(X, OrbitBlock):
+            Y = OrbitBlock(Y, X.first, X.steps,
+                           _dot(X.omega.reshape(1, -1), self._rows)[:, 0],
+                           X.state.setdefault(id(self), {}))
+        return self.base.eval_many(Y)
 
     def eval(self, x) -> np.ndarray:
         return self.eval_many(np.asarray(x, dtype=float).reshape(1, -1))[0]
@@ -695,11 +826,17 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
     Evaluation looks ahead: the orbit points of the next
     B = max(1, LOOKAHEAD_ROWS // m) steps are advanced first, by the same
     x -> frac(x + omega) sequence, and A is evaluated on all B*m of them in
-    one eval_many call; step j then reads its m matrices as a slice of that
-    entry-major evaluation. Every evaluator works node by node, so stacking
-    changes no bits, and a small chunk pays numpy's per-call cost of
-    evaluation once per B steps instead of every step. From m = 513 on B is
-    1: the points are evaluated as they are, with no stacking copy. Each
+    one eval_many call, as an OrbitBlock that also carries the block's
+    first global step, omega and the chunk's phase state; step j then reads
+    its m matrices as a slice of that entry-major evaluation. A trig
+    polynomial's phases are exact at the global steps j = 0 mod
+    PHASE_STEPS and twiddled between (_upper_phases), within
+    2 pi |k|_1 PHASE_STEPS 2^-52 + 2^-51 of exp(2 pi i k.x_j), so the
+    evaluations are not eval_many at the orbit points bit for bit (at
+    omega = 0 they are). The rule goes by the global step and every
+    evaluator works node by node, so stacking changes no bits, and a small
+    chunk pays numpy's per-call cost of evaluation once per B steps instead
+    of every step. From m = 513 on B is 1: no stacking copy. Each
     evaluation is dropped before the next is made, so a step never holds
     two. LOOKAHEAD_ROWS keeps a stacked evaluation's temporaries under
     glibc's mmap threshold.
@@ -717,6 +854,7 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
     esum = np.zeros(m, dtype=np.int64)
     r = 0
     pts = X
+    phase_state: dict = {}
     for j0 in range(0, N, B):
         b = min(B, N - j0)
         block = [pts]
@@ -724,7 +862,8 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
             pts = pts + omega_vec
             pts -= np.floor(pts)
             block.append(pts)
-        mats = A.eval_many(np.concatenate(block) if b > 1 else pts)
+        mats = A.eval_many(OrbitBlock(np.concatenate(block) if b > 1 else pts,
+                                      j0, b, omega_vec, phase_state))
         if U is None:
             U = np.zeros((2, 2, m), dtype=np.result_type(mats, float))
             U[0, 0] = U[1, 1] = 1.0
@@ -787,10 +926,15 @@ def iterate_log_norm_many(C: Cocycle, N: int, X: np.ndarray,
 
     The raw product is never formed: each step scales the running product
     by a power of two, exactly, and keeps the exponents as an integer sum
-    per node, and a read takes one norm and one log per node (_iterate_chunk).
-    So the bytes of a real cocycle's averages do not depend on numpy's SIMD
-    dispatch, and a power-of-two constant such as diag(2, 1/2) reads exactly
-    ln 2 at every N; other constants (3 I) agree across N to about an ulp.
+    per node, and a read takes one norm per node in the workers and one
+    math.log per node here, after they return (_iterate_chunk, _log_reads).
+    A trig polynomial is evaluated with phases that are exact every
+    _util.PHASE_STEPS global steps and twiddled between, each within
+    2 pi |k|_1 PHASE_STEPS 2^-52 + 2^-51 of exp(2 pi i k.x_j) at the float
+    orbit point (_upper_phases); at omega = 0 they are exact. So the bytes
+    of a real cocycle's averages do not depend on numpy's SIMD dispatch,
+    and a power-of-two constant such as diag(2, 1/2) reads exactly ln 2 at
+    every N; other constants (3 I) agree across N to about an ulp.
     """
     want = [N] if at is None else [int(n) for n in at]
     if N < 1 or any(n < 1 for n in want):

@@ -35,6 +35,7 @@ from cocyclelab._util import (
 from cocyclelab.cocycle import (
     Cocycle,
     DiscontinuityExample,
+    OrbitBlock,
     RenormalizedMatrix,
     TrigPoly,
     TrigPolyMatrix,
@@ -46,6 +47,8 @@ from cocyclelab.cocycle import (
     renormalize,
     schrodinger,
     _phases,
+    _tables,
+    _upper_phases,
 )
 from cocyclelab.errors import ScanTooLarge
 from cocyclelab.lyapunov import QuadratureSpec
@@ -85,7 +88,10 @@ def ref_read(U, esum, n):
 
 def ref_iterate(A, omega_vec, reads, X, product=np.matmul):
     """(avg, steps) of the orbits from the m nodes X by the (m, 2, 2)
-    matmul loop, one eval_many call per step: avg[r] is the read after
+    matmul loop, one eval_many call per step on a one-step OrbitBlock, so
+    the phases follow the kernel's documented rule (exact every
+    PHASE_STEPS global steps, twiddled between; test_orbit_phases_*
+    check the rule itself): avg[r] is the read after
     reads[r] steps (reads increasing), and steps[i] the steps node i
     completed before its product's mx fell below UNDERFLOW_FLOOR or left
     the finite numbers (the orbit length if never); from then on it
@@ -97,8 +103,9 @@ def ref_iterate(A, omega_vec, reads, X, product=np.matmul):
     steps = np.full(m, N)
     avg = np.empty((len(reads), m))
     pts = X.copy()
+    state = {}
     for j in range(N):
-        U = product(A.eval_many(pts), U)
+        U = product(A.eval_many(OrbitBlock(pts, j, 1, omega_vec, state)), U)
         mx = np.maximum(np.abs(U.real), np.abs(U.imag)).max(axis=(1, 2))
         died = ~(np.isfinite(mx) & (mx >= UNDERFLOW_FLOOR)) & (steps == N)
         steps[died] = j
@@ -597,6 +604,110 @@ def test_lookahead_batch_matches_each_node_alone():
         alone, alone_under = iterate_log_norm_many(C, N, X[i:i + 1], at=at)
         assert np.array_equal(under[:, i], alone_under[:, 0])
         assert avg[:, i].tobytes() == alone[:, 0].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Orbit phases: exact every PHASE_STEPS global steps, twiddled between
+# ---------------------------------------------------------------------------
+
+def _orbit(X, omega, N):
+    """The kernel's float orbit points x_j = frac(x_{j-1} + omega), j < N."""
+    pts = [X]
+    for _ in range(1, N):
+        nxt = pts[-1] + omega
+        nxt -= np.floor(nxt)
+        pts.append(nxt)
+    return pts
+
+
+def ref_orbit_phases(pts, ks, h, omega):
+    """The documented phase rule, written out on its own: at step j, with
+    t = j mod R, E = exp(2 pi i k.x_{j-t}) times W = exp(2 pi i k.(t omega)),
+    the product in float64 as re = Er Wr - Ei Wi, im = Er Wi + Ei Wr."""
+    R = _util.PHASE_STEPS
+    k = ks[ks.shape[0] - h:]
+    phase = lambda x: np.exp(2j * math.pi * (k * x.T))  # d = 1
+    out = []
+    for j, x in enumerate(pts):
+        t = j % R
+        E, W = phase(pts[j - t]), phase(t * omega.reshape(1, -1))
+        out.append((E.real * W.real - E.imag * W.imag)
+                   + 1j * (E.real * W.imag + E.imag * W.real))
+    return out
+
+
+# Blocks of one step (grids past 512 nodes), two (512 nodes), blocks that
+# cross anchors at varying offsets, and 1024 steps (a single node).
+PHASE_BLOCKS = (1, 2, 3, 16, 17, 1024)
+PHASE_OMEGAS = {"golden": GOLDEN, "silver": SILVER, "half": 0.5, "tiny": 1e-7}
+
+
+@pytest.mark.parametrize("omega", sorted(PHASE_OMEGAS))
+def test_orbit_phases_follow_the_rule_within_the_bound(omega):
+    # |k| <= 7 over 2000 steps. Every block split gives the rule's bits;
+    # anchor steps keep the exact phase's bits, and every phase is within
+    # 2 pi |k|_1 R 2^-52 + 2^-51 of exp(2 pi i k.x_j) at the float orbit
+    # point.
+    R = _util.PHASE_STEPS
+    w = np.array([PHASE_OMEGAS[omega]])
+    ks, _, h = _tables(1, [{(k,): 1.0 for k in range(-7, 8)}], ())
+    N, m = 2000, 16
+    pts = _orbit(_nodes(1, m=m), w, N)
+    want = ref_orbit_phases(pts, ks, h, w)
+    for b in PHASE_BLOCKS:
+        state = {}
+        for j0 in range(0, N, b):
+            steps = min(b, N - j0)
+            got = _upper_phases(OrbitBlock(np.concatenate(pts[j0:j0 + steps]),
+                                           j0, steps, w, state), ks, h)
+            assert got.tobytes() == np.concatenate(want[j0:j0 + steps], axis=1).tobytes()
+    bound = (2 * math.pi * np.arange(1, 8) * R * 2.0**-52 + 2.0**-51)[:, None]
+    worst = 0.0
+    for j, x in enumerate(pts):
+        exact = _upper_phases(x, ks, h)
+        if j % R == 0:
+            assert want[j].tobytes() == exact.tobytes()
+        err = np.abs(want[j] - exact)
+        assert np.all(err <= bound), (j, float(np.max(err / bound)))
+        worst = max(worst, float(np.max(err / bound)))
+    assert worst > 0.0  # the twiddled phases are not the exact ones
+
+
+# At omega = 0 every twiddle factor is 1 exactly, so an orbit's phases are
+# the exact ones at every step and the kernel keeps the bytes of plain
+# evaluation at the orbit points.
+OMEGA_ZERO = {
+    "amo": lambda: Cocycle(amo(3.0, 0.3), Frequency((0.0,))),
+    "schrodinger-2d": lambda: Cocycle(schrodinger(_v2(), 0.2, d=2),
+                                      Frequency((0.0, 0.0))),
+    "discontinuity": BITWISE["discontinuity-omega0"],
+}
+
+
+@pytest.mark.parametrize("m", [3, 700])
+@pytest.mark.parametrize("name", sorted(OMEGA_ZERO))
+def test_orbit_at_omega_zero_keeps_its_bytes(name, m):
+    C = OMEGA_ZERO[name]()
+    A, zero = C.A, C.omega.as_array()
+    ks = A._ks
+    h = getattr(A, "_half", 1)  # the discontinuity example's table is k
+    W = _upper_phases(np.arange(_util.PHASE_STEPS)[:, None] * zero, ks, h)
+    assert np.all(W == 1.0) and not np.signbit(W.imag).any()
+    X = _nodes(C.d, m=m)
+    want, steps = ref_iterate(_PlainPoints(A), zero, [1, 20, 40], X,
+                              product=rows_product)
+    avg, under = iterate_log_norm_many(C, 40, X, at=[1, 20, 40])
+    assert avg.tobytes() == want.tobytes()
+
+
+class _PlainPoints:
+    """Evaluates an orbit block at its points, with exact phases."""
+
+    def __init__(self, base):
+        self.base, self.d = base, base.d
+
+    def eval_many(self, X):
+        return self.base.eval_many(np.asarray(X))
 
 
 # Matrices far beyond the range where the closed form's f^2 is finite.
