@@ -23,15 +23,17 @@ MAX_NODES = 1 << 22
 _max_workers = 1
 
 # A thread pays only above this many rows per worker. Since the orbit kernel
-# renormalizes by powers of two, a step is about 10 short numpy calls, and two
-# workers pass the interpreter lock back and forth between them. On a 2-core
-# host, amo iterate_log_norm_many at about 4.2e6 node-steps a run, the split
-# forced, 7 alternating pairs of 1 and 2 workers (median time ratio, pairs
-# where 2 workers won) read 2.43 (0/7) at 2048 rows and 1.81 (0/7) at 4096,
-# but 0.81 (6/7) at 8192, 0.66 (7/7) at 16384 and 0.58 (7/7) at 65536. An
-# earlier sweep on the same host read 1.27, 1.40, 0.85, 0.60 and 0.58 at
-# those sizes. So a second worker starts at 8192 rows.
-MIN_ROWS_PER_WORKER = 4096
+# renormalizes by powers of two and twiddles its phases, a step is short
+# numpy calls only, with a complex exp at one step in 16, and two workers
+# pass the interpreter lock back and forth between them. On a 2-core host, amo
+# iterate_log_norm_many at about 4.2e6 node-steps a run, the split forced,
+# alternating pairs of 1 and 2 workers (median time ratio, pairs where 2
+# workers won) read 1.59 (0/9) at 4096 rows, 1.44 (0/9) and 1.16 (2/11) at
+# 8192, 0.94 (7/9) and 0.91 (9/11) at 16384 and 0.65 (11/11) at 32768; a
+# renormalized Jacobi cocycle read 1.21 (0/9) at 8192 and 0.92 (8/9) at
+# 16384. With a complex exp every step, two workers had won from 8192 rows
+# (0.86-0.94 there). So a second worker starts at 16384 rows.
+MIN_ROWS_PER_WORKER = 8192
 
 # One worker hands fn blocks of at most this many rows. The orbit kernel's
 # per-step temporaries are then 64-256 KiB, inside the 2 MiB L2 and below

@@ -28,7 +28,7 @@ Every output embeds the sha256 of the config file and the library version;
 identical config + seed yields identical bytes regardless of --threads.
 --threads N splits each node batch of the orbit-product kernel into N chunks
 run on a thread pool, with N capped at the core count and at one worker per
-_util.MIN_ROWS_PER_WORKER = 4096 rows: batches under 8192 nodes run on one
+_util.MIN_ROWS_PER_WORKER = 8192 rows: batches under 16384 nodes run on one
 thread, which walks them in 4096-node blocks.
 
 Exit codes: 0 success; 2 a config error, written to stderr: a ConfigError

@@ -459,8 +459,8 @@ def test_map_chunked_caps_workers_at_core_count(monkeypatch, far_above):
     assert len(parts) == 4 and sum(parts) == arr.sum()
 
 
-# Batches of about 2048 rows stay on one worker: two ran slower there (see
-# MIN_ROWS_PER_WORKER).
+# Batches below 2 * MIN_ROWS_PER_WORKER rows stay on one worker: two ran
+# slower there (see MIN_ROWS_PER_WORKER).
 @pytest.mark.parametrize("rows, seen", [(512, []), (2047, []), (2048, []), (65536, [2]),
                                         (2 * _util.MIN_ROWS_PER_WORKER - 1, []),
                                         (2 * _util.MIN_ROWS_PER_WORKER, [2])])
