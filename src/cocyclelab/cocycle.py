@@ -169,7 +169,9 @@ class OrbitBlock:
         return self.points.shape
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self.points, dtype=dtype, copy=copy)
+        if copy:
+            return np.array(self.points, dtype=dtype)
+        return np.asarray(self.points, dtype=dtype)
 
 
 def _as_points(X):
@@ -245,20 +247,25 @@ def _orbit_phases(block: OrbitBlock, ks: np.ndarray, h: int,
         # the table's owner lives as long as the chunk, so its id is a key
         tab = block.state[id(ks)] = [W.real[:, :, None], W.imag[:, :, None],
                                      None, None]
-    Wr, Wi, Er, Ei = tab
+    Wr, Wi = tab[0], tab[1]
     t0 = j0 % R
-    # the anchor steps inside the block, by their offset in it
-    first = -t0 % R
+    first = -t0 % R  # the offset in the block of its first anchor step
     if first < b:
-        at = pts.reshape(b, m, pts.shape[1])[first::R]
-        P = _upper_phases(at.reshape(-1, pts.shape[1]), ks, h)
+        # the carried anchor is dropped first unless the first steps
+        # twiddle it, so a chunk never holds two of them for nothing
+        carried = tab[2:] if t0 else []
+        tab[2:] = None, None
+        d = pts.shape[1]
+        at = pts.reshape(b, m, d)[first::R]
+        P = _upper_phases(at.reshape(-1, d), ks, h).reshape(h, at.shape[0], m)
         # contiguous copies: every step until the next anchor reads them
-        Pr, Pi = (np.ascontiguousarray(a).reshape(h, at.shape[0], m)
-                  for a in (P.real, P.imag))
-        if t0:  # the first steps twiddle the carried anchor
-            Pr = np.concatenate((Er, Pr), axis=1)
-            Pi = np.concatenate((Ei, Pi), axis=1)
-        Er, Ei = Pr, Pi
+        E = [np.ascontiguousarray(P.real), np.ascontiguousarray(P.imag)]
+        del P
+        if carried:
+            E = [np.concatenate((c, e), axis=1) for c, e in zip(carried, E)]
+        Er, Ei = E
+    else:
+        Er, Ei = tab[2], tab[3]
     if t0 + b <= R:  # one anchor for the whole block: a plain broadcast
         Wr, Wi = Wr[:, t0:t0 + b], Wi[:, t0:t0 + b]
     else:
@@ -764,22 +771,15 @@ class LogNormResult:
     underflowed: bool
 
 
-def _read(U: np.ndarray, esum: np.ndarray, n: int, norm: np.ndarray,
-          term: np.ndarray) -> None:
-    """The parts of (1/n) ln ||A_n|| of every node from its running product
-    2^-esum A_n: its closed-form norm ||U|| into norm and (esum/n) ln 2 into
-    term. The log is taken later, on the calling thread (_log_reads), so a
-    worker never holds the interpreter lock for a Python loop of logs.
-    """
-    norm[...] = op_norm_2x2(U)
-    np.multiply(esum / n, LN2, out=term)
-
-
 def _log_reads(norm: np.ndarray, term: np.ndarray,
                reads: Sequence[int]) -> np.ndarray:
-    """ln ||U||/n + (esum/n) ln 2 from the parts written by _read, in place
-    of norm: one math.log per node (_util.log_in_place), so no SIMD log of
-    numpy's enters the bits. An excised node has norm 1 and term -inf, so it
+    """(1/n) ln ||A_n|| of every node and read n from the parts that
+    _iterate_chunk writes for its running product U = 2^-esum A_n, norm
+    ||U|| and term (esum/n) ln 2: ln ||U||/n + term, in place of norm. The
+    logs are taken here, on the calling thread once the workers are done,
+    so no worker holds the interpreter lock for a Python loop of logs; they
+    are math.log's (_util.log_in_place), so no SIMD log of numpy's enters
+    the bits. An excised node has norm 1 and term -inf, so it
     reads -inf. A power-of-two constant reads exactly: diag(2, 1/2) keeps
     U = diag(1, 4^-n), whose norm computes to 1, and esum = n, so every n
     reads 0 + 1.0 * ln 2.
@@ -810,8 +810,8 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
     product) and e its binary exponent (np.frexp); the product is scaled by
     2^(1 - e), which puts mx in [1, 2), and e - 1 is added to the node's
     integer esum. No norm and no log is taken between reads: at a read n,
-    norm is ||U|| and term (esum/n) ln 2 (_read), and the average log-norm
-    is ln ||U||/n + term.
+    norm is ||U|| and term (esum/n) ln 2, and the average log-norm is
+    ln ||U||/n + term (_log_reads).
 
     reads is an increasing list of step counts; the orbit runs to the last
     one, and row r holds the read after reads[r] steps. Nothing before
@@ -899,7 +899,8 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
                 np.ldexp(U, shift, out=U)
             esum -= shift
             if reads[r] == j + 1:
-                _read(U, esum, j + 1, norm[r], term[r])
+                norm[r] = op_norm_2x2(U)
+                np.multiply(esum / (j + 1), LN2, out=term[r])
                 if dead is not None:
                     term[r, dead] = -math.inf
                 r += 1
