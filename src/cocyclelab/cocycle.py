@@ -154,7 +154,8 @@ class OrbitBlock:
     phases by the twiddle rule, from omega and state: a dict that the
     chunk's kernel makes empty and hands to each of its blocks in order,
     where each index table keeps its twiddle table and the exact phases of
-    its last anchor step.
+    its last anchor step. So each block's phases are taken once per index
+    table, as every evaluator here does.
     """
 
     __slots__ = ("points", "first", "steps", "omega", "state")
@@ -240,7 +241,7 @@ def _orbit_phases(block: OrbitBlock, ks: np.ndarray, h: int,
     in it, the carried phases of the anchor before it, the twiddles."""
     R, b, j0 = PHASE_STEPS, block.steps, block.first
     pts = block.points
-    m = pts.shape[0] // b if b else 0
+    m = pts.shape[0] // b
     tab = block.state.get(id(ks))
     if tab is None:
         W = _upper_phases(np.arange(R)[:, None] * block.omega, ks, h)

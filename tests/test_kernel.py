@@ -628,7 +628,7 @@ def ref_orbit_phases(pts, ks, h, omega):
     k = ks[ks.shape[0] - h:]
     phase = lambda x: np.exp(2j * math.pi * (k * x.T))  # d = 1
     out = []
-    for j, x in enumerate(pts):
+    for j in range(len(pts)):
         t = j % R
         E, W = phase(pts[j - t]), phase(t * omega.reshape(1, -1))
         out.append((E.real * W.real - E.imag * W.imag)
@@ -673,6 +673,16 @@ def test_orbit_phases_follow_the_rule_within_the_bound(omega):
     assert worst > 0.0  # the twiddled phases are not the exact ones
 
 
+class _PlainPoints:
+    """Evaluates an orbit block at its points, with exact phases."""
+
+    def __init__(self, base):
+        self.base, self.d = base, base.d
+
+    def eval_many(self, X):
+        return self.base.eval_many(np.asarray(X))
+
+
 # At omega = 0 every twiddle factor is 1 exactly, so an orbit's phases are
 # the exact ones at every step and the kernel keeps the bytes of plain
 # evaluation at the orbit points.
@@ -698,16 +708,6 @@ def test_orbit_at_omega_zero_keeps_its_bytes(name, m):
                               product=rows_product)
     avg, under = iterate_log_norm_many(C, 40, X, at=[1, 20, 40])
     assert avg.tobytes() == want.tobytes()
-
-
-class _PlainPoints:
-    """Evaluates an orbit block at its points, with exact phases."""
-
-    def __init__(self, base):
-        self.base, self.d = base, base.d
-
-    def eval_many(self, X):
-        return self.base.eval_many(np.asarray(X))
 
 
 # Matrices far beyond the range where the closed form's f^2 is finite.
