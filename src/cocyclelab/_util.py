@@ -32,7 +32,10 @@ _max_workers = 1
 # 8192, 0.94 (7/9) and 0.91 (9/11) at 16384 and 0.65 (11/11) at 32768; a
 # renormalized Jacobi cocycle read 1.21 (0/9) at 8192 and 0.92 (8/9) at
 # 16384. With a complex exp every step, two workers had won from 8192 rows
-# (0.86-0.94 there). So a second worker starts at 16384 rows.
+# (0.86-0.94 there). So a second worker starts at 16384 rows. Whole cli.main
+# runs (sets of 10 and 15 pairs) read 0.91 and 0.93 for amo le on 65536
+# nodes at N = 64, 0.72 and 0.64 on 262144 nodes at N = 64, 0.74 and 0.68
+# at N = 16, 32, and 0.83 and 0.90 for the 2-d ldt on 512^2 nodes, N = 16.
 MIN_ROWS_PER_WORKER = 8192
 
 # One worker hands fn blocks of at most this many rows. The orbit kernel's

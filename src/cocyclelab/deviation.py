@@ -12,6 +12,7 @@ that the statistics concern the unit-determinant representative.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -141,11 +142,19 @@ class MeasureEstimate:
 
 @dataclass(frozen=True)
 class FourierReport:
-    """DFT of a (clipped) profile with the two decay functionals.
+    """One-sided DFT of a (clipped) profile with the two decay functionals.
+
+    A profile is real, so coeff(-k) = conj(coeff(k)), and coeffs is
+    np.fft.rfftn's half table, one coefficient per +- pair: shape
+    (M,)*(d-1) + (M//2 + 1,), the first d-1 axes in FFT order and the last
+    k_d = 0..M//2. The sums over all k weight the columns k_d = 0 and (M
+    even) k_d = M/2, which hold both members of their pairs, once and every
+    other column twice.
 
     tail_energy_times_K0 realizes sum_{|k|>K0} |coeff|^2 * K0 (max-norm |k|);
     max_k_weighted is max_{k != 0} |k| |coeff(k)| in one dimension, None
     otherwise. parseval_lhs/rhs restate the energy identity for inspection.
+    |coeff|^2 is re^2 + im^2, in float64 ufuncs.
     """
 
     M: int
@@ -158,7 +167,6 @@ class FourierReport:
     parseval_rhs: float
     tail_energy_times_K0: float
     max_k_weighted: Optional[float]
-    ks: np.ndarray = field(repr=False, compare=False)
     coeffs: np.ndarray = field(repr=False, compare=False)
 
 
@@ -166,25 +174,24 @@ def fourier_coeffs(p: Profile, K0: int) -> FourierReport:
     if not (0 < K0 < p.M // 2):
         raise ValueError("need 0 < K0 < M/2")
     vals, T, nclip = p.clipped()
-    coeffs = np.fft.fftn(vals) / vals.size
+    coeffs = np.fft.rfftn(vals) / vals.size
     freqs = ((np.arange(p.M) + p.M // 2) % p.M) - p.M // 2
-    grids = np.meshgrid(*(freqs,) * p.d, indexing="ij")
-    kmax = np.max(np.abs(np.stack(grids)), axis=0)
-    energy = np.abs(coeffs) ** 2
-    tail = float(np.sum(energy[kmax > K0]))
+    half = np.arange(p.M // 2 + 1)
+    kmax = functools.reduce(np.maximum,
+                            np.ix_(*[np.abs(freqs)] * (p.d - 1), half))
+    energy = coeffs.real ** 2 + coeffs.imag ** 2
+    weighted = energy * np.where((half == 0) | (2 * half == p.M), 1.0, 2.0)
     if p.d == 1:
-        nz = kmax > 0
-        max_k_weighted = float(np.max(kmax[nz] * np.abs(coeffs[nz])))
+        max_k_weighted = float(np.max(half[1:] * np.sqrt(energy[1:])))
     else:
         max_k_weighted = None
     return FourierReport(
         M=p.M, d=p.d, K0=K0, clip_level=T, clipped_count=nclip,
         k0_coeff=float(coeffs[(0,) * p.d].real),
-        parseval_lhs=float(np.sum(energy)),
+        parseval_lhs=float(np.sum(weighted)),
         parseval_rhs=float(np.mean(np.abs(vals) ** 2)),
-        tail_energy_times_K0=tail * K0,
-        max_k_weighted=max_k_weighted,
-        ks=np.stack(grids, axis=-1), coeffs=coeffs)
+        tail_energy_times_K0=float(np.sum(weighted[kmax > K0])) * K0,
+        max_k_weighted=max_k_weighted, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -332,40 +339,27 @@ def l2_uniform_check(C: Cocycle, N_list: Sequence[int], M: int,
 # CSV emitters
 # ---------------------------------------------------------------------------
 
-def _abs_or_inf(c: complex) -> float:
-    try:
-        return abs(c)
-    except OverflowError:
-        return math.inf
-
-
 def coeffs_to_csv(report: FourierReport) -> str:
-    """CSV of the coefficients in k order: k1..kd, re, im, abs.
+    """CSV of the one-sided table in k order: k1..kd, re, im.
 
-    np.fft.fftshift over the grid axes puts each axis's k in ascending
-    order, for even and odd M, so k order is row-major order. The rows go to
-    csv_text a CSV_BLOCK at a time, as columns: the block's k columns and
-    real and imaginary parts as numpy arrays, and abs as Python's abs mapped
-    over the block's complex cells (tolist()), so no per-row tuple is built.
-    Python's abs and numpy's vectorised np.abs both call hypot but can
-    differ in the last bit; whether np.hypot matches Python's abs depends on
-    the libm and the numpy build, so neither is used. Python raises
-    OverflowError where numpy overflows to inf; only a block that raises is
-    redone cell by cell, with inf for the cells that overflow.
+    One row per coefficient of report.coeffs, M^(d-1) (M//2 + 1) rows; the
+    partner -k of a row is not written, its coefficient is the conjugate.
+    np.fft.fftshift over the first d-1 axes puts their k in ascending order
+    from -M//2, for even and odd M, and k_d runs 0..M//2, so k order is
+    row-major order. The rows go to csv_text a CSV_BLOCK at a time, as
+    numpy columns: the block's k from its flat positions in the table's
+    shape, and the real and imaginary parts.
     """
-    axes = tuple(range(report.d))
-    ks = np.fft.fftshift(report.ks, axes=axes).reshape(-1, report.d)
-    cs = np.fft.fftshift(report.coeffs).reshape(-1)
+    shape = report.coeffs.shape
+    cs = np.fft.fftshift(report.coeffs, axes=tuple(range(report.d - 1)))
+    cs = cs.reshape(-1)
+    lows = [-(report.M // 2)] * (report.d - 1) + [0]
 
     def blocks():
         for start in range(0, cs.size, CSV_BLOCK):
-            rows = slice(start, start + CSV_BLOCK)
-            c = cs[rows]
-            try:
-                mags = list(map(abs, c.tolist()))
-            except OverflowError:
-                mags = list(map(_abs_or_inf, c.tolist()))
-            yield [*ks[rows].T, c.real, c.imag, mags]
+            c = cs[start:start + CSV_BLOCK]
+            ks = np.unravel_index(np.arange(start, start + c.size), shape)
+            yield [*(k + low for k, low in zip(ks, lows)), c.real, c.imag]
 
-    return csv_text([f"k{i + 1}" for i in range(report.d)]
-                    + ["re", "im", "abs"], blocks=blocks())
+    return csv_text([f"k{i + 1}" for i in range(report.d)] + ["re", "im"],
+                    blocks=blocks())

@@ -399,8 +399,8 @@ class TestDeviationSubcommands:
         data = json.loads((out / "fourier.json").read_text())
         assert abs(data["parseval_lhs"] - data["parseval_rhs"]) <= 1e-10
         lines = (out / "fourier.csv").read_text().splitlines()
-        assert lines[1] == "k1,re,im,abs"
-        assert len(lines) == 2 + 256
+        assert lines[1] == "k1,re,im"
+        assert len(lines) == 2 + 256 // 2 + 1
 
 
 class TestPlotting:
@@ -984,7 +984,7 @@ SUBCOMMANDS = {
     "fourier": ({"experiment": "fourier", "cocycle": AMO,
                  "frequency": [GOLDEN],
                  "params": {"N": 3, "M": 32, "K0": 4}},
-                "k1,re,im,abs"),
+                "k1,re,im"),
     "ladder": ({"experiment": "ladder", "params": INDUCTION}, None),
     "cov": (COV, None),
     "example-discontinuity": ({"experiment": "example-discontinuity",

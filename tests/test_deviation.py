@@ -109,18 +109,18 @@ class TestFourier:
         p = Profile.from_values(np.full(64, 1.7))
         r = fourier_coeffs(p, 8)
         assert r.k0_coeff == pytest.approx(1.7, abs=1e-12)
-        others = np.abs(r.coeffs[r.ks.reshape(-1, 1)[:, 0].reshape(64) != 0])
-        assert np.max(others) < 1e-12
+        assert r.coeffs.shape == (33,)
+        assert np.max(np.abs(r.coeffs[1:])) < 1e-12
 
     def test_pure_tone(self):
         x = np.arange(128) / 128
         p = Profile.from_values(np.cos(2 * np.pi * x))
         r = fourier_coeffs(p, 10)
-        k = r.ks.reshape(-1)
-        c = r.coeffs.reshape(-1)
-        assert c[k == 1][0] == pytest.approx(0.5, abs=1e-12)
-        assert c[k == -1][0] == pytest.approx(0.5, abs=1e-12)
-        assert np.max(np.abs(c[np.abs(k) > 1])) < 1e-12
+        c = r.coeffs   # k = 0..64; c(-1) = conj(c(1)) is not stored
+        assert c[1] == pytest.approx(0.5, abs=1e-12)
+        assert np.max(np.abs(c[[0, *range(2, 65)]])) < 1e-12
+        # the k = 1 column stands for k = +-1: energy 2 * 0.25
+        assert r.parseval_lhs == pytest.approx(0.5, abs=1e-12)
         assert r.max_k_weighted == pytest.approx(0.5, abs=1e-12)
 
     def test_k0_matches_mean_and_parseval(self):
@@ -333,41 +333,97 @@ class TestL2Uniform:
 
 
 def coeffs_csv_row_loop(report) -> str:
-    """The per-row loop coeffs_to_csv used before csv_text, kept as the
-    byte reference: abs is taken of each numpy complex scalar."""
-    header = ",".join([f"k{i + 1}" for i in range(report.d)]
-                      + ["re", "im", "abs"])
-    lines = [header]
-    ks = report.ks.reshape(-1, report.d)
-    cs = report.coeffs.reshape(-1)
-    for i in np.lexsort(ks.T[::-1]):
-        c = cs[i]
-        lines.append(",".join([str(int(v)) for v in ks[i]]
-                              + [fmt17(c.real), fmt17(c.imag), fmt17(abs(c))]))
+    """A per-row loop over the one-sided table, kept as the byte reference
+    for coeffs_to_csv: each index's k (read mod M into [-M//2, M//2) on the
+    first d - 1 axes, as it is on the last), the rows sorted by k."""
+    M, d = report.M, report.d
+    rows = []
+    for idx in np.ndindex(report.coeffs.shape):
+        k = [((i + M // 2) % M) - M // 2 for i in idx[:-1]] + [idx[-1]]
+        c = report.coeffs[idx]
+        rows.append((k, [fmt17(c.real), fmt17(c.imag)]))
+    rows.sort(key=lambda row: row[0])
+    lines = [",".join([f"k{i + 1}" for i in range(d)] + ["re", "im"])]
+    lines += [",".join([str(v) for v in k] + cells) for k, cells in rows]
     return "\n".join(lines) + "\n"
+
+
+def fourier_full_reference(vals: np.ndarray, K0: int) -> dict:
+    """The functionals from the full complex fftn, every k summed once: the
+    two-sided computation that the one-sided table replaced."""
+    M, d = vals.shape[0], vals.ndim
+    coeffs = np.fft.fftn(vals) / vals.size
+    freqs = ((np.arange(M) + M // 2) % M) - M // 2
+    kmax = np.max(np.abs(np.stack(np.meshgrid(*(freqs,) * d, indexing="ij"))),
+                  axis=0)
+    energy = np.abs(coeffs) ** 2
+    nz = kmax > 0
+    return {"k0_coeff": coeffs[(0,) * d].real,
+            "parseval_lhs": np.sum(energy),
+            "tail_energy_times_K0": np.sum(energy[kmax > K0]) * K0,
+            "max_k_weighted": (np.max(kmax[nz] * np.abs(coeffs[nz]))
+                               if d == 1 else None)}
+
+
+# even M has a k_d = M/2 column weighted once, odd M has none
+@pytest.mark.parametrize("shape", [(64,), (4096,), (255,), (32, 32), (64, 64),
+                                   (15, 15), (16, 16, 16), (9, 9, 9)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_one_sided_table_matches_the_full_fftn(shape):
+    values = np.random.default_rng(len(shape) * 1000 + shape[0]).standard_normal(
+        shape) + np.cos(2 * np.pi * np.arange(shape[0]) / shape[0])
+    p = Profile.from_values(values)
+    vals = p.clipped()[0]
+    r = fourier_coeffs(p, 3)
+    want = fourier_full_reference(vals, 3)
+    # the sums run over the same energies in another order and the moduli
+    # come from re^2 + im^2 rather than hypot: relative 1e-12 for the sums,
+    # 1e-14 for the maximum, and k0 (a sum of signed values) within 1e-14
+    # of the profile's rms
+    assert r.parseval_lhs == pytest.approx(want["parseval_lhs"], rel=1e-12)
+    assert r.tail_energy_times_K0 == pytest.approx(
+        want["tail_energy_times_K0"], rel=1e-12)
+    if want["max_k_weighted"] is None:
+        assert r.max_k_weighted is None
+    else:
+        assert r.max_k_weighted == pytest.approx(want["max_k_weighted"],
+                                                 rel=1e-14)
+    assert r.k0_coeff == pytest.approx(want["k0_coeff"], abs=1e-14 * p.rms)
+    # one row per +- pair, each with the bits of rfftn
+    M, d = shape[0], len(shape)
+    lines = coeffs_to_csv(r).splitlines()
+    assert lines[0] == ",".join([f"k{i + 1}" for i in range(d)] + ["re", "im"])
+    assert len(lines) - 1 == M ** (d - 1) * (M // 2 + 1)
+    ref = np.fft.rfftn(vals) / M ** d
+    for line in lines[1:]:
+        cells = line.split(",")
+        c = ref[tuple(int(k) % M for k in cells[:d])]
+        assert cells[d:] == [fmt17(c.real), fmt17(c.imag)]
 
 
 class TestCSV:
     @pytest.mark.parametrize("shape", [(256,), (16, 16)])
     def test_coeffs_csv_bytes_match_row_loop(self, shape, same_text):
-        # random values make np.abs(coeffs) differ from the scalar abs in the
-        # last bit on some entries, so a vectorised abs column fails here
         values = np.random.default_rng(0).standard_normal(shape)
         report = fourier_coeffs(Profile.from_values(values), 4)
         same_text(coeffs_to_csv(report), coeffs_csv_row_loop(report))
 
     def test_coeffs_csv_bytes_match_row_loop_over_blocks(self, same_text):
-        # more rows than coeffs_to_csv converts at once, in shuffled k order
+        # more rows than coeffs_to_csv converts at once, an odd M
         values = np.random.default_rng(1).standard_normal(3 * 4096 + 5)
         report = fourier_coeffs(Profile.from_values(values), 4)
         same_text(coeffs_to_csv(report), coeffs_csv_row_loop(report))
 
-    @pytest.mark.parametrize("shape", [(96, 96), (CSV_BLOCK,), (20, 20, 20)],
-                             ids=["d2-9216-rows", "one-full-block", "d3"])
+    # (96, 96): 96 * 49 = 4704 rows, a full block and a short one;
+    # 2 * CSV_BLOCK - 2 nodes: CSV_BLOCK rows, exactly one block
+    @pytest.mark.parametrize("shape", [(96, 96), (2 * CSV_BLOCK - 2,),
+                                       (20, 20, 20)],
+                             ids=["d2-4704-rows", "one-full-block", "d3"])
     def test_coeffs_csv_bytes_match_row_loop_in_blocks(self, shape, same_text):
         values = np.random.default_rng(3).standard_normal(shape)
         report = fourier_coeffs(Profile.from_values(values), 4)
-        assert report.coeffs.size == math.prod(shape)
+        assert report.coeffs.size == \
+            math.prod(shape[:-1]) * (shape[-1] // 2 + 1)
         same_text(coeffs_to_csv(report), coeffs_csv_row_loop(report))
 
     SPECIAL = [complex(math.inf, 0.0), complex(-math.inf, math.nan),
@@ -383,31 +439,14 @@ class TestCSV:
         report = dataclasses.replace(report, coeffs=coeffs)
         text = coeffs_to_csv(report)
         same_text(text, coeffs_csv_row_loop(report))
-        assert ",inf,nan,inf\n" not in text and ",-inf,nan,inf\n" in text
-
-    def test_coeffs_csv_overflow_in_a_later_block_only(self, same_text):
-        # the special values sit in the second block of k order, so the
-        # first block is formatted without the cell-by-cell abs fallback
-        values = np.random.default_rng(4).standard_normal(3 * CSV_BLOCK + 5)
-        report = fourier_coeffs(Profile.from_values(values), 4)
-        ks = report.ks.reshape(-1, report.d)
-        order = np.lexsort(ks.T[::-1])
-        at = order[CSV_BLOCK + 10:CSV_BLOCK + 10 + len(self.SPECIAL)]
-        coeffs = report.coeffs.copy()
-        coeffs.reshape(-1)[at] = self.SPECIAL
-        report = dataclasses.replace(report, coeffs=coeffs)
-        text = coeffs_to_csv(report)
-        same_text(text, coeffs_csv_row_loop(report))
-        lines = text.splitlines()
-        assert lines[1 + CSV_BLOCK + 15].endswith(
-            ",1.6999999999999999e+308,1.6999999999999999e+308,inf")
-        assert all(not line.endswith(",inf")
-                   for line in lines[1:CSV_BLOCK + 1])
+        for cells in (",inf,0\n", ",-inf,nan\n", ",nan,1\n", ",0.5,-inf\n",
+                      ",-0,-0\n", ",4.9406564584124654e-324,"
+                                   "-4.9406564584124654e-324\n"):
+            assert cells in text
 
     def test_coeffs_csv_sorted_by_k(self):
         p = Profile.from_values(np.cos(2 * np.pi * np.arange(16) / 16))
         text = coeffs_to_csv(fourier_coeffs(p, 4))
         lines = text.strip().split("\n")
-        assert lines[0] == "k1,re,im,abs"
-        ks = [int(l.split(",")[0]) for l in lines[1:]]
-        assert ks == sorted(ks)
+        assert lines[0] == "k1,re,im"
+        assert [int(l.split(",")[0]) for l in lines[1:]] == list(range(9))
