@@ -56,17 +56,25 @@ MIN_ROWS_PER_WORKER = 8192
 # forth.
 BLOCK_ROWS = 4096
 
-# The orbit kernel evaluates the points of max(1, LOOKAHEAD_ROWS // m) steps
-# of an m-node chunk in one call (cocycle._iterate_chunk), so chunks of 512
-# nodes or fewer pay the per-call cost of evaluation once per block of
-# steps. At 1024 rows a block's evaluation temporaries (the phase table, the
-# (2, 2, rows) output) stay under glibc's 128 KiB mmap threshold. On a
-# 2-core host, the orbit-long benchmark experiments run in a fresh process
-# (seeds 1-3, ru_maxrss after each) ended at 40.2-40.3 MB with 1024, as
-# with no look-ahead (a budget of 1), but at 40.3-40.4 MB with 2048 and
-# 40.7-40.9 MB with 4096. The avalanche blocks take their norms and logs
-# this many matrices at a time, for the same small temporaries.
+# The avalanche blocks take their norms and logs, and log_in_place its
+# logs, this many values at a time, so that their temporaries (and
+# log_in_place's Python floats) stay small.
 LOOKAHEAD_ROWS = 1024
+
+# The orbit kernel evaluates the points of max(1, ORBIT_LOOKAHEAD_ROWS // m)
+# steps of an m-node chunk in one call (cocycle._iterate_chunk), so chunks of
+# 4096 nodes or fewer pay the per-call cost of evaluation once per block of
+# steps, and renormalize once per stretch of steps inside a block. On a
+# 2-core host, the orbit-long benchmark experiments run in a fresh process
+# (seeds 1-3, ru_maxrss at the end) ended at 40.8-40.9 MiB with budgets of
+# 1 and 1024, 40.9-41.0 MiB with 4096 and 41.5-41.6 MiB with 8192 (the
+# kernel before stretches, at 1024: 40.7-40.8 MiB). Ten alternating pairs of
+# 30 s orbit-long benchmark runs (seed 1) read wall_s 0.370 s at 4096 and
+# 0.337 s at 8192 (8192 faster in 10/10 pairs, 4096's quartiles 0.007 s
+# apart) and peak_rss_mb 42.45 and 43.12 MiB. With 8192 a one-worker
+# block of 4096 rows evaluates two steps at a time; past 4096 rows a chunk
+# (a worker's share of a batch from 16384 rows) takes one step per block.
+ORBIT_LOOKAHEAD_ROWS = 8192
 
 # The orbit kernel takes a trig polynomial's phases e^{2 pi i k.x} exactly at
 # every global step j = 0 mod PHASE_STEPS and, at the steps between, as those

@@ -18,7 +18,9 @@ body. A payload holds result objects as they are: _util.to_json_text writes a
 dataclass (or named tuple) as an object of its fields in declaration order,
 without the fields declared repr=False. run writes the outputs to --out
 as <experiment>.json (always), <experiment>.csv for tabular results, and
-<experiment>.svg when "plot: true" and a CSV exists. Every CSV goes through
+<experiment>.svg when "plot: true" and a CSV exists, drawn by the
+experiment's plot (column 2 against column 1, or fourier's shell maxima for
+d >= 2, deviation.plot_coeffs_csv). Every CSV goes through
 _util.csv_text, which formats a block of CSV_BLOCK rows with one % of its
 row template: %d for integer cells, %.17g (fmt17) for the rest. Every
 output of a q-site jacobi_periodic block (q >= 2) names the unit of its
@@ -73,6 +75,7 @@ from .deviation import (
     profile,
     shift_drift_empirical,
     coeffs_to_csv,
+    plot_coeffs_csv,
 )
 from .errors import CocycleLabError, NotUnimodular
 from .lyapunov import (
@@ -486,6 +489,8 @@ class _Experiment:
     run: Callable[[Inputs], tuple]
     needs: Tuple[str, ...]
     params: dict
+    # the SVG of its CSV body, for plot: true
+    plot: Callable[..., str] = plot_csv_text
 
 
 _ORBIT = ("cocycle", "frequency")  # every experiment that iterates a cocycle
@@ -525,7 +530,7 @@ _TABLE: Dict[str, _Experiment] = {
         renormalize_first=_BOOL)),
     "fourier": _Experiment(_run_fourier, _ORBIT, _closed(
         "N", "M", "K0", N=_POS_INT, M={"type": "integer", "minimum": 4},
-        K0=_POS_INT, renormalize_first=_BOOL)),
+        K0=_POS_INT, renormalize_first=_BOOL), plot=plot_coeffs_csv),
     "ladder": _Experiment(_run_ladder, (), _closed(
         "kind", kind={"enum": ["liouville", "mixed", "induction"]},
         N0=_POS_INT, q0=_POS_INT, K0=_POS_INT, rho=_POSITIVE, kappa=_NUM,
@@ -619,8 +624,8 @@ def run(name: str, cfg: dict, digest: str, out_dir: str, seed: int) -> None:
         if csv_body is not None:
             texts[".csv"] = (f"# {stamp}\n", csv_body)
             if cfg.get("plot", False):
-                texts[".svg"] = (plot_csv_text(csv_body, title=name,
-                                               comment=stamp),)
+                texts[".svg"] = (_TABLE[name].plot(csv_body, title=name,
+                                                   comment=stamp),)
     except (ValueError, KeyError) as e:
         message = f"missing key {e}" if isinstance(e, KeyError) else str(e)
         raise ConfigError(message, digest) from e

@@ -28,12 +28,12 @@ workers each takes one contiguous chunk. Every node's orbit is independent,
 so the split changes no bits.
 
 Evaluation looks ahead: a chunk of m nodes advances the orbit points of the
-next max(1, _util.LOOKAHEAD_ROWS // m) steps and evaluates them in one
-eval_many call, so a short batch (a 512-node grid, a single point) pays
-numpy's per-call cost of evaluation once per block of steps. Past 512 nodes
-the block is one step and the points are evaluated as they are. The budget
-of 1024 rows keeps a block's evaluation temporaries under glibc's mmap
-threshold, and one evaluation is dropped before the next is made.
+next max(1, _util.ORBIT_LOOKAHEAD_ROWS // m) steps (8192 rows: 16 steps of a
+512-node grid) and evaluates them in one eval_many call, so a short batch (a
+512-node grid, a single point) pays numpy's per-call cost of evaluation once
+per block of steps. Past 4096 nodes the block is one step and the points are
+evaluated as they are. One evaluation is dropped before the next is
+made.
 
 Along an orbit a trig polynomial's phases come from the rotation itself:
 e^{2 pi i k.(x + t omega)} = e^{2 pi i k.x} e^{2 pi i k.(t omega)}. The
@@ -57,16 +57,27 @@ is _util.step_2x2, the product alone, which avalanche's chains advance
 through as well, each block of chains in its own dtype by the same
 arithmetic rule.
 
-The kernel renormalizes by powers of two: after each product it scales a
-node's running matrix U by 2^(1 - e), e the binary exponent of its largest
-entry modulus, and adds e - 1 to an integer sum s per node; the scaling is
-exact unless an entry falls into the subnormal range. No norm and no log
-is taken between reads; a read at n takes one closed-form norm per node in
-the workers and, once they are done, one math.log per node on the calling
-thread: ln ||U||/n + (s/n) ln 2. Apart from the product's own roundings
-every step is exact, and the twiddled phases are real multiplies and adds,
-so a real cocycle's bytes do not depend on which SIMD kernels numpy
-dispatches to; complex products still can.
+The kernel renormalizes by powers of two: it scales a node's running
+matrix U by 2^(1 - e), e the binary exponent of its largest entry modulus
+mx, and adds e - 1 to an integer sum s per node; the scaling is exact
+unless an entry falls into the subnormal range. It does so after every
+product, or, inside an evaluation block, once per stretch of t >= 2
+products, with the same bits (_iterate_chunk): a stretch runs on U
+prescaled by 2^-(G t + 1), 2^G bounding one step's growth of mx, ends at
+the next read, at the block's end and before G t + 1 passes
+STRETCH_EXPONENT_CAP, and is kept only when no product rounded in the
+subnormal range (numpy's underflow flag, which IEEE 754 raises exactly
+then) and every node's mx at its end is finite and at least
+UNDERFLOW_FLOOR. Scaling by a power of two commutes with every product and
+sum that does not round subnormally, and the prescale keeps the stretch's
+product a power of two, at most 1, times the per-step one, so a kept
+stretch ends on the per-step U and s and misses no excision. No norm and no log is taken between
+reads; a read at n takes one closed-form norm per node in the workers and,
+once they are done, one math.log per node on the calling thread:
+ln ||U||/n + (s/n) ln 2. Apart from the product's own roundings every step
+is exact, and the twiddled phases are real multiplies and adds, so a real
+cocycle's bytes do not depend on which SIMD kernels numpy dispatches to;
+complex products still can.
 
 Real cocycles run in real arithmetic. A matrix whose every entry has
 c_{-k} = conj(c_k) exactly for every k, c_0 included (almost Mathieu,
@@ -97,8 +108,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import (LOOKAHEAD_ROWS, PHASE_STEPS, UNDERFLOW_FLOOR, det_2x2,
-                    grid, log_in_place, map_chunked, op_norm_2x2, step_2x2)
+from ._util import (ORBIT_LOOKAHEAD_ROWS, PHASE_STEPS, UNDERFLOW_FLOOR,
+                    det_2x2, grid, log_in_place, map_chunked, op_norm_2x2,
+                    step_2x2)
 from .errors import IdenticallySingular, OutsideStrip, Singular
 from .torus import Automorphism, Frequency
 
@@ -108,6 +120,11 @@ LN_DBL_MAX = math.log(sys.float_info.max)
 LN2 = math.log(2.0)
 # most nodes per strip face when strip_norm picks the grid (256^2)
 STRIP_FACE_NODES = 1 << 16
+# The largest prescale exponent G t + 1 of a kernel stretch (_stretch): the
+# prescale 2^-(G t + 1) is a normal number, and a product that grows by
+# less than its bound still ends near 2^-900, about 2^97 above
+# UNDERFLOW_FLOOR.
+STRETCH_EXPONENT_CAP = 900
 
 
 def _frac(x: np.ndarray) -> np.ndarray:
@@ -725,10 +742,13 @@ class ComposedMatrix:
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         """A(Bx) at the points X, or along an OrbitBlock: the base then
-        gets a block of its own, the points Bx_j and the frequency
-        B omega, as Bx_j moves by B omega, not omega (the block's own
-        twiddles would be wrong for it); the error of its phases grows
-        like that of _upper_phases, with |kB|_1 in place of |k|_1.
+        gets a block of its own, the points y_j = frac(Bx_j) and the
+        frequency B omega, as Bx_j moves by B omega, not omega (the block's
+        own twiddles would be wrong for it). The error of its phases grows
+        like that of _upper_phases, with |kB|_1 in place of |k|_1: a phase
+        is within 2 pi |kB|_1 R 2^-52 + 2^-51 of exp(2 pi i k.y_j), R =
+        PHASE_STEPS, plus 2 pi |k|_1 (5R/2 + 2) 2^-52 for the rounding of
+        B x_j and B omega (test_composed_twiddles_within_the_kB_bound).
         B = identity evaluates with A's own bits."""
         pts = np.atleast_2d(np.asarray(X, dtype=float))
         # coordinate i of Bx is (row i of B).x
@@ -791,6 +811,39 @@ def _log_reads(norm: np.ndarray, term: np.ndarray,
     return norm
 
 
+def _entry_exponents(mats: np.ndarray, b: int) -> list:
+    """For each of the b steps of a stacked evaluation, the binary exponent
+    e (np.frexp) of g, its largest entry modulus measured as the kernel's
+    mx is (max(|re|, |im|)), so that g < 2^e."""
+    g = np.abs(mats.real)
+    if np.iscomplexobj(mats):
+        np.maximum(g, np.abs(mats.imag), out=g)
+    g = g.reshape(b, -1, 2, 2).max(axis=(1, 2, 3), initial=0.0)
+    return np.frexp(g)[1].tolist()
+
+
+def _stretch(mats: np.ndarray, t: int, c: int, U: np.ndarray, V: np.ndarray,
+             S: np.ndarray, W: np.ndarray) -> bool:
+    """The t products of a kernel stretch (mats, its t steps' stacked
+    matrices) on U prescaled by 2^-c, with no renormalization between them,
+    into S; U is left as it is and V is scratch. False when the prescale or
+    a product rounded in the subnormal range, which IEEE 754 flags as
+    underflow: the product in S is then not the per-step one times a power
+    of two."""
+    m = U.shape[2]
+    # the first buffer is chosen so that the t-th product lands in S
+    P, Q = (V, S) if t % 2 else (S, V)
+    try:
+        with np.errstate(under="raise"):
+            np.multiply(U, math.ldexp(1.0, -c), out=P)
+            for i in range(t):
+                step_2x2(mats[i * m:(i + 1) * m], P, Q, W)
+                P, Q = Q, P
+    except FloatingPointError:
+        return False
+    return True
+
+
 def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray,
                    norm: np.ndarray, term: np.ndarray) -> None:
     """The orbit-product kernel for a batch of m starting points X (m, d).
@@ -806,13 +859,43 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
     every imaginary part is zero, each complex product has the real part
     that float64 gives, so both run to the same bits.
 
-    Renormalization is by powers of two. After each step, mx is a node's
-    largest entry modulus (max(|re|, |im|) over the entries of a complex
-    product) and e its binary exponent (np.frexp); the product is scaled by
-    2^(1 - e), which puts mx in [1, 2), and e - 1 is added to the node's
-    integer esum. No norm and no log is taken between reads: at a read n,
-    norm is ||U|| and term (esum/n) ln 2, and the average log-norm is
-    ln ||U||/n + term (_log_reads).
+    Renormalization is by powers of two. mx is a node's largest entry
+    modulus (max(|re|, |im|) over the entries of a complex product) and e
+    its binary exponent (np.frexp); the product is scaled by 2^(1 - e),
+    which puts mx in [1, 2), and e - 1 is added to the node's integer esum.
+    No norm and no log is taken between reads: at a read n, norm is ||U||
+    and term (esum/n) ln 2, and the average log-norm is ln ||U||/n + term
+    (_log_reads).
+
+    Inside an evaluation block the kernel renormalizes once per stretch of
+    t >= 2 steps (_stretch), with the bits of renormalizing after every
+    step. A stretch ends at the next read, at the block's end and where
+    G t + 1 would pass STRETCH_EXPONENT_CAP. g is the largest entry
+    modulus of its matrices, measured as mx is, with binary exponent e
+    (g < 2^e), and G = max(1, e + 1) for real entries (e + 2 for complex),
+    so that 2^G > 2g (4g) bounds one step's growth of mx. The stretch runs
+    its t products on U prescaled by 2^-(G t + 1) and is kept only when
+    certified:
+    - the prescale and the t products ran under np.errstate(under="raise")
+      without a FloatingPointError, that is, no result rounded in the
+      subnormal range (IEEE 754 raises underflow exactly when a tiny
+      result is inexact);
+    - at its end every node's mx is finite and at least UNDERFLOW_FLOOR.
+    Scaling by a power of two commutes exactly with every product and sum
+    whose result does not round in the subnormal range. The prescale keeps
+    mx at step s of the stretch at most 2^(G (s - t)) <= 1, so at every step
+    the stretch's product is an exact power of two, at most 1, times the
+    renormalized per-step one, and no per-step renormalization could have
+    rounded either. So the end's renormalization gives the per-step U and
+    esum bit for bit, and each read at the end its bits. A per-step
+    excision at step s would have left the end mx below
+    UNDERFLOW_FLOOR 2^-G, and a non-finite value stays non-finite, so the
+    end test keeps every -inf record; the cap (G <= 449 for t >= 2) keeps
+    the prescale normal and every per-step product finite. A stretch that
+    fails either test is rerun one step at a time from its start, which it
+    left untouched, and a chunk that holds an excised node runs one step at
+    a time. With one step per block (m > ORBIT_LOOKAHEAD_ROWS / 2) the
+    loop makes the one-step calls and no others.
 
     reads is an increasing list of step counts; the orbit runs to the last
     one, and row r holds the read after reads[r] steps. Nothing before
@@ -825,7 +908,7 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
     least 1.
 
     Evaluation looks ahead: the orbit points of the next
-    B = max(1, LOOKAHEAD_ROWS // m) steps are advanced first, by the same
+    B = max(1, ORBIT_LOOKAHEAD_ROWS // m) steps are advanced first, by the same
     x -> frac(x + omega) sequence, and A is evaluated on all B*m of them in
     one eval_many call, as an OrbitBlock that also carries the block's
     first global step, omega and the chunk's phase state; step j then reads
@@ -837,18 +920,18 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
     omega = 0 they are). The rule goes by the global step and every
     evaluator works node by node, so stacking changes no bits, and a small
     chunk pays numpy's per-call cost of evaluation once per B steps instead
-    of every step. From m = 513 on B is 1: no stacking copy. Each
-    evaluation is dropped before the next is made, so a step never holds
-    two. LOOKAHEAD_ROWS keeps a stacked evaluation's temporaries under
-    glibc's mmap threshold.
+    of every step. From m = 4097 on B is 1: no stacking copy and no
+    stretch. Each evaluation is dropped before the next is made, so a step
+    never holds two.
 
     A step writes its product into the spare of two (2, 2, m) arrays and
     its second half-product and entry moduli into a third, and allocates
-    only (m,) arrays; map_chunked keeps m at most BLOCK_ROWS on one worker.
+    only (m,) arrays; a stretch alternates between the spare and a fourth,
+    S, and ends in S. map_chunked keeps m at most BLOCK_ROWS on one worker.
     """
     m, d = X.shape
     N = reads[-1]
-    B = max(1, LOOKAHEAD_ROWS // max(m, 1))
+    B = max(1, ORBIT_LOOKAHEAD_ROWS // max(m, 1))
     U = None  # made at the first evaluation, in its dtype
     # None until a node dies: no masking is needed
     dead = None
@@ -874,10 +957,37 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
             cplx = U.dtype.kind == "c"
             Uf, Vf, Wf = (a.view(float) for a in (U, V, W))
             W4 = Wf.reshape(4, -1)
-        for k in range(b):
+            if B > 1:  # where a stretch ends, and then its start product
+                S = np.empty_like(U)
+                Sf = S.view(float)
+            # 2^G >= 2g bounds a real step's growth, 4g a complex one's
+            grow = 2 if cplx else 1
+        gexp = _entry_exponents(mats, b) if b > 1 and dead is None else None
+        k = 0
+        plain = 0  # steps before this one rerun a failed stretch
+        while k < b:
             j = j0 + k
-            step_2x2(mats[k * m:(k + 1) * m], U, V, W)
-            U, V, Uf, Vf = V, U, Vf, Uf
+            t = 1
+            if gexp is not None and dead is None and k >= plain:
+                # a stretch ends at the next read, at the block's end and
+                # before G t + 1 passes the cap; G is at least the first
+                # step's, so that bounds the window G is taken over
+                t = min(b - k, reads[r] - j, (STRETCH_EXPONENT_CAP - 1)
+                        // max(1, gexp[k] + grow))
+                if t > 1:
+                    G = max(1, max(gexp[k:k + t]) + grow)
+                    t = min(t, (STRETCH_EXPONENT_CAP - 1) // G)
+            if t > 1:
+                c = G * t + 1
+                if not _stretch(mats[k * m:(k + t) * m], t, c, U, V, S, W):
+                    plain = k + t
+                    continue
+                # U holds the stretch's product, S its start
+                U, S, Uf, Sf = S, U, Sf, Uf
+            else:
+                t = 1
+                step_2x2(mats[k * m:(k + 1) * m], U, V, W)
+                U, V, Uf, Vf = V, U, Vf, Uf
             np.abs(Uf, out=Wf)
             mx = np.maximum.reduce(W4, axis=0)
             if cplx:
@@ -886,6 +996,11 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
             if dead is not None or not (
                     np.minimum.reduce(mx, initial=math.inf) >= UNDERFLOW_FLOOR
                     and np.maximum.reduce(mx, initial=0.0) < math.inf):
+                if t > 1:
+                    # not certified: back to the start, one step at a time
+                    U, S, Uf, Sf = S, U, Sf, Uf
+                    plain = k + t
+                    continue
                 ok = (mx >= UNDERFLOW_FLOOR) & (mx < math.inf)
                 dead = ~ok if dead is None else dead | ~ok
                 U[:, :, dead] = np.eye(2)[:, :, None]
@@ -899,9 +1014,12 @@ def _iterate_chunk(A, omega_vec: np.ndarray, reads: Sequence[int], X: np.ndarray
             else:
                 np.ldexp(U, shift, out=U)
             esum -= shift
-            if reads[r] == j + 1:
+            if t > 1:
+                esum += c
+            k += t
+            if reads[r] == j + t:
                 norm[r] = op_norm_2x2(U)
-                np.multiply(esum / (j + 1), LN2, out=term[r])
+                np.multiply(esum / (j + t), LN2, out=term[r])
                 if dead is not None:
                     term[r, dead] = -math.inf
                 r += 1
@@ -926,10 +1044,18 @@ def iterate_log_norm_many(C: Cocycle, N: int, X: np.ndarray,
     entry: row r is bit for bit what N = at[r] returns.
     The orbit runs all N steps even when every n is smaller.
 
-    The raw product is never formed: each step scales the running product
-    by a power of two, exactly, and keeps the exponents as an integer sum
-    per node, and a read takes one norm per node in the workers and one
-    math.log per node here, after they return (_iterate_chunk, _log_reads).
+    The raw product is never formed: the running product is scaled by a
+    power of two, exactly, after every step or, inside an evaluation block,
+    once per stretch of steps that is certified to give the same bits: the
+    stretch runs on the product prescaled by 2^-(G t + 1), G bounding a
+    step's growth and G t + 1 at most STRETCH_EXPONENT_CAP, no product
+    rounded in the subnormal range, and every node's largest entry modulus
+    is finite and at least 1e-300 at its end, so it was at every step a
+    power of two times the per-step product and no node died in it. The
+    exponents
+    are kept as an integer sum per node, and a read takes one norm per node
+    in the workers and one math.log per node here, after they return
+    (_iterate_chunk, _log_reads).
     A trig polynomial is evaluated with phases that are exact every
     _util.PHASE_STEPS global steps and twiddled between, each within
     2 pi |k|_1 PHASE_STEPS 2^-52 + 2^-51 of exp(2 pi i k.x_j) at the float

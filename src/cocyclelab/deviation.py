@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._svg import line_plot, plot_csv_text
 from ._util import CSV_BLOCK, csv_text, dyadic_grid, pairwise_total
 # iterate_log_norm_many: not called here; perfbench/tracer.py wraps it by name
 from .cocycle import Cocycle, TrigPoly, iterate_log_norm_many
@@ -363,3 +364,30 @@ def coeffs_to_csv(report: FourierReport) -> str:
 
     return csv_text([f"k{i + 1}" for i in range(report.d)] + ["re", "im"],
                     blocks=blocks())
+
+
+def plot_coeffs_csv(csv_body: str, title: str = "",
+                    comment: Optional[str] = None) -> str:
+    """The SVG of a coeffs_to_csv table (plot: true on fourier).
+
+    For d = 1 it is plot_csv_text's: re against k1. For d >= 2 the rows
+    are a grid of indices, so it plots, for each shell r = |k|_inf =
+    0..M/2, the largest |c_k| on it, with |c| = sqrt(re^2 + im^2) in
+    float64 ufuncs (no libm hypot). The %.17g cells read back as the
+    table's own doubles. A shell whose largest modulus is not finite is
+    left out, as plot_csv_text leaves out a non-finite row.
+    """
+    lines = [ln for ln in csv_body.splitlines()
+             if ln and not ln.startswith("#")]
+    d = len(lines[0].split(",")) - 2
+    if d == 1:
+        return plot_csv_text(csv_body, title=title, comment=comment)
+    table = np.array([ln.split(",") for ln in lines[1:]], dtype=float)
+    shell = np.abs(table[:, :d]).max(axis=1).astype(np.int64)
+    re, im = table[:, d], table[:, d + 1]
+    top = np.full(int(shell.max()) + 1, -np.inf)
+    np.maximum.at(top, shell, np.sqrt(re * re + im * im))
+    keep = np.isfinite(top)
+    return line_plot(np.flatnonzero(keep).tolist(), top[keep].tolist(),
+                     xlabel="max_i |k_i|", ylabel="max |c_k|", title=title,
+                     comment=comment)

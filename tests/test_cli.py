@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
 from cocyclelab import _util
-from cocyclelab._svg import plot_csv_text
+from cocyclelab._svg import line_plot, plot_csv_text
 from cocyclelab._util import CSV_BLOCK, csv_text, fmt17, to_json_text
 from cocyclelab.avalanche import ap_check, ap_consequence_check
 from cocyclelab.cli import (
@@ -429,6 +429,42 @@ class TestPlotting:
         svg = (out / "loja.svg").read_text()
         assert "<polyline" in svg
         assert "nan" not in svg and "inf" not in svg
+
+    def test_fourier_svg_of_d2_plots_shell_maxima(self, tmp_path):
+        # a 16^2 table is a grid of indices: the SVG plots one point per
+        # shell r = max_i |k_i| = 0..8, the largest sqrt(re^2 + im^2) of
+        # the CSV's rows on it
+        cfg = {"experiment": "fourier", "plot": True,
+               "cocycle": {"kind": "schrodinger", "E": 0.3,
+                           "v": [{"cos": [1, 0], "amp": 2.0},
+                                 {"cos": [0, 1]}]},
+               "frequency": [0.6180339887498949, 0.4142135623730951],
+               "params": {"N": 4, "M": 16, "K0": 4}}
+        rc, out = run_cli(tmp_path, cfg)
+        assert rc == 0
+        svg = (out / "fourier.svg").read_text()
+        assert ">max_i |k_i|</text>" in svg and ">max |c_k|</text>" in svg
+        points = svg.split('<polyline points="')[1].split('"')[0].split()
+        assert len(points) == 16 // 2 + 1
+        stamp, header, *rows = (out / "fourier.csv").read_text().splitlines()
+        assert header == "k1,k2,re,im"
+        top = [0.0] * 9
+        for row in rows:
+            k1, k2, re, im = row.split(",")
+            r = max(abs(int(k1)), abs(int(k2)))
+            top[r] = max(top[r], math.sqrt(float(re) ** 2 + float(im) ** 2))
+        assert svg == line_plot(list(range(9)), top, xlabel="max_i |k_i|",
+                                ylabel="max |c_k|", title="fourier",
+                                comment=stamp[2:])
+
+    def test_fourier_svg_of_d1_plots_re_against_k1(self, tmp_path):
+        cfg = {"experiment": "fourier", "plot": True, "cocycle": AMO,
+               "frequency": [GOLDEN], "params": {"N": 3, "M": 32, "K0": 4}}
+        rc, out = run_cli(tmp_path, cfg)
+        assert rc == 0
+        stamp, body = (out / "fourier.csv").read_text().split("\n", 1)
+        assert (out / "fourier.svg").read_text() == plot_csv_text(
+            body, title="fourier", comment=stamp[2:])
 
     def test_plot_csv_text_drops_non_finite_rows(self):
         text = "x,y\n1,2\ninf,3\n4,nan\n-inf,-inf\n5,6\n"

@@ -12,6 +12,7 @@ elementwise numpy cannot reproduce, so those cocycles agree to a relative
 1e-12 instead; where the kernel is checked bit for bit on them, the
 reference writes the product out as the kernel's elementwise rows.
 """
+import functools
 import math
 import os
 from types import SimpleNamespace
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cocyclelab import _util, deviation, lyapunov
+from cocyclelab import _util, cocycle, deviation, lyapunov
 from cocyclelab._util import (
     MAX_NODES,
     UNDERFLOW_FLOOR,
@@ -34,6 +35,7 @@ from cocyclelab._util import (
 )
 from cocyclelab.cocycle import (
     Cocycle,
+    ComposedMatrix,
     DiscontinuityExample,
     OrbitBlock,
     RenormalizedMatrix,
@@ -52,7 +54,7 @@ from cocyclelab.cocycle import (
 )
 from cocyclelab.errors import ScanTooLarge
 from cocyclelab.lyapunov import QuadratureSpec
-from cocyclelab.torus import Frequency, frequency_multiple
+from cocyclelab.torus import Automorphism, Frequency, frequency_multiple
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SILVER = math.sqrt(2.0) - 1.0
@@ -538,8 +540,39 @@ def _tiny(scale=1e-305):
     return Cocycle(TrigPolyMatrix.constant(1, np.diag([scale, scale])), G1)
 
 
+def _spy_stretches(monkeypatch):
+    """The (t, c, trap passed) of every stretch the kernel runs."""
+    calls = []
+    real = cocycle._stretch
+
+    def spy(mats, t, c, *buffers):
+        ok = real(mats, t, c, *buffers)
+        calls.append((t, c, ok))
+        return ok
+
+    monkeypatch.setattr(cocycle, "_stretch", spy)
+    return calls
+
+
+def _run_both_ways(monkeypatch, C, N, X, at):
+    """(avg, under) with stretches, then one step at a time: with a cap of
+    0 no stretch runs and every step renormalizes."""
+    stretched = iterate_log_norm_many(C, N, X, at=at)
+    with monkeypatch.context() as mp:
+        mp.setattr(cocycle, "STRETCH_EXPONENT_CAP", 0)
+        plain = iterate_log_norm_many(C, N, X, at=at)
+    return stretched, plain
+
+
+def _composed():
+    B = Automorphism.from_entries([[2, 1], [1, 1]])
+    return Cocycle(ComposedMatrix(schrodinger(_v2(), 0.2, d=2), B), G2)
+
+
 LOOKAHEAD = {
     "amo": lambda: Cocycle(amo(3.0, 0.3), G1),
+    "composed": _composed,
+    "discontinuity": BITWISE["discontinuity"],
     "excising": lambda: _excising(G1, floor=0.05),
     "c-order": lambda: Cocycle(_COrderEvaluator(amo(3.0, 0.3)), G1),
     "schrodinger-2d": BITWISE["schrodinger-2d"],
@@ -549,8 +582,15 @@ LOOKAHEAD = {
     "discontinuity-resonant": BITWISE["discontinuity-omega0"],
 }
 # the cocycles run at every m; the others at a few
-LOOKAHEAD_EVERY_M = ("amo", "excising", "c-order")
-LOOKAHEAD_M = (1, 3, 341, 512, 1023, 1024, 1025)
+LOOKAHEAD_EVERY_M = ("amo", "c-order", "composed", "discontinuity",
+                     "excising", "jacobi-renorm", "schrodinger-2d")
+# 4096 rows: two steps a block at one worker; 8194: two workers take chunks
+# of more than half the budget, one step a block, and run no stretch
+LOOKAHEAD_M = (1, 3, 341, 512, 1023, 1024, 1025, 4096, 8194)
+# no product of these underflows, so the trap passes each of their stretches
+LOOKAHEAD_NO_UNDERFLOW = ("amo", "c-order", "composed", "discontinuity",
+                          "discontinuity-resonant", "jacobi-renorm",
+                          "schrodinger-2d")
 
 
 def _lookahead_cases():
@@ -560,50 +600,194 @@ def _lookahead_cases():
 
 
 def _block_reads(m):
-    """An orbit length that is not a multiple of the look-ahead B for m
-    nodes, and reads on both sides of the first block edge, inside the
-    second block and at the end (unsorted, one repeated)."""
-    B = max(1, _util.LOOKAHEAD_ROWS // m)
-    N = 2 * B + 1 if B > 1 else 5
-    return N, [N, 1, B, B + 1, max(1, B - 1), B + 2 if B + 2 <= N else N, 1]
+    """An orbit length that is not a multiple of the kernel's look-ahead B
+    for m nodes, and reads on both sides of the first block edge, inside the
+    second block and at the end (unsorted, one repeated). N is at least 9,
+    so that blocks of two steps also run past the reads, in stretches."""
+    B = max(1, cocycle.ORBIT_LOOKAHEAD_ROWS // m)
+    N = max(2 * B + 1, 9)
+    return N, [N, 1, B, B + 1, max(1, B - 1), B + 2, 1]
+
+
+@functools.lru_cache(maxsize=None)
+def _lookahead_reference(name, m):
+    """ref_iterate at _block_reads(m)'s sorted reads; one run serves every
+    worker count (a single node's 16385 steps take a second)."""
+    C = LOOKAHEAD[name]()
+    reads = sorted(set(_block_reads(m)[1]))
+    return ref_iterate(C.A, C.omega.as_array(), reads, _nodes(C.d, m=m),
+                       product=rows_product)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
 @pytest.mark.parametrize("name, m", list(_lookahead_cases()))
-def test_lookahead_matches_one_step_kernel(name, m, workers):
+def test_lookahead_matches_one_step_kernel(name, m, workers, monkeypatch):
+    # against the reference and against the kernel with stretches off
     C = LOOKAHEAD[name]()
     N, at = _block_reads(m)
     X = _nodes(C.d, m=m)
     reads = sorted(set(at))
-    want_avg, want_steps = ref_iterate(C.A, C.omega.as_array(), reads, X,
-                                       product=rows_product)
-    avg, under = iterate_log_norm_many(C, N, X, at=at)
+    want_avg, want_steps = _lookahead_reference(name, m)
+    calls = _spy_stretches(monkeypatch)
+    (avg, under), (plain, plain_under) = _run_both_ways(
+        monkeypatch, C, N, X, at)
     rows = np.searchsorted(reads, at)
     assert np.array_equal(under, want_steps < np.array(at)[:, None])
     assert avg.tobytes() == want_avg[rows].tobytes()
+    assert np.array_equal(under, plain_under)
+    assert avg.tobytes() == plain.tobytes()
     if name == "excising" and m >= 341:
         # nodes die inside a look-ahead block, not only at its edges
         died = want_steps[want_steps < N]
-        B = max(1, _util.LOOKAHEAD_ROWS // m)
+        B = max(1, cocycle.ORBIT_LOOKAHEAD_ROWS // m)
         assert B == 1 or (died % B != 0).any()
     if name == "tiny":
         assert under.all()
     if name == "tiny-alive":
         assert not under.any()
+    # chunks past half the budget take one step a block: exactly the
+    # one-step kernel's calls
+    one_step = workers > 1 and m // workers > cocycle.ORBIT_LOOKAHEAD_ROWS // 2
+    assert not (one_step and calls)
+    if name in LOOKAHEAD_NO_UNDERFLOW:
+        assert all(ok for _, _, ok in calls) and (one_step or calls)
 
 
-# 300 nodes step three at a time (B = 3); one node alone steps 1024 at a time.
+# 300 nodes step 27 at a time (B = 27); one node alone steps 8192 at a time.
 def test_lookahead_batch_matches_each_node_alone():
     C = _excising(G1, floor=0.05)
-    N, at = 40, [1, 3, 4, 20, 40]
     X = np.linspace(0.0, 1.0, 300, endpoint=False).reshape(-1, 1)
-    assert _util.LOOKAHEAD_ROWS // X.shape[0] == 3
+    B = cocycle.ORBIT_LOOKAHEAD_ROWS // X.shape[0]
+    assert B == 27
+    N, at = 2 * B + 1, [1, 3, B, B + 1, 40, 2 * B + 1]
     avg, under = iterate_log_norm_many(C, N, X, at=at)
     assert under[-1].any() and not under[-1].all()
     for i in range(X.shape[0]):
         alone, alone_under = iterate_log_norm_many(C, N, X[i:i + 1], at=at)
         assert np.array_equal(under[:, i], alone_under[:, 0])
         assert avg[:, i].tobytes() == alone[:, 0].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Stretches: one renormalization per stretch of steps, kept when certified
+# ---------------------------------------------------------------------------
+
+def test_stretch_cap_exit_runs_one_step_at_a_time(monkeypatch):
+    # entries up to 2e150 < 2^501: G = 502, and 2 G + 1 passes the cap
+    C = Cocycle(amo(1e150, 0.0), G1)
+    X = _nodes(1, m=64)
+    calls = _spy_stretches(monkeypatch)
+    avg, under = iterate_log_norm_many(C, 200, X, at=[100, 200])
+    want, _ = ref_iterate(C.A, C.omega.as_array(), [100, 200], X,
+                          product=rows_product)
+    assert calls == []
+    assert avg.tobytes() == want.tobytes()
+    assert np.all(avg > 340.0)  # about ln(1e150)
+
+
+def test_stretch_underflow_exit_reruns_one_step_at_a_time(monkeypatch):
+    # products of 1e-200 I underflow from the second step of a stretch on;
+    # one step at a time they stay above the floor and are never excised
+    C = _tiny(1e-200)
+    X = _nodes(1, m=64)
+    calls = _spy_stretches(monkeypatch)
+    (avg, under), (plain, plain_under) = _run_both_ways(
+        monkeypatch, C, 100, X, [1, 50, 100])
+    assert calls and not any(ok for _, _, ok in calls)
+    assert not under.any() and not plain_under.any()
+    assert avg.tobytes() == plain.tobytes()
+    np.testing.assert_allclose(avg, math.log(1e-200), rtol=1e-15)
+
+
+def test_stretch_excision_exit_keeps_dead_nodes_at_one_step(monkeypatch):
+    # omega = 0: the singular nodes read NaN from the first step, so the
+    # first stretch of each chunk ends non-finite and is rerun one step at
+    # a time; the chunk then holds dead nodes and runs no other stretch
+    C = _excising(Frequency((0.0,)))
+    X = np.linspace(0.0, 1.0, 64, endpoint=False).reshape(-1, 1)
+    calls = _spy_stretches(monkeypatch)
+    (avg, under), (plain, plain_under) = _run_both_ways(
+        monkeypatch, C, 100, X, [40, 100])
+    want, steps = ref_iterate(C.A, C.omega.as_array(), [40, 100], X,
+                              product=rows_product)
+    assert under[-1].any() and not under[-1].all()
+    assert len(calls) == 1 and calls[0][2]
+    assert avg.tobytes() == plain.tobytes() == want.tobytes()
+    assert np.array_equal(under, plain_under)
+
+
+class _StepMatrices:
+    """Step j of an orbit of omega = 1/16 from a node in [0, 1/16) takes
+    mats[j]: the orbit points are dyadic, so j = floor(16 x) exactly."""
+
+    d = 1
+
+    def __init__(self, mats):
+        self.mats = np.array(mats, dtype=float)
+
+    def eval_many(self, X):
+        return self.mats[np.floor(16.0 * np.asarray(X)[:, 0]).astype(int)]
+
+
+def _step_cocycle(*mats):
+    return Cocycle(_StepMatrices(mats), Frequency((1.0 / 16.0,)))
+
+
+STEP_NODES = ((np.arange(8) + 0.5) / 128).reshape(-1, 1)
+
+
+def test_stretch_trap_catches_a_subnormal_prescale(monkeypatch):
+    # c = 0x1.5a5a...5p0 has a full 53-bit significand. One step at a time
+    # U[1, 1] climbs c 2^-300, c 2^-200, c 2^-100, c and ||A_9|| = c. The
+    # stretch from step 1 prescales U = diag(1, c 2^-300) by 2^-817
+    # (G = 102, t = 8), which rounds c 2^-1117 to 0; its end maximum 2^-817
+    # passes the floor, so only the underflow trap sends it back. Without
+    # the trap the read at 9 is 0.
+    c = float.fromhex("0x1.5a5a5a5a5a5a5p0")
+    C = _step_cocycle(np.diag([1.0, c * 2.0**-300]),
+                      *[np.diag([1.0, 2.0**100])] * 3, *[np.eye(2)] * 5)
+    calls = _spy_stretches(monkeypatch)
+    (avg, under), (plain, _) = _run_both_ways(
+        monkeypatch, C, 9, STEP_NODES, [1, 9])
+    want, _ = ref_iterate(C.A, C.omega.as_array(), [1, 9], STEP_NODES)
+    assert np.all(avg[0] == 0.0)
+    assert np.all(avg[1] == float.fromhex("0x1.13248c5fa589cp-5"))
+    assert not under.any()
+    assert avg.tobytes() == plain.tobytes() == want.tobytes()
+    assert calls == [(8, 817, False)]
+
+
+def test_stretch_prescale_keeps_an_excision(monkeypatch):
+    # One step at a time the first product's maximum 1e-301 is below the
+    # floor, so every node is excised. Unscaled, the stretch would stay
+    # normal and grow by 16^7 = 2^28 to about 2.7e-293, above the floor, and
+    # read about -84.2; prescaled by 2^-49 (G = 6, t = 8) its first product
+    # is subnormal.
+    C = _step_cocycle(1e-301 * np.eye(2), *[16.0 * np.eye(2)] * 7)
+    calls = _spy_stretches(monkeypatch)
+    (avg, under), (plain, _) = _run_both_ways(
+        monkeypatch, C, 8, STEP_NODES, [8])
+    want, steps = ref_iterate(C.A, C.omega.as_array(), [8], STEP_NODES)
+    assert np.all(avg == -math.inf)
+    assert np.all(steps == 0) and under.all()
+    assert avg.tobytes() == plain.tobytes() == want.tobytes()
+    assert [(t, c) for t, c, _ in calls] == [(8, 49)]
+
+
+def test_stretch_end_floor_test_keeps_an_excision(monkeypatch):
+    # The first product's maximum 1e-302 is below the floor. The stretch
+    # (G = 2, t = 2) prescales by 2^-5, so it ends at 1e-302 2^-5, a normal
+    # number that no product rounded: only the end test against the floor
+    # sends it back. Kept, it would read ln(1e-302)/2, about -347.7.
+    C = _step_cocycle(1e-302 * np.eye(2), np.eye(2))
+    calls = _spy_stretches(monkeypatch)
+    (avg, under), (plain, _) = _run_both_ways(
+        monkeypatch, C, 2, STEP_NODES, [2])
+    want, steps = ref_iterate(C.A, C.omega.as_array(), [2], STEP_NODES)
+    assert np.all(avg == -math.inf)
+    assert np.all(steps == 0) and under.all()
+    assert avg.tobytes() == plain.tobytes() == want.tobytes()
+    assert calls == [(2, 5, True)]
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +892,91 @@ def test_orbit_at_omega_zero_keeps_its_bytes(name, m):
                               product=rows_product)
     avg, under = iterate_log_norm_many(C, 40, X, at=[1, 20, 40])
     assert avg.tobytes() == want.tobytes()
+
+
+class _Recording:
+    """base, with every X that eval_many is handed kept in seen."""
+
+    def __init__(self, base, seen):
+        self.base, self.d, self.seen = base, base.d, seen
+
+    def eval_many(self, X):
+        self.seen.append(X)
+        return self.base.eval_many(X)
+
+
+def _product_sensitivity(mats, n):
+    """sum_j ||S_j|| ||P_j|| / ||A_n|| for each node, A_n = M_{n-1} ... M_0
+    = S_j M_j P_j: to first order a change of ||dM_j||_2 <= e in every
+    factor moves ln ||A_n|| by at most e times this."""
+    m = mats[0].shape[0]
+    prefix = [np.broadcast_to(np.eye(2), (m, 2, 2))]
+    for M in mats[:n - 1]:
+        prefix.append(M @ prefix[-1])
+    suffix = [np.broadcast_to(np.eye(2), (m, 2, 2))]
+    for M in mats[n - 1:0:-1]:
+        suffix.append(suffix[-1] @ M)
+    norm = lambda a: np.linalg.norm(a, 2, axis=(1, 2))
+    whole = norm(mats[n - 1] @ prefix[n - 1])
+    return sum(norm(suffix[n - 1 - j]) * norm(prefix[j])
+               for j in range(n)) / whole
+
+
+def test_composed_twiddles_within_the_kB_bound():
+    # ComposedMatrix hands its base the points y_j = frac(B x_j) and the
+    # frequency w = B omega (each coordinate a dot product), and the base
+    # twiddles along them. Against exp(2 pi i k.y_j) at the float point,
+    # the angle of a phase twiddled t < R steps from its anchor a is off by
+    #   k.(r_a - r_j) + k.(t d + s) - kB.e_t,
+    # r the rounding of B x (|r| <= 2^-52 per coordinate, as |B x| < 4),
+    # d that of B omega (<= 2^-52), s that of t w (<= 3 t 2^-53) and e_t
+    # the float orbit's own drift over t steps (<= t 2^-53). So it is within
+    # the bound ComposedMatrix states, 2 pi |kB|_1 R 2^-52 + 2^-51, plus
+    # 2 pi |k|_1 (5R/2 + 2) 2^-52 for the rounding of B x_j and B omega.
+    R = _util.PHASE_STEPS
+    base = schrodinger(_v2(), 0.2, d=2)
+    B = Automorphism.from_entries([[2, 1], [1, 1]])
+    inner, outer = [], []
+    C = Cocycle(_Recording(ComposedMatrix(_Recording(base, inner), B), outer),
+                G2)
+    N, at, m = 40, [16, 40], 16
+    X = _nodes(2, m=m)
+    avg, under = iterate_log_norm_many(C, N, X, at=at)
+    assert not under.any()
+    ks, h = base._ks, base._half
+    k = ks[ks.shape[0] - h:]
+    k1 = np.abs(k).sum(axis=1)
+    kB1 = np.abs(k @ B.as_array()).sum(axis=1)
+    bound = (2 * math.pi * (kB1 * R + k1 * (2.5 * R + 2)) * 2.0**-52
+             + 2.0**-51)
+    assert len(inner) == len(outer) and all(
+        isinstance(Y, OrbitBlock) for Y in inner)
+    state, worst = {}, 0.0
+    for Y in inner:
+        # the phases the base took, by the twiddle rule on its own state
+        got = _upper_phases(OrbitBlock(Y.points, Y.first, Y.steps, Y.omega,
+                                       state), ks, h)
+        err = np.abs(got - _upper_phases(Y.points, ks, h))
+        assert np.all(err <= bound[:, None]), float(np.max(err / bound[:, None]))
+        worst = max(worst, float(np.max(err / bound[:, None])))
+    assert worst > 0.0  # the base twiddles
+    # Only entry (0, 0) = E - v(y) carries phases, so a step's matrix moves
+    # by at most e in norm: the phase errors times |c_k| over the table
+    # (+-k alike), plus 4 ulps of |v| <= 3 for the reduction's own rounding.
+    c = np.abs(base._cs[ks.shape[0] - h:, 0, 0])
+    e = 2.0 * float(np.sum(c * bound)) + 4 * 3 * 2.0**-52
+    want, _ = ref_iterate(_PlainPoints(ComposedMatrix(base, B)),
+                          G2.as_array(), at, X, product=rows_product)
+    mats = [ComposedMatrix(base, B).eval_many(x)
+            for x in _orbit(X, G2.as_array(), N)]
+    for r, n in enumerate(at):
+        K = _product_sensitivity(mats, n)
+        # twice the first-order bound, and the products' own rounding
+        big = max(float(np.max(np.linalg.norm(M, 2, axis=(1, 2))))
+                  for M in mats[:n])
+        tol = 2.0 * K * (e + big * 2.0**-50) / n + 2.0**-50 * np.abs(want[r])
+        assert np.all(np.abs(avg[r] - want[r]) <= tol), (
+            float(np.max(np.abs(avg[r] - want[r]) / tol)))
 
 
 # Matrices far beyond the range where the closed form's f^2 is finite.
